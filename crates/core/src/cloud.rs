@@ -3,7 +3,10 @@
 use crate::controller::{phi_score, ControllerConfig, RateDecision, SamplingRateController};
 use crate::error::InvalidConfig;
 use serde::{Deserialize, Serialize};
-use shoggoth_models::{pseudo_label, Detection, Detector, LabeledSample, TeacherDetector};
+use shoggoth_models::{
+    detections_from, features_matrix, pseudo_label_from, Detection, Detector, LabeledSample,
+    TeacherDetector,
+};
 use shoggoth_util::Rng;
 use shoggoth_video::Frame;
 
@@ -193,7 +196,11 @@ impl CloudServer {
         let mut phi_scores = Vec::with_capacity(frames.len());
         let mut total = 0;
         for frame in frames {
-            let detections = self.teacher.detect(frame);
+            // One classification per frame serves both φ (detections) and
+            // the Eq. (1) pseudo-labels.
+            let predictions = self.teacher.classify(&features_matrix(&frame.proposals));
+            let detections =
+                detections_from(&predictions, frame, self.teacher.config().num_classes);
             if let Some(prev) = &self.prev_labels {
                 let phi = phi_score(prev, &detections);
                 self.controller.observe_phi(phi);
@@ -202,8 +209,8 @@ impl CloudServer {
                 phi_scores.push(0.0);
             }
             self.prev_labels = Some(detections);
-            let samples = pseudo_label(
-                &mut self.teacher,
+            let samples = pseudo_label_from(
+                &predictions,
                 frame,
                 self.num_classes,
                 self.config.label_threshold,

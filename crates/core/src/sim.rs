@@ -303,9 +303,7 @@ impl Simulation {
                 TeacherConfig::new(dim, classes, config.teacher_seed),
             )
         };
-        let student = StudentDetector::pretrained_with(student_cfg, &config.stream.library, 0);
-        let teacher = TeacherDetector::pretrained_with(teacher_cfg, &config.stream.library);
-        (student, teacher)
+        shoggoth_models::pretrain_pair(student_cfg, teacher_cfg, &config.stream.library, 0)
     }
 
     /// Builds models and runs the simulation.

@@ -2,9 +2,9 @@
 
 use crate::background_class;
 use crate::detector::Detector;
-use shoggoth_tensor::Matrix;
+use shoggoth_tensor::{losses, Matrix, Mlp, Mode, SgdConfig};
 use shoggoth_util::Rng;
-use shoggoth_video::{Domain, FeatureWorld, Frame};
+use shoggoth_video::{ClassId, Domain, FeatureWorld, Frame};
 
 /// One labeled training sample: a proposal's features and its class label
 /// (foreground class index, or the background index).
@@ -72,6 +72,109 @@ pub fn sample_domain_batch(
     samples
 }
 
+/// A contiguous labeled training set, drawn domain by domain: row `i` of
+/// `features` is labeled `labels[i]`.
+#[derive(Debug)]
+pub(crate) struct Corpus {
+    features: Matrix,
+    labels: Vec<usize>,
+}
+
+impl Corpus {
+    /// An empty corpus of `dim`-wide samples with room for `samples` rows.
+    pub(crate) fn with_capacity(dim: usize, samples: usize) -> Self {
+        let data = Vec::with_capacity(dim * samples);
+        Self {
+            features: Matrix::from_vec(0, dim, data).expect("an empty buffer has zero rows"),
+            labels: Vec::with_capacity(samples),
+        }
+    }
+
+    /// A corpus holding `samples` in order.
+    pub(crate) fn from_samples(samples: &[LabeledSample]) -> Self {
+        let (features, labels) = LabeledSample::to_batch(samples);
+        Self { features, labels }
+    }
+
+    /// Appends a [`sample_domain_batch`] draw in its order, consuming the
+    /// same RNG stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world's feature width differs from the corpus width.
+    pub(crate) fn draw(
+        &mut self,
+        world: &FeatureWorld,
+        domain: &Domain,
+        n_objects: usize,
+        n_background: usize,
+        rng: &mut Rng,
+    ) {
+        let dim = self.features.cols();
+        let mut data = std::mem::replace(&mut self.features, Matrix::zeros(0, dim)).into_vec();
+        for sample in sample_domain_batch(world, domain, n_objects, n_background, rng) {
+            data.extend_from_slice(&sample.features);
+            self.labels.push(sample.label);
+        }
+        self.features = Matrix::from_vec(self.labels.len(), dim, data)
+            .expect("world features match the corpus width");
+    }
+}
+
+/// The pre-training loop of the student and the teacher: `epochs` passes of
+/// momentum SGD over shuffled mini-batches of `corpus`, training layers
+/// `trainable_from..` only. Backpropagation stops at `trainable_from`; the
+/// frozen front still runs forward in [`Mode::Train`], so its
+/// normalization statistics keep updating. Buffers persist across steps and
+/// the logits are recycled, so after the first epoch nothing is allocated.
+///
+/// # Panics
+///
+/// Panics if the corpus width disagrees with the network input or
+/// `trainable_from` exceeds the layer count.
+pub(crate) fn fit(
+    net: &mut Mlp,
+    corpus: &Corpus,
+    epochs: usize,
+    batch: usize,
+    lr: f32,
+    trainable_from: usize,
+    rng: &mut Rng,
+) {
+    if corpus.labels.is_empty() {
+        return;
+    }
+    let sgd = SgdConfig::new(lr)
+        .with_momentum(0.9)
+        .with_weight_decay(1e-4);
+    let layers = net.len();
+    let scales: Vec<f32> = (0..layers)
+        .map(|i| if i < trainable_from { 0.0 } else { 1.0 })
+        .collect();
+    let mut order: Vec<usize> = (0..corpus.labels.len()).collect();
+    let mut x = Matrix::zeros(0, 0);
+    let mut labels = Vec::with_capacity(batch);
+    let mut grad = Matrix::zeros(0, 0);
+    for _ in 0..epochs {
+        rng.shuffle(&mut order);
+        for chunk in order.chunks(batch.max(1)) {
+            corpus.features.select_rows_into(chunk, &mut x);
+            labels.clear();
+            labels.extend(chunk.iter().map(|&i| corpus.labels[i]));
+            let logits = net
+                .forward(&x, Mode::Train)
+                .expect("corpus width matches the network");
+            losses::softmax_cross_entropy_into(&logits, &labels, &mut grad)
+                .expect("label shapes match");
+            net.recycle(logits);
+            net.backward_range_discard(trainable_from..layers, &grad)
+                .expect("forward cached");
+            net.step_scaled(&sgd, &scales)
+                .expect("scales match layer count");
+        }
+    }
+}
+
 /// Labels a frame's proposals with a detector, per the paper's Eq. (1):
 /// a proposal whose predicted confidence clears `threshold` becomes a
 /// positive sample of the predicted class (`y_i = 1` for the detector's
@@ -90,12 +193,24 @@ pub fn pseudo_label<D: Detector + ?Sized>(
     if features.rows() == 0 {
         return Vec::new();
     }
-    let predictions = detector.classify(&features);
+    pseudo_label_from(&detector.classify(&features), frame, num_classes, threshold)
+}
+
+/// [`pseudo_label`] from predictions already made on `frame`'s proposals
+/// (one `(class, confidence)` per proposal, as [`Detector::classify`]
+/// returns them), so a caller that also needs the detections classifies
+/// each frame once.
+pub fn pseudo_label_from(
+    predictions: &[(ClassId, f32)],
+    frame: &Frame,
+    num_classes: usize,
+    threshold: f32,
+) -> Vec<LabeledSample> {
     let bg = background_class(num_classes);
     frame
         .proposals
         .iter()
-        .zip(predictions)
+        .zip(predictions.iter().copied())
         .map(|(p, (class, confidence))| LabeledSample {
             features: p.features.clone(),
             label: if class < bg && confidence >= threshold {
@@ -133,6 +248,41 @@ mod tests {
         let bg = samples.iter().filter(|s| s.label == 3).count();
         assert_eq!(bg, 10);
         assert!(samples.iter().all(|s| s.features.len() == 8));
+    }
+
+    #[test]
+    fn corpus_draw_matches_sample_domain_batch() {
+        let lib = library();
+        let (mut a, mut b) = (Rng::seed_from(3), Rng::seed_from(3));
+        let samples = sample_domain_batch(lib.world(), lib.domain(0), 7, 4, &mut a);
+        let mut corpus = Corpus::with_capacity(8, 11);
+        corpus.draw(lib.world(), lib.domain(0), 7, 4, &mut b);
+        let (features, labels) = LabeledSample::to_batch(&samples);
+        assert_eq!(corpus.features, features);
+        assert_eq!(corpus.labels, labels);
+        assert_eq!(a, b, "same RNG stream consumed");
+    }
+
+    #[test]
+    fn fit_allocates_nothing_after_the_first_epoch() {
+        use shoggoth_tensor::{BatchRenorm, Dense, Relu};
+        let lib = library();
+        let mut rng = Rng::seed_from(2);
+        let mut corpus = Corpus::with_capacity(8, 30);
+        corpus.draw(lib.world(), lib.domain(0), 20, 10, &mut rng);
+        let mut net = Mlp::new(vec![
+            Box::new(BatchRenorm::new(8)),
+            Box::new(Dense::new(8, 16, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Dense::new(16, 4, &mut rng)),
+        ]);
+        // 30 rows in batches of 8: every epoch ends on a partial batch.
+        fit(&mut net, &corpus, 1, 8, 0.05, 0, &mut rng);
+        let warm = net.workspace_allocations();
+        assert!(warm > 0);
+        fit(&mut net, &corpus, 3, 8, 0.05, 0, &mut rng);
+        fit(&mut net, &corpus, 2, 8, 0.05, 2, &mut rng);
+        assert_eq!(net.workspace_allocations(), warm);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The detector abstraction shared by student and teacher.
 
-use shoggoth_tensor::Matrix;
+use crate::background_class;
+use shoggoth_tensor::{losses, Matrix, Mlp, Mode};
 use shoggoth_video::{BBox, ClassId, Frame};
 
 /// One detection: a box, a foreground class, and a confidence score
@@ -44,6 +45,66 @@ pub fn features_matrix(proposals: &[shoggoth_video::Proposal]) -> Matrix {
         m.row_mut(r).copy_from_slice(&p.features);
     }
     m
+}
+
+/// Turns per-proposal predictions on `frame` (one `(class, confidence)`
+/// per proposal, as [`Detector::classify`] returns them) into detections,
+/// dropping background predictions.
+pub fn detections_from(
+    predictions: &[(ClassId, f32)],
+    frame: &Frame,
+    num_classes: usize,
+) -> Vec<Detection> {
+    let bg = background_class(num_classes);
+    frame
+        .proposals
+        .iter()
+        .zip(predictions.iter().copied())
+        .filter(|(_, (class, _))| *class < bg)
+        .map(|(p, (class, confidence))| Detection {
+            bbox: p.bbox,
+            class,
+            confidence,
+        })
+        .collect()
+}
+
+/// [`Detector::detect`] for a network-backed detector: classify every
+/// proposal, keep the foreground predictions.
+pub(crate) fn detect_with<D: Detector + ?Sized>(
+    detector: &mut D,
+    frame: &Frame,
+    num_classes: usize,
+) -> Vec<Detection> {
+    if frame.proposals.is_empty() {
+        return Vec::new();
+    }
+    let predictions = detector.classify(&features_matrix(&frame.proposals));
+    detections_from(&predictions, frame, num_classes)
+}
+
+/// [`Detector::classify`] for a network-backed detector: an eval-mode
+/// forward pass, then the arg-max class and its softmax probability per
+/// row.
+pub(crate) fn classify_with(net: &mut Mlp, features: &Matrix) -> Vec<(ClassId, f32)> {
+    if features.rows() == 0 {
+        return Vec::new();
+    }
+    let logits = net
+        .forward(features, Mode::Eval)
+        .expect("feature width matches network input");
+    let probs = losses::softmax(&logits);
+    (0..probs.rows())
+        .map(|r| {
+            let row = probs.row(r);
+            let (class, &p) = row
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .expect("non-empty row");
+            (class, p)
+        })
+        .collect()
 }
 
 #[cfg(test)]

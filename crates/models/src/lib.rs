@@ -38,10 +38,37 @@ pub mod detector;
 pub mod student;
 pub mod teacher;
 
-pub use data::{pseudo_label, sample_domain_batch, LabeledSample};
-pub use detector::{features_matrix, Detection, Detector};
+pub use data::{pseudo_label, pseudo_label_from, sample_domain_batch, LabeledSample};
+pub use detector::{detections_from, features_matrix, Detection, Detector};
 pub use student::{StudentConfig, StudentDetector};
 pub use teacher::{TeacherConfig, TeacherDetector};
+
+use shoggoth_video::DomainLibrary;
+
+/// Pre-trains a student (on domain `domain_index`) and a teacher (on every
+/// domain) at the same time, the teacher on a worker thread via
+/// [`shoggoth_util::pool::join`]. Each owns its seeded RNG, so the pair is
+/// bit-identical to the two `pretrained_with` calls run in turn. The
+/// teacher's network and corpus are built on the calling thread, so the
+/// worker's allocator arena holds only its training buffers.
+///
+/// # Panics
+///
+/// Panics if either configuration's world shape disagrees with the
+/// library, the library has no domains, or `domain_index` is out of range.
+pub fn pretrain_pair(
+    student: StudentConfig,
+    teacher: TeacherConfig,
+    library: &DomainLibrary,
+    domain_index: usize,
+) -> (StudentDetector, TeacherDetector) {
+    let (mut teacher, corpus, mut rng) = TeacherDetector::with_corpus(teacher, library);
+    let ((), student) = shoggoth_util::pool::join(
+        || teacher.pretrain_fit(&corpus, &mut rng),
+        || StudentDetector::pretrained_with(student, library, domain_index),
+    );
+    (student, teacher)
+}
 
 /// Class index used for the background (non-object) class: one past the
 /// last foreground class.

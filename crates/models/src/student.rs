@@ -1,9 +1,8 @@
 //! The lightweight edge detector (YOLOv4-ResNet18 stand-in).
 
-use crate::background_class;
-use crate::data::{sample_domain_batch, LabeledSample};
-use crate::detector::{features_matrix, Detection, Detector};
-use shoggoth_tensor::{losses, BatchRenorm, Dense, Matrix, Mlp, Mode, Relu, SgdConfig};
+use crate::data::{fit, Corpus, LabeledSample};
+use crate::detector::{classify_with, detect_with, Detection, Detector};
+use shoggoth_tensor::{losses, BatchRenorm, Dense, Matrix, Mlp, Mode, Relu};
 use shoggoth_util::Rng;
 use shoggoth_video::{ClassId, DomainLibrary, Frame};
 
@@ -200,75 +199,85 @@ impl StudentDetector {
     ///    camera.
     pub fn pretrain_on_domain(&mut self, library: &DomainLibrary, domain_index: usize) {
         let mut rng = Rng::seed_from(self.config.seed ^ 0x5052_4554); // "PRET"
+        self.pretrain_backbone(library, &mut rng);
+        self.pretrain_head(library, domain_index, &mut rng);
+    }
 
-        // Phase 1: generic backbone corpus from auxiliary domains.
-        if self.config.backbone_domains > 0 {
-            // Same world (same class prototypes), but an independent
-            // domain-generation stream so the auxiliary corpus never
-            // replicates the stream's own domains.
-            let mut aux = DomainLibrary::with_domain_seed(
-                library.world().config().clone(),
-                self.config.seed ^ 0x4241_434b, // "BACK"
-            );
-            let mut corpus = Vec::new();
-            for i in 0..self.config.backbone_domains {
-                use shoggoth_video::{Illumination, Weather};
-                let illum = match i % 3 {
-                    0 => Illumination::Day,
-                    1 => Illumination::Dusk,
-                    _ => Illumination::Night,
-                };
-                let weather = match (i / 3) % 3 {
-                    0 => Weather::Sunny,
-                    1 => Weather::Cloudy,
-                    _ => Weather::Rainy,
-                };
-                let severity = rng.range_f64(0.2, 0.9) as f32;
-                let mix = vec![1.0; library.world().num_classes()];
-                let domain = aux.generate(&format!("aux-{i}"), illum, weather, severity, mix);
-                corpus.extend(sample_domain_batch(
-                    library.world(),
-                    &domain,
-                    self.config.pretrain_objects / 2,
-                    self.config.pretrain_background / 2,
-                    &mut rng,
-                ));
-            }
-            self.fit(
-                &corpus,
-                self.config.pretrain_epochs,
-                self.config.pretrain_batch,
-                self.config.pretrain_lr,
-                &mut rng,
-            );
+    /// Phase 1 of [`Self::pretrain_on_domain`]: the whole network fits a
+    /// generic corpus from auxiliary domains (a no-op without any).
+    fn pretrain_backbone(&mut self, library: &DomainLibrary, rng: &mut Rng) {
+        use shoggoth_video::{Illumination, Weather};
+        let c = &self.config;
+        if c.backbone_domains == 0 {
+            return;
         }
+        // Same world (same class prototypes), but an independent
+        // domain-generation stream so the auxiliary corpus never
+        // replicates the stream's own domains.
+        let aux_seed = c.seed ^ 0x4241_434b; // "BACK"
+        let mut aux = DomainLibrary::with_domain_seed(library.world().config().clone(), aux_seed);
+        let (objects, background) = (c.pretrain_objects / 2, c.pretrain_background / 2);
+        let mut corpus =
+            Corpus::with_capacity(c.feature_dim, (objects + background) * c.backbone_domains);
+        for i in 0..c.backbone_domains {
+            let illum = match i % 3 {
+                0 => Illumination::Day,
+                1 => Illumination::Dusk,
+                _ => Illumination::Night,
+            };
+            let weather = match (i / 3) % 3 {
+                0 => Weather::Sunny,
+                1 => Weather::Cloudy,
+                _ => Weather::Rainy,
+            };
+            let severity = rng.range_f64(0.2, 0.9) as f32;
+            let mix = vec![1.0; library.world().num_classes()];
+            let domain = aux.generate(&format!("aux-{i}"), illum, weather, severity, mix);
+            corpus.draw(library.world(), &domain, objects, background, rng);
+        }
+        let (epochs, batch, lr) = (c.pretrain_epochs, c.pretrain_batch, c.pretrain_lr);
+        fit(&mut self.net, &corpus, epochs, batch, lr, 0, rng);
+    }
 
-        // Phase 2: specialize the head on the source domain.
-        let samples = sample_domain_batch(
+    /// Phase 2 of [`Self::pretrain_on_domain`]: the head specializes on the
+    /// source domain. After a backbone phase the front is frozen, so
+    /// backpropagation stops at the default replay layer.
+    fn pretrain_head(&mut self, library: &DomainLibrary, domain_index: usize, rng: &mut Rng) {
+        let c = &self.config;
+        let mut corpus =
+            Corpus::with_capacity(c.feature_dim, c.pretrain_objects + c.pretrain_background);
+        corpus.draw(
             library.world(),
             library.domain(domain_index),
-            self.config.pretrain_objects,
-            self.config.pretrain_background,
-            &mut rng,
+            c.pretrain_objects,
+            c.pretrain_background,
+            rng,
         );
-        let front_scale = if self.config.backbone_domains > 0 {
-            0.0
+        let trainable_from = if c.backbone_domains > 0 {
+            self.default_replay_layer
         } else {
-            1.0
+            0
         };
-        self.fit_scaled(
-            &samples,
-            self.config.pretrain_epochs,
-            self.config.pretrain_batch,
-            self.config.pretrain_lr,
-            front_scale,
-            &mut rng,
+        let (epochs, batch, lr) = (c.pretrain_epochs, c.pretrain_batch, c.pretrain_lr);
+        fit(
+            &mut self.net,
+            &corpus,
+            epochs,
+            batch,
+            lr,
+            trainable_from,
+            rng,
         );
     }
 
-    /// Plain supervised fitting over labeled samples (used for
-    /// pre-training; *adaptive* training with replay lives in the core
+    /// Plain supervised fitting of every layer over labeled samples (used
+    /// for fine-tuning; *adaptive* training with replay lives in the core
     /// crate's trainer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample feature width disagrees with the network
+    /// input — a shape pinned by the constructor.
     pub fn fit(
         &mut self,
         samples: &[LabeledSample],
@@ -277,55 +286,8 @@ impl StudentDetector {
         lr: f32,
         rng: &mut Rng,
     ) {
-        self.fit_scaled(samples, epochs, batch, lr, 1.0, rng);
-    }
-
-    /// Supervised fitting with a reduced learning rate on the layers
-    /// before the default replay layer (`front_scale = 0` trains the head
-    /// only, `1.0` trains everything).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sample feature width disagrees with the network
-    /// input — a shape pinned by the constructor.
-    pub fn fit_scaled(
-        &mut self,
-        samples: &[LabeledSample],
-        epochs: usize,
-        batch: usize,
-        lr: f32,
-        front_scale: f32,
-        rng: &mut Rng,
-    ) {
-        if samples.is_empty() {
-            return;
-        }
-        let sgd = SgdConfig::new(lr)
-            .with_momentum(0.9)
-            .with_weight_decay(1e-4);
-        let boundary = self.default_replay_layer;
-        let scales: Vec<f32> = (0..self.net.len())
-            .map(|i| if i < boundary { front_scale } else { 1.0 })
-            .collect();
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        for _ in 0..epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(batch.max(1)) {
-                let selected: Vec<LabeledSample> =
-                    chunk.iter().map(|&i| samples[i].clone()).collect();
-                let (x, labels) = LabeledSample::to_batch(&selected);
-                let logits = self
-                    .net
-                    .forward(&x, Mode::Train)
-                    .expect("pretrain batch shape is valid");
-                let (_, grad) =
-                    losses::softmax_cross_entropy(&logits, &labels).expect("label shapes match");
-                self.net.backward_discard(&grad).expect("forward cached");
-                self.net
-                    .step_scaled(&sgd, &scales)
-                    .expect("scales match layer count");
-            }
-        }
+        let corpus = Corpus::from_samples(samples);
+        fit(&mut self.net, &corpus, epochs, batch, lr, 0, rng);
     }
 
     /// Classification accuracy over labeled samples (eval mode).
@@ -387,51 +349,19 @@ impl Detector for StudentDetector {
     }
 
     fn detect(&mut self, frame: &Frame) -> Vec<Detection> {
-        if frame.proposals.is_empty() {
-            return Vec::new();
-        }
-        let features = features_matrix(&frame.proposals);
-        let predictions = self.classify(&features);
-        let bg = background_class(self.config.num_classes);
-        frame
-            .proposals
-            .iter()
-            .zip(predictions)
-            .filter(|(_, (class, _))| *class < bg)
-            .map(|(p, (class, confidence))| Detection {
-                bbox: p.bbox,
-                class,
-                confidence,
-            })
-            .collect()
+        let num_classes = self.config.num_classes;
+        detect_with(self, frame, num_classes)
     }
 
     fn classify(&mut self, features: &Matrix) -> Vec<(ClassId, f32)> {
-        if features.rows() == 0 {
-            return Vec::new();
-        }
-        let logits = self
-            .net
-            .forward(features, Mode::Eval)
-            .expect("feature width matches network input");
-        let probs = losses::softmax(&logits);
-        (0..probs.rows())
-            .map(|r| {
-                let row = probs.row(r);
-                let (class, &p) = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .expect("non-empty row");
-                (class, p)
-            })
-            .collect()
+        classify_with(&mut self.net, features)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::sample_domain_batch;
     use shoggoth_video::{Illumination, Weather, WorldConfig};
 
     fn library() -> DomainLibrary {
@@ -500,6 +430,46 @@ mod tests {
             after > before + 0.04,
             "fine-tuning should recover accuracy: {before} -> {after}"
         );
+    }
+
+    /// The front layers' exported parameters (everything before the
+    /// default replay layer), split into the trained part (Dense weights
+    /// and biases, BatchRenorm γ/β) and the BatchRenorm running moments.
+    fn front_params(student: &StudentDetector) -> (Vec<f32>, Vec<f32>) {
+        let c = student.config();
+        let mut segments = vec![(2 * c.feature_dim, true), (2 * c.feature_dim, false)];
+        let mut in_dim = c.feature_dim;
+        for &w in &c.widths {
+            segments.extend([(in_dim * w + w, true), (2 * w, true), (2 * w, false)]);
+            in_dim = w;
+        }
+        let weights = student.net().export_weights();
+        let (mut trained, mut moments, mut at) = (Vec::new(), Vec::new(), 0);
+        for (len, is_trained) in segments {
+            let part = &weights[at..at + len];
+            if is_trained {
+                trained.extend_from_slice(part);
+            } else {
+                moments.extend_from_slice(part);
+            }
+            at += len;
+        }
+        (trained, moments)
+    }
+
+    #[test]
+    fn head_specialization_keeps_the_backbone_weights() {
+        let lib = library();
+        let mut student = StudentDetector::new(quick_config());
+        let mut rng = Rng::seed_from(14);
+        student.pretrain_backbone(&lib, &mut rng);
+        let (trained, moments) = front_params(&student);
+        let all = student.net().export_weights();
+        student.pretrain_head(&lib, 0, &mut rng);
+        let (trained_after, moments_after) = front_params(&student);
+        assert_eq!(trained, trained_after, "the frozen front must not move");
+        assert_ne!(moments, moments_after, "BatchRenorm statistics still adapt");
+        assert_ne!(all, student.net().export_weights(), "the head trains");
     }
 
     #[test]

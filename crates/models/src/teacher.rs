@@ -1,9 +1,8 @@
 //! The cloud "golden" teacher (Mask-R-CNN ResNeXt-101 stand-in).
 
-use crate::background_class;
-use crate::data::{sample_domain_batch, LabeledSample};
-use crate::detector::{features_matrix, Detection, Detector};
-use shoggoth_tensor::{losses, Dense, Matrix, Mlp, Mode, Relu, SgdConfig};
+use crate::data::{fit, Corpus, LabeledSample};
+use crate::detector::{classify_with, detect_with, Detection, Detector};
+use shoggoth_tensor::{losses, Dense, Matrix, Mlp, Mode, Relu};
 use shoggoth_util::Rng;
 use shoggoth_video::{ClassId, DomainLibrary, Frame};
 
@@ -127,6 +126,23 @@ impl TeacherDetector {
     /// Panics if the configuration's world shape disagrees with the
     /// library, or the library has no domains.
     pub fn pretrained_with(config: TeacherConfig, library: &DomainLibrary) -> Self {
+        let (mut teacher, corpus, mut rng) = Self::with_corpus(config, library);
+        teacher.pretrain_fit(&corpus, &mut rng);
+        teacher
+    }
+
+    /// Builds an untrained teacher and draws its pre-training corpus,
+    /// samples pooled from every domain; returns both with the RNG
+    /// [`Self::pretrain_fit`] continues on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration's world shape disagrees with the
+    /// library, or the library has no domains.
+    pub(crate) fn with_corpus(
+        config: TeacherConfig,
+        library: &DomainLibrary,
+    ) -> (Self, Corpus, Rng) {
         assert_eq!(
             config.feature_dim,
             library.world().feature_dim(),
@@ -138,49 +154,22 @@ impl TeacherDetector {
             "class count mismatch"
         );
         assert!(!library.is_empty(), "library has no domains");
-        let mut teacher = Self::new(config);
-        teacher.pretrain(library);
-        teacher
+        let teacher = Self::new(config);
+        let c = &teacher.config;
+        let mut rng = Rng::seed_from(c.seed ^ 0x474f_4c44); // "GOLD"
+        let per_domain = c.objects_per_domain + c.background_per_domain;
+        let mut corpus = Corpus::with_capacity(c.feature_dim, per_domain * library.len());
+        for domain in library.domains() {
+            let (objects, background) = (c.objects_per_domain, c.background_per_domain);
+            corpus.draw(library.world(), domain, objects, background, &mut rng);
+        }
+        (teacher, corpus, rng)
     }
 
-    /// Pre-trains on samples pooled from every domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the library's feature width disagrees with the network
-    /// input — a shape pinned by the constructor.
-    pub fn pretrain(&mut self, library: &DomainLibrary) {
-        let mut rng = Rng::seed_from(self.config.seed ^ 0x474f_4c44); // "GOLD"
-        let mut samples: Vec<LabeledSample> = Vec::new();
-        for domain in library.domains() {
-            samples.extend(sample_domain_batch(
-                library.world(),
-                domain,
-                self.config.objects_per_domain,
-                self.config.background_per_domain,
-                &mut rng,
-            ));
-        }
-        let sgd = SgdConfig::new(self.config.lr)
-            .with_momentum(0.9)
-            .with_weight_decay(1e-4);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        for _ in 0..self.config.epochs {
-            rng.shuffle(&mut order);
-            for chunk in order.chunks(self.config.batch.max(1)) {
-                let selected: Vec<LabeledSample> =
-                    chunk.iter().map(|&i| samples[i].clone()).collect();
-                let (x, labels) = LabeledSample::to_batch(&selected);
-                let logits = self
-                    .net
-                    .forward(&x, Mode::Train)
-                    .expect("batch shape is valid");
-                let (_, grad) =
-                    losses::softmax_cross_entropy(&logits, &labels).expect("label shapes match");
-                self.net.backward_discard(&grad).expect("forward cached");
-                self.net.step(&sgd).expect("finite params");
-            }
-        }
+    /// Pre-trains every layer on the corpus from [`Self::with_corpus`].
+    pub(crate) fn pretrain_fit(&mut self, corpus: &Corpus, rng: &mut Rng) {
+        let c = &self.config;
+        fit(&mut self.net, corpus, c.epochs, c.batch, c.lr, 0, rng);
     }
 
     /// Classification accuracy over labeled samples.
@@ -207,6 +196,11 @@ impl TeacherDetector {
     pub fn weight_bytes(&self) -> usize {
         self.net.byte_size()
     }
+
+    /// Read access to the underlying network.
+    pub fn net(&self) -> &Mlp {
+        &self.net
+    }
 }
 
 impl Detector for TeacherDetector {
@@ -215,51 +209,19 @@ impl Detector for TeacherDetector {
     }
 
     fn detect(&mut self, frame: &Frame) -> Vec<Detection> {
-        if frame.proposals.is_empty() {
-            return Vec::new();
-        }
-        let features = features_matrix(&frame.proposals);
-        let predictions = self.classify(&features);
-        let bg = background_class(self.config.num_classes);
-        frame
-            .proposals
-            .iter()
-            .zip(predictions)
-            .filter(|(_, (class, _))| *class < bg)
-            .map(|(p, (class, confidence))| Detection {
-                bbox: p.bbox,
-                class,
-                confidence,
-            })
-            .collect()
+        let num_classes = self.config.num_classes;
+        detect_with(self, frame, num_classes)
     }
 
     fn classify(&mut self, features: &Matrix) -> Vec<(ClassId, f32)> {
-        if features.rows() == 0 {
-            return Vec::new();
-        }
-        let logits = self
-            .net
-            .forward(features, Mode::Eval)
-            .expect("feature width matches network input");
-        let probs = losses::softmax(&logits);
-        (0..probs.rows())
-            .map(|r| {
-                let row = probs.row(r);
-                let (class, &p) = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .expect("non-empty row");
-                (class, p)
-            })
-            .collect()
+        classify_with(&mut self.net, features)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::sample_domain_batch;
     use crate::student::{StudentConfig, StudentDetector};
     use shoggoth_video::{Illumination, Weather, WorldConfig};
 

@@ -13,6 +13,10 @@
 //! sense, and running them through the pool cannot change any reported
 //! number — only the wall-clock time.
 //!
+//! [`join`] is the two-closure form under the same contract: it runs two
+//! independent computations (the student and teacher pre-training) at
+//! once.
+//!
 //! No external dependencies: the pool is `std::thread::scope` plus a
 //! mutex-guarded queue and an mpsc channel, which is plenty for the
 //! coarse-grained work (whole simulations) it schedules.
@@ -94,6 +98,48 @@ where
     })
 }
 
+/// Runs two independent closures at once and returns `(a(), b())`: `a` on
+/// a scoped worker thread, `b` on the calling thread. When
+/// [`available_threads`] resolves to one, both run inline, `a` first.
+///
+/// The same contract as [`parallel_map`]: when each closure owns its
+/// seeded state, the pair is identical to the serial `(a(), b())`.
+///
+/// # Panics
+///
+/// Propagates a panic from either closure once both have finished.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB,
+    RA: Send,
+{
+    join_on(0, a, b)
+}
+
+/// [`join`] with an explicit thread count (`0` = auto).
+fn join_on<A, B, RA, RB>(threads: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB,
+    RA: Send,
+{
+    if resolve_threads(threads) <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(a);
+        // A panic in `b` unwinds out of this closure; the scope joins the
+        // worker before re-raising it.
+        let rb = b();
+        match worker.join() {
+            Ok(ra) => (ra, rb),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
 /// Resolves a requested thread count (`0` = auto) to at least one worker.
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
@@ -134,6 +180,72 @@ mod tests {
     fn single_item_runs_inline() {
         let got = parallel_map(vec![41], 8, |_, v| v + 1);
         assert_eq!(got, vec![42]);
+    }
+
+    #[test]
+    fn join_returns_results_in_order() {
+        for threads in [1, 2] {
+            let (a, b) = join_on(threads, || "worker", || 7);
+            assert_eq!((a, b), ("worker", 7), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn join_runs_inline_on_one_thread() {
+        let caller = std::thread::current().id();
+        let (a, b) = join_on(
+            1,
+            || std::thread::current().id(),
+            || std::thread::current().id(),
+        );
+        assert_eq!((a, b), (caller, caller));
+        let (a, b) = join_on(
+            2,
+            || std::thread::current().id(),
+            || std::thread::current().id(),
+        );
+        assert_ne!(a, caller);
+        assert_eq!(b, caller);
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_side_after_both_finish() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for threads in [1, 2] {
+            for worker_panics in [true, false] {
+                let a_done = AtomicBool::new(false);
+                let b_done = AtomicBool::new(false);
+                let result = std::panic::catch_unwind(|| {
+                    join_on(
+                        threads,
+                        || {
+                            a_done.store(true, Ordering::SeqCst);
+                            assert!(!worker_panics, "worker side");
+                        },
+                        || {
+                            b_done.store(true, Ordering::SeqCst);
+                            assert!(worker_panics, "caller side");
+                        },
+                    )
+                });
+                let payload = result.expect_err("the panic propagates");
+                let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+                let side = if worker_panics {
+                    "worker side"
+                } else {
+                    "caller side"
+                };
+                assert_eq!(message, side, "threads = {threads}");
+                // Inline, a panicking `a` stops the pair like serial code.
+                let b_expected = threads == 2 || !worker_panics;
+                assert!(a_done.load(Ordering::SeqCst), "threads = {threads}");
+                assert_eq!(
+                    b_done.load(Ordering::SeqCst),
+                    b_expected,
+                    "threads = {threads}"
+                );
+            }
+        }
     }
 
     #[test]

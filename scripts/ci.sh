@@ -19,6 +19,16 @@ cargo test -q --workspace
 echo "==> cargo test -p shoggoth-tensor --features finite-check"
 cargo test -q -p shoggoth-tensor --features finite-check
 
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
+# Gating: benchmark correctness smoke. perfbench exits 1 when a run fails
+# its correctness gate, e.g. repetitions or serial and two-worker fleet
+# runs that are not bit-identical; see perfbench/README.md.
+echo "==> perfbench smoke: fleet-storm, seed 1, 1 s, untraced"
+cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
+  --workload fleet-storm --seed 1 --seconds 1 --trace 0
+
 # Gating: chaos smoke. A fixed-seed worst-case fault schedule (stacked
 # outages, bursty loss, degradation, jitter, flaky cloud) must complete
 # without a panic; see DESIGN.md §10 (Failure model & resilience). The

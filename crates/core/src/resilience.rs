@@ -32,13 +32,16 @@
 //!                     probe timeout ──▶ OPEN (again)
 //! ```
 //!
-//! Every transition and count is surfaced in [`ResilienceReport`], and
-//! the breaker's span accounting (seconds spent per state) sums to the
-//! simulation duration — an invariant the chaos tests assert.
+//! This module keeps no counts. The engine emits an event for every
+//! upload, timeout and breaker transition, and [`ResilienceReport`] is
+//! assembled from the run's event fold plus the link's loss counters; the
+//! fold's per-state breaker spans sum to the simulation duration, an
+//! invariant the chaos tests assert.
 
 use crate::error::InvalidConfig;
 use serde::{Deserialize, Serialize};
 use shoggoth_net::Link;
+use shoggoth_telemetry::{RunTotals, TelemetryCounters};
 use shoggoth_util::Rng;
 use shoggoth_video::Frame;
 
@@ -169,7 +172,7 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// A consecutive-failure circuit breaker with per-state span accounting.
+/// A consecutive-failure circuit breaker with an escalating cooldown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitBreaker {
     open_after: u32,
@@ -179,13 +182,6 @@ pub struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: u32,
     opened_at_secs: f64,
-    span_start_secs: f64,
-    closed_secs: f64,
-    open_secs: f64,
-    half_open_secs: f64,
-    opens: u64,
-    half_opens: u64,
-    closes: u64,
 }
 
 impl CircuitBreaker {
@@ -201,30 +197,12 @@ impl CircuitBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             opened_at_secs: 0.0,
-            span_start_secs: 0.0,
-            closed_secs: 0.0,
-            open_secs: 0.0,
-            half_open_secs: 0.0,
-            opens: 0,
-            half_opens: 0,
-            closes: 0,
         }
     }
 
     /// The current state.
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    fn transition(&mut self, now_secs: f64, next: BreakerState) {
-        let span = (now_secs - self.span_start_secs).max(0.0);
-        match self.state {
-            BreakerState::Closed => self.closed_secs += span,
-            BreakerState::Open => self.open_secs += span,
-            BreakerState::HalfOpen => self.half_open_secs += span,
-        }
-        self.span_start_secs = now_secs;
-        self.state = next;
     }
 
     /// Records a failed upload (timeout). Opens the breaker after
@@ -236,18 +214,16 @@ impl CircuitBreaker {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
                 if self.open_after > 0 && self.consecutive_failures >= self.open_after {
-                    self.transition(now_secs, BreakerState::Open);
+                    self.state = BreakerState::Open;
                     self.opened_at_secs = now_secs;
                     self.current_cooldown_secs = self.cooldown_secs;
-                    self.opens += 1;
                 }
             }
             BreakerState::HalfOpen => {
-                self.transition(now_secs, BreakerState::Open);
+                self.state = BreakerState::Open;
                 self.opened_at_secs = now_secs;
                 self.current_cooldown_secs =
                     (self.current_cooldown_secs * 2.0).min(self.cooldown_max_secs);
-                self.opens += 1;
             }
             BreakerState::Open => {}
         }
@@ -255,12 +231,11 @@ impl CircuitBreaker {
 
     /// Records a successful upload acknowledgment. Returns `true` when
     /// this success closed the breaker (a delivered probe).
-    pub fn on_success(&mut self, now_secs: f64) -> bool {
+    pub fn on_success(&mut self) -> bool {
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
-            self.transition(now_secs, BreakerState::Closed);
+            self.state = BreakerState::Closed;
             self.current_cooldown_secs = self.cooldown_secs;
-            self.closes += 1;
             true
         } else {
             false
@@ -273,26 +248,8 @@ impl CircuitBreaker {
         if self.state == BreakerState::Open
             && now_secs - self.opened_at_secs >= self.current_cooldown_secs
         {
-            self.transition(now_secs, BreakerState::HalfOpen);
-            self.half_opens += 1;
+            self.state = BreakerState::HalfOpen;
         }
-    }
-
-    /// Closes the final span at the end of the run so the per-state spans
-    /// sum to `end_secs`.
-    pub fn finish(&mut self, end_secs: f64) {
-        let state = self.state;
-        self.transition(end_secs, state);
-    }
-
-    /// Seconds spent closed / open / half-open so far.
-    pub fn spans(&self) -> (f64, f64, f64) {
-        (self.closed_secs, self.open_secs, self.half_open_secs)
-    }
-
-    /// Open / half-open / close transition counts so far.
-    pub fn transitions(&self) -> (u64, u64, u64) {
-        (self.opens, self.half_opens, self.closes)
     }
 }
 
@@ -338,9 +295,13 @@ pub struct UploadTimeout {
     /// Whether the chunk was requeued for retransmission (false for
     /// probes, exhausted attempts, and queue-capacity drops).
     pub requeued: bool,
+    /// Whether the requeue shed the oldest queued chunk from a full
+    /// retransmit queue.
+    pub shed: bool,
 }
 
-/// Resilience counters surfaced in the simulation report.
+/// Resilience counters surfaced in the simulation report, assembled by the
+/// engine from the run's event fold.
 ///
 /// `PartialEq` is derived so determinism tests can compare whole chaos
 /// runs bit for bit.
@@ -380,8 +341,33 @@ pub struct ResilienceReport {
     pub outage_drops: u64,
 }
 
+impl ResilienceReport {
+    /// Assembles the report from the run's event fold (its counters and
+    /// totals) and the link's loss counters.
+    pub(crate) fn new(counters: &TelemetryCounters, totals: &RunTotals, link: &Link) -> Self {
+        Self {
+            upload_timeouts: counters.upload_timeouts,
+            retransmits: counters.retransmits,
+            retries_dropped: totals.retries_dropped,
+            probe_uploads: counters.probe_uploads,
+            suppressed_uploads: counters.uploads_suppressed,
+            suppressed_bytes: totals.suppressed_bytes,
+            breaker_opens: totals.breaker_opens,
+            breaker_half_opens: totals.breaker_half_opens,
+            breaker_closes: totals.breaker_closes,
+            closed_secs: totals.closed_secs,
+            open_secs: totals.open_secs,
+            half_open_secs: totals.half_open_secs,
+            cloud_label_drops: counters.cloud_label_drops,
+            slow_label_batches: counters.slow_label_batches,
+            messages_lost: link.dropped_messages(),
+            outage_drops: link.outage_drops(),
+        }
+    }
+}
+
 /// The edge resilience layer: in-flight tracker, retransmit queue, and
-/// circuit breaker, plus every counter the report surfaces.
+/// circuit breaker.
 #[derive(Debug, Clone)]
 pub struct EdgeResilience {
     config: ResilienceConfig,
@@ -389,14 +375,6 @@ pub struct EdgeResilience {
     inflight: Vec<InflightUpload>,
     queue: Vec<QueuedRetransmit>,
     next_id: u64,
-    upload_timeouts: u64,
-    retransmits: u64,
-    retries_dropped: u64,
-    probe_uploads: u64,
-    suppressed_uploads: u64,
-    suppressed_bytes: u64,
-    cloud_label_drops: u64,
-    slow_label_batches: u64,
 }
 
 impl EdgeResilience {
@@ -418,14 +396,6 @@ impl EdgeResilience {
             inflight: Vec::new(),
             queue: Vec::new(),
             next_id: 0,
-            upload_timeouts: 0,
-            retransmits: 0,
-            retries_dropped: 0,
-            probe_uploads: 0,
-            suppressed_uploads: 0,
-            suppressed_bytes: 0,
-            cloud_label_drops: 0,
-            slow_label_batches: 0,
         })
     }
 
@@ -450,12 +420,6 @@ impl EdgeResilience {
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        if probe {
-            self.probe_uploads += 1;
-        }
-        if attempt > 1 {
-            self.retransmits += 1;
-        }
         self.inflight.push(InflightUpload {
             id,
             deadline_secs: now_secs + self.config.upload_timeout_secs,
@@ -467,7 +431,7 @@ impl EdgeResilience {
     }
 
     /// Acknowledges an upload (its labels arrived back on the edge).
-    pub fn ack(&mut self, id: u64, now_secs: f64) -> AckOutcome {
+    pub fn ack(&mut self, id: u64) -> AckOutcome {
         let Some(pos) = self.inflight.iter().position(|u| u.id == id) else {
             return AckOutcome {
                 acked: false,
@@ -475,17 +439,17 @@ impl EdgeResilience {
             };
         };
         self.inflight.remove(pos);
-        let closed_breaker = self.breaker.on_success(now_secs);
+        let closed_breaker = self.breaker.on_success();
         AckOutcome {
             acked: true,
             closed_breaker,
         }
     }
 
-    /// Expires every in-flight upload past its deadline: counts the
-    /// timeout, informs the breaker, and requeues the chunk with backoff
-    /// (probes and exhausted attempts are dropped instead). Returns one
-    /// [`UploadTimeout`] per expiry, in deadline-scan order.
+    /// Expires every in-flight upload past its deadline: informs the
+    /// breaker and requeues the chunk with backoff (probes and exhausted
+    /// attempts are dropped instead). Returns one [`UploadTimeout`] per
+    /// expiry, in deadline-scan order.
     pub fn expire(&mut self, now_secs: f64, rng: &mut Rng) -> Vec<UploadTimeout> {
         let mut timeouts = Vec::new();
         let mut i = 0;
@@ -495,19 +459,14 @@ impl EdgeResilience {
                 continue;
             }
             let expired = self.inflight.remove(i);
-            self.upload_timeouts += 1;
             self.breaker.on_failure(now_secs);
             let mut timeout = UploadTimeout {
                 attempt: expired.attempt,
                 probe: expired.probe,
                 requeued: false,
+                shed: false,
             };
-            if expired.probe {
-                timeouts.push(timeout);
-                continue;
-            }
-            if expired.attempt >= self.config.max_attempts {
-                self.retries_dropped += 1;
+            if expired.probe || expired.attempt >= self.config.max_attempts {
                 timeouts.push(timeout);
                 continue;
             }
@@ -518,12 +477,11 @@ impl EdgeResilience {
             if self.queue.len() >= self.config.retransmit_capacity {
                 // Bounded queue: shed the oldest queued chunk first.
                 if self.queue.is_empty() {
-                    self.retries_dropped += 1;
                     timeouts.push(timeout);
                     continue;
                 }
                 self.queue.remove(0);
-                self.retries_dropped += 1;
+                timeout.shed = true;
             }
             timeout.requeued = true;
             timeouts.push(timeout);
@@ -572,53 +530,6 @@ impl EdgeResilience {
     pub fn probe_in_flight(&self) -> bool {
         self.inflight.iter().any(|u| u.probe)
     }
-
-    /// Counts a chunk sampled-but-discarded while the breaker was open,
-    /// and the uplink bytes it would have cost.
-    pub fn note_suppressed(&mut self, bytes: u64) {
-        self.suppressed_uploads += 1;
-        self.suppressed_bytes += bytes;
-    }
-
-    /// Counts a label batch the cloud dropped.
-    pub fn note_cloud_drop(&mut self) {
-        self.cloud_label_drops += 1;
-    }
-
-    /// Counts a label batch the cloud returned late.
-    pub fn note_slow_labels(&mut self) {
-        self.slow_label_batches += 1;
-    }
-
-    /// Closes the breaker's final span so per-state seconds sum to the
-    /// run duration.
-    pub fn finish(&mut self, end_secs: f64) {
-        self.breaker.finish(end_secs);
-    }
-
-    /// Assembles the report, merging the link's loss counters.
-    pub fn report(&self, link: &Link) -> ResilienceReport {
-        let (closed_secs, open_secs, half_open_secs) = self.breaker.spans();
-        let (breaker_opens, breaker_half_opens, breaker_closes) = self.breaker.transitions();
-        ResilienceReport {
-            upload_timeouts: self.upload_timeouts,
-            retransmits: self.retransmits,
-            retries_dropped: self.retries_dropped,
-            probe_uploads: self.probe_uploads,
-            suppressed_uploads: self.suppressed_uploads,
-            suppressed_bytes: self.suppressed_bytes,
-            breaker_opens,
-            breaker_half_opens,
-            breaker_closes,
-            closed_secs,
-            open_secs,
-            half_open_secs,
-            cloud_label_drops: self.cloud_label_drops,
-            slow_label_batches: self.slow_label_batches,
-            messages_lost: link.dropped_messages(),
-            outage_drops: link.outage_drops(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -640,14 +551,13 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed);
         b.on_failure(2.0);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.transitions(), (1, 0, 0));
     }
 
     #[test]
     fn success_resets_the_failure_streak() {
         let mut b = CircuitBreaker::new(2, 5.0, 40.0);
         b.on_failure(1.0);
-        assert!(!b.on_success(1.5));
+        assert!(!b.on_success());
         b.on_failure(2.0);
         assert_eq!(b.state(), BreakerState::Closed, "streak was reset");
     }
@@ -661,9 +571,8 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Open);
         b.poll(15.0);
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(b.on_success(16.0), "probe success closes the breaker");
+        assert!(b.on_success(), "probe success closes the breaker");
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.transitions(), (1, 1, 1));
     }
 
     #[test]
@@ -700,24 +609,10 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Open, "cap holds");
         b.poll(29.0);
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(b.on_success(30.0), "recovery closes and resets");
+        assert!(b.on_success(), "recovery closes and resets");
         b.on_failure(31.0); // re-open: cooldown back to base 5
         b.poll(36.0);
         assert_eq!(b.state(), BreakerState::HalfOpen, "base cooldown again");
-    }
-
-    #[test]
-    fn span_accounting_sums_to_the_run_duration() {
-        let mut b = CircuitBreaker::new(1, 5.0, 40.0);
-        b.on_failure(10.0); // closed 0..10
-        b.poll(15.0); // open 10..15
-        b.on_success(16.0); // half-open 15..16
-        b.finish(30.0); // closed 16..30
-        let (closed, open, half) = b.spans();
-        assert!((closed - 24.0).abs() < 1e-9, "closed {closed}");
-        assert!((open - 5.0).abs() < 1e-9, "open {open}");
-        assert!((half - 1.0).abs() < 1e-9, "half {half}");
-        assert!((closed + open + half - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -747,22 +642,26 @@ mod tests {
         })
         .expect("valid config");
         let mut rng = Rng::seed_from(1);
+        let timeout = |attempt, requeued| UploadTimeout {
+            attempt,
+            probe: false,
+            requeued,
+            shed: false,
+        };
         r.register(0.0, frames(2), 1, false);
-        r.expire(2.0, &mut rng); // attempt 1 times out → queued
-        assert_eq!(r.report(&fresh_link()).upload_timeouts, 1);
+        assert!(r.expire(1.9, &mut rng).is_empty(), "before the deadline");
+        assert_eq!(r.expire(2.0, &mut rng), [timeout(1, true)]);
         let q = r.take_ready(2.5).expect("backoff 0.5 s elapsed");
         assert_eq!(q.attempt, 2);
         r.register(2.5, q.frames, q.attempt, false);
-        r.expire(4.5, &mut rng); // attempt 2 times out → queued (backoff 1 s)
-        assert!(r.take_ready(5.0).is_none(), "backoff not yet elapsed");
+        assert_eq!(r.expire(4.5, &mut rng), [timeout(2, true)]);
+        assert!(r.take_ready(5.0).is_none(), "backoff 1 s not yet elapsed");
         let q = r.take_ready(5.5).expect("backoff elapsed");
         assert_eq!(q.attempt, 3);
         r.register(5.5, q.frames, q.attempt, false);
-        r.expire(7.5, &mut rng); // attempt 3 = max_attempts → dropped
-        let report = r.report(&fresh_link());
-        assert_eq!(report.upload_timeouts, 3);
-        assert_eq!(report.retransmits, 2);
-        assert_eq!(report.retries_dropped, 1);
+        // Attempt 3 = max_attempts: dropped, not requeued.
+        assert_eq!(r.expire(7.5, &mut rng), [timeout(3, false)]);
+        assert!(r.take_ready(100.0).is_none());
     }
 
     #[test]
@@ -777,10 +676,28 @@ mod tests {
         for _ in 0..4 {
             r.register(0.0, frames(1), 1, false);
         }
-        r.expire(10.0, &mut rng);
-        let report = r.report(&fresh_link());
-        assert_eq!(report.upload_timeouts, 4);
-        assert_eq!(report.retries_dropped, 2, "overflow sheds oldest");
+        let timeouts = r.expire(10.0, &mut rng);
+        let flags: Vec<_> = timeouts.iter().map(|t| (t.requeued, t.shed)).collect();
+        assert_eq!(
+            flags,
+            [(true, false), (true, false), (true, true), (true, true)],
+            "the third and fourth requeues shed the oldest queued chunk"
+        );
+        assert_eq!(r.queue_len(), 2);
+    }
+
+    #[test]
+    fn a_zero_capacity_queue_drops_instead_of_shedding() {
+        let mut r = EdgeResilience::new(ResilienceConfig {
+            retransmit_capacity: 0,
+            breaker_open_after: 0,
+            ..ResilienceConfig::standard()
+        })
+        .expect("valid config");
+        let mut rng = Rng::seed_from(6);
+        r.register(0.0, frames(1), 1, false);
+        let timeouts = r.expire(10.0, &mut rng);
+        assert!(!timeouts[0].requeued && !timeouts[0].shed);
     }
 
     #[test]
@@ -789,7 +706,8 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         r.register(0.0, frames(1), 1, true);
         assert!(r.probe_in_flight());
-        r.expire(5.0, &mut rng);
+        let timeouts = r.expire(5.0, &mut rng);
+        assert!(timeouts[0].probe && !timeouts[0].requeued);
         assert!(!r.probe_in_flight());
         assert!(r.take_ready(100.0).is_none(), "probe must not requeue");
     }
@@ -815,7 +733,7 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         let id = r.register(0.0, frames(1), 1, false);
         r.expire(3.0, &mut rng);
-        let outcome = r.ack(id, 3.5);
+        let outcome = r.ack(id);
         assert!(!outcome.acked, "expired upload is no longer tracked");
     }
 
@@ -861,9 +779,5 @@ mod tests {
         }
         assert!(base().validate().is_ok());
         assert!(ResilienceConfig::disabled().validate().is_ok());
-    }
-
-    fn fresh_link() -> Link {
-        Link::new(shoggoth_net::LinkConfig::cellular()).expect("valid default link")
     }
 }

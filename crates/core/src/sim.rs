@@ -21,7 +21,9 @@ use shoggoth_models::{
     Detector, LabeledSample, StudentConfig, StudentDetector, TeacherConfig, TeacherDetector,
 };
 use shoggoth_net::{Codec, FrameGroupStats, Link, LinkConfig, Message, SendOutcome};
-use shoggoth_telemetry::{BreakerPhase, Event, NoopRecorder, Record, Recorder, TelemetrySummary};
+use shoggoth_telemetry::{
+    BreakerPhase, Event, EventFold, NoopRecorder, Record, Recorder, TelemetrySummary,
+};
 use shoggoth_util::Rng;
 use shoggoth_video::{Frame, StreamConfig};
 
@@ -114,14 +116,11 @@ impl SimConfig {
 
 /// Everything one simulation run measured.
 ///
-/// `PartialEq` is implemented manually so determinism tests can assert
-/// that two runs (e.g. serial vs. parallel fleet schedules, or
-/// telemetry-on vs. telemetry-off) are bit-identical: every measured
-/// field participates, while the purely observational [`telemetry`]
-/// attachment is excluded.
-///
-/// [`telemetry`]: SimReport::telemetry
-#[derive(Debug, Clone, Serialize)]
+/// `PartialEq` is derived so determinism tests can assert that two runs
+/// (e.g. serial vs. parallel fleet schedules, or telemetry-on vs.
+/// telemetry-off) are bit-identical in every field, the telemetry summary
+/// included.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimReport {
     /// Strategy name.
     pub strategy: String,
@@ -169,62 +168,9 @@ pub struct SimReport {
     /// Resilience counters: timeouts, retransmits, breaker transitions
     /// and per-state spans, suppressed uploads, cloud label faults.
     pub resilience: ResilienceReport,
-    /// Aggregated telemetry, present when the run used an aggregating
-    /// recorder (see [`Simulation::run_traced`]). Excluded from equality:
-    /// observation must not change what a run measured.
-    pub telemetry: Option<TelemetrySummary>,
-}
-
-impl PartialEq for SimReport {
-    fn eq(&self, other: &Self) -> bool {
-        // Destructured so a new measured field cannot silently escape the
-        // determinism contract; `telemetry` is the one deliberate omission.
-        let Self {
-            strategy,
-            stream_name,
-            frames,
-            duration_secs,
-            map50,
-            average_iou,
-            per_frame_map,
-            uplink_kbps,
-            downlink_kbps,
-            uplink_bytes,
-            downlink_bytes,
-            avg_fps,
-            min_fps,
-            fps_series,
-            training_sessions,
-            avg_session_secs,
-            avg_sampling_rate,
-            final_sampling_rate,
-            teacher_frames,
-            cloud_training_secs,
-            resilience,
-            telemetry: _,
-        } = self;
-        *strategy == other.strategy
-            && *stream_name == other.stream_name
-            && *frames == other.frames
-            && *duration_secs == other.duration_secs
-            && *map50 == other.map50
-            && *average_iou == other.average_iou
-            && *per_frame_map == other.per_frame_map
-            && *uplink_kbps == other.uplink_kbps
-            && *downlink_kbps == other.downlink_kbps
-            && *uplink_bytes == other.uplink_bytes
-            && *downlink_bytes == other.downlink_bytes
-            && *avg_fps == other.avg_fps
-            && *min_fps == other.min_fps
-            && *fps_series == other.fps_series
-            && *training_sessions == other.training_sessions
-            && *avg_session_secs == other.avg_session_secs
-            && *avg_sampling_rate == other.avg_sampling_rate
-            && *final_sampling_rate == other.final_sampling_rate
-            && *teacher_frames == other.teacher_frames
-            && *cloud_training_secs == other.cloud_training_secs
-            && *resilience == other.resilience
-    }
+    /// Aggregated telemetry, folded from every event of the run whether
+    /// or not a recorder also kept them.
+    pub telemetry: TelemetrySummary,
 }
 
 impl std::fmt::Display for SimReport {
@@ -259,25 +205,20 @@ impl std::fmt::Display for SimReport {
             "  training   {} sessions, {:.2} s avg (cloud GPU {:.1} s)",
             self.training_sessions, self.avg_session_secs, self.cloud_training_secs
         )?;
-        write!(
+        writeln!(
             f,
             "  resilience {} timeouts, {} retransmits, {} breaker opens",
             self.resilience.upload_timeouts,
             self.resilience.retransmits,
             self.resilience.breaker_opens
         )?;
-        if let Some(telemetry) = &self.telemetry {
-            write!(
-                f,
-                "\n  telemetry  {} events ({} evicted), latency p-mean {:.1} ms, \
-                 queue depth max {:.0}",
-                telemetry.events_recorded,
-                telemetry.events_dropped,
-                telemetry.frame_latency_ms.mean,
-                telemetry.queue_depth.max
-            )?;
-        }
-        Ok(())
+        write!(
+            f,
+            "  telemetry  {} events, latency p-mean {:.1} ms, queue depth max {:.0}",
+            self.telemetry.events_recorded,
+            self.telemetry.frame_latency_ms.mean,
+            self.telemetry.queue_depth.max
+        )
     }
 }
 
@@ -332,9 +273,9 @@ impl Simulation {
     }
 
     /// Runs the simulation while streaming stamped telemetry events into
-    /// `recorder`. Recording is observation-only: the returned report is
-    /// bit-identical (under `==`, which ignores the [`SimReport::telemetry`]
-    /// attachment) to an untraced run of the same configuration.
+    /// `recorder`. Recording is observation-only: the returned report,
+    /// its [`SimReport::telemetry`] summary included, is bit-identical to
+    /// an untraced run of the same configuration.
     ///
     /// # Errors
     ///
@@ -363,6 +304,8 @@ struct PendingLabels {
 /// no-op recorder compiles away entirely.
 struct Engine<'a, R: Recorder> {
     config: &'a SimConfig,
+    /// Every emitted event, folded into the report's counts.
+    fold: EventFold,
     recorder: &'a mut R,
     /// Sim-time stamp components of the frame being played (what every
     /// emitted event is stamped with).
@@ -397,10 +340,6 @@ struct Engine<'a, R: Recorder> {
     per_frame_map: Vec<f64>,
     fps: FpsTracker,
     rate_sum: f64,
-    sessions: usize,
-    session_secs_sum: f64,
-    teacher_frames: u64,
-    cloud_training_secs: f64,
 }
 
 impl<'a, R: Recorder> Engine<'a, R> {
@@ -454,11 +393,8 @@ impl<'a, R: Recorder> Engine<'a, R> {
             per_frame_map: Vec::new(),
             fps: FpsTracker::new(),
             rate_sum: 0.0,
-            sessions: 0,
-            session_secs_sum: 0.0,
-            teacher_frames: 0,
-            cloud_training_secs: 0.0,
             config,
+            fold: EventFold::default(),
             recorder,
             now_secs: 0.0,
             cur_frame: 0,
@@ -469,10 +405,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
         })
     }
 
-    /// Stamps and records one event at the current frame's sim time.
+    /// Stamps one event at the current frame's sim time, folds it into
+    /// the run's counts and hands it to the recorder.
     fn rec(&mut self, event: Event) {
-        self.recorder
-            .record(Record::new(self.now_secs, self.cur_frame, event));
+        let record = Record::new(self.now_secs, self.cur_frame, event);
+        self.fold.record(record);
+        self.recorder.record(record);
     }
 
     /// The telemetry mirror of a breaker state.
@@ -546,6 +484,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                         attempt: timeout.attempt,
                         probe: timeout.probe,
                         requeued: timeout.requeued,
+                        shed: timeout.shed,
                     });
                 }
                 self.trace_breaker(before);
@@ -643,12 +582,11 @@ impl<'a, R: Recorder> Engine<'a, R> {
         bandwidth.record_uplink(self.link.uplink_bytes());
         bandwidth.record_downlink(self.link.downlink_bytes());
         bandwidth.finish(duration);
-        self.resilience.finish(duration);
-        let resilience = self.resilience.report(&self.link);
+        let (telemetry, totals) = self.fold.finish(duration);
+        let sessions = telemetry.counters.adaptation_steps;
 
         Ok(SimReport {
-            resilience,
-            telemetry: self.recorder.summary(),
+            resilience: ResilienceReport::new(&telemetry.counters, &totals, &self.link),
             strategy: strategy.name(),
             stream_name: self.config.stream.name.clone(),
             frames: frames_played,
@@ -663,11 +601,11 @@ impl<'a, R: Recorder> Engine<'a, R> {
             avg_fps: self.fps.average(),
             min_fps: self.fps.min(),
             fps_series: self.fps.series(1.0),
-            training_sessions: self.sessions,
-            avg_session_secs: if self.sessions == 0 {
+            training_sessions: sessions as usize,
+            avg_session_secs: if sessions == 0 {
                 0.0
             } else {
-                self.session_secs_sum / self.sessions as f64
+                totals.session_secs / sessions as f64
             },
             avg_sampling_rate: if frames_played == 0 {
                 0.0
@@ -675,8 +613,15 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 self.rate_sum / frames_played as f64
             },
             final_sampling_rate: self.sampling_rate,
-            teacher_frames: self.teacher_frames,
-            cloud_training_secs: self.cloud_training_secs,
+            // Cloud-Only's teacher infers every played frame; the other
+            // strategies' teacher labels the frames the uplink delivered.
+            teacher_frames: if strategy == Strategy::CloudOnly {
+                frames_played
+            } else {
+                totals.delivered_frames
+            },
+            cloud_training_secs: totals.cloud_training_secs,
+            telemetry,
         })
     }
 
@@ -700,7 +645,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
             },
             &mut self.rng,
         );
-        self.teacher_frames += 1;
         let detections = self.cloud.infer(frame);
         self.link.send_downlink(
             frame.timestamp,
@@ -739,7 +683,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 continue;
             }
             let pending = self.pending_labels.remove(i);
-            let outcome = self.resilience.ack(pending.upload_id, t);
+            let outcome = self.resilience.ack(pending.upload_id);
             // Labels are useful even from a post-timeout straggler.
             self.pool_frames += pending.frames;
             let sample_count = pending.samples.len();
@@ -767,16 +711,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         if frames.is_empty() {
             return;
         }
-        let gap = 1.0 / self.sampling_rate.max(1e-6);
-        let stats: Vec<FrameGroupStats> = frames
-            .iter()
-            .map(|f| FrameGroupStats::new(f.raw_bytes, f.motion_magnitude))
-            .collect();
-        let encoded = self.config.codec.encode_group(&stats, gap);
-        let message = Message::FrameBatch {
-            frames: frames.len(),
-            encoded_bytes: encoded,
-        };
+        let message = self.encode_chunk(&frames, 1.0 / self.sampling_rate.max(1e-6));
         let wire_bytes = message.bytes();
         let outcome = self.link.send_uplink_outcome(t, message, &mut self.rng);
         self.rec(Event::ChunkUploaded {
@@ -792,17 +727,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
         });
         let mut pending = None;
         if let Some(up) = outcome.transfer() {
-            self.teacher_frames += frames.len() as u64;
             let refs: Vec<&Frame> = frames.iter().collect();
             let labels = self.cloud.label_batch(&refs);
             match self.config.cloud.faults.label_fate(&mut self.rng) {
-                LabelFate::Dropped => {
-                    self.resilience.note_cloud_drop();
-                    self.rec(Event::CloudLabelsDropped);
-                }
+                LabelFate::Dropped => self.rec(Event::CloudLabelsDropped),
                 LabelFate::Delivered { extra_latency_secs } => {
                     if extra_latency_secs > 0.0 {
-                        self.resilience.note_slow_labels();
                         self.rec(Event::CloudLabelsSlow {
                             extra_secs: extra_latency_secs,
                         });
@@ -835,23 +765,25 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
     }
 
-    /// Counts a chunk discarded because the breaker was open, crediting
-    /// the uplink bytes it would have cost (frame batch + telemetry).
-    fn suppress_chunk(&mut self) {
-        let gap = 1.0 / self.effective_rate().max(1e-6);
-        let stats: Vec<FrameGroupStats> = self
-            .chunk
+    /// The uplink message carrying a chunk of sampled frames taken
+    /// `gap_secs` apart, H.264-encoded as one group.
+    fn encode_chunk(&self, frames: &[Frame], gap_secs: f64) -> Message {
+        let stats: Vec<FrameGroupStats> = frames
             .iter()
             .map(|f| FrameGroupStats::new(f.raw_bytes, f.motion_magnitude))
             .collect();
-        let encoded = self.config.codec.encode_group(&stats, gap);
-        let would_be_bytes = Message::FrameBatch {
-            frames: self.chunk.len(),
-            encoded_bytes: encoded,
+        Message::FrameBatch {
+            frames: frames.len(),
+            encoded_bytes: self.config.codec.encode_group(&stats, gap_secs),
         }
-        .bytes()
-            + Message::Telemetry.bytes();
-        self.resilience.note_suppressed(would_be_bytes);
+    }
+
+    /// Discards a chunk because the breaker was open, crediting the uplink
+    /// bytes it would have cost (frame batch + telemetry).
+    fn suppress_chunk(&mut self) {
+        let gap_secs = 1.0 / self.effective_rate().max(1e-6);
+        let would_be_bytes =
+            self.encode_chunk(&self.chunk, gap_secs).bytes() + Message::Telemetry.bytes();
         self.rec(Event::UploadSuppressed {
             frames: self.chunk.len() as u32,
             bytes: would_be_bytes,
@@ -916,8 +848,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
         let secs = self.session_wallclock(&self.config.edge_device);
         self.training_until = t + secs;
         self.busy_secs_window += secs;
-        self.sessions += 1;
-        self.session_secs_sum += secs;
         self.rec(Event::AdaptationStep {
             fresh_samples: report.fresh_samples as u32,
             replay_samples: report.replay_samples_used as u32,
@@ -960,10 +890,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                     source,
                 })?;
         }
-        self.sessions += 1;
         let secs = self.ams_session_wallclock();
-        self.session_secs_sum += secs;
-        self.cloud_training_secs += secs;
         self.rec(Event::AdaptationStep {
             fresh_samples: report.fresh_samples as u32,
             replay_samples: report.replay_samples_used as u32,

@@ -93,6 +93,9 @@ pub enum Event {
         /// Whether the chunk re-entered the retransmit queue (false for
         /// probes and exhausted attempts).
         requeued: bool,
+        /// Whether this requeue shed the oldest queued chunk from a full
+        /// retransmit queue (that chunk is dropped).
+        shed: bool,
     },
     /// The circuit breaker changed state.
     BreakerTransition {

@@ -119,10 +119,12 @@ pub fn record_to_json(record: &Record) -> String {
             attempt,
             probe,
             requeued,
+            shed,
         } => obj
             .int("attempt", u64::from(attempt))
             .flag("probe", probe)
             .flag("requeued", requeued)
+            .flag("shed", shed)
             .finish(),
         Event::BreakerTransition { from, to } => obj
             .text("from", from.as_str())

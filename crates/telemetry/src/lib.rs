@@ -12,15 +12,17 @@
 //!   bit-identical with recording on ([`RingRecorder`]) or off
 //!   ([`NoopRecorder`]) — and serial vs. parallel fleet runs produce
 //!   identical per-device event streams.
+//! * **One accounting path.** The engine folds every event into an
+//!   [`EventFold`] before any recorder sees it; the report's counters,
+//!   breaker spans and [`TelemetrySummary`] all come from that fold.
 //! * **Static dispatch.** The engine is generic over [`Recorder`], so the
 //!   no-op's empty inlined `record` calls compile away entirely; hot
 //!   tensor kernels take no recorder at all.
 //!
-//! The crate provides the event taxonomy ([`Event`]), the recorders,
-//! counters and fixed-bucket histograms aggregated into a
-//! [`TelemetrySummary`], a hand-rolled deterministic JSONL exporter
-//! ([`export::to_jsonl`]), and a self-contained HTML/SVG timeline report
-//! ([`timeline::render_timeline`]).
+//! The crate provides the event taxonomy ([`Event`]), the recorders, the
+//! fold's counters and fixed-bucket histograms, a hand-rolled
+//! deterministic JSONL exporter ([`export::to_jsonl`]), and a
+//! self-contained HTML/SVG timeline report ([`timeline::render_timeline`]).
 
 pub mod event;
 pub mod export;
@@ -30,6 +32,8 @@ pub mod timeline;
 
 pub use event::{BreakerPhase, Event, Record, Stamp};
 pub use export::{record_to_json, to_jsonl};
-pub use metrics::{Histogram, HistogramSummary, TelemetryCounters, TelemetrySummary};
+pub use metrics::{
+    EventFold, Histogram, HistogramSummary, RunTotals, TelemetryCounters, TelemetrySummary,
+};
 pub use recorder::{NoopRecorder, Recorder, RingRecorder};
 pub use timeline::render_timeline;

@@ -4,10 +4,11 @@
 //! recorder never draws randomness, never reads wall clocks, and the
 //! engine never branches on recorder state — so a run produces
 //! bit-identical results whether it records into a ring, or into the
-//! zero-overhead no-op.
+//! zero-overhead no-op. Counting is not these recorders' job: the engine
+//! folds every event into its own [`EventFold`](crate::EventFold) (itself
+//! a [`Recorder`]) before it hands the event on.
 
-use crate::event::{Event, Record};
-use crate::metrics::{Histogram, TelemetryCounters, TelemetrySummary};
+use crate::event::Record;
 use shoggoth_util::RingBuffer;
 
 /// Sink for stamped telemetry events.
@@ -18,19 +19,6 @@ use shoggoth_util::RingBuffer;
 pub trait Recorder {
     /// Accepts one stamped event.
     fn record(&mut self, record: Record);
-
-    /// Whether this recorder keeps anything (`false` for the no-op; lets
-    /// callers skip building expensive event payloads — never branch
-    /// simulation logic on it).
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    /// Aggregated summary of everything recorded so far, if this recorder
-    /// aggregates (`None` for the no-op).
-    fn summary(&self) -> Option<TelemetrySummary> {
-        None
-    }
 }
 
 /// The zero-overhead recorder: drops every event at compile time.
@@ -40,37 +28,16 @@ pub struct NoopRecorder;
 impl Recorder for NoopRecorder {
     #[inline(always)]
     fn record(&mut self, _record: Record) {}
-
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
 }
-
-/// Bucket edges of the per-frame latency histogram, in milliseconds
-/// (33.4 ms ≈ one 30 fps frame time).
-const LATENCY_BOUNDS_MS: [f64; 7] = [20.0, 33.4, 40.0, 50.0, 66.8, 100.0, 200.0];
-/// Bucket edges of the retransmit-queue-depth histogram.
-const QUEUE_BOUNDS: [f64; 5] = [0.0, 1.0, 2.0, 4.0, 8.0];
-/// Bucket edges of the per-frame |Δ mAP@0.5| histogram.
-const MAP_DELTA_BOUNDS: [f64; 5] = [0.01, 0.05, 0.1, 0.2, 0.5];
 
 /// A bounded in-memory recorder backed by `shoggoth-util`'s ring buffer.
 ///
-/// Keeps the most recent `capacity` records verbatim (oldest evicted
-/// first, with an eviction count), and aggregates counters plus three
-/// fixed-bucket histograms over *every* record ever offered — eviction
-/// loses raw events, never aggregate truth.
+/// Keeps the most recent `capacity` records verbatim, evicting the oldest
+/// first and counting the evictions.
 #[derive(Debug, Clone)]
 pub struct RingRecorder {
     ring: RingBuffer<Record>,
-    events_recorded: u64,
     events_dropped: u64,
-    counters: TelemetryCounters,
-    frame_latency_ms: Histogram,
-    queue_depth: Histogram,
-    map_delta: Histogram,
-    last_map: Option<f64>,
 }
 
 impl RingRecorder {
@@ -83,29 +50,13 @@ impl RingRecorder {
     pub fn new(capacity: usize) -> Self {
         Self {
             ring: RingBuffer::new(capacity.max(1)),
-            events_recorded: 0,
             events_dropped: 0,
-            counters: TelemetryCounters::default(),
-            frame_latency_ms: Histogram::new(&LATENCY_BOUNDS_MS),
-            queue_depth: Histogram::new(&QUEUE_BOUNDS),
-            map_delta: Histogram::new(&MAP_DELTA_BOUNDS),
-            last_map: None,
         }
-    }
-
-    /// Events offered so far (recorded + evicted).
-    pub fn events_recorded(&self) -> u64 {
-        self.events_recorded
     }
 
     /// Events the bounded ring has evicted.
     pub fn events_dropped(&self) -> u64 {
         self.events_dropped
-    }
-
-    /// The counters aggregated so far.
-    pub fn counters(&self) -> &TelemetryCounters {
-        &self.counters
     }
 
     /// Copies out the retained records, oldest → newest.
@@ -114,61 +65,9 @@ impl RingRecorder {
     }
 
     /// Drains the retained records, oldest → newest, leaving the ring
-    /// empty (aggregates are kept).
+    /// empty (the eviction count is kept).
     pub fn drain_records(&mut self) -> Vec<Record> {
         self.ring.drain()
-    }
-
-    fn aggregate(&mut self, event: &Event) {
-        let c = &mut self.counters;
-        match *event {
-            Event::FrameSampled { .. } => c.frames_sampled += 1,
-            Event::SampleSkipped => c.samples_skipped += 1,
-            Event::ChunkUploaded {
-                probe,
-                attempt,
-                latency_secs,
-                ..
-            } => {
-                c.chunks_uploaded += 1;
-                if probe {
-                    c.probe_uploads += 1;
-                }
-                if attempt > 1 {
-                    c.retransmits += 1;
-                }
-                if latency_secs.is_none() {
-                    c.uploads_lost += 1;
-                }
-            }
-            Event::UploadSuppressed { .. } => c.uploads_suppressed += 1,
-            Event::UploadTimedOut { .. } => c.upload_timeouts += 1,
-            Event::BreakerTransition { .. } => c.breaker_transitions += 1,
-            Event::LabelBatchArrived { samples, .. } => {
-                c.label_batches += 1;
-                c.labeled_samples += u64::from(samples);
-            }
-            Event::CloudLabelsDropped => c.cloud_label_drops += 1,
-            Event::CloudLabelsSlow { .. } => c.slow_label_batches += 1,
-            Event::AdaptationStep { .. } => c.adaptation_steps += 1,
-            Event::RateDecision { .. } => c.rate_decisions += 1,
-            Event::FrameStatus {
-                map,
-                fps,
-                queue_depth,
-                ..
-            } => {
-                c.frames += 1;
-                if fps > 0.0 {
-                    self.frame_latency_ms.record(1000.0 / fps);
-                }
-                self.queue_depth.record(f64::from(queue_depth));
-                if let Some(prev) = self.last_map {
-                    self.map_delta.record((map - prev).abs());
-                }
-                self.last_map = Some(map);
-            }
-        }
     }
 }
 
@@ -180,89 +79,49 @@ impl Default for RingRecorder {
 
 impl Recorder for RingRecorder {
     fn record(&mut self, record: Record) {
-        self.events_recorded += 1;
-        self.aggregate(&record.event);
         if self.ring.push(record).is_some() {
             self.events_dropped += 1;
         }
-    }
-
-    fn summary(&self) -> Option<TelemetrySummary> {
-        Some(TelemetrySummary {
-            events_recorded: self.events_recorded,
-            events_dropped: self.events_dropped,
-            counters: self.counters,
-            frame_latency_ms: self.frame_latency_ms.summary(),
-            queue_depth: self.queue_depth.summary(),
-            map_delta: self.map_delta.summary(),
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::BreakerPhase;
+    use crate::event::Event;
 
-    fn status(sim_secs: f64, frame: u64, map: f64) -> Record {
-        Record::new(
-            sim_secs,
-            frame,
-            Event::FrameStatus {
-                map,
-                fps: 30.0,
-                sampling_rate: 0.5,
-                detections: 2,
-                uplink_bytes: 1000,
-                queue_depth: 1,
-                breaker: BreakerPhase::Closed,
-            },
-        )
+    fn skipped(frame: u64) -> Record {
+        Record::new(frame as f64 / 30.0, frame, Event::SampleSkipped)
     }
 
     #[test]
-    fn noop_keeps_nothing() {
-        let mut noop = NoopRecorder;
-        noop.record(status(0.0, 0, 0.5));
-        assert!(!noop.is_enabled());
-        assert!(noop.summary().is_none());
-    }
-
-    #[test]
-    fn ring_retains_and_aggregates() {
+    fn ring_retains_in_order() {
         let mut rec = RingRecorder::new(16);
-        rec.record(status(0.0, 0, 0.5));
-        rec.record(status(0.1, 1, 0.7));
-        rec.record(Record::new(0.1, 1, Event::SampleSkipped));
-        let summary = rec.summary().expect("ring aggregates");
-        assert_eq!(summary.events_recorded, 3);
-        assert_eq!(summary.counters.frames, 2);
-        assert_eq!(summary.counters.samples_skipped, 1);
-        assert_eq!(summary.frame_latency_ms.count, 2);
-        assert_eq!(summary.map_delta.count, 1, "first frame has no delta");
-        assert_eq!(rec.records().len(), 3);
+        for i in 0..3 {
+            rec.record(skipped(i));
+        }
+        assert_eq!(rec.records(), [skipped(0), skipped(1), skipped(2)]);
+        assert_eq!(rec.events_dropped(), 0);
     }
 
     #[test]
-    fn eviction_counts_but_keeps_aggregates() {
+    fn eviction_drops_the_oldest_and_counts() {
         let mut rec = RingRecorder::new(2);
         for i in 0..5 {
-            rec.record(status(i as f64 * 0.1, i, 0.5));
+            rec.record(skipped(i));
         }
         assert_eq!(rec.events_dropped(), 3);
-        assert_eq!(rec.records().len(), 2);
-        let summary = rec.summary().expect("ring aggregates");
-        assert_eq!(summary.counters.frames, 5, "aggregates survive eviction");
-        assert_eq!(summary.events_dropped, 3);
+        assert_eq!(rec.records(), [skipped(3), skipped(4)]);
     }
 
     #[test]
     fn drain_empties_the_ring_only() {
-        let mut rec = RingRecorder::new(8);
-        rec.record(status(0.0, 0, 0.5));
+        let mut rec = RingRecorder::new(1);
+        rec.record(skipped(0));
+        rec.record(skipped(1));
         let drained = rec.drain_records();
-        assert_eq!(drained.len(), 1);
+        assert_eq!(drained, [skipped(1)]);
         assert!(rec.records().is_empty());
-        assert_eq!(rec.events_recorded(), 1);
+        assert_eq!(rec.events_dropped(), 1);
     }
 }

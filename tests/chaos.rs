@@ -4,9 +4,11 @@
 //! Every test here asserts the same contract: *no fault schedule may
 //! panic the engine*, every frame is played and reported, byte counters
 //! stay monotone in run length, and the circuit breaker's per-state span
-//! accounting sums to the simulation duration. All fault injection draws
-//! from the simulation's seeded RNG, so each schedule is replayed
-//! bit-identically — including across `parallel_map` fleet runs.
+//! accounting sums to the simulation duration. The property sweep also
+//! checks the event trace itself, which the report's counts are folded
+//! from. All fault injection draws from the simulation's seeded RNG, so
+//! each schedule is replayed bit-identically — including across
+//! `parallel_map` fleet runs.
 
 use proptest::prelude::*;
 use shoggoth::fleet::{run_fleet, FleetConfig};
@@ -16,6 +18,7 @@ use shoggoth::strategy::Strategy;
 use shoggoth::CloudFaultProfile;
 use shoggoth_models::{StudentDetector, TeacherDetector};
 use shoggoth_net::{FaultProfile, GilbertElliott, LatencyJitter, LinkConfig};
+use shoggoth_telemetry::{BreakerPhase, Event, Record, RingRecorder};
 use shoggoth_video::presets;
 
 const STREAM_SEED: u64 = 83;
@@ -38,6 +41,51 @@ thread_local! {
 fn run(config: &SimConfig) -> SimReport {
     let (student, teacher) = MODELS.with(Clone::clone);
     Simulation::run_with_models(config, student, teacher).expect("chaos run must not fail")
+}
+
+fn run_traced(config: &SimConfig) -> (SimReport, Vec<Record>) {
+    let (student, teacher) = MODELS.with(Clone::clone);
+    let mut ring = RingRecorder::default();
+    let report = Simulation::run_traced(config, student, teacher, &mut ring)
+        .expect("chaos run must not fail");
+    assert_eq!(
+        ring.events_dropped(),
+        0,
+        "the ring must keep the whole trace"
+    );
+    (report, ring.drain_records())
+}
+
+/// Invariants of the event trace that counting cannot absorb: the
+/// breaker transitions chain from `Closed` to the phase of the last
+/// frame, and every played frame has exactly one `FrameStatus`. A missed
+/// transition site would move the folded counts and their cross-checks
+/// together; it cannot keep the chain intact.
+fn assert_trace_invariants(records: &[Record], frames: u64) {
+    let mut phase = BreakerPhase::Closed;
+    let mut status_frames = Vec::new();
+    for record in records {
+        match record.event {
+            Event::BreakerTransition { from, to } => {
+                assert_eq!(
+                    from, phase,
+                    "transition at {:?} breaks the chain",
+                    record.stamp
+                );
+                phase = to;
+            }
+            Event::FrameStatus { breaker, .. } => {
+                assert_eq!(breaker, phase, "frame {} status", record.stamp.frame);
+                status_frames.push(record.stamp.frame);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        status_frames,
+        (0..frames).collect::<Vec<_>>(),
+        "one FrameStatus per played frame"
+    );
 }
 
 /// The shared invariants every chaos run must uphold.
@@ -196,8 +244,8 @@ fn scripted_outage_window_saves_bandwidth_at_edge_only_accuracy() {
 
 proptest! {
     /// Arbitrary valid fault schedules: the run completes, plays every
-    /// frame, keeps byte counters monotone in run length, and the breaker
-    /// span accounting closes.
+    /// frame, keeps byte counters monotone in run length, the breaker
+    /// span accounting closes, and the trace holds its own invariants.
     #[test]
     fn arbitrary_fault_schedules_hold_invariants(
         loss_rate in 0.0..1.0f64,
@@ -236,10 +284,12 @@ proptest! {
         let mut long = short.clone();
         long.stream = long.stream.with_total_frames(480);
 
-        let short_report = run(&short);
-        let long_report = run(&long);
+        let (short_report, short_trace) = run_traced(&short);
+        let (long_report, long_trace) = run_traced(&long);
         assert_invariants(&short_report, 240);
         assert_invariants(&long_report, 480);
+        assert_trace_invariants(&short_trace, 240);
+        assert_trace_invariants(&long_trace, 480);
         // The long run replays the short run as a prefix, so its byte
         // counters must dominate (monotonicity).
         prop_assert!(long_report.uplink_bytes >= short_report.uplink_bytes);

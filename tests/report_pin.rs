@@ -344,7 +344,7 @@ fn traced_storm_report_and_telemetry_match_the_pins() {
         0xfb2a_7d6e_56a9_1049,
     );
 
-    let summary = report.telemetry.as_ref().expect("ring aggregates");
+    let summary = &report.telemetry;
     let c = &summary.counters;
     let counts = [
         ("events_recorded", summary.events_recorded, 2738),

@@ -2,10 +2,10 @@
 //!
 //! The contract under test is the one `DESIGN.md` §11 states: a traced
 //! run and an untraced run of the same seeded scenario produce
-//! bit-identical [`SimReport`]s (equality deliberately ignores the
-//! attached summary), and fleet traces merge identically for every
-//! worker-thread count. A recorder that perturbed a single RNG draw or
-//! control-flow branch would fail every test in this file.
+//! bit-identical [`SimReport`]s (telemetry summary included), and fleet
+//! traces merge identically for every worker-thread count. A recorder
+//! that perturbed a single RNG draw or control-flow branch would fail
+//! every test in this file.
 
 use proptest::prelude::*;
 use shoggoth::fleet::{run_fleet_traced, FleetConfig};
@@ -62,51 +62,24 @@ fn tracing_is_observation_only() {
     let config = storm_config(2_700);
 
     let untraced = run_traced(&config, &mut NoopRecorder);
-    assert!(untraced.telemetry.is_none(), "no-op must not aggregate");
-
     let mut ring = RingRecorder::default();
     let traced = run_traced(&config, &mut ring);
 
-    // The golden assertion: every measured field bit-identical. The manual
-    // `PartialEq` on `SimReport` destructures all fields, so a new field
-    // that escaped the determinism contract would fail here too.
+    // The golden assertion: every field bit-identical, the telemetry
+    // summary included (`SimReport` derives `PartialEq`).
     assert_eq!(untraced, traced, "recording must not perturb the run");
-    assert!(!ring.records().is_empty(), "storm must leave a trace");
-}
+    let records = ring.records();
+    assert!(!records.is_empty(), "storm must leave a trace");
+    assert_eq!(traced.telemetry.events_recorded, records.len() as u64);
 
-#[test]
-fn ring_summary_agrees_with_the_report() {
-    let config = storm_config(2_700);
-    let mut ring = RingRecorder::default();
-    let report = run_traced(&config, &mut ring);
-
-    let summary = report.telemetry.as_ref().expect("ring aggregates");
-    assert!(summary.events_recorded > 0);
-
-    // Counters double-book the engine's own accounting; any drift between
-    // the two means an event site was missed or double-fired.
-    let c = &summary.counters;
-    let r = &report.resilience;
-    assert_eq!(c.frames, report.frames, "one FrameStatus per frame");
-    assert_eq!(c.upload_timeouts, r.upload_timeouts);
-    assert_eq!(c.uploads_suppressed, r.suppressed_uploads);
-    assert_eq!(c.probe_uploads, r.probe_uploads);
-    assert_eq!(c.retransmits, r.retransmits);
-    assert_eq!(c.cloud_label_drops, r.cloud_label_drops);
-    assert_eq!(c.slow_label_batches, r.slow_label_batches);
-    // `messages_lost` also counts telemetry beacons and downlink batches,
-    // which have no `ChunkUploaded` event.
-    assert!(c.uploads_lost <= r.messages_lost);
-    assert_eq!(
-        c.breaker_transitions,
-        r.breaker_opens + r.breaker_half_opens + r.breaker_closes,
-        "every breaker transition must be traced"
+    let summary = &traced.telemetry;
+    assert!(
+        summary.counters.breaker_transitions >= 2,
+        "storm must trip the breaker"
     );
-    assert_eq!(c.adaptation_steps, report.training_sessions as u64);
-    assert!(c.breaker_transitions >= 2, "storm must trip the breaker");
-
-    // Histogram invariant on real data: buckets always partition samples.
-    assert_eq!(summary.queue_depth.count, report.frames);
+    // Histogram invariant on real data: one queue-depth sample per frame,
+    // and the buckets partition the samples.
+    assert_eq!(summary.queue_depth.count, traced.frames);
     let bucket_sum: u64 = summary.queue_depth.buckets.iter().map(|(_, n)| n).sum();
     assert_eq!(bucket_sum, summary.queue_depth.count);
 }

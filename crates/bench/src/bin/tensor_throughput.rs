@@ -1,157 +1,29 @@
 //! Fixed-workload throughput probe for the hot tensor path.
 //!
-//! Replays the pre-PR kernel recipe (allocating matmul with the
-//! exact-zero skip branch, `transpose()`-then-`matmul` backward, fresh
-//! matrices for every cache and gradient) next to the current
-//! workspace-backed kernels, on the identical workload, and writes
-//! `BENCH_tensor.json` to the current directory (`scripts/bench.sh` runs
-//! it from the repo root):
+//! Times the live kernels and writes `BENCH_tensor.json` to the current
+//! directory (`scripts/bench.sh` runs it from the repo root):
 //!
-//! - `train_step.steps_per_sec_before` / `steps_per_sec_after` — full
-//!   forward/loss/backward/update steps per second, old path vs new.
-//! - `matmul[]` — ns per product for both kernels across square sizes.
+//! - `train_step.steps_per_sec` — full forward/loss/backward/update steps
+//!   per second through a two-layer `Mlp`.
+//! - `matmul[]` — ns per product for `matmul_into`, `matmul_transa_into`
+//!   and `matmul_transb_into` across square sizes.
 //! - `simulation_frames_per_sec` — end-to-end simulated frames per second.
 //! - `fleet_serial_secs` / `fleet_parallel_secs` — the same fleet run with
 //!   one worker and with the auto pool.
 //!
 //! Probe sizes stay small (a second or two per section in release mode);
-//! Criterion benches in `benches/` remain the statistically-rigorous view.
+//! the per-layer figures at the real model shapes come from `perfbench`
+//! (`--trace 1`), and the Criterion benches in `benches/` time components.
 
 use shoggoth::fleet::{run_fleet, FleetConfig};
 use shoggoth::sim::{SimConfig, Simulation};
 use shoggoth::strategy::Strategy;
-use shoggoth_tensor::{losses, Dense, Matrix, Mlp, Mode, Relu, SgdConfig, TensorError};
-use shoggoth_util::float::is_exact_zero;
+use shoggoth_tensor::{losses, Dense, Matrix, Mlp, Mode, Relu, SgdConfig, TensorError, Workspace};
 use shoggoth_util::Rng;
 use shoggoth_video::presets;
 use std::time::Instant;
 
-/// The pre-PR `Matrix::matmul`: fresh output allocation and the
-/// exact-zero skip branch in the inner loop.
-fn naive_matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            context: "naive_matmul",
-            expected: (a.cols(), b.rows()),
-            actual: (b.rows(), b.cols()),
-        });
-    }
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for k in 0..a.cols() {
-            let v = a.get(i, k);
-            if is_exact_zero(v) {
-                continue;
-            }
-            let b_row = b.row(k);
-            let out_row = out.row_mut(i);
-            for (o, &x) in out_row.iter_mut().zip(b_row) {
-                *o += v * x;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The pre-PR momentum update: `v ← m·v − lr·(g + wd·p); p ← p + v`.
-fn naive_update(
-    params: &mut Matrix,
-    grads: &Matrix,
-    velocity: &mut Matrix,
-    cfg: &SgdConfig,
-    weight_decay: f32,
-) {
-    let p = params.as_mut_slice();
-    let g = grads.as_slice();
-    let v = velocity.as_mut_slice();
-    for ((p, &g), v) in p.iter_mut().zip(g).zip(v.iter_mut()) {
-        let grad = g + weight_decay * *p;
-        *v = cfg.momentum * *v - cfg.learning_rate * grad;
-        *p += *v;
-    }
-}
-
-/// A pre-PR `Dense`: clones its input into the cache, materializes
-/// transposes in backward, and allocates every intermediate.
-struct NaiveDense {
-    weights: Matrix,
-    bias: Matrix,
-    grad_weights: Matrix,
-    grad_bias: Matrix,
-    vel_weights: Matrix,
-    vel_bias: Matrix,
-    cached_input: Option<Matrix>,
-}
-
-impl NaiveDense {
-    fn new(in_dim: usize, out_dim: usize, rng: &mut Rng) -> Self {
-        let scale = (2.0 / in_dim as f64).sqrt();
-        Self {
-            weights: Matrix::from_fn(in_dim, out_dim, |_, _| rng.next_gaussian(0.0, scale) as f32),
-            bias: Matrix::zeros(1, out_dim),
-            grad_weights: Matrix::zeros(in_dim, out_dim),
-            grad_bias: Matrix::zeros(1, out_dim),
-            vel_weights: Matrix::zeros(in_dim, out_dim),
-            vel_bias: Matrix::zeros(1, out_dim),
-            cached_input: None,
-        }
-    }
-
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, TensorError> {
-        self.cached_input = Some(input.clone());
-        naive_matmul(input, &self.weights)?.add_row_broadcast(&self.bias)
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, TensorError> {
-        let input = self
-            .cached_input
-            .take()
-            .ok_or(TensorError::MissingForwardCache { layer: "dense" })?;
-        self.grad_weights = naive_matmul(&input.transpose(), grad_output)?;
-        self.grad_bias = grad_output.col_sum();
-        naive_matmul(grad_output, &self.weights.transpose())
-    }
-
-    fn update(&mut self, cfg: &SgdConfig) {
-        naive_update(
-            &mut self.weights,
-            &self.grad_weights,
-            &mut self.vel_weights,
-            cfg,
-            cfg.weight_decay,
-        );
-        naive_update(
-            &mut self.bias,
-            &self.grad_bias,
-            &mut self.vel_bias,
-            cfg,
-            0.0,
-        );
-    }
-}
-
-/// A pre-PR `Relu`: clones the input, builds a mask matrix, hadamards.
-struct NaiveRelu {
-    cached_input: Option<Matrix>,
-}
-
-impl NaiveRelu {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        self.cached_input = Some(input.clone());
-        input.map(|v| v.max(0.0))
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, TensorError> {
-        let input = self
-            .cached_input
-            .take()
-            .ok_or(TensorError::MissingForwardCache { layer: "relu" })?;
-        let mask = input.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        grad_output.hadamard(&mask)
-    }
-}
-
-/// Workload shape shared by both training-step probes.
+/// Workload shape of the training-step probe.
 const BATCH: usize = 64;
 const IN_DIM: usize = 64;
 const HIDDEN: usize = 128;
@@ -160,9 +32,9 @@ const TRAIN_STEPS: usize = 400;
 
 struct MatmulTiming {
     size: usize,
-    ns_before: f64,
-    ns_after: f64,
-    speedup: f64,
+    ns_matmul: f64,
+    ns_transa: f64,
+    ns_transb: f64,
 }
 
 struct TrainStepTiming {
@@ -171,9 +43,7 @@ struct TrainStepTiming {
     hidden: usize,
     classes: usize,
     steps_measured: usize,
-    steps_per_sec_before: f64,
-    steps_per_sec_after: f64,
-    speedup: f64,
+    steps_per_sec: f64,
 }
 
 struct BenchReport {
@@ -195,21 +65,19 @@ impl BenchReport {
             .iter()
             .map(|m| {
                 format!(
-                    "    {{ \"size\": {}, \"ns_before\": {:.1}, \"ns_after\": {:.1}, \"speedup\": {:.2} }}",
-                    m.size, m.ns_before, m.ns_after, m.speedup
+                    "    {{ \"size\": {}, \"ns_matmul\": {:.1}, \"ns_transa\": {:.1}, \"ns_transb\": {:.1} }}",
+                    m.size, m.ns_matmul, m.ns_transa, m.ns_transb
                 )
             })
             .collect();
         format!(
-            "{{\n  \"train_step\": {{\n    \"batch\": {}, \"in_dim\": {}, \"hidden\": {}, \"classes\": {},\n    \"steps_measured\": {},\n    \"steps_per_sec_before\": {:.1},\n    \"steps_per_sec_after\": {:.1},\n    \"speedup\": {:.2}\n  }},\n  \"matmul\": [\n{}\n  ],\n  \"simulation_frames\": {},\n  \"simulation_frames_per_sec\": {:.1},\n  \"fleet_serial_secs\": {:.3},\n  \"fleet_parallel_secs\": {:.3}\n}}",
+            "{{\n  \"train_step\": {{\n    \"batch\": {}, \"in_dim\": {}, \"hidden\": {}, \"classes\": {},\n    \"steps_measured\": {},\n    \"steps_per_sec\": {:.1}\n  }},\n  \"matmul\": [\n{}\n  ],\n  \"simulation_frames\": {},\n  \"simulation_frames_per_sec\": {:.1},\n  \"fleet_serial_secs\": {:.3},\n  \"fleet_parallel_secs\": {:.3}\n}}",
             t.batch,
             t.in_dim,
             t.hidden,
             t.classes,
             t.steps_measured,
-            t.steps_per_sec_before,
-            t.steps_per_sec_after,
-            t.speedup,
+            t.steps_per_sec,
             matmul_rows.join(",\n"),
             self.simulation_frames,
             self.simulation_frames_per_sec,
@@ -219,40 +87,38 @@ impl BenchReport {
     }
 }
 
-fn probe_matmul(rng: &mut Rng) -> Vec<MatmulTiming> {
+/// Mean ns per call of `op` over `reps` calls.
+fn ns_per_call(
+    reps: usize,
+    mut op: impl FnMut() -> Result<(), TensorError>,
+) -> Result<f64, TensorError> {
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        op()?;
+    }
+    Ok(t0.elapsed().as_nanos() as f64 / reps as f64)
+}
+
+fn probe_matmul(rng: &mut Rng) -> Result<Vec<MatmulTiming>, TensorError> {
     let mut timings = Vec::new();
+    let mut ws = Workspace::new();
     for size in [32usize, 64, 128] {
         let a = Matrix::from_fn(size, size, |_, _| rng.next_gaussian_f32(0.0, 1.0));
         let b = Matrix::from_fn(size, size, |_, _| rng.next_gaussian_f32(0.0, 1.0));
         let reps = (40_000_000 / (size * size * size)).max(10);
-        let mut sink = 0.0f32;
-
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            if let Ok(c) = naive_matmul(&a, &b) {
-                sink += c.get(0, 0);
-            }
-        }
-        let ns_before = t0.elapsed().as_nanos() as f64 / reps as f64;
-
         let mut out = Matrix::zeros(size, size);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            if a.matmul_into(&b, &mut out).is_ok() {
-                sink += out.get(0, 0);
-            }
-        }
-        let ns_after = t0.elapsed().as_nanos() as f64 / reps as f64;
-        std::hint::black_box(sink);
-
+        let ns_matmul = ns_per_call(reps, || a.matmul_into(&b, &mut out))?;
+        let ns_transa = ns_per_call(reps, || a.matmul_transa_into(&b, &mut out))?;
+        let ns_transb = ns_per_call(reps, || a.matmul_transb_into(&b, &mut out, &mut ws))?;
+        std::hint::black_box(&out);
         timings.push(MatmulTiming {
             size,
-            ns_before,
-            ns_after,
-            speedup: ns_before / ns_after.max(1e-9),
+            ns_matmul,
+            ns_transa,
+            ns_transb,
         });
     }
-    timings
+    Ok(timings)
 }
 
 fn probe_train_steps(rng: &mut Rng) -> Result<TrainStepTiming, TensorError> {
@@ -261,26 +127,6 @@ fn probe_train_steps(rng: &mut Rng) -> Result<TrainStepTiming, TensorError> {
     let sgd = SgdConfig::new(0.01)
         .with_momentum(0.9)
         .with_weight_decay(1e-4);
-
-    // Pre-PR path: allocating kernels, cloned caches, transposed backward.
-    let mut d1 = NaiveDense::new(IN_DIM, HIDDEN, rng);
-    let mut r1 = NaiveRelu { cached_input: None };
-    let mut d2 = NaiveDense::new(HIDDEN, CLASSES, rng);
-    let t0 = Instant::now();
-    for _ in 0..TRAIN_STEPS {
-        let h = d1.forward(&x)?;
-        let h_act = r1.forward(&h);
-        let logits = d2.forward(&h_act)?;
-        let (_, grad) = losses::softmax_cross_entropy(&logits, &labels)?;
-        let g_act = d2.backward(&grad)?;
-        let g_h = r1.backward(&g_act)?;
-        let _ = d1.backward(&g_h)?;
-        d1.update(&sgd);
-        d2.update(&sgd);
-    }
-    let steps_per_sec_before = TRAIN_STEPS as f64 / t0.elapsed().as_secs_f64();
-
-    // Current path: fused kernels + workspace reuse + in-place loss.
     let mut net = Mlp::new(vec![
         Box::new(Dense::new(IN_DIM, HIDDEN, rng)),
         Box::new(Relu::new()),
@@ -295,7 +141,7 @@ fn probe_train_steps(rng: &mut Rng) -> Result<TrainStepTiming, TensorError> {
         net.backward_discard(&grad)?;
         net.step(&sgd)?;
     }
-    let steps_per_sec_after = TRAIN_STEPS as f64 / t0.elapsed().as_secs_f64();
+    let steps_per_sec = TRAIN_STEPS as f64 / t0.elapsed().as_secs_f64();
 
     Ok(TrainStepTiming {
         batch: BATCH,
@@ -303,9 +149,7 @@ fn probe_train_steps(rng: &mut Rng) -> Result<TrainStepTiming, TensorError> {
         hidden: HIDDEN,
         classes: CLASSES,
         steps_measured: TRAIN_STEPS,
-        steps_per_sec_before,
-        steps_per_sec_after,
-        speedup: steps_per_sec_after / steps_per_sec_before.max(1e-9),
+        steps_per_sec,
     })
 }
 
@@ -313,7 +157,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Rng::seed_from(17);
 
     eprintln!("[throughput] matmul kernels ...");
-    let matmul = probe_matmul(&mut rng);
+    let matmul = probe_matmul(&mut rng)?;
     eprintln!("[throughput] training steps ...");
     let train_step = probe_train_steps(&mut rng)?;
 

@@ -13,80 +13,52 @@
 //! determinism tests and proptests in `tests/kernels_prop.rs` pin this
 //! down to exact `f32` equality.
 
-/// Column-block width of [`matmul_transb`]'s tiled inner loop. 64 columns
-/// of `f32` are 256 bytes — a handful of cache lines per visited row, so a
-/// block of `b` rows stays resident while the block is swept.
-const TRANSB_BLOCK: usize = 64;
+/// Lanes per accumulator strip: eight `f32`, which the compiler keeps in
+/// two SSE (or one AVX) registers.
+const LANES: usize = 8;
+/// Strips per register tile: one output row by `4 × 8 = 32` columns, eight
+/// SSE accumulators — half the register file, leaving room for the
+/// operands.
+const TILE_STRIPS: usize = 4;
+
+/// One accumulator strip.
+type Lanes = [f32; LANES];
 
 /// `out = a · b` for row-major `a` (`m × k`), `b` (`k × n`), `out`
 /// (`m × n`).
 ///
-/// i-k-j loop order: the inner loop walks one row of `b` and one row of
-/// `out` contiguously. Accumulation over `k` is in increasing order,
-/// matching the classic triple loop. `out` is overwritten.
+/// Register-tiled (see [`tiled_row`]): every `out[i][j]` starts from `0.0`
+/// and adds `a[i][kk]·b[kk][j]` for `kk` in increasing order — the
+/// classic triple loop's order. `out` is overwritten.
 pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    out.fill(0.0);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (kk, &av) in a_row.iter().enumerate() {
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
+    if n == 0 {
+        return;
+    }
+    for (i, out_row) in out[..m * n].chunks_exact_mut(n).enumerate() {
+        let a_row = &a[i * k..][..k];
+        tiled_row(|| a_row.iter().copied(), &b[..k * n], out_row);
     }
 }
 
 /// `out = a · bᵀ` for row-major `a` (`m × k`), `b` (`n × k`), `out`
-/// (`m × n`) — the backward-pass kernel (`grad_input = grad_output · Wᵀ`)
-/// that avoids materializing the transpose.
+/// (`m × n`) — the backward-pass kernel (`grad_input = grad_output · Wᵀ`).
 ///
-/// Both operands are traversed along contiguous rows, as a blocked dot
-/// product: `b`'s rows are visited in blocks of [`TRANSB_BLOCK`] so each
-/// block of `b` is reused across every row of `a` while cache-resident.
-/// Inside a block, four output columns are computed at once: a lone dot
-/// product is a sequential float-add chain bound by FP-add latency, while
-/// four independent accumulators keep the multiplier busy. Each
-/// `out[i][j]` still accumulates over `k` in increasing order — exactly
-/// the order `matmul(a, transpose(b))` uses — so results are bit-identical
-/// to the transposing path.
-pub fn matmul_transb(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for jb in (0..n).step_by(TRANSB_BLOCK) {
-        let jend = (jb + TRANSB_BLOCK).min(n);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            let mut j = jb;
-            while j + 4 <= jend {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for ((((&av, &v0), &v1), &v2), &v3) in a_row.iter().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    s0 += av * v0;
-                    s1 += av * v1;
-                    s2 += av * v2;
-                    s3 += av * v3;
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                j += 4;
-            }
-            for jj in j..jend {
-                let b_row = &b[jj * k..(jj + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                out_row[jj] = acc;
-            }
-        }
-    }
+/// Transposes `b` into `bt` (`k × n`, scratch, overwritten) and runs the
+/// tiled [`matmul`]. A dot product over `k` in increasing order from
+/// `0.0` is exactly `matmul`'s per-element order, so this is bit-identical
+/// to `matmul(a, transpose(b))`; the transpose costs `k·n` against the
+/// product's `m·k·n`.
+pub fn matmul_transb(
+    a: &[f32],
+    b: &[f32],
+    bt: &mut [f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    transpose(b, bt, n, k);
+    matmul(a, bt, out, m, k, n);
 }
 
 /// `out = aᵀ · b` for row-major `a` (`m × k`), `b` (`m × n`), `out`
@@ -94,21 +66,101 @@ pub fn matmul_transb(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 /// (`grad_W = inputᵀ · grad_output`) that avoids materializing the
 /// transpose.
 ///
-/// The outer loop walks the shared `m` dimension so both operands are read
-/// along contiguous rows; each `out[c][j]` accumulates over the batch rows
+/// The same register tile as [`matmul`], sweeping the shared batch rows:
+/// each `out[c][j]` starts from `0.0` and adds `a[r][c]·b[r][j]` for `r`
 /// in increasing order, matching `matmul(transpose(a), b)` bit-for-bit.
 pub fn matmul_transa(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    out.fill(0.0);
-    for r in 0..m {
-        let a_row = &a[r * k..(r + 1) * k];
-        let b_row = &b[r * n..(r + 1) * n];
-        for (c, &av) in a_row.iter().enumerate() {
-            let out_row = &mut out[c * n..(c + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+    if n == 0 {
+        return;
+    }
+    let a = &a[..m * k];
+    for (c, out_row) in out[..k * n].chunks_exact_mut(n).enumerate() {
+        tiled_row(|| a.chunks_exact(k).map(|row| row[c]), &b[..m * n], out_row);
+    }
+}
+
+/// `out = srcᵀ` for row-major `src` (`rows × cols`) and `out`
+/// (`cols × rows`).
+pub fn transpose(src: &[f32], out: &mut [f32], rows: usize, cols: usize) {
+    if rows == 0 {
+        return;
+    }
+    for (c, out_row) in out[..cols * rows].chunks_exact_mut(rows).enumerate() {
+        for (o, src_row) in out_row.iter_mut().zip(src.chunks_exact(cols)) {
+            *o = src_row[c];
+        }
+    }
+}
+
+/// One output row `out[j] = Σ_s lhs_s · b[s][j]`, where `lhs()` yields the
+/// row's left-operand scalars in step order and `b` has one row per step,
+/// `out.len()` wide.
+///
+/// Columns go in tiles of [`TILE_STRIPS`] strips of [`LANES`]; the tail
+/// reuses the tile with fewer strips, and a last partial strip runs with
+/// zero-padded lanes that are never stored. Each tile sweeps every step
+/// once, in increasing order, with its accumulators in registers: per
+/// step, one scalar broadcast and one multiply-add per strip, no loads or
+/// stores of `out`.
+#[inline(always)]
+fn tiled_row<I: Iterator<Item = f32>>(lhs: impl Fn() -> I, b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let mut j = 0;
+    while j < n {
+        let rest = n - j;
+        let width = if rest >= LANES {
+            (rest - rest % LANES).min(TILE_STRIPS * LANES)
+        } else {
+            rest
+        };
+        let out = &mut out[j..j + width];
+        match width / LANES {
+            4 => strips::<4>(lhs(), b, n, j, out),
+            3 => strips::<3>(lhs(), b, n, j, out),
+            2 => strips::<2>(lhs(), b, n, j, out),
+            1 => strips::<1>(lhs(), b, n, j, out),
+            _ => partial_strip(lhs(), b, n, j, out),
+        }
+        j += width;
+    }
+}
+
+/// `S` full strips: `out` is columns `j..j + S·LANES` of `n`-wide rows.
+#[inline(always)]
+fn strips<const S: usize>(
+    lhs: impl Iterator<Item = f32>,
+    b: &[f32],
+    n: usize,
+    j: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; LANES]; S];
+    for (a, b_row) in lhs.zip(b.chunks_exact(n)) {
+        let segment = &b_row[j..j + S * LANES];
+        for (acc_strip, b_strip) in acc.iter_mut().zip(segment.chunks_exact(LANES)) {
+            for (o, &v) in acc_strip.iter_mut().zip(b_strip) {
+                *o += a * v;
             }
         }
     }
+    for (o, acc_strip) in out.chunks_exact_mut(LANES).zip(&acc) {
+        o.copy_from_slice(acc_strip);
+    }
+}
+
+/// The last `out.len() < LANES` columns, from `j` to the end of each
+/// `n`-wide row, in one zero-padded strip.
+#[inline(always)]
+fn partial_strip(lhs: impl Iterator<Item = f32>, b: &[f32], n: usize, j: usize, out: &mut [f32]) {
+    let mut acc: Lanes = [0.0; LANES];
+    for (a, b_row) in lhs.zip(b.chunks_exact(n)) {
+        let tail = &b_row[j..];
+        let lanes: Lanes = std::array::from_fn(|c| tail.get(c).copied().unwrap_or(0.0));
+        for (o, &v) in acc.iter_mut().zip(&lanes) {
+            *o += a * v;
+        }
+    }
+    out.copy_from_slice(&acc[..out.len()]);
 }
 
 /// Adds the row vector `bias` (`n` wide) to every row of `out` (`m × n`)
@@ -163,8 +215,10 @@ mod tests {
         // a (1×3) · bᵀ with b (2×3): out[0][j] = dot(a, b.row(j)).
         let a = [1.0, 2.0, 3.0];
         let b = [4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
+        let mut bt = [0.0f32; 6];
         let mut out = [0.0f32; 2];
-        matmul_transb(&a, &b, &mut out, 1, 3, 2);
+        matmul_transb(&a, &b, &mut bt, &mut out, 1, 3, 2);
+        assert_eq!(bt, [4.0, 7.0, 5.0, 8.0, 6.0, 9.0]);
         assert_eq!(out, [32.0, 50.0]);
     }
 
@@ -179,25 +233,30 @@ mod tests {
     }
 
     #[test]
-    fn transb_blocking_covers_wide_outputs() {
-        // n wider than one block exercises the jb loop.
-        let m = 3;
-        let k = 5;
-        let n = TRANSB_BLOCK + 17;
+    fn tails_cover_every_row_and_column_remainder() {
+        // 7 rows = one 4-row tile plus a 3-row tail; 19 columns = two
+        // 8-wide strips plus a 3-wide tail.
+        let (m, k, n) = (7, 5, 19);
         let a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.25 - 1.0).collect();
-        let b: Vec<f32> = (0..n * k).map(|i| (i % 13) as f32 * 0.5 - 3.0).collect();
-        let mut fast = vec![0.0f32; m * n];
-        matmul_transb(&a, &b, &mut fast, m, k, n);
-        // Reference: materialized transpose through the plain kernel.
-        let mut bt = vec![0.0f32; k * n];
-        for r in 0..n {
-            for c in 0..k {
-                bt[c * n + r] = b[r * k + c];
+        let b: Vec<f32> = (0..k * n).map(|i| (i % 13) as f32 * 0.5 - 3.0).collect();
+        let mut out = vec![f32::NAN; m * n];
+        matmul(&a, &b, &mut out, m, k, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc += a[i * k + kk] * b[kk * n + j];
+                }
+                assert_eq!(out[i * n + j].to_bits(), acc.to_bits(), "({i}, {j})");
             }
         }
-        let mut slow = vec![0.0f32; m * n];
-        matmul(&a, &bt, &mut slow, m, k, n);
-        assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn empty_inner_dimension_yields_zeros() {
+        let mut out = [f32::NAN; 6];
+        matmul(&[], &[], &mut out, 2, 0, 3);
+        assert_eq!(out, [0.0; 6]);
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl Layer for Dense {
             .matmul_transa_into(grad_output, &mut self.grad_weights)?;
         grad_output.col_sum_into(&mut self.grad_bias);
         let mut grad_in = ws.take(grad_output.rows(), self.in_dim);
-        grad_output.matmul_transb_into(&self.weights, &mut grad_in)?;
+        grad_output.matmul_transb_into(&self.weights, &mut grad_in, ws)?;
         Ok(grad_in)
     }
 

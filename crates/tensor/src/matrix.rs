@@ -6,7 +6,7 @@
 //! the networks involved are small (tens of thousands of parameters), so
 //! clarity wins over BLAS-grade tuning.
 
-use crate::{kernels, TensorError};
+use crate::{kernels, TensorError, Workspace};
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -203,11 +203,8 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the inner loop contiguous in both `other`
-        // and `out`, which matters even at these sizes. The kernel is
-        // branch-free: dense multiplies no longer pay a per-element
-        // zero-skip test (a sparse-aware entry point can bring it back if
-        // sparsity ever matters).
+        // The register-tiled kernel: each output element sums over `k` in
+        // increasing order from 0.0, so this is the triple loop's result.
         kernels::matmul(
             &self.data,
             &other.data,
@@ -253,15 +250,21 @@ impl Matrix {
     }
 
     /// Transposed-B product `self · otherᵀ`, written into `out`: the
-    /// backward-pass kernel (`grad_input = grad_output · Wᵀ`) that never
-    /// materializes the transpose. Blocked inner loop; bit-identical to
-    /// `self.matmul(&other.transpose())`.
+    /// backward-pass kernel (`grad_input = grad_output · Wᵀ`). The
+    /// transpose of `other` goes into a scratch matrix taken from `ws` and
+    /// given back, so no call allocates once the pool is warm;
+    /// bit-identical to `self.matmul(&other.transpose())`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols == other.cols`.
-    pub fn matmul_transb_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), TensorError> {
+    pub fn matmul_transb_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        ws: &mut Workspace,
+    ) -> Result<(), TensorError> {
         if self.cols != other.cols {
             return Err(TensorError::ShapeMismatch {
                 context: "Matrix::matmul_transb_into",
@@ -270,14 +273,17 @@ impl Matrix {
             });
         }
         out.resize_zeroed(self.rows, other.rows);
+        let mut transposed = ws.take(other.cols, other.rows);
         kernels::matmul_transb(
             &self.data,
             &other.data,
+            &mut transposed.data,
             &mut out.data,
             self.rows,
             self.cols,
             other.rows,
         );
+        ws.give(transposed);
         #[cfg(feature = "finite-check")]
         out.ensure_finite("Matrix::matmul_transb_into")?;
         Ok(())
@@ -379,7 +385,9 @@ impl Matrix {
 
     /// The transpose of the matrix.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        kernels::transpose(&self.data, &mut out.data, self.rows, self.cols);
+        out
     }
 
     /// Element-wise sum `self + other`.

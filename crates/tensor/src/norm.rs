@@ -19,10 +19,24 @@ use crate::{kernels, Matrix, SgdConfig, TensorError};
 
 const EPS: f32 = 1e-5;
 
+/// Batch Renormalization's clip limits on its correction factors.
+#[derive(Debug, Clone, Copy)]
+struct Clip {
+    r_max: f32,
+    d_max: f32,
+}
+
 /// Internal state shared by [`BatchNorm`] and [`BatchRenorm`].
+///
+/// Every pass sweeps the row-major matrices row by row, with per-feature
+/// accumulators in persistent vectors; each per-feature sum still runs
+/// over the batch rows in increasing order from `0.0`, so the floats are
+/// those of the column-by-column formulation (pinned in the tests).
 #[derive(Debug, Clone)]
 struct NormCore {
     dim: usize,
+    /// `None` for BN; BRN's clip limits otherwise.
+    renorm: Option<Clip>,
     gamma: Matrix,
     beta: Matrix,
     grad_gamma: Matrix,
@@ -36,7 +50,8 @@ struct NormCore {
     /// Cache for backward: normalized activations `x̂` (persistent storage,
     /// overwritten each train-mode forward).
     cached_xhat: Matrix,
-    /// Cache for backward: centered inputs `x - μ_B`.
+    /// Cache for backward: centered inputs `x - μ_B`. Backward overwrites
+    /// it in place with `x̂_c = (x - μ_B)/σ_B`.
     cached_centered: Matrix,
     /// Cache for backward: per-feature `r / σ_B` effective scale.
     cached_scale: Vec<f32>,
@@ -52,13 +67,18 @@ struct NormCore {
     stat_shift: Vec<f32>,
     /// Scratch: per-feature σ_B recomputed during backward.
     stat_sigma: Vec<f32>,
+    /// Scratch: per-feature batch mean of `ĝ` during backward.
+    mean_g: Vec<f32>,
+    /// Scratch: per-feature batch mean of `ĝ ⊙ x̂_c` during backward.
+    mean_gx: Vec<f32>,
 }
 
 impl NormCore {
-    fn new(dim: usize) -> Self {
+    fn new(dim: usize, renorm: Option<Clip>) -> Self {
         assert!(dim > 0, "normalization dimension must be positive");
         Self {
             dim,
+            renorm,
             gamma: Matrix::filled(1, dim, 1.0),
             beta: Matrix::zeros(1, dim),
             grad_gamma: Matrix::zeros(1, dim),
@@ -77,6 +97,8 @@ impl NormCore {
             stat_scale: Vec::new(),
             stat_shift: Vec::new(),
             stat_sigma: Vec::new(),
+            mean_g: Vec::new(),
+            mean_gx: Vec::new(),
         }
     }
 
@@ -89,6 +111,25 @@ impl NormCore {
             });
         }
         Ok(())
+    }
+
+    /// Train mode normalizes with batch statistics (BRN-corrected when
+    /// `renorm` is set) and updates the running moments; eval mode uses
+    /// the running moments.
+    fn forward(&mut self, input: &Matrix, mode: Mode, ws: &mut Workspace) -> Matrix {
+        match mode {
+            Mode::Train => {
+                self.batch_moments(input);
+                self.load_train_stats();
+                let out = self.normalize_from_stats(input, true, ws);
+                self.update_running();
+                out
+            }
+            Mode::Eval => {
+                self.load_eval_stats();
+                self.normalize_from_stats(input, false, ws)
+            }
+        }
     }
 
     /// Per-feature batch mean and (biased) variance, written into
@@ -123,6 +164,32 @@ impl NormCore {
         }
     }
 
+    /// Loads the train-mode scale and shift from the batch moments: BN's
+    /// `1/σ_B` and zero, or BRN's `r/σ_B` and `d` with
+    /// `r = clip(σ_B/σ, 1/r_max, r_max)`, `d = clip((μ_B − μ)/σ, ±d_max)`.
+    fn load_train_stats(&mut self) {
+        self.stat_scale.clear();
+        self.stat_shift.clear();
+        match self.renorm {
+            None => {
+                self.stat_scale
+                    .extend(self.stat_var.iter().map(|&v| 1.0 / (v + EPS).sqrt()));
+                self.stat_shift.resize(self.dim, 0.0);
+            }
+            Some(Clip { r_max, d_max }) => {
+                for c in 0..self.dim {
+                    let sigma_b = (self.stat_var[c] + EPS).sqrt();
+                    let sigma_run = (self.running_var[c] + EPS).sqrt();
+                    let r = (sigma_b / sigma_run).clamp(1.0 / r_max, r_max);
+                    let d = ((self.stat_mean[c] - self.running_mean[c]) / sigma_run)
+                        .clamp(-d_max, d_max);
+                    self.stat_scale.push(r / sigma_b);
+                    self.stat_shift.push(d);
+                }
+            }
+        }
+    }
+
     /// Loads eval-mode statistics (running moments) into the scratch stats.
     fn load_eval_stats(&mut self) {
         self.stat_mean.clear();
@@ -143,39 +210,44 @@ impl NormCore {
     }
 
     /// Normalizes with the scratch per-feature stats:
-    /// `x̂ = (x − μ) * scale + shift`, then `y = γ·x̂ + β`.
-    /// Caches everything `backward` needs when `cache` is set.
+    /// `x̂ = (x − μ) * scale + shift`, then `y = γ·x̂ + β`, in one pass over
+    /// the rows. Caches everything `backward` needs when `cache` is set.
     fn normalize_from_stats(&mut self, input: &Matrix, cache: bool, ws: &mut Workspace) -> Matrix {
-        let rows = input.rows();
-        let dim = self.dim;
+        let (rows, dim) = (input.rows(), self.dim);
         let mut out = ws.take(rows, dim);
-        if cache {
-            self.cached_centered.resize_zeroed(rows, dim);
-            self.cached_xhat.resize_zeroed(rows, dim);
-            self.cached_scale.clear();
-            self.cached_scale.extend_from_slice(&self.stat_scale);
-            self.cache_valid = true;
-        }
-        for r in 0..rows {
-            let in_row = input.row(r);
-            let out_row = out.row_mut(r);
-            for (c, (&x, o)) in in_row.iter().zip(out_row.iter_mut()).enumerate() {
-                let cen = x - self.stat_mean[c];
-                let xh = cen * self.stat_scale[c] + self.stat_shift[c];
-                *o = self.gamma.as_slice()[c] * xh + self.beta.as_slice()[c];
-            }
-            if cache {
-                let centered_row = self.cached_centered.row_mut(r);
-                let xhat_row = self.cached_xhat.row_mut(r);
-                for (c, (&x, (cen_o, xh_o))) in in_row
-                    .iter()
-                    .zip(centered_row.iter_mut().zip(xhat_row.iter_mut()))
-                    .enumerate()
-                {
-                    let cen = x - self.stat_mean[c];
-                    *cen_o = cen;
-                    *xh_o = cen * self.stat_scale[c] + self.stat_shift[c];
+        let mean = &self.stat_mean[..dim];
+        let scale = &self.stat_scale[..dim];
+        let shift = &self.stat_shift[..dim];
+        let gamma = &self.gamma.as_slice()[..dim];
+        let beta = &self.beta.as_slice()[..dim];
+        let rows_in = input.as_slice().chunks_exact(dim);
+        let rows_out = out.as_mut_slice().chunks_exact_mut(dim);
+        if !cache {
+            for (x, y) in rows_in.zip(rows_out) {
+                for c in 0..dim {
+                    let xh = (x[c] - mean[c]) * scale[c] + shift[c];
+                    y[c] = gamma[c] * xh + beta[c];
                 }
+            }
+            return out;
+        }
+        self.cached_centered.resize_zeroed(rows, dim);
+        self.cached_xhat.resize_zeroed(rows, dim);
+        self.cached_scale.clear();
+        self.cached_scale.extend_from_slice(scale);
+        self.cache_valid = true;
+        let rows_cached = self
+            .cached_centered
+            .as_mut_slice()
+            .chunks_exact_mut(dim)
+            .zip(self.cached_xhat.as_mut_slice().chunks_exact_mut(dim));
+        for ((x, y), (centered, xhat)) in rows_in.zip(rows_out).zip(rows_cached) {
+            for c in 0..dim {
+                let cen = x[c] - mean[c];
+                let xh = cen * scale[c] + shift[c];
+                y[c] = gamma[c] * xh + beta[c];
+                centered[c] = cen;
+                xhat[c] = xh;
             }
         }
         out
@@ -190,7 +262,13 @@ impl NormCore {
     /// `dL/dx = s · (ĝ − mean(ĝ) − x̂_c · mean(ĝ ⊙ x̂_c))`
     ///
     /// where `ĝ = γ ⊙ dL/dy` and `x̂_c = centered/σ_B` is the *uncorrected*
-    /// normalized input.
+    /// normalized input. For BRN the cache holds `r/σ_B`, not σ_B, so σ_B
+    /// is recomputed from the centered cache, which is exact.
+    ///
+    /// Three row-major sweeps: parameter gradients and `Σ centered²`; then
+    /// `x̂_c` (one division per element, written over the centered cache,
+    /// which is dead after this call) with the sums of `ĝ` and `ĝ ⊙ x̂_c`;
+    /// then the input gradient.
     fn backward(
         &mut self,
         grad_output: &Matrix,
@@ -209,55 +287,62 @@ impl NormCore {
                 actual: (grad_output.rows(), grad_output.cols()),
             });
         }
-        let rows = self.cached_xhat.rows();
+        let (rows, dim) = (self.cached_xhat.rows(), self.dim);
         let n = rows as f32;
+        let gamma = &self.gamma.as_slice()[..dim];
+        let scale = &self.cached_scale[..dim];
+        let grad_rows = || grad_output.as_slice().chunks_exact(dim);
 
-        // Parameter gradients.
-        for c in 0..self.dim {
-            let mut gg = 0.0;
-            let mut gb = 0.0;
-            for r in 0..rows {
-                gg += grad_output.get(r, c) * self.cached_xhat.get(r, c);
-                gb += grad_output.get(r, c);
-            }
-            self.grad_gamma.set(0, c, gg);
-            self.grad_beta.set(0, c, gb);
-        }
-
-        // Input gradient. The variance used at forward time is recoverable
-        // from the cached effective scale only for BN (r = 1); for BRN we
-        // cached `r/σ_B` directly, and the gradient formula needs the
-        // *uncorrected* normalized value `centered/σ_B`. We recompute σ_B
-        // from the centered cache, which is exact.
+        let grad_gamma = &mut self.grad_gamma.as_mut_slice()[..dim];
+        let grad_beta = &mut self.grad_beta.as_mut_slice()[..dim];
+        grad_gamma.fill(0.0);
+        grad_beta.fill(0.0);
         self.stat_sigma.clear();
-        self.stat_sigma.resize(self.dim, 0.0);
-        for (c, s) in self.stat_sigma.iter_mut().enumerate() {
-            let mut v = 0.0;
-            for r in 0..rows {
-                let d = self.cached_centered.get(r, c);
-                v += d * d;
+        self.stat_sigma.resize(dim, 0.0);
+        let sigma = &mut self.stat_sigma[..dim];
+        let cached = self
+            .cached_xhat
+            .as_slice()
+            .chunks_exact(dim)
+            .zip(self.cached_centered.as_slice().chunks_exact(dim));
+        for (g, (xhat, centered)) in grad_rows().zip(cached) {
+            for c in 0..dim {
+                grad_gamma[c] += g[c] * xhat[c];
+                grad_beta[c] += g[c];
+                sigma[c] += centered[c] * centered[c];
             }
-            *s = (v / n + EPS).sqrt();
+        }
+        for s in sigma.iter_mut() {
+            *s = (*s / n + EPS).sqrt();
         }
 
-        let mut grad_in = ws.take(rows, self.dim);
-        for c in 0..self.dim {
-            let gamma = self.gamma.get(0, c);
-            // ĝ statistics over the batch.
-            let mut mean_g = 0.0;
-            let mut mean_gx = 0.0;
-            for r in 0..rows {
-                let ghat = gamma * grad_output.get(r, c);
-                let xc = self.cached_centered.get(r, c) / self.stat_sigma[c];
-                mean_g += ghat;
-                mean_gx += ghat * xc;
+        self.mean_g.clear();
+        self.mean_g.resize(dim, 0.0);
+        self.mean_gx.clear();
+        self.mean_gx.resize(dim, 0.0);
+        let mean_g = &mut self.mean_g[..dim];
+        let mean_gx = &mut self.mean_gx[..dim];
+        let xc_rows = self.cached_centered.as_mut_slice().chunks_exact_mut(dim);
+        for (g, xc) in grad_rows().zip(xc_rows) {
+            for c in 0..dim {
+                let ghat = gamma[c] * g[c];
+                xc[c] /= sigma[c];
+                mean_g[c] += ghat;
+                mean_gx[c] += ghat * xc[c];
             }
-            mean_g /= n;
-            mean_gx /= n;
-            for r in 0..rows {
-                let ghat = gamma * grad_output.get(r, c);
-                let xc = self.cached_centered.get(r, c) / self.stat_sigma[c];
-                grad_in.set(r, c, self.cached_scale[c] * (ghat - mean_g - xc * mean_gx));
+        }
+        for (mg, mgx) in mean_g.iter_mut().zip(mean_gx.iter_mut()) {
+            *mg /= n;
+            *mgx /= n;
+        }
+
+        let mut grad_in = ws.take(rows, dim);
+        let xc_rows = self.cached_centered.as_slice().chunks_exact(dim);
+        let in_rows = grad_in.as_mut_slice().chunks_exact_mut(dim);
+        for ((g, xc), gi) in grad_rows().zip(xc_rows).zip(in_rows) {
+            for c in 0..dim {
+                let ghat = gamma[c] * g[c];
+                gi[c] = scale[c] * (ghat - mean_g[c] - xc[c] * mean_gx[c]);
             }
         }
         Ok(grad_in)
@@ -327,7 +412,7 @@ impl BatchNorm {
     /// Panics if `dim == 0`.
     pub fn new(dim: usize) -> Self {
         Self {
-            core: NormCore::new(dim),
+            core: NormCore::new(dim, None),
         }
     }
 
@@ -358,24 +443,7 @@ impl Layer for BatchNorm {
         ws: &mut Workspace,
     ) -> Result<Matrix, TensorError> {
         self.core.check_width(input, "BatchNorm::forward")?;
-        match mode {
-            Mode::Train => {
-                self.core.batch_moments(input);
-                let core = &mut self.core;
-                core.stat_scale.clear();
-                core.stat_scale
-                    .extend(core.stat_var.iter().map(|&v| 1.0 / (v + EPS).sqrt()));
-                core.stat_shift.clear();
-                core.stat_shift.resize(core.dim, 0.0);
-                let out = core.normalize_from_stats(input, true, ws);
-                core.update_running();
-                Ok(out)
-            }
-            Mode::Eval => {
-                self.core.load_eval_stats();
-                Ok(self.core.normalize_from_stats(input, false, ws))
-            }
-        }
+        Ok(self.core.forward(input, mode, ws))
     }
 
     fn backward(
@@ -413,8 +481,6 @@ impl Layer for BatchNorm {
 #[derive(Debug, Clone)]
 pub struct BatchRenorm {
     core: NormCore,
-    r_max: f32,
-    d_max: f32,
 }
 
 impl BatchRenorm {
@@ -426,9 +492,13 @@ impl BatchRenorm {
     /// Panics if `dim == 0`.
     pub fn new(dim: usize) -> Self {
         Self {
-            core: NormCore::new(dim),
-            r_max: 3.0,
-            d_max: 5.0,
+            core: NormCore::new(
+                dim,
+                Some(Clip {
+                    r_max: 3.0,
+                    d_max: 5.0,
+                }),
+            ),
         }
     }
 
@@ -440,8 +510,7 @@ impl BatchRenorm {
     pub fn with_clip(mut self, r_max: f32, d_max: f32) -> Self {
         assert!(r_max >= 1.0, "r_max must be >= 1");
         assert!(d_max >= 0.0, "d_max must be >= 0");
-        self.r_max = r_max;
-        self.d_max = d_max;
+        self.core.renorm = Some(Clip { r_max, d_max });
         self
     }
 
@@ -467,30 +536,7 @@ impl Layer for BatchRenorm {
         ws: &mut Workspace,
     ) -> Result<Matrix, TensorError> {
         self.core.check_width(input, "BatchRenorm::forward")?;
-        match mode {
-            Mode::Train => {
-                self.core.batch_moments(input);
-                let core = &mut self.core;
-                core.stat_scale.clear();
-                core.stat_shift.clear();
-                for c in 0..core.dim {
-                    let sigma_b = (core.stat_var[c] + EPS).sqrt();
-                    let sigma_run = (core.running_var[c] + EPS).sqrt();
-                    let r = (sigma_b / sigma_run).clamp(1.0 / self.r_max, self.r_max);
-                    let d = ((core.stat_mean[c] - core.running_mean[c]) / sigma_run)
-                        .clamp(-self.d_max, self.d_max);
-                    core.stat_scale.push(r / sigma_b);
-                    core.stat_shift.push(d);
-                }
-                let out = core.normalize_from_stats(input, true, ws);
-                core.update_running();
-                Ok(out)
-            }
-            Mode::Eval => {
-                self.core.load_eval_stats();
-                Ok(self.core.normalize_from_stats(input, false, ws))
-            }
-        }
+        Ok(self.core.forward(input, mode, ws))
     }
 
     fn backward(
@@ -715,5 +761,178 @@ mod tests {
             ws.give(g);
         }
         assert_eq!(ws.allocations(), baseline, "norm hot loop allocated");
+    }
+
+    /// The column-by-column formulation the row-major passes replaced,
+    /// kept as the reference they must match bit for bit.
+    impl NormCore {
+        fn reference_forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
+            match mode {
+                Mode::Train => {
+                    self.batch_moments(input);
+                    self.load_train_stats();
+                    let out = self.reference_normalize(input, true);
+                    self.update_running();
+                    out
+                }
+                Mode::Eval => {
+                    self.load_eval_stats();
+                    self.reference_normalize(input, false)
+                }
+            }
+        }
+
+        fn reference_normalize(&mut self, input: &Matrix, cache: bool) -> Matrix {
+            let rows = input.rows();
+            let dim = self.dim;
+            let mut out = Matrix::zeros(rows, dim);
+            if cache {
+                self.cached_centered.resize_zeroed(rows, dim);
+                self.cached_xhat.resize_zeroed(rows, dim);
+                self.cached_scale.clear();
+                self.cached_scale.extend_from_slice(&self.stat_scale);
+                self.cache_valid = true;
+            }
+            for r in 0..rows {
+                for c in 0..dim {
+                    let cen = input.get(r, c) - self.stat_mean[c];
+                    let xh = cen * self.stat_scale[c] + self.stat_shift[c];
+                    out.set(r, c, self.gamma.get(0, c) * xh + self.beta.get(0, c));
+                    if cache {
+                        self.cached_centered.set(r, c, cen);
+                        self.cached_xhat.set(r, c, xh);
+                    }
+                }
+            }
+            out
+        }
+
+        fn reference_backward(&mut self, grad_output: &Matrix) -> Matrix {
+            assert!(self.cache_valid, "reference backward needs a forward");
+            self.cache_valid = false;
+            let rows = self.cached_xhat.rows();
+            let n = rows as f32;
+            for c in 0..self.dim {
+                let mut gg = 0.0;
+                let mut gb = 0.0;
+                for r in 0..rows {
+                    gg += grad_output.get(r, c) * self.cached_xhat.get(r, c);
+                    gb += grad_output.get(r, c);
+                }
+                self.grad_gamma.set(0, c, gg);
+                self.grad_beta.set(0, c, gb);
+            }
+            let mut sigma = vec![0.0f32; self.dim];
+            for (c, s) in sigma.iter_mut().enumerate() {
+                let mut v = 0.0;
+                for r in 0..rows {
+                    let d = self.cached_centered.get(r, c);
+                    v += d * d;
+                }
+                *s = (v / n + EPS).sqrt();
+            }
+            let mut grad_in = Matrix::zeros(rows, self.dim);
+            for (c, &sigma) in sigma.iter().enumerate() {
+                let gamma = self.gamma.get(0, c);
+                let mut mean_g = 0.0;
+                let mut mean_gx = 0.0;
+                for r in 0..rows {
+                    let ghat = gamma * grad_output.get(r, c);
+                    let xc = self.cached_centered.get(r, c) / sigma;
+                    mean_g += ghat;
+                    mean_gx += ghat * xc;
+                }
+                mean_g /= n;
+                mean_gx /= n;
+                for r in 0..rows {
+                    let ghat = gamma * grad_output.get(r, c);
+                    let xc = self.cached_centered.get(r, c) / sigma;
+                    grad_in.set(r, c, self.cached_scale[c] * (ghat - mean_g - xc * mean_gx));
+                }
+            }
+            grad_in
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Everything the two formulations produce or update, as bit patterns.
+    fn state_bits(core: &NormCore) -> [Vec<u32>; 6] {
+        [
+            bits(core.grad_gamma.as_slice()),
+            bits(core.grad_beta.as_slice()),
+            bits(&core.running_mean),
+            bits(&core.running_var),
+            bits(core.gamma.as_slice()),
+            bits(core.beta.as_slice()),
+        ]
+    }
+
+    /// Runs train steps (forward, backward, update) and eval forwards
+    /// through the live core and a clone on the reference path, asserting
+    /// bit equality of every output, input gradient, parameter gradient,
+    /// parameter and running moment.
+    fn assert_matches_reference(mut live: NormCore, label: &str) {
+        let mut reference = live.clone();
+        let mut rng = Rng::seed_from(11);
+        let mut ws = Workspace::new();
+        let sgd = SgdConfig::new(0.1).with_momentum(0.9);
+        let dim = live.dim;
+        for rows in [1, 3, 64, 128] {
+            for step in 0..3 {
+                let context = format!("{label}, batch {rows}, step {step}");
+                // Shifted, scaled inputs keep BRN's r/d clips in play.
+                let shift = step as f32 * 2.0 - 1.0;
+                let x = gaussian_batch(&mut rng, rows, dim, shift, 1.5);
+                let g = gaussian_batch(&mut rng, rows, dim, 0.0, 1.0);
+
+                let y = live.forward(&x, Mode::Train, &mut ws);
+                let y_ref = reference.reference_forward(&x, Mode::Train);
+                assert_eq!(
+                    bits(y.as_slice()),
+                    bits(y_ref.as_slice()),
+                    "{context}: train output"
+                );
+                let gi = live.backward(&g, &mut ws).expect("cached");
+                let gi_ref = reference.reference_backward(&g);
+                assert_eq!(
+                    bits(gi.as_slice()),
+                    bits(gi_ref.as_slice()),
+                    "{context}: grad_in"
+                );
+                live.apply_update(&sgd, 1.0);
+                reference.apply_update(&sgd, 1.0);
+                assert_eq!(
+                    state_bits(&live),
+                    state_bits(&reference),
+                    "{context}: state"
+                );
+                ws.give(y);
+                ws.give(gi);
+
+                let y = live.forward(&x, Mode::Eval, &mut ws);
+                let y_ref = reference.reference_forward(&x, Mode::Eval);
+                assert_eq!(
+                    bits(y.as_slice()),
+                    bits(y_ref.as_slice()),
+                    "{context}: eval output"
+                );
+                ws.give(y);
+            }
+        }
+    }
+
+    #[test]
+    fn row_major_batchnorm_matches_the_column_reference() {
+        assert_matches_reference(BatchNorm::new(24).core, "BN 24");
+        assert_matches_reference(BatchNorm::new(5).core, "BN 5");
+    }
+
+    #[test]
+    fn row_major_batchrenorm_matches_the_column_reference() {
+        assert_matches_reference(BatchRenorm::new(24).core, "BRN 24");
+        assert_matches_reference(BatchRenorm::new(5).with_clip(1.5, 0.5).core, "BRN 5");
     }
 }

@@ -1,103 +1,147 @@
-//! Property tests pinning the allocation-free `_into` kernels to their
-//! allocating reference expressions, **bit-for-bit**.
+//! Property tests pinning the tiled `_into` kernels to a naive triple
+//! loop, **bit-for-bit**.
 //!
-//! The workspace refactor replaced `transpose()`-then-`matmul` chains and
-//! per-call output allocations with fused kernels. Training determinism
-//! (golden fleet runs, frozen-front equality tests) relies on the new
-//! kernels producing the *exact same floats*, not merely close ones — so
-//! every assertion here is exact `==` on the full matrix, never an
-//! epsilon comparison.
+//! Training determinism (the cross-commit report and pre-training pins,
+//! golden fleet runs, frozen-front equality tests) relies on every kernel
+//! summing each output element in the triple loop's order: start from
+//! `0.0`, add one product per step, steps in increasing order. The
+//! reference below is that loop, written out independently of the kernels,
+//! and every assertion compares `f32::to_bits` of the whole output — never
+//! an epsilon.
+//!
+//! Shapes cover full 32-column tiles plus every column remainder (n up to
+//! 70), row counts through 13, and k = 0; fixed cases run the real model
+//! shapes (a frame's 15 proposals through the student, the 64-row training
+//! batch through 128-wide layers, the teacher's 128-row pre-training batch).
 
 use proptest::prelude::*;
-use shoggoth_tensor::Matrix;
+use shoggoth_tensor::{Matrix, Workspace};
+use shoggoth_util::Rng;
 
-/// Builds a `rows × cols` matrix from a prefix of `data`.
-fn take(data: &[f32], rows: usize, cols: usize) -> Matrix {
-    Matrix::from_vec(rows, cols, data[..rows * cols].to_vec()).expect("data sized to fit")
+/// `out[i][j] = Σ_s lhs(i, s) · rhs(s, j)`, `s` ascending from `0.0`.
+fn triple_loop(
+    rows: usize,
+    steps: usize,
+    cols: usize,
+    lhs: impl Fn(usize, usize) -> f32,
+    rhs: impl Fn(usize, usize) -> f32,
+) -> Vec<u32> {
+    let mut out = Vec::with_capacity(rows * cols);
+    for i in 0..rows {
+        for j in 0..cols {
+            let mut acc = 0.0f32;
+            for s in 0..steps {
+                acc += lhs(i, s) * rhs(s, j);
+            }
+            out.push(acc.to_bits());
+        }
+    }
+    out
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A `rows × cols` matrix of draws from `[-4, 4)`, with exact zeros and
+/// negative zeros mixed in so sign-of-zero handling is exercised.
+fn random(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| match rng.below(16) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.next_f32() * 8.0 - 4.0,
+    })
+}
+
+/// Checks every kernel at one shape: `matmul_into` and `addmm_into` on
+/// `a (m × k) · b (k × n)`, `matmul_transb_into` on `a · bᵀ` with `b` given
+/// as `n × k`, and `matmul_transa_into` on `aᵀ · b` with `a` given as
+/// `k × m`. A stale, wrongly shaped output must be fully overwritten.
+fn check_shape(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    let mut rng = Rng::seed_from(seed);
+    let a = random(&mut rng, m, k);
+    let b = random(&mut rng, k, n);
+    let bias = random(&mut rng, 1, n);
+    let b_t = random(&mut rng, n, k);
+    let a_t = random(&mut rng, k, m);
+    let mut ws = Workspace::new();
+    let stale = || Matrix::filled(3, 2, f32::NAN);
+    let shape = format!("m={m} k={k} n={n}");
+
+    let expected = triple_loop(m, k, n, |i, s| a.get(i, s), |s, j| b.get(s, j));
+    let mut out = stale();
+    a.matmul_into(&b, &mut out).map_err(|e| e.to_string())?;
+    if bits(&out) != expected || (out.rows(), out.cols()) != (m, n) {
+        return Err(format!("matmul_into differs at {shape}"));
+    }
+    let allocating = a.matmul(&b).map_err(|e| e.to_string())?;
+    if bits(&allocating) != expected {
+        return Err(format!("matmul differs at {shape}"));
+    }
+
+    let mut out = stale();
+    a.addmm_into(&b, &bias, &mut out)
+        .map_err(|e| e.to_string())?;
+    let with_bias: Vec<u32> = expected
+        .iter()
+        .enumerate()
+        .map(|(idx, &v)| (f32::from_bits(v) + bias.get(0, idx % n)).to_bits())
+        .collect();
+    if bits(&out) != with_bias {
+        return Err(format!("addmm_into differs at {shape}"));
+    }
+
+    let expected = triple_loop(m, k, n, |i, s| a.get(i, s), |s, j| b_t.get(j, s));
+    let mut out = stale();
+    a.matmul_transb_into(&b_t, &mut out, &mut ws)
+        .map_err(|e| e.to_string())?;
+    if bits(&out) != expected || (out.rows(), out.cols()) != (m, n) {
+        return Err(format!("matmul_transb_into differs at {shape}"));
+    }
+
+    let expected = triple_loop(m, k, n, |i, s| a_t.get(s, i), |s, j| b.get(s, j));
+    let mut out = stale();
+    a_t.matmul_transa_into(&b, &mut out)
+        .map_err(|e| e.to_string())?;
+    if bits(&out) != expected || (out.rows(), out.cols()) != (m, n) {
+        return Err(format!("matmul_transa_into differs at {shape}"));
+    }
+    Ok(())
 }
 
 proptest! {
     #[test]
-    fn matmul_into_matches_allocating_matmul(
-        dims in (1usize..8, 1usize..8, 1usize..8),
-        a_data in prop::collection::vec(-4.0f32..4.0, 64..65),
-        b_data in prop::collection::vec(-4.0f32..4.0, 64..65),
+    fn kernels_match_the_triple_loop(
+        dims in (1usize..14, 0usize..71, 1usize..71),
+        seed in any::<u64>(),
     ) {
         let (m, k, n) = dims;
-        let a = take(&a_data, m, k);
-        let b = take(&b_data, k, n);
-        let reference = a.matmul(&b).expect("shapes agree");
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_into(&b, &mut out).expect("shapes agree");
-        prop_assert_eq!(reference, out);
+        let checked = check_shape(m, k, n, seed);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
+}
 
-    #[test]
-    fn matmul_transb_into_matches_transpose_path(
-        dims in (1usize..8, 1usize..8, 1usize..8),
-        a_data in prop::collection::vec(-4.0f32..4.0, 64..65),
-        b_data in prop::collection::vec(-4.0f32..4.0, 64..65),
-    ) {
-        let (m, k, n) = dims;
-        // out = a · bᵀ where a is m×k and b is n×k.
-        let a = take(&a_data, m, k);
-        let b = take(&b_data, n, k);
-        let reference = a.matmul(&b.transpose()).expect("shapes agree");
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_transb_into(&b, &mut out).expect("shapes agree");
-        prop_assert_eq!(reference, out);
+#[test]
+fn every_column_remainder_and_row_count_matches() {
+    for n in 1..=70 {
+        for m in [1, 2, 3, 4, 5, 13] {
+            for k in [0, 1, 3, 9] {
+                let seed = (m * 10_000 + k * 100 + n) as u64;
+                if let Err(e) = check_shape(m, k, n, seed) {
+                    panic!("{e}");
+                }
+            }
+        }
     }
+}
 
-    #[test]
-    fn matmul_transa_into_matches_transpose_path(
-        dims in (1usize..8, 1usize..8, 1usize..8),
-        a_data in prop::collection::vec(-4.0f32..4.0, 64..65),
-        b_data in prop::collection::vec(-4.0f32..4.0, 64..65),
-    ) {
-        let (r, m, n) = dims;
-        // out = aᵀ · b where a is r×m and b is r×n.
-        let a = take(&a_data, r, m);
-        let b = take(&b_data, r, n);
-        let reference = a.transpose().matmul(&b).expect("shapes agree");
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_transa_into(&b, &mut out).expect("shapes agree");
-        prop_assert_eq!(reference, out);
-    }
-
-    #[test]
-    fn addmm_into_matches_matmul_plus_broadcast(
-        dims in (1usize..8, 1usize..8, 1usize..8),
-        x_data in prop::collection::vec(-4.0f32..4.0, 64..65),
-        w_data in prop::collection::vec(-4.0f32..4.0, 64..65),
-        b_data in prop::collection::vec(-4.0f32..4.0, 8..9),
-    ) {
-        let (m, k, n) = dims;
-        let x = take(&x_data, m, k);
-        let w = take(&w_data, k, n);
-        let bias = take(&b_data, 1, n);
-        let reference = x
-            .matmul(&w)
-            .expect("shapes agree")
-            .add_row_broadcast(&bias)
-            .expect("bias fits");
-        let mut out = Matrix::zeros(0, 0);
-        x.addmm_into(&w, &bias, &mut out).expect("shapes agree");
-        prop_assert_eq!(reference, out);
-    }
-
-    #[test]
-    fn into_kernels_reuse_storage_across_shapes(
-        dims in (1usize..8, 1usize..8, 1usize..8),
-        a_data in prop::collection::vec(-4.0f32..4.0, 64..65),
-        b_data in prop::collection::vec(-4.0f32..4.0, 64..65),
-    ) {
-        let (m, k, n) = dims;
-        let a = take(&a_data, m, k);
-        let b = take(&b_data, k, n);
-        // A stale, wrongly-shaped output must be fully overwritten.
-        let mut out = Matrix::from_vec(2, 3, vec![7.0; 6]).expect("literal shape");
-        a.matmul_into(&b, &mut out).expect("shapes agree");
-        let reference = a.matmul(&b).expect("shapes agree");
-        prop_assert_eq!(reference, out);
-    }
+#[test]
+fn real_model_shapes_match() {
+    // Student inference: one frame's ~15 proposals through a 32 → 64 layer.
+    assert_eq!(check_shape(15, 32, 64, 1), Ok(()));
+    // Training step at the paper's hidden width.
+    assert_eq!(check_shape(64, 128, 128, 2), Ok(()));
+    // Teacher pre-training batch.
+    assert_eq!(check_shape(128, 128, 128, 3), Ok(()));
+    assert_eq!(check_shape(128, 128, 64, 4), Ok(()));
 }

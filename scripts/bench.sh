@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Performance harness: Criterion micro-benchmarks plus the fixed-workload
 # throughput probe. The probe writes BENCH_tensor.json to the repo root
-# (training steps/sec before/after the kernel refactor, matmul ns per
-# size, end-to-end simulated frames/sec, fleet serial-vs-parallel wall
-# time). See DESIGN.md "Performance architecture" for how to read it.
+# (training steps/sec, ns per matmul/transa/transb product per size,
+# end-to-end simulated frames/sec, fleet serial-vs-parallel wall time).
+# Per-layer numbers at the real model shapes come from perfbench
+# (--trace 1); see DESIGN.md "Performance architecture".
 #
 # Usage:
 #   scripts/bench.sh            # probe + full criterion suite

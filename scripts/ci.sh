@@ -29,6 +29,11 @@ echo "==> perfbench smoke: fleet-storm, seed 1, 1 s, untraced"
 cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
   --workload fleet-storm --seed 1 --seconds 1 --trace 0
 
+# Gating: paper-scale behaviour pin. Table I on UA-DETRAC at the paper's
+# model widths must reproduce its report digest (x86_64 only).
+echo "==> paper-scale pin: table1-detrac, seed 3, report digest"
+bash scripts/paper_scale_pin.sh
+
 # Gating: chaos smoke. A fixed-seed worst-case fault schedule (stacked
 # outages, bursty loss, degradation, jitter, flaky cloud) must complete
 # without a panic; see DESIGN.md §10 (Failure model & resilience). The

@@ -29,9 +29,10 @@ echo "==> perfbench smoke: fleet-storm, seed 1, 1 s, untraced"
 cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
   --workload fleet-storm --seed 1 --seconds 1 --trace 0
 
-# Gating: paper-scale behaviour pin. Table I on UA-DETRAC at the paper's
-# model widths must reproduce its report digest (x86_64 only).
-echo "==> paper-scale pin: table1-detrac, seed 3, report digest"
+# Gating: paper-scale behaviour pins. Table I on UA-DETRAC at the paper's
+# model widths, the 27 000-frame stream and the storm fleet must reproduce
+# their report digests (x86_64 only).
+echo "==> paper-scale pins: table1-detrac, long-stream-quick, fleet-storm, seed 3"
 bash scripts/paper_scale_pin.sh
 
 # Gating: chaos smoke. A fixed-seed worst-case fault schedule (stacked

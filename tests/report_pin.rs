@@ -233,12 +233,20 @@ impl Pins {
 /// `Strategy::table_one()` order.
 type TablePins = [(u64, u64); 5];
 
+/// A clean quick-scale Table I run over a stream preset.
+fn table_config(stream: StreamConfig) -> SimConfig {
+    SimConfig::quick(stream.with_total_frames(TABLE_FRAMES))
+}
+
+/// Every Table I strategy over the three presets on a clean link, then
+/// through the outage storm: Cloud-Only through the outages, and Prompt
+/// and AMS under the breaker.
 #[test]
 fn table_one_reports_match_the_pins() {
-    let cases: [(&str, StreamConfig, TablePins); 3] = [
+    let cases: [(&str, SimConfig, TablePins); 4] = [
         (
             "detrac",
-            presets::detrac(1),
+            table_config(presets::detrac(1)),
             [
                 (0xac21_5a2e_897a_1090, 0xe987_494e_f4bb_9891),
                 (0x2c13_97bd_d80e_c66a, 0x003c_c1c2_dc3e_b69d),
@@ -249,7 +257,7 @@ fn table_one_reports_match_the_pins() {
         ),
         (
             "kitti",
-            presets::kitti(1),
+            table_config(presets::kitti(1)),
             [
                 (0xb6ae_c361_7e65_0030, 0xd312_b79d_3b0a_7b3b),
                 (0x4af1_b569_6b72_c16e, 0xc73a_6112_c327_2c3f),
@@ -260,7 +268,7 @@ fn table_one_reports_match_the_pins() {
         ),
         (
             "waymo",
-            presets::waymo(1),
+            table_config(presets::waymo(1)),
             [
                 (0xf244_048c_67f2_d6c1, 0x7660_06ae_60b5_645f),
                 (0x0d51_949b_2c8c_f283, 0xc79a_1395_4cc0_ddb3),
@@ -269,10 +277,20 @@ fn table_one_reports_match_the_pins() {
                 (0x94f2_3ce3_9fbe_0d0b, 0xd451_2b6a_dc7f_12eb),
             ],
         ),
+        (
+            "storm",
+            storm_config(STORM_FRAMES),
+            [
+                (0x2825_b89c_f07d_d6e1, 0x3a8a_aed8_e07e_ea6d),
+                (0x1f6d_c579_b63b_e601, 0xfb34_9db8_a520_2a51),
+                (0xb08b_285b_5d8c_38b3, 0xfd12_7d90_4f48_aea8),
+                (0x8bb2_f5ac_175d_64db, 0x2bd0_9004_c99f_4fbd),
+                (0x46c9_2f21_0a48_1076, 0xfb2a_7d6e_56a9_1049),
+            ],
+        ),
     ];
     let mut pins = Pins::default();
-    for (preset, stream, expected) in cases {
-        let base = SimConfig::quick(stream.with_total_frames(TABLE_FRAMES));
+    for (preset, base, expected) in cases {
         let (student, teacher) = Simulation::build_models(&base);
         for (strategy, (report_pin, map_pin)) in Strategy::table_one().into_iter().zip(expected) {
             let mut config = base.clone();
@@ -285,6 +303,14 @@ fn table_one_reports_match_the_pins() {
                     "{preset} {}: the pin must cover a training session",
                     strategy.name()
                 );
+            }
+            if preset == "storm" {
+                let r = &report.resilience;
+                if strategy.uses_sampling() {
+                    assert!(r.breaker_opens >= 1, "storm {strategy}: no breaker open");
+                } else if strategy == Strategy::CloudOnly {
+                    assert!(r.outage_drops > 0, "storm {strategy}: no outage drop");
+                }
             }
             let name = format!("{preset} {}", strategy.name());
             pins.check(

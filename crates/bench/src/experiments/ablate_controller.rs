@@ -8,10 +8,13 @@
 //! * α-only (φ term disabled via `η_r = 0`),
 //! * loose / tight φ targets.
 
-use crate::{experiment_frames, experiment_seed, rule, run_strategy, write_json, SharedModels};
+use crate::{
+    experiment_config, experiment_frames, experiment_seed, rule, run_strategy, write_json,
+    SharedModels,
+};
 use serde::Serialize;
 use shoggoth::controller::ControllerConfig;
-use shoggoth::sim::{SimConfig, Simulation};
+use shoggoth::sim::Simulation;
 use shoggoth::strategy::Strategy;
 use shoggoth_video::presets;
 
@@ -94,12 +97,8 @@ pub fn run() -> ControllerResult {
     let mut rows = Vec::new();
     for (name, controller) in variants() {
         eprintln!("[ablate_controller] running {name} ...");
-        let mut config = SimConfig::new(stream.clone());
-        config.strategy = Strategy::Shoggoth;
+        let mut config = experiment_config(&stream, Strategy::Shoggoth, seed);
         config.cloud.controller = controller;
-        config.student_seed = seed;
-        config.teacher_seed = seed.wrapping_add(1);
-        config.sim_seed = seed.wrapping_add(2);
         let report =
             Simulation::run_with_models(&config, models.student.clone(), models.teacher.clone())
                 .expect("experiment run failed");

@@ -4,9 +4,11 @@
 //! protection (small memories) and staleness (the aging effect of very
 //! large, rarely-refreshed memories).
 
-use crate::{experiment_frames, experiment_seed, rule, write_json, SharedModels};
+use crate::{
+    experiment_config, experiment_frames, experiment_seed, rule, write_json, SharedModels,
+};
 use serde::Serialize;
-use shoggoth::sim::{SimConfig, Simulation};
+use shoggoth::sim::Simulation;
 use shoggoth::strategy::Strategy;
 use shoggoth::trainer::TrainerConfig;
 use shoggoth_video::presets;
@@ -54,15 +56,11 @@ pub fn run() -> ReplayResult {
     let mut rows = Vec::new();
     for capacity in [1usize, 300, 1000, 3000, 9000, 30000] {
         eprintln!("[ablate_replay] capacity {capacity} ...");
-        let mut config = SimConfig::new(stream.clone());
-        config.strategy = Strategy::Shoggoth;
+        let mut config = experiment_config(&stream, Strategy::Shoggoth, seed);
         config.trainer = TrainerConfig {
             replay_capacity: capacity,
             ..TrainerConfig::paper_scaled()
         };
-        config.student_seed = seed;
-        config.teacher_seed = seed.wrapping_add(1);
-        config.sim_seed = seed.wrapping_add(2);
         let report =
             Simulation::run_with_models(&config, models.student.clone(), models.teacher.clone())
                 .expect("experiment run failed");

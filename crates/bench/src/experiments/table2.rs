@@ -6,9 +6,11 @@
 //! stream; training time comes from the Jetson-TX2 FLOP model at the
 //! paper's session scale (300 fresh / 1500 replay images, 8 epochs).
 
-use crate::{experiment_frames, experiment_seed, rule, write_json, SharedModels};
+use crate::{
+    experiment_config, experiment_frames, experiment_seed, rule, write_json, SharedModels,
+};
 use serde::Serialize;
-use shoggoth::sim::{SimConfig, Simulation};
+use shoggoth::sim::Simulation;
 use shoggoth::strategy::Strategy;
 use shoggoth::trainer::{FreezePolicy, ReplayPlacement, TrainerConfig};
 use shoggoth_compute::training::{training_time, TrainingPlan};
@@ -124,12 +126,8 @@ pub fn run() -> Table2Result {
     let mut rows = Vec::new();
     for (i, (name, trainer_cfg, plan)) in variants().into_iter().enumerate() {
         eprintln!("[table2] running variant {name} ...");
-        let mut config = SimConfig::new(stream.clone());
-        config.strategy = Strategy::Shoggoth;
+        let mut config = experiment_config(&stream, Strategy::Shoggoth, seed);
         config.trainer = trainer_cfg;
-        config.student_seed = seed;
-        config.teacher_seed = seed.wrapping_add(1);
-        config.sim_seed = seed.wrapping_add(2);
         let report =
             Simulation::run_with_models(&config, models.student.clone(), models.teacher.clone())
                 .expect("experiment run failed");

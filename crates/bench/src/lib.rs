@@ -95,6 +95,18 @@ pub fn artifact_slug(name: &str) -> String {
     slug.trim_matches('_').to_owned()
 }
 
+/// The paper-scale configuration of one experiment run: `strategy` over
+/// `stream`, with the student, teacher and simulation seeds derived from
+/// the experiment seed.
+pub fn experiment_config(stream: &StreamConfig, strategy: Strategy, seed: u64) -> SimConfig {
+    let mut config = SimConfig::new(stream.clone());
+    config.strategy = strategy;
+    config.student_seed = seed;
+    config.teacher_seed = seed.wrapping_add(1);
+    config.sim_seed = seed.wrapping_add(2);
+    config
+}
+
 /// Pre-trained models shared across the strategy runs of one stream, so
 /// every strategy starts from the identical student.
 pub struct SharedModels {
@@ -107,9 +119,7 @@ pub struct SharedModels {
 impl SharedModels {
     /// Builds the models once for a stream at full (non-quick) scale.
     pub fn build(stream: &StreamConfig, seed: u64) -> Self {
-        let mut config = SimConfig::new(stream.clone());
-        config.student_seed = seed;
-        config.teacher_seed = seed.wrapping_add(1);
+        let config = experiment_config(stream, Strategy::Shoggoth, seed);
         let (student, teacher) = Simulation::build_models(&config);
         Self { student, teacher }
     }
@@ -126,11 +136,7 @@ pub fn run_strategy(
     models: &SharedModels,
     seed: u64,
 ) -> SimReport {
-    let mut config = SimConfig::new(stream.clone());
-    config.strategy = strategy;
-    config.student_seed = seed;
-    config.teacher_seed = seed.wrapping_add(1);
-    config.sim_seed = seed.wrapping_add(2);
+    let config = experiment_config(stream, strategy, seed);
     Simulation::run_with_models(&config, models.student.clone(), models.teacher.clone())
         .expect("experiment run failed")
 }
@@ -158,12 +164,7 @@ pub fn run_strategies(
         .map(|&strategy| (strategy, models.student.clone(), models.teacher.clone()))
         .collect();
     parallel_map(jobs, threads, |_, (strategy, student, teacher)| {
-        let mut config = SimConfig::new(stream.clone());
-        config.strategy = strategy;
-        config.student_seed = seed;
-        config.teacher_seed = seed.wrapping_add(1);
-        config.sim_seed = seed.wrapping_add(2);
-        Simulation::run_with_models(&config, student, teacher)
+        Simulation::run_with_models(&experiment_config(stream, strategy, seed), student, teacher)
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()

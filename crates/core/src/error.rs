@@ -93,13 +93,6 @@ pub enum SimError {
         /// The underlying engine error.
         source: TensorError,
     },
-    /// An internal invariant of the engine was violated. This is a bug,
-    /// reported as an error rather than a panic so a long sweep can record
-    /// it and move on to the next configuration.
-    Invariant {
-        /// The invariant that did not hold.
-        context: &'static str,
-    },
 }
 
 impl From<InvalidConfig> for SimError {
@@ -129,9 +122,6 @@ impl std::fmt::Display for SimError {
             SimError::Tensor { context, source } => {
                 write!(f, "simulation failed during {context}: {source}")
             }
-            SimError::Invariant { context } => {
-                write!(f, "simulation invariant violated: {context}")
-            }
         }
     }
 }
@@ -143,7 +133,6 @@ impl std::error::Error for SimError {
             SimError::Link(err) => Some(err),
             SimError::Train(err) => Some(err),
             SimError::Tensor { source, .. } => Some(source),
-            SimError::Invariant { .. } => None,
         }
     }
 }
@@ -176,7 +165,6 @@ mod tests {
             },
         };
         assert!(err.source().is_some());
-        assert!(SimError::Invariant { context: "x" }.source().is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use serde::Serialize;
 use shoggoth_compute::stack::mask_rcnn_x101;
 use shoggoth_compute::DeviceProfile;
 use shoggoth_models::{StudentDetector, TeacherDetector};
-use shoggoth_telemetry::{Record, RingRecorder};
+use shoggoth_telemetry::{NoopRecorder, Record, Recorder, RingRecorder};
 use shoggoth_util::parallel_map;
 
 /// Configuration of a fleet analysis.
@@ -131,16 +131,7 @@ impl std::fmt::Display for FleetReport {
 /// completed device reports are discarded (each device is cheap relative
 /// to the sweep).
 pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, SimError> {
-    let per_device: Vec<SimReport> = parallel_map(
-        device_jobs(config),
-        config.threads,
-        |_, (device_config, device_student, device_teacher)| {
-            Simulation::run_with_models(&device_config, device_student, device_teacher)
-        },
-    )
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    Ok(aggregate(config, per_device))
+    run_devices(config, || NoopRecorder).map(|(report, _)| report)
 }
 
 /// [`run_fleet`], but with a per-device [`RingRecorder`] (each keeping at
@@ -158,28 +149,38 @@ pub fn run_fleet_traced(
     config: &FleetConfig,
     capacity: usize,
 ) -> Result<(FleetReport, Vec<Vec<Record>>), SimError> {
-    let results = parallel_map(
+    let (report, mut recorders) = run_devices(config, || RingRecorder::new(capacity))?;
+    let traces = recorders
+        .iter_mut()
+        .map(RingRecorder::drain_records)
+        .collect();
+    Ok((report, traces))
+}
+
+/// Plays every device on the fleet's worker threads, each into its own
+/// fresh recorder, and aggregates the reports. Returns the recorders in
+/// device order.
+fn run_devices<R: Recorder + Send>(
+    config: &FleetConfig,
+    recorder: impl Fn() -> R + Sync,
+) -> Result<(FleetReport, Vec<R>), SimError> {
+    let (per_device, recorders): (Vec<SimReport>, Vec<R>) = parallel_map(
         device_jobs(config),
         config.threads,
-        move |_, (device_config, device_student, device_teacher)| {
-            let mut recorder = RingRecorder::new(capacity);
+        |_, (device_config, device_student, device_teacher)| {
+            let mut recorder = recorder();
             Simulation::run_traced(
                 &device_config,
                 device_student,
                 device_teacher,
                 &mut recorder,
             )
-            .map(|report| (report, recorder.drain_records()))
+            .map(|report| (report, recorder))
         },
-    );
-    let mut per_device = Vec::with_capacity(config.devices);
-    let mut traces = Vec::with_capacity(config.devices);
-    for result in results {
-        let (report, records) = result?;
-        per_device.push(report);
-        traces.push(records);
-    }
-    Ok((aggregate(config, per_device), traces))
+    )
+    .into_iter()
+    .collect::<Result<_, _>>()?;
+    Ok((aggregate(config, per_device), recorders))
 }
 
 /// Materializes the per-device work items (config + model clones) before

@@ -10,7 +10,7 @@
 use crate::cloud::{CloudConfig, CloudServer, LabelFate};
 use crate::error::SimError;
 use crate::resilience::{BreakerState, EdgeResilience, ResilienceConfig, ResilienceReport};
-use crate::strategy::Strategy;
+use crate::strategy::{AdapterSite, Rate, Strategy, Uplink};
 use crate::trainer::{AdaptiveTrainer, FreezePolicy, ReplayPlacement, TrainerConfig};
 use serde::Serialize;
 use shoggoth_compute::training::{training_time, TrainingPlan};
@@ -300,10 +300,33 @@ struct PendingLabels {
     samples: Vec<LabeledSample>,
 }
 
+/// Where the student adapts, with the state adaptation needs there.
+enum Adapter {
+    /// The student never adapts.
+    None,
+    /// Edge-side adaptive training (Shoggoth / Prompt / fixed rates).
+    Edge {
+        trainer: AdaptiveTrainer,
+        /// Modeled wall-clock of one session on the edge device.
+        session_secs: f64,
+    },
+    /// AMS: the cloud fine-tunes a shadow student and streams the full
+    /// model back; edge inference never contends with training.
+    CloudShadow {
+        student: StudentDetector,
+        trainer: AdaptiveTrainer,
+        /// Modeled wall-clock of one session on the cloud device.
+        session_secs: f64,
+    },
+}
+
 /// Mutable state of one run, generic over its telemetry sink so the
 /// no-op recorder compiles away entirely.
 struct Engine<'a, R: Recorder> {
     config: &'a SimConfig,
+    /// Where the strategy sends frames.
+    uplink: Uplink,
+    adapter: Adapter,
     /// Every emitted event, folded into the report's counts.
     fold: EventFold,
     recorder: &'a mut R,
@@ -311,11 +334,9 @@ struct Engine<'a, R: Recorder> {
     /// emitted event is stamped with).
     now_secs: f64,
     cur_frame: u64,
+    frames_played: u64,
     student: StudentDetector,
     cloud: CloudServer,
-    trainer: AdaptiveTrainer,
-    /// AMS's cloud-side shadow student and its trainer.
-    shadow: Option<(StudentDetector, AdaptiveTrainer)>,
     link: Link,
     resilience: EdgeResilience,
     pending_labels: Vec<PendingLabels>,
@@ -330,6 +351,7 @@ struct Engine<'a, R: Recorder> {
     pool: Vec<LabeledSample>,
     /// Frames contributing to the pool.
     pool_frames: usize,
+    /// End of the edge training session in progress.
     training_until: f64,
     busy_secs_window: f64,
     last_rate_update: f64,
@@ -351,35 +373,44 @@ impl<'a, R: Recorder> Engine<'a, R> {
     ) -> Result<Self, SimError> {
         let num_classes = config.stream.library.world().num_classes();
         let cloud = CloudServer::new(teacher, num_classes, config.cloud)?;
-        let initial_rate = config
-            .strategy
-            .fixed_rate()
-            .unwrap_or(config.cloud.controller.initial_rate);
-        let shadow = if config.strategy == Strategy::Ams {
+        let (uplink, site) = config.strategy.plan();
+        let sampling_rate = match uplink {
+            Uplink::Sampled(Rate::Fixed(rate)) => rate,
+            Uplink::Off | Uplink::EveryFrame | Uplink::Sampled(Rate::Controller) => {
+                config.cloud.controller.initial_rate
+            }
+        };
+        let adapter = match site {
+            AdapterSite::None => Adapter::None,
+            AdapterSite::Edge => Adapter::Edge {
+                trainer: AdaptiveTrainer::new(config.trainer.clone()),
+                session_secs: session_wallclock(&config.trainer, &config.edge_device),
+            },
             // AMS (Khani et al.) fine-tunes the *entire* student in the
             // cloud — no latent replay, full backpropagation — which is
             // exactly the paper's Table II "Input" configuration. The
             // cloud's V100 can afford it; the cost shows up as model-sized
             // downlink updates and slightly more forgetting.
-            let ams_trainer = TrainerConfig {
-                placement: ReplayPlacement::Input,
-                freeze: FreezePolicy::FullyTrainable,
-                // AMS keeps only a recent-frame window, not a reservoir
-                // replay memory — a capacity of one disables replay.
-                replay_capacity: 1,
-                ..config.trainer.clone()
-            };
-            Some((student.clone(), AdaptiveTrainer::new(ams_trainer)))
-        } else {
-            None
+            AdapterSite::CloudShadow => Adapter::CloudShadow {
+                student: student.clone(),
+                trainer: AdaptiveTrainer::new(TrainerConfig {
+                    placement: ReplayPlacement::Input,
+                    freeze: FreezePolicy::FullyTrainable,
+                    // AMS keeps only a recent-frame window, not a
+                    // reservoir replay memory — a capacity of one
+                    // disables replay.
+                    replay_capacity: 1,
+                    ..config.trainer.clone()
+                }),
+                session_secs: ams_session_wallclock(&config.trainer, &config.cloud_device),
+            },
         };
         Ok(Self {
-            trainer: AdaptiveTrainer::new(config.trainer.clone()),
             link: Link::new(config.link.clone())?,
             resilience: EdgeResilience::new(config.resilience)?,
             pending_labels: Vec::new(),
             rng: Rng::seed_from(config.sim_seed ^ 0x53_49_4d), // "SIM"
-            sampling_rate: initial_rate,
+            sampling_rate,
             next_sample_time: 0.0,
             chunk: Vec::new(),
             pool: Vec::new(),
@@ -394,13 +425,15 @@ impl<'a, R: Recorder> Engine<'a, R> {
             fps: FpsTracker::new(),
             rate_sum: 0.0,
             config,
+            uplink,
+            adapter,
             fold: EventFold::default(),
             recorder,
             now_secs: 0.0,
             cur_frame: 0,
+            frames_played: 0,
             student,
             cloud,
-            shadow,
             num_classes,
         })
     }
@@ -435,148 +468,84 @@ impl<'a, R: Recorder> Engine<'a, R> {
     }
 
     fn run(mut self) -> Result<SimReport, SimError> {
-        let strategy = self.config.strategy;
-        let stream = self.config.stream.build();
-        let fps_cap = self.config.edge_device.idle_inference_fps;
-        let mut frames_played = 0u64;
+        for frame in self.config.stream.build() {
+            self.step(&frame)?;
+        }
+        Ok(self.finish())
+    }
 
-        for frame in stream {
-            let t = frame.timestamp;
-            frames_played += 1;
-            self.now_secs = t;
-            self.cur_frame = frame.index;
+    /// Plays one frame: inference, the uplink and adaptation the plan
+    /// calls for, then evaluation.
+    fn step(&mut self, frame: &Frame) -> Result<(), SimError> {
+        let t = frame.timestamp;
+        self.frames_played += 1;
+        self.now_secs = t;
+        self.cur_frame = frame.index;
 
-            // Achieved inference rate under training contention.
-            let training_active = strategy.trains_on_edge() && t < self.training_until;
-            let fps_now = self
-                .config
-                .contention
-                .inference_fps(fps_cap, training_active);
-            self.fps.record(t, fps_now);
-            self.rate_sum += self.effective_rate();
+        // Achieved inference rate under training contention.
+        let fps_now = self.config.contention.inference_fps(
+            self.config.edge_device.idle_inference_fps,
+            t < self.training_until,
+        );
+        self.fps.record(t, fps_now);
+        self.rate_sum += self.effective_rate();
 
-            // System inference output for this frame.
-            let detections = match strategy {
-                Strategy::CloudOnly => self.cloud_only_frame(&frame),
-                _ => self.student.detect(&frame),
-            };
+        // System inference output for this frame.
+        let detections = match self.uplink {
+            Uplink::EveryFrame => self.cloud_infer(frame),
+            Uplink::Off | Uplink::Sampled(_) => self.student.detect(frame),
+        };
 
-            // Estimated-accuracy bookkeeping (the α metric).
-            let theta = self.config.alpha_conf_threshold;
-            for d in &detections {
-                self.alpha_total += 1;
-                if d.confidence >= theta {
-                    self.alpha_hits += 1;
-                }
+        // Estimated-accuracy bookkeeping (the α metric).
+        let theta = self.config.alpha_conf_threshold;
+        for d in &detections {
+            self.alpha_total += 1;
+            if d.confidence >= theta {
+                self.alpha_hits += 1;
             }
+        }
 
-            // Resilience maintenance: matured label deliveries, upload
-            // timeouts, the breaker clock, and retransmits whose backoff
-            // elapsed (the in-order sequence is the determinism contract).
-            if strategy.uses_sampling() {
-                let before = self.resilience.state();
-                self.deliver_labels(t);
-                self.trace_breaker(before);
-                let before = self.resilience.state();
-                let timeouts = self.resilience.expire(t, &mut self.rng);
-                for timeout in timeouts {
-                    self.rec(Event::UploadTimedOut {
-                        attempt: timeout.attempt,
-                        probe: timeout.probe,
-                        requeued: timeout.requeued,
-                        shed: timeout.shed,
-                    });
-                }
-                self.trace_breaker(before);
-                let before = self.resilience.state();
-                self.resilience.poll(t);
-                self.trace_breaker(before);
-                while let Some(q) = self.resilience.take_ready(t) {
-                    self.transmit_chunk(t, q.frames, q.attempt, false);
-                }
-            }
-
-            // A half-open breaker probes as soon as it may: one
-            // single-frame chunk tests the link, and no further probe
-            // launches until this one times out or is acknowledged.
-            if strategy.uses_sampling()
-                && self.resilience.state() == BreakerState::HalfOpen
-                && !self.resilience.probe_in_flight()
-            {
-                self.transmit_chunk(t, vec![frame.clone()], 1, true);
-            }
-
-            // Frame sampling toward the upload chunk. An open breaker
-            // suspends the uplink: frames are still sampled (at the
-            // controller's outage floor) but full chunks are counted and
-            // discarded instead of transmitted; the probe machinery above
-            // owns the uplink while half-open.
-            if strategy.uses_sampling() && t >= self.next_sample_time {
-                self.next_sample_time = t + 1.0 / self.effective_rate().max(1e-6);
-                match self.resilience.state() {
-                    BreakerState::Closed => {
-                        self.chunk.push(frame.clone());
-                        self.rec(Event::FrameSampled {
-                            chunk_len: self.chunk.len() as u32,
-                            breaker: BreakerPhase::Closed,
-                        });
-                        if self.chunk.len() >= self.config.upload_chunk_frames {
-                            self.upload_chunk(t);
-                        }
-                    }
-                    BreakerState::Open => {
-                        self.chunk.push(frame.clone());
-                        self.rec(Event::FrameSampled {
-                            chunk_len: self.chunk.len() as u32,
-                            breaker: BreakerPhase::Open,
-                        });
-                        if self.chunk.len() >= self.config.upload_chunk_frames {
-                            self.suppress_chunk();
-                        }
-                    }
-                    BreakerState::HalfOpen => self.rec(Event::SampleSkipped),
-                }
-            }
-
+        if let Uplink::Sampled(_) = self.uplink {
+            self.maintain_uplink(frame);
+            self.sample(frame);
             // Adapt once a training batch has pooled. Adaptation freezes
             // while the breaker is not closed: labels cannot be fresh
             // during an outage, and training through one would burn the
             // edge GPU for nothing.
-            if strategy.uses_sampling()
-                && self.resilience.state() == BreakerState::Closed
+            if self.resilience.state() == BreakerState::Closed
                 && self.pool_frames >= self.config.trainer.batch_frames
             {
                 self.adapt(t)?;
             }
-
-            // Evaluation.
-            let frame_map = frame_map_at_05(
-                &FrameEval {
-                    detections: detections.clone(),
-                    ground_truth: frame.ground_truth.clone(),
-                },
-                self.num_classes,
-            );
-            self.per_frame_map.push(frame_map);
-            let detection_count = detections.len();
-            self.frame_evals.push(FrameEval {
-                detections,
-                ground_truth: frame.ground_truth,
-            });
-
-            // The per-frame status sample: the telemetry timeline's
-            // backbone, emitted once per played frame after evaluation.
-            self.rec(Event::FrameStatus {
-                map: frame_map,
-                fps: fps_now,
-                sampling_rate: self.effective_rate(),
-                detections: detection_count as u32,
-                uplink_bytes: self.link.uplink_bytes(),
-                queue_depth: self.resilience.queue_len() as u32,
-                breaker: Self::phase(self.resilience.state()),
-            });
         }
 
+        // Evaluation.
+        let eval = FrameEval {
+            detections,
+            ground_truth: frame.ground_truth.clone(),
+        };
+        let frame_map = frame_map_at_05(&eval, self.num_classes);
+        let detection_count = eval.detections.len();
+        self.per_frame_map.push(frame_map);
+        self.frame_evals.push(eval);
+
+        // The per-frame status sample: the telemetry timeline's
+        // backbone, emitted once per played frame after evaluation.
+        self.rec(Event::FrameStatus {
+            map: frame_map,
+            fps: fps_now,
+            sampling_rate: self.effective_rate(),
+            detections: detection_count as u32,
+            uplink_bytes: self.link.uplink_bytes(),
+            queue_depth: self.resilience.queue_len() as u32,
+            breaker: Self::phase(self.resilience.state()),
+        });
+        Ok(())
+    }
+
+    /// Assembles the report once every frame has been played.
+    fn finish(self) -> SimReport {
+        let frames_played = self.frames_played;
         let duration = frames_played as f64 / self.config.stream.fps as f64;
         let mut bandwidth = shoggoth_metrics::BandwidthMeter::new();
         bandwidth.record_uplink(self.link.uplink_bytes());
@@ -585,9 +554,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
         let (telemetry, totals) = self.fold.finish(duration);
         let sessions = telemetry.counters.adaptation_steps;
 
-        Ok(SimReport {
+        SimReport {
             resilience: ResilienceReport::new(&telemetry.counters, &totals, &self.link),
-            strategy: strategy.name(),
+            strategy: self.config.strategy.name(),
             stream_name: self.config.stream.name.clone(),
             frames: frames_played,
             duration_secs: duration,
@@ -613,21 +582,22 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 self.rate_sum / frames_played as f64
             },
             final_sampling_rate: self.sampling_rate,
-            // Cloud-Only's teacher infers every played frame; the other
-            // strategies' teacher labels the frames the uplink delivered.
-            teacher_frames: if strategy == Strategy::CloudOnly {
-                frames_played
-            } else {
-                totals.delivered_frames
+            // With every frame uploaded the teacher infers every played
+            // frame; otherwise it labels the frames the uplink delivered.
+            teacher_frames: match self.uplink {
+                Uplink::EveryFrame => frames_played,
+                Uplink::Off | Uplink::Sampled(_) => totals.delivered_frames,
             },
             cloud_training_secs: totals.cloud_training_secs,
             telemetry,
-        })
+        }
     }
 
-    /// Cloud-Only: upload the live frame, infer with the golden model,
-    /// ship mask-bearing results back.
-    fn cloud_only_frame(&mut self, frame: &Frame) -> Vec<shoggoth_models::Detection> {
+    /// The every-frame uplink: upload the live frame, infer with the
+    /// golden model, ship mask-bearing results back. Neither send's
+    /// outcome is consulted, so the detections arrive even through an
+    /// outage.
+    fn cloud_infer(&mut self, frame: &Frame) -> Vec<shoggoth_models::Detection> {
         let codec = &self.config.codec;
         let gop_position = (frame.index % codec.gop.max(1) as u64) as usize;
         let encoded = if gop_position == 0 {
@@ -655,6 +625,69 @@ impl<'a, R: Recorder> Engine<'a, R> {
             &mut self.rng,
         );
         detections
+    }
+
+    /// Resilience maintenance: matured label deliveries, upload timeouts,
+    /// the breaker clock, and retransmits whose backoff elapsed (the
+    /// in-order sequence is the determinism contract). Then a half-open
+    /// breaker probes as soon as it may: one single-frame chunk tests the
+    /// link, and no further probe launches until this one times out or is
+    /// acknowledged.
+    fn maintain_uplink(&mut self, frame: &Frame) {
+        let t = frame.timestamp;
+        let before = self.resilience.state();
+        self.deliver_labels(t);
+        self.trace_breaker(before);
+        let before = self.resilience.state();
+        let timeouts = self.resilience.expire(t, &mut self.rng);
+        for timeout in timeouts {
+            self.rec(Event::UploadTimedOut {
+                attempt: timeout.attempt,
+                probe: timeout.probe,
+                requeued: timeout.requeued,
+                shed: timeout.shed,
+            });
+        }
+        self.trace_breaker(before);
+        let before = self.resilience.state();
+        self.resilience.poll(t);
+        self.trace_breaker(before);
+        while let Some(q) = self.resilience.take_ready(t) {
+            self.transmit_chunk(t, q.frames, q.attempt, false);
+        }
+
+        if self.resilience.state() == BreakerState::HalfOpen && !self.resilience.probe_in_flight() {
+            self.transmit_chunk(t, vec![frame.clone()], 1, true);
+        }
+    }
+
+    /// Frame sampling toward the upload chunk. An open breaker suspends
+    /// the uplink: frames are still sampled (at the controller's outage
+    /// floor) but full chunks are counted and discarded instead of
+    /// transmitted; the probe machinery owns the uplink while half-open.
+    fn sample(&mut self, frame: &Frame) {
+        let t = frame.timestamp;
+        if t < self.next_sample_time {
+            return;
+        }
+        self.next_sample_time = t + 1.0 / self.effective_rate().max(1e-6);
+        let breaker = self.resilience.state();
+        if breaker == BreakerState::HalfOpen {
+            self.rec(Event::SampleSkipped);
+            return;
+        }
+        self.chunk.push(frame.clone());
+        self.rec(Event::FrameSampled {
+            chunk_len: self.chunk.len() as u32,
+            breaker: Self::phase(breaker),
+        });
+        if self.chunk.len() >= self.config.upload_chunk_frames {
+            if breaker == BreakerState::Closed {
+                self.upload_chunk(t);
+            } else {
+                self.suppress_chunk();
+            }
+        }
     }
 
     /// The sampling rate actually in force: the controller's rate while
@@ -713,17 +746,14 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
         let message = self.encode_chunk(&frames, 1.0 / self.sampling_rate.max(1e-6));
         let wire_bytes = message.bytes();
-        let outcome = self.link.send_uplink_outcome(t, message, &mut self.rng);
+        let outcome = self.link.send_uplink(t, message, &mut self.rng);
         self.rec(Event::ChunkUploaded {
             frames: frames.len() as u32,
             bytes: wire_bytes,
             attempt,
             probe,
             lost_to_outage: matches!(outcome, SendOutcome::LostToOutage),
-            latency_secs: match &outcome {
-                SendOutcome::Delivered(up) => Some(up.latency_secs),
-                SendOutcome::LostToOutage | SendOutcome::LostToLoss => None,
-            },
+            latency_secs: outcome.transfer().map(|up| up.latency_secs),
         });
         let mut pending = None;
         if let Some(up) = outcome.transfer() {
@@ -744,7 +774,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                         },
                         &mut self.rng,
                     );
-                    if let Some(down) = down {
+                    if let Some(down) = down.transfer() {
                         pending = Some((
                             t + up.latency_secs + extra_latency_secs + down.latency_secs,
                             labels.per_frame.concat(),
@@ -795,14 +825,13 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// labels it on delivery; the labels pool when they arrive back), and
     /// update the sampling rate.
     fn upload_chunk(&mut self, t: f64) {
-        let strategy = self.config.strategy;
         let frames = std::mem::take(&mut self.chunk);
         self.transmit_chunk(t, frames, 1, false);
 
         // Telemetry and rate control — once per chunk, so the controller
         // reacts within seconds of a scene change.
         self.link.send_uplink(t, Message::Telemetry, &mut self.rng);
-        if strategy.adaptive_rate() {
+        if self.uplink == Uplink::Sampled(Rate::Controller) {
             let alpha = if self.alpha_total == 0 {
                 self.config.cloud.controller.alpha_target
             } else {
@@ -829,68 +858,48 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
     }
 
-    /// A full training batch has pooled: adapt the student (edge-side or
-    /// cloud-side per strategy).
+    /// A full training batch has pooled: adapt the student wherever the
+    /// plan puts its adapter.
     fn adapt(&mut self, t: f64) -> Result<(), SimError> {
         let fresh = std::mem::take(&mut self.pool);
         self.pool_frames = 0;
-        match self.config.strategy {
-            Strategy::Ams => self.ams_adapt(&fresh, t),
-            _ => self.edge_adapt(&fresh, t),
-        }
-    }
-
-    /// Edge-side adaptive training (Shoggoth / Prompt / fixed rates).
-    fn edge_adapt(&mut self, fresh: &[LabeledSample], t: f64) -> Result<(), SimError> {
-        let report = self
-            .trainer
-            .train_session(&mut self.student, fresh, &mut self.rng)?;
-        let secs = self.session_wallclock(&self.config.edge_device);
-        self.training_until = t + secs;
-        self.busy_secs_window += secs;
-        self.rec(Event::AdaptationStep {
-            fresh_samples: report.fresh_samples as u32,
-            replay_samples: report.replay_samples_used as u32,
-            mini_batches: report.mini_batches as u32,
-            mean_loss: report.mean_loss,
-            first_batch_loss: report.first_batch_loss,
-            last_batch_loss: report.last_batch_loss,
-            session_secs: secs,
-            cloud_side: false,
-        });
-        Ok(())
-    }
-
-    /// AMS: the cloud fine-tunes a shadow student and streams the full
-    /// model back; edge inference never contends with training.
-    fn ams_adapt(&mut self, fresh: &[LabeledSample], t: f64) -> Result<(), SimError> {
-        let Some((shadow, shadow_trainer)) = self.shadow.as_mut() else {
-            return Err(SimError::Invariant {
-                context: "AMS runs always construct a shadow student",
-            });
-        };
-        let report = shadow_trainer.train_session(shadow, fresh, &mut self.rng)?;
-        let weights = shadow.net().export_weights();
-        let arrived = self
-            .link
-            .send_downlink(
-                t,
-                Message::ModelWeights {
+        let (report, session_secs, cloud_side) = match &mut self.adapter {
+            Adapter::None => return Ok(()),
+            Adapter::Edge {
+                trainer,
+                session_secs,
+            } => {
+                let report = trainer.train_session(&mut self.student, &fresh, &mut self.rng)?;
+                self.training_until = t + *session_secs;
+                self.busy_secs_window += *session_secs;
+                (report, *session_secs, false)
+            }
+            Adapter::CloudShadow {
+                student,
+                trainer,
+                session_secs,
+            } => {
+                let report = trainer.train_session(student, &fresh, &mut self.rng)?;
+                let weights = student.net().export_weights();
+                let update = Message::ModelWeights {
                     bytes: self.config.ams_update_bytes,
-                },
-                &mut self.rng,
-            )
-            .is_some();
-        if arrived {
-            self.student
-                .net_mut()
-                .import_weights(&weights)
-                .map_err(|source| SimError::Tensor {
-                    context: "AMS model update import",
-                    source,
-                })?;
-        }
-        let secs = self.ams_session_wallclock();
+                };
+                if self
+                    .link
+                    .send_downlink(t, update, &mut self.rng)
+                    .delivered()
+                {
+                    self.student
+                        .net_mut()
+                        .import_weights(&weights)
+                        .map_err(|source| SimError::Tensor {
+                            context: "AMS model update import",
+                            source,
+                        })?;
+                }
+                (report, *session_secs, true)
+            }
+        };
         self.rec(Event::AdaptationStep {
             fresh_samples: report.fresh_samples as u32,
             replay_samples: report.replay_samples_used as u32,
@@ -898,53 +907,51 @@ impl<'a, R: Recorder> Engine<'a, R> {
             mean_loss: report.mean_loss,
             first_batch_loss: report.first_batch_loss,
             last_batch_loss: report.last_batch_loss,
-            session_secs: secs,
-            cloud_side: true,
+            session_secs,
+            cloud_side,
         });
         Ok(())
     }
+}
 
-    /// Modeled wall-clock of one AMS cloud-side session: full fine-tuning
-    /// on raw frames (input-layer data, everything trainable, nothing
-    /// cacheable) at the paper's 1:5 fresh:window ratio.
-    fn ams_session_wallclock(&self) -> f64 {
-        let stack = shoggoth_compute::yolov4_resnet18();
-        let cfg = &self.config.trainer;
-        let mut plan =
-            TrainingPlan::input_replay(&stack).with_batch(cfg.batch_frames, cfg.batch_frames * 5);
+/// Modeled wall-clock of one AMS cloud-side session: full fine-tuning on
+/// raw frames (input-layer data, everything trainable, nothing cacheable)
+/// at the paper's 1:5 fresh:window ratio.
+fn ams_session_wallclock(cfg: &TrainerConfig, device: &DeviceProfile) -> f64 {
+    let stack = shoggoth_compute::yolov4_resnet18();
+    let mut plan =
+        TrainingPlan::input_replay(&stack).with_batch(cfg.batch_frames, cfg.batch_frames * 5);
+    plan.trainable_from = 0;
+    plan.epochs = cfg.epochs;
+    training_time(&stack, &plan, device).total_secs()
+}
+
+/// Modeled wall-clock of one edge training session on a device.
+fn session_wallclock(cfg: &TrainerConfig, device: &DeviceProfile) -> f64 {
+    let stack = shoggoth_compute::yolov4_resnet18();
+    let mut plan = match cfg.placement {
+        ReplayPlacement::Penultimate => TrainingPlan::paper_defaults(&stack),
+        ReplayPlacement::Input => TrainingPlan::input_replay(&stack),
+        ReplayPlacement::Layer(_) => TrainingPlan::conv5_4(&stack),
+    };
+    if cfg.replay_capacity <= 1 {
+        plan = TrainingPlan::no_replay(&stack);
+    }
+    if matches!(
+        cfg.freeze,
+        FreezePolicy::SlowFront { .. } | FreezePolicy::FullyTrainable
+    ) {
+        plan.cache_front = false;
         plan.trainable_from = 0;
-        plan.epochs = cfg.epochs;
-        training_time(&stack, &plan, &self.config.cloud_device).total_secs()
     }
-
-    /// Modeled wall-clock of one training session on a device.
-    fn session_wallclock(&self, device: &DeviceProfile) -> f64 {
-        let stack = shoggoth_compute::yolov4_resnet18();
-        let cfg = &self.config.trainer;
-        let mut plan = match cfg.placement {
-            ReplayPlacement::Penultimate => TrainingPlan::paper_defaults(&stack),
-            ReplayPlacement::Input => TrainingPlan::input_replay(&stack),
-            ReplayPlacement::Layer(_) => TrainingPlan::conv5_4(&stack),
-        };
-        if cfg.replay_capacity <= 1 {
-            plan = TrainingPlan::no_replay(&stack);
-        }
-        if matches!(
-            cfg.freeze,
-            FreezePolicy::SlowFront { .. } | FreezePolicy::FullyTrainable
-        ) {
-            plan.cache_front = false;
-            plan.trainable_from = 0;
-        }
-        let replay_frames = if plan.replay_images == 0 {
-            0
-        } else {
-            cfg.batch_frames * 5
-        };
-        plan = plan.with_batch(cfg.batch_frames, replay_frames);
-        plan.epochs = cfg.epochs;
-        training_time(&stack, &plan, device).total_secs()
-    }
+    let replay_frames = if plan.replay_images == 0 {
+        0
+    } else {
+        cfg.batch_frames * 5
+    };
+    plan = plan.with_batch(cfg.batch_frames, replay_frames);
+    plan.epochs = cfg.epochs;
+    training_time(&stack, &plan, device).total_secs()
 }
 
 #[cfg(test)]

@@ -45,32 +45,20 @@ impl Strategy {
 
     /// Whether the edge device samples and uploads frames for labeling.
     pub fn uses_sampling(&self) -> bool {
-        matches!(
-            self,
-            Strategy::Shoggoth | Strategy::Prompt | Strategy::Ams | Strategy::FixedRate(_)
-        )
+        matches!(self.plan().0, Uplink::Sampled(_))
     }
 
-    /// Whether the sampling rate adapts via the controller (Eqs. 2–3).
-    pub fn adaptive_rate(&self) -> bool {
-        matches!(self, Strategy::Shoggoth | Strategy::Ams)
-    }
-
-    /// Whether adaptation training runs on the edge device (contending
-    /// with inference for the GPU).
-    pub fn trains_on_edge(&self) -> bool {
-        matches!(
-            self,
-            Strategy::Shoggoth | Strategy::Prompt | Strategy::FixedRate(_)
-        )
-    }
-
-    /// The fixed sampling rate, if this strategy has one.
-    pub fn fixed_rate(&self) -> Option<f64> {
+    /// Where this strategy's frames go and where its student adapts: the
+    /// one place a strategy is resolved into engine behaviour.
+    pub(crate) fn plan(self) -> (Uplink, AdapterSite) {
         match self {
-            Strategy::Prompt => Some(2.0),
-            Strategy::FixedRate(r) => Some(*r),
-            _ => None,
+            Strategy::Shoggoth => (Uplink::Sampled(Rate::Controller), AdapterSite::Edge),
+            Strategy::EdgeOnly => (Uplink::Off, AdapterSite::None),
+            Strategy::CloudOnly => (Uplink::EveryFrame, AdapterSite::None),
+            // The paper's maximum sampling rate.
+            Strategy::Prompt => (Uplink::Sampled(Rate::Fixed(2.0)), AdapterSite::Edge),
+            Strategy::Ams => (Uplink::Sampled(Rate::Controller), AdapterSite::CloudShadow),
+            Strategy::FixedRate(r) => (Uplink::Sampled(Rate::Fixed(r)), AdapterSite::Edge),
         }
     }
 
@@ -92,28 +80,60 @@ impl std::fmt::Display for Strategy {
     }
 }
 
+/// Where a strategy sends its frames.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Uplink {
+    /// No frame leaves the edge.
+    Off,
+    /// Every frame is uploaded; the cloud teacher's detections are the
+    /// system's output.
+    EveryFrame,
+    /// Sampled frames are uploaded in chunks for labeling, at a rate
+    /// set by the [`Rate`].
+    Sampled(Rate),
+}
+
+/// Who sets a sampled uplink's rate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Rate {
+    /// The cloud controller (Eqs. 2–3), once per uploaded chunk.
+    Controller,
+    /// A fixed rate in fps.
+    Fixed(f64),
+}
+
+/// Where a strategy adapts its student.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AdapterSite {
+    /// The student never adapts.
+    None,
+    /// On the edge device, contending with inference for the GPU.
+    Edge,
+    /// On a cloud-side shadow student whose weights stream to the edge.
+    CloudShadow,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sampling_and_training_flags_are_consistent() {
-        assert!(Strategy::Shoggoth.uses_sampling());
-        assert!(Strategy::Shoggoth.adaptive_rate());
-        assert!(Strategy::Shoggoth.trains_on_edge());
-        assert!(!Strategy::EdgeOnly.uses_sampling());
-        assert!(!Strategy::CloudOnly.uses_sampling());
-        assert!(Strategy::Ams.uses_sampling());
-        assert!(Strategy::Ams.adaptive_rate());
-        assert!(!Strategy::Ams.trains_on_edge(), "AMS trains in the cloud");
-        assert!(!Strategy::Prompt.adaptive_rate());
-    }
-
-    #[test]
-    fn prompt_is_pinned_at_two_fps() {
-        assert_eq!(Strategy::Prompt.fixed_rate(), Some(2.0));
-        assert_eq!(Strategy::FixedRate(0.4).fixed_rate(), Some(0.4));
-        assert_eq!(Strategy::Shoggoth.fixed_rate(), None);
+    fn plan_table_covers_every_strategy() {
+        let controlled = Uplink::Sampled(Rate::Controller);
+        let fixed = |r| Uplink::Sampled(Rate::Fixed(r));
+        let table = [
+            (Strategy::Shoggoth, controlled, AdapterSite::Edge),
+            (Strategy::EdgeOnly, Uplink::Off, AdapterSite::None),
+            (Strategy::CloudOnly, Uplink::EveryFrame, AdapterSite::None),
+            (Strategy::Prompt, fixed(2.0), AdapterSite::Edge),
+            (Strategy::Ams, controlled, AdapterSite::CloudShadow),
+            (Strategy::FixedRate(0.4), fixed(0.4), AdapterSite::Edge),
+        ];
+        for (strategy, uplink, site) in table {
+            assert_eq!(strategy.plan(), (uplink, site), "{strategy}");
+            let sampled = matches!(uplink, Uplink::Sampled(_));
+            assert_eq!(strategy.uses_sampling(), sampled, "{strategy}");
+        }
     }
 
     #[test]

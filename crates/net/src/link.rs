@@ -136,7 +136,7 @@ impl SendOutcome {
 /// let mut link = Link::new(LinkConfig::cellular())?;
 /// let mut rng = Rng::seed_from(0);
 /// let sent = link.send_uplink(0.0, Message::Labels { samples: 10 }, &mut rng);
-/// assert!(sent.is_some());
+/// assert!(sent.delivered());
 /// assert!(link.uplink_bytes() > 0);
 /// # Ok::<(), shoggoth_net::fault::InvalidLink>(())
 /// ```
@@ -176,51 +176,18 @@ impl Link {
         &self.config
     }
 
-    /// Sends a message edge → cloud at simulation time `now_secs`.
-    /// Returns `None` if the message was lost; lost messages still
+    /// Sends a message edge → cloud at simulation time `now_secs`,
+    /// reporting whether it arrived and, if not, why. Lost messages still
     /// consume uplink bytes (the sender transmitted them).
-    pub fn send_uplink(
-        &mut self,
-        now_secs: f64,
-        message: Message,
-        rng: &mut Rng,
-    ) -> Option<Transfer> {
-        self.send_uplink_outcome(now_secs, message, rng).transfer()
-    }
-
-    /// Sends a message cloud → edge (same semantics as
-    /// [`send_uplink`](Self::send_uplink)).
-    pub fn send_downlink(
-        &mut self,
-        now_secs: f64,
-        message: Message,
-        rng: &mut Rng,
-    ) -> Option<Transfer> {
-        self.send_downlink_outcome(now_secs, message, rng)
-            .transfer()
-    }
-
-    /// Sends a message edge → cloud, reporting the full [`SendOutcome`]
-    /// (why a lost message was lost). Identical byte accounting and RNG
-    /// draw sequence as [`send_uplink`](Self::send_uplink).
-    pub fn send_uplink_outcome(
-        &mut self,
-        now_secs: f64,
-        message: Message,
-        rng: &mut Rng,
-    ) -> SendOutcome {
+    pub fn send_uplink(&mut self, now_secs: f64, message: Message, rng: &mut Rng) -> SendOutcome {
         let bytes = message.bytes();
         self.uplink_bytes += bytes;
         self.transfer(now_secs, bytes, self.config.uplink_kbps, rng)
     }
 
-    /// Sends a message cloud → edge, reporting the full [`SendOutcome`].
-    pub fn send_downlink_outcome(
-        &mut self,
-        now_secs: f64,
-        message: Message,
-        rng: &mut Rng,
-    ) -> SendOutcome {
+    /// Sends a message cloud → edge (same semantics as
+    /// [`send_uplink`](Self::send_uplink)).
+    pub fn send_downlink(&mut self, now_secs: f64, message: Message, rng: &mut Rng) -> SendOutcome {
         let bytes = message.bytes();
         self.downlink_bytes += bytes;
         self.transfer(now_secs, bytes, self.config.downlink_kbps, rng)
@@ -327,6 +294,7 @@ mod tests {
         let mut rng = Rng::seed_from(2);
         let t = link
             .send_uplink(0.0, Message::ModelWeights { bytes: 936 }, &mut rng)
+            .transfer()
             .expect("no loss configured");
         // 936 + 64 header = 1000 bytes at 1 kB/s = 1 s, plus 0.1 s base.
         assert!((t.latency_secs - 1.1).abs() < 1e-9, "{}", t.latency_secs);
@@ -336,9 +304,9 @@ mod tests {
     fn lossy_link_drops_but_still_bills_uplink() {
         let mut link = Link::new(LinkConfig::cellular().with_loss_rate(1.0)).expect("valid config");
         let mut rng = Rng::seed_from(3);
-        assert!(link
+        assert!(!link
             .send_uplink(0.0, Message::Telemetry, &mut rng)
-            .is_none());
+            .delivered());
         assert_eq!(link.dropped_messages(), 1);
         assert!(link.uplink_bytes() > 0);
     }
@@ -380,16 +348,16 @@ mod tests {
         let mut rng = Rng::seed_from(4);
         assert!(link
             .send_uplink(9.9, Message::Telemetry, &mut rng)
-            .is_some());
-        assert!(link
+            .delivered());
+        assert!(!link
             .send_uplink(10.0, Message::Telemetry, &mut rng)
-            .is_none());
-        assert!(link
+            .delivered());
+        assert!(!link
             .send_uplink(19.9, Message::Telemetry, &mut rng)
-            .is_none());
+            .delivered());
         assert!(link
             .send_uplink(20.0, Message::Telemetry, &mut rng)
-            .is_some());
+            .delivered());
         assert_eq!(link.outage_drops(), 2);
         assert_eq!(link.dropped_messages(), 2);
         // Outage drops are still billed: the edge transmitted into the void.
@@ -407,8 +375,14 @@ mod tests {
         let mut link = Link::new(config).expect("valid config");
         let mut rng = Rng::seed_from(5);
         let msg = Message::ModelWeights { bytes: 936 };
-        let clean = link.send_uplink(0.0, msg, &mut rng).expect("delivered");
-        let degraded = link.send_uplink(15.0, msg, &mut rng).expect("delivered");
+        let clean = link
+            .send_uplink(0.0, msg, &mut rng)
+            .transfer()
+            .expect("delivered");
+        let degraded = link
+            .send_uplink(15.0, msg, &mut rng)
+            .transfer()
+            .expect("delivered");
         assert!((degraded.latency_secs - 2.0 * clean.latency_secs).abs() < 1e-9);
         assert_eq!(link.dropped_messages(), 0);
     }
@@ -430,8 +404,12 @@ mod tests {
         for _ in 0..32 {
             let j = jittered
                 .send_uplink(0.0, msg, &mut rng_a)
+                .transfer()
                 .expect("delivered");
-            let c = clean.send_uplink(0.0, msg, &mut rng_b).expect("delivered");
+            let c = clean
+                .send_uplink(0.0, msg, &mut rng_b)
+                .transfer()
+                .expect("delivered");
             let extra = j.latency_secs - c.latency_secs;
             assert!(
                 (0.0..0.05).contains(&extra),
@@ -464,17 +442,17 @@ mod tests {
         let outage = LinkConfig::cellular().with_fault(FaultProfile::none().with_outage(0.0, 10.0));
         let mut link = Link::new(outage).expect("valid config");
         assert_eq!(
-            link.send_uplink_outcome(1.0, Message::Telemetry, &mut rng),
+            link.send_uplink(1.0, Message::Telemetry, &mut rng),
             SendOutcome::LostToOutage
         );
         let mut lossy =
             Link::new(LinkConfig::cellular().with_loss_rate(1.0)).expect("valid config");
         assert_eq!(
-            lossy.send_uplink_outcome(0.0, Message::Telemetry, &mut rng),
+            lossy.send_uplink(0.0, Message::Telemetry, &mut rng),
             SendOutcome::LostToLoss
         );
         let mut clean = Link::new(LinkConfig::cellular()).expect("valid config");
-        let outcome = clean.send_downlink_outcome(0.0, Message::Telemetry, &mut rng);
+        let outcome = clean.send_downlink(0.0, Message::Telemetry, &mut rng);
         assert!(outcome.delivered());
         assert!(outcome.transfer().is_some());
     }

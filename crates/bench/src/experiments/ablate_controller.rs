@@ -12,14 +12,14 @@ use crate::{
     experiment_config, experiment_frames, experiment_seed, rule, run_strategy, write_json,
     SharedModels,
 };
-use serde::Serialize;
 use shoggoth::controller::ControllerConfig;
 use shoggoth::sim::Simulation;
 use shoggoth::strategy::Strategy;
+use shoggoth_util::json::{self, Obj};
 use shoggoth_video::presets;
 
 /// One ablation row.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct ControllerRow {
     /// Variant label.
     pub variant: String,
@@ -33,8 +33,28 @@ pub struct ControllerRow {
     pub sessions: usize,
 }
 
+impl ControllerRow {
+    /// The row as a JSON object.
+    pub fn to_json(&self) -> String {
+        let Self {
+            variant,
+            map50,
+            uplink_kbps,
+            avg_rate,
+            sessions,
+        } = self;
+        Obj::new()
+            .text("variant", variant)
+            .num("map50", *map50)
+            .num("uplink_kbps", *uplink_kbps)
+            .num("avg_rate", *avg_rate)
+            .int("sessions", *sessions as u64)
+            .finish()
+    }
+}
+
 /// Serializable result bundle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct ControllerResult {
     /// Frames simulated.
     pub frames: u64,
@@ -42,6 +62,21 @@ pub struct ControllerResult {
     pub seed: u64,
     /// Ablation rows.
     pub rows: Vec<ControllerRow>,
+}
+
+impl ControllerResult {
+    /// The result as a JSON object.
+    pub fn to_json(&self) -> String {
+        let Self { frames, seed, rows } = self;
+        Obj::new()
+            .int("frames", *frames)
+            .int("seed", *seed)
+            .raw(
+                "rows",
+                &json::array(rows.iter().map(ControllerRow::to_json)),
+            )
+            .finish()
+    }
 }
 
 fn variants() -> Vec<(&'static str, ControllerConfig)> {
@@ -133,6 +168,6 @@ pub fn run() -> ControllerResult {
     );
 
     let result = ControllerResult { frames, seed, rows };
-    write_json("ablate_controller", &result);
+    write_json("ablate_controller", &result.to_json());
     result
 }

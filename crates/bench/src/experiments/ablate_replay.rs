@@ -7,14 +7,14 @@
 use crate::{
     experiment_config, experiment_frames, experiment_seed, rule, write_json, SharedModels,
 };
-use serde::Serialize;
 use shoggoth::sim::Simulation;
 use shoggoth::strategy::Strategy;
 use shoggoth::trainer::TrainerConfig;
+use shoggoth_util::json::{self, Obj};
 use shoggoth_video::presets;
 
 /// One capacity row.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct ReplayRow {
     /// Replay memory capacity in samples.
     pub capacity: usize,
@@ -24,8 +24,24 @@ pub struct ReplayRow {
     pub average_iou: f64,
 }
 
+impl ReplayRow {
+    /// The row as a JSON object.
+    pub fn to_json(&self) -> String {
+        let Self {
+            capacity,
+            map50,
+            average_iou,
+        } = self;
+        Obj::new()
+            .int("capacity", *capacity as u64)
+            .num("map50", *map50)
+            .num("average_iou", *average_iou)
+            .finish()
+    }
+}
+
 /// Serializable result bundle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct ReplayResult {
     /// Frames simulated.
     pub frames: u64,
@@ -33,6 +49,18 @@ pub struct ReplayResult {
     pub seed: u64,
     /// Capacity sweep rows.
     pub rows: Vec<ReplayRow>,
+}
+
+impl ReplayResult {
+    /// The result as a JSON object.
+    pub fn to_json(&self) -> String {
+        let Self { frames, seed, rows } = self;
+        Obj::new()
+            .int("frames", *frames)
+            .int("seed", *seed)
+            .raw("rows", &json::array(rows.iter().map(ReplayRow::to_json)))
+            .finish()
+    }
 }
 
 /// Runs the replay-capacity sweep on the UA-DETRAC preset.
@@ -79,6 +107,6 @@ pub fn run() -> ReplayResult {
     rule(48);
 
     let result = ReplayResult { frames, seed, rows };
-    write_json("ablate_replay", &result);
+    write_json("ablate_replay", &result.to_json());
     result
 }

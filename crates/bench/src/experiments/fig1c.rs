@@ -4,12 +4,12 @@
 //! model.
 
 use crate::{experiment_seed, rule, write_json};
-use serde::Serialize;
+use shoggoth_util::json::{self, Obj};
 use shoggoth_video::domain::class_histogram;
 use shoggoth_video::presets;
 
 /// Serializable result bundle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Fig1cResult {
     /// Experiment seed.
     pub seed: u64,
@@ -18,6 +18,28 @@ pub struct Fig1cResult {
     /// (domain name, mean appearance distance of class prototypes from
     /// the source domain).
     pub appearance_shift: Vec<(String, f64)>,
+}
+
+impl Fig1cResult {
+    /// The result as a JSON object; each tuple is an array.
+    pub fn to_json(&self) -> String {
+        let Self {
+            seed,
+            histograms,
+            appearance_shift,
+        } = self;
+        let histograms = histograms
+            .iter()
+            .map(|(name, hist)| json::array([json::text(name), json::nums(hist)]));
+        let appearance_shift = appearance_shift
+            .iter()
+            .map(|(name, mean)| json::array([json::text(name), json::num(*mean)]));
+        Obj::new()
+            .int("seed", *seed)
+            .raw("histograms", &json::array(histograms))
+            .raw("appearance_shift", &json::array(appearance_shift))
+            .finish()
+    }
 }
 
 /// Runs the Figure 1(c) analysis.
@@ -91,6 +113,6 @@ pub fn run() -> Fig1cResult {
         histograms,
         appearance_shift,
     };
-    write_json("fig1c", &result);
+    write_json("fig1c", &result.to_json());
     result
 }

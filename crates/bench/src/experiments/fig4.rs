@@ -6,12 +6,12 @@
 //! sessions halve the rate while they run.
 
 use crate::{experiment_frames, experiment_seed, rule, run_strategy, write_json, SharedModels};
-use serde::Serialize;
 use shoggoth::strategy::Strategy;
+use shoggoth_util::json::{self, Obj};
 use shoggoth_video::presets;
 
 /// Serializable result bundle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Fig4Result {
     /// Frames simulated.
     pub frames: u64,
@@ -21,6 +21,27 @@ pub struct Fig4Result {
     pub averages: Vec<(String, f64, f64)>,
     /// Shoggoth's per-second FPS series (time s, fps).
     pub shoggoth_series: Vec<(f64, f64)>,
+}
+
+impl Fig4Result {
+    /// The result as a JSON object; each tuple is an array.
+    pub fn to_json(&self) -> String {
+        let Self {
+            frames,
+            seed,
+            averages,
+            shoggoth_series,
+        } = self;
+        let averages = averages.iter().map(|(name, avg, min)| {
+            json::array([json::text(name), json::num(*avg), json::num(*min)])
+        });
+        Obj::new()
+            .int("frames", *frames)
+            .int("seed", *seed)
+            .raw("averages", &json::array(averages))
+            .raw("shoggoth_series", &json::pairs(shoggoth_series))
+            .finish()
+    }
 }
 
 /// Runs the Figure 4 experiment.
@@ -81,6 +102,6 @@ pub fn run() -> Fig4Result {
         averages,
         shoggoth_series,
     };
-    write_json("fig4", &result);
+    write_json("fig4", &result.to_json());
     result
 }

@@ -10,13 +10,13 @@
 //! Prompt is the weakest adaptive strategy.
 
 use crate::{experiment_frames, experiment_seed, rule, run_strategy, write_json, SharedModels};
-use serde::Serialize;
 use shoggoth::strategy::Strategy;
+use shoggoth_util::json::{self, Obj};
 use shoggoth_util::stats::EmpiricalCdf;
 use shoggoth_video::presets;
 
 /// Serializable result bundle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Fig5Result {
     /// Frames simulated.
     pub frames: u64,
@@ -31,6 +31,34 @@ pub struct Fig5Result {
     /// Fraction of frames where Shoggoth's gain meets or exceeds
     /// Cloud-Only's gain.
     pub shoggoth_meets_cloud: f64,
+}
+
+impl Fig5Result {
+    /// The result as a JSON object; each tuple is an array.
+    pub fn to_json(&self) -> String {
+        let Self {
+            frames,
+            seed,
+            curves,
+            fraction_above_zero,
+            shoggoth_beats_ams,
+            shoggoth_meets_cloud,
+        } = self;
+        let curves = curves
+            .iter()
+            .map(|(name, curve)| json::array([json::text(name), json::pairs(curve)]));
+        let fraction_above_zero = fraction_above_zero
+            .iter()
+            .map(|(name, fraction)| json::array([json::text(name), json::num(*fraction)]));
+        Obj::new()
+            .int("frames", *frames)
+            .int("seed", *seed)
+            .raw("curves", &json::array(curves))
+            .raw("fraction_above_zero", &json::array(fraction_above_zero))
+            .num("shoggoth_beats_ams", *shoggoth_beats_ams)
+            .num("shoggoth_meets_cloud", *shoggoth_meets_cloud)
+            .finish()
+    }
 }
 
 /// Runs the Figure 5 experiment.
@@ -124,7 +152,7 @@ pub fn run() -> Fig5Result {
         shoggoth_beats_ams: beats_ams,
         shoggoth_meets_cloud: meets_cloud,
     };
-    write_json("fig5", &result);
+    write_json("fig5", &result.to_json());
     result
 }
 

@@ -9,14 +9,14 @@
 //! number of devices one GPU can sustain.
 
 use crate::{experiment_frames, experiment_seed, rule, write_json};
-use serde::Serialize;
 use shoggoth::fleet::{run_fleet, FleetConfig, FleetReport};
 use shoggoth::sim::SimConfig;
 use shoggoth::strategy::Strategy;
+use shoggoth_util::json::{self, Obj};
 use shoggoth_video::presets;
 
 /// Serializable result bundle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct FleetResult {
     /// Frames simulated per device.
     pub frames: u64,
@@ -26,6 +26,27 @@ pub struct FleetResult {
     pub devices: usize,
     /// Per-strategy fleet reports.
     pub fleets: Vec<FleetReport>,
+}
+
+impl FleetResult {
+    /// The result as a JSON object with the fleet reports nested.
+    pub fn to_json(&self) -> String {
+        let Self {
+            frames,
+            seed,
+            devices,
+            fleets,
+        } = self;
+        Obj::new()
+            .int("frames", *frames)
+            .int("seed", *seed)
+            .int("devices", *devices as u64)
+            .raw(
+                "fleets",
+                &json::array(fleets.iter().map(FleetReport::to_json)),
+            )
+            .finish()
+    }
 }
 
 /// Runs the fleet-scalability analysis.
@@ -92,6 +113,6 @@ pub fn run() -> FleetResult {
         devices,
         fleets,
     };
-    write_json("fleet", &result);
+    write_json("fleet", &result.to_json());
     result
 }

@@ -9,9 +9,9 @@
 //! behind.
 
 use crate::{experiment_frames, experiment_seed, rule, run_strategies, write_json, SharedModels};
-use serde::Serialize;
 use shoggoth::sim::SimReport;
 use shoggoth::strategy::Strategy;
+use shoggoth_util::json::{self, Obj};
 use shoggoth_video::presets;
 
 /// One strategy row of paper Table I: `(up, down, mAP %)`.
@@ -53,7 +53,7 @@ const PAPER: [(&str, [PaperRow; 5]); 3] = [
 ];
 
 /// Serializable result bundle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table1Result {
     /// Frames simulated per stream.
     pub frames_per_stream: u64,
@@ -61,6 +61,25 @@ pub struct Table1Result {
     pub seed: u64,
     /// One report per (stream, strategy), stream-major in Table I order.
     pub reports: Vec<SimReport>,
+}
+
+impl Table1Result {
+    /// The result as a JSON object with the reports nested.
+    pub fn to_json(&self) -> String {
+        let Self {
+            frames_per_stream,
+            seed,
+            reports,
+        } = self;
+        Obj::new()
+            .int("frames_per_stream", *frames_per_stream)
+            .int("seed", *seed)
+            .raw(
+                "reports",
+                &json::array(reports.iter().map(SimReport::to_json)),
+            )
+            .finish()
+    }
 }
 
 /// Runs the Table I experiment and returns all reports.
@@ -118,6 +137,6 @@ pub fn run() -> Table1Result {
         seed,
         reports: all_reports,
     };
-    write_json("table1", &result);
+    write_json("table1", &result.to_json());
     result
 }

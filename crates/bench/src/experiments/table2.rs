@@ -9,12 +9,12 @@
 use crate::{
     experiment_config, experiment_frames, experiment_seed, rule, write_json, SharedModels,
 };
-use serde::Serialize;
 use shoggoth::sim::Simulation;
 use shoggoth::strategy::Strategy;
 use shoggoth::trainer::{FreezePolicy, ReplayPlacement, TrainerConfig};
 use shoggoth_compute::training::{training_time, TrainingPlan};
 use shoggoth_compute::{jetson_tx2, yolov4_resnet18};
+use shoggoth_util::json::{self, Obj};
 use shoggoth_video::presets;
 
 /// Paper Table II reference: (method, mAP %, forward s, backward s,
@@ -28,7 +28,7 @@ const PAPER: [(&str, f64, f64, f64, f64); 5] = [
 ];
 
 /// One measured ablation row.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table2Row {
     /// Variant name.
     pub method: String,
@@ -42,8 +42,28 @@ pub struct Table2Row {
     pub overall_secs: f64,
 }
 
+impl Table2Row {
+    /// The row as a JSON object.
+    pub fn to_json(&self) -> String {
+        let Self {
+            method,
+            map50,
+            forward_secs,
+            backward_secs,
+            overall_secs,
+        } = self;
+        Obj::new()
+            .text("method", method)
+            .num("map50", *map50)
+            .num("forward_secs", *forward_secs)
+            .num("backward_secs", *backward_secs)
+            .num("overall_secs", *overall_secs)
+            .finish()
+    }
+}
+
 /// Serializable result bundle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table2Result {
     /// Frames simulated.
     pub frames: u64,
@@ -51,6 +71,18 @@ pub struct Table2Result {
     pub seed: u64,
     /// Measured rows in Table II order.
     pub rows: Vec<Table2Row>,
+}
+
+impl Table2Result {
+    /// The result as a JSON object.
+    pub fn to_json(&self) -> String {
+        let Self { frames, seed, rows } = self;
+        Obj::new()
+            .int("frames", *frames)
+            .int("seed", *seed)
+            .raw("rows", &json::array(rows.iter().map(Table2Row::to_json)))
+            .finish()
+    }
 }
 
 /// Builds the trainer-config and wall-clock plan for each Table II variant.
@@ -157,7 +189,7 @@ pub fn run() -> Table2Result {
     rule(100);
 
     let result = Table2Result { frames, seed, rows };
-    write_json("table2", &result);
+    write_json("table2", &result.to_json());
     result
 }
 

@@ -7,8 +7,8 @@
 //! every fixed rate at a mid-range uplink cost.
 
 use crate::{experiment_frames, experiment_seed, rule, run_strategy, write_json, SharedModels};
-use serde::Serialize;
 use shoggoth::strategy::Strategy;
+use shoggoth_util::json::{self, Obj};
 use shoggoth_video::presets;
 
 /// Paper Table III reference: (rate label, up Kbps, average IoU).
@@ -23,7 +23,7 @@ const PAPER: [(&str, f64, f64); 7] = [
 ];
 
 /// One measured sensitivity row.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table3Row {
     /// Rate label (fps or "Adaptive").
     pub rate: String,
@@ -35,8 +35,26 @@ pub struct Table3Row {
     pub map50: f64,
 }
 
+impl Table3Row {
+    /// The row as a JSON object.
+    pub fn to_json(&self) -> String {
+        let Self {
+            rate,
+            uplink_kbps,
+            average_iou,
+            map50,
+        } = self;
+        Obj::new()
+            .text("rate", rate)
+            .num("uplink_kbps", *uplink_kbps)
+            .num("average_iou", *average_iou)
+            .num("map50", *map50)
+            .finish()
+    }
+}
+
 /// Serializable result bundle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table3Result {
     /// Frames simulated.
     pub frames: u64,
@@ -44,6 +62,18 @@ pub struct Table3Result {
     pub seed: u64,
     /// Rows in Table III order.
     pub rows: Vec<Table3Row>,
+}
+
+impl Table3Result {
+    /// The result as a JSON object.
+    pub fn to_json(&self) -> String {
+        let Self { frames, seed, rows } = self;
+        Obj::new()
+            .int("frames", *frames)
+            .int("seed", *seed)
+            .raw("rows", &json::array(rows.iter().map(Table3Row::to_json)))
+            .finish()
+    }
 }
 
 /// Runs the Table III sensitivity sweep.
@@ -93,6 +123,6 @@ pub fn run() -> Table3Result {
     rule(76);
 
     let result = Table3Result { frames, seed, rows };
-    write_json("table3", &result);
+    write_json("table3", &result.to_json());
     result
 }

@@ -47,14 +47,14 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Writes a serializable result next to the printed table.
+/// Writes a result's JSON text to `target/experiments/<name>.json`, next
+/// to the printed table.
 ///
 /// # Panics
 ///
-/// Aborts if the result cannot be serialized or written.
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
+/// Aborts if the file cannot be written.
+pub fn write_json(name: &str, json: &str) {
     let path = out_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("results serialize");
     std::fs::write(&path, json).expect("can write result file");
     println!("\n[results written to {}]", path.display());
 }

@@ -1,7 +1,5 @@
 //! Inference/training GPU contention (Figure 4).
 
-use serde::{Deserialize, Serialize};
-
 /// Models how much inference throughput survives while an adaptive
 /// training session shares the device.
 ///
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.inference_fps(30.0, false), 30.0);
 /// assert_eq!(c.inference_fps(30.0, true), 15.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Contention {
     /// Fraction of idle inference throughput available during training.
     pub inference_share: f64,

@@ -38,10 +38,8 @@ pub use contention::Contention;
 pub use stack::{yolov4_resnet18, LayerStack};
 pub use training::{training_time, TrainingPlan, TrainingTime};
 
-use serde::{Deserialize, Serialize};
-
 /// Sustained compute characteristics of a device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceProfile {
     /// Device name for reports.
     pub name: &'static str,

@@ -2,11 +2,10 @@
 
 use crate::stack::LayerStack;
 use crate::DeviceProfile;
-use serde::{Deserialize, Serialize};
 
 /// A description of one adaptive training session, sufficient to estimate
 /// its wall-clock cost on a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingPlan {
     /// Layer-group index where replay activations inject (`0` = input).
     pub replay_layer: usize,
@@ -107,7 +106,7 @@ impl TrainingPlan {
 }
 
 /// Estimated wall-clock of one training session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingTime {
     /// Seconds spent in forward passes.
     pub forward_secs: f64,

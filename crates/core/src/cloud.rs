@@ -2,7 +2,6 @@
 
 use crate::controller::{phi_score, ControllerConfig, RateDecision, SamplingRateController};
 use crate::error::InvalidConfig;
-use serde::{Deserialize, Serialize};
 use shoggoth_models::{
     detections_from, features_matrix, pseudo_label_from, Detection, Detector, LabeledSample,
     TeacherDetector,
@@ -15,7 +14,7 @@ use shoggoth_video::Frame;
 /// returns them late — both starve the edge's training pool exactly like
 /// link loss does, so the resilience layer must treat them the same way
 /// (an unacknowledged upload).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloudFaultProfile {
     /// Probability a delivered batch's labels are never returned.
     pub label_drop_rate: f64,

@@ -13,14 +13,13 @@
 //! ```
 
 use crate::error::InvalidConfig;
-use serde::{Deserialize, Serialize};
 use shoggoth_metrics::match_detections;
 use shoggoth_models::Detection;
 use shoggoth_util::{Ewma, RingBuffer};
 use shoggoth_video::GroundTruthObject;
 
 /// Controller parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Target scene-change score `φ_target`.
     pub phi_target: f64,
@@ -78,7 +77,7 @@ impl Default for ControllerConfig {
 /// One controller update, fully attributed: every Eq. (2)–(3) input and
 /// term alongside the resulting rate, so telemetry can explain *why* the
 /// rate moved (φ pressure, α pressure, or the λ carry term).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateDecision {
     /// Scene-change score φ̄ over the recent-frame horizon.
     pub phi_bar: f64,

@@ -12,11 +12,11 @@
 
 use crate::error::SimError;
 use crate::sim::{SimConfig, SimReport, Simulation};
-use serde::Serialize;
 use shoggoth_compute::stack::mask_rcnn_x101;
 use shoggoth_compute::DeviceProfile;
 use shoggoth_models::{StudentDetector, TeacherDetector};
 use shoggoth_telemetry::{NoopRecorder, Record, Recorder, RingRecorder};
+use shoggoth_util::json::{self, Obj};
 use shoggoth_util::parallel_map;
 
 /// Configuration of a fleet analysis.
@@ -64,7 +64,7 @@ impl FleetConfig {
 ///
 /// `PartialEq` is derived so determinism tests can compare whole fleet
 /// runs across thread counts.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Strategy analyzed.
     pub strategy: String,
@@ -86,6 +86,38 @@ pub struct FleetReport {
     pub supported_devices_per_gpu: f64,
     /// Mean uplink Kbps per device.
     pub mean_uplink_kbps: f64,
+}
+
+impl FleetReport {
+    /// The report as a JSON object with the per-device reports nested;
+    /// an unlimited `supported_devices_per_gpu` is written as `null`.
+    pub fn to_json(&self) -> String {
+        let Self {
+            strategy,
+            devices,
+            per_device,
+            mean_map50,
+            cloud_gpu_secs,
+            duration_secs,
+            gpu_utilization_per_device,
+            supported_devices_per_gpu,
+            mean_uplink_kbps,
+        } = self;
+        Obj::new()
+            .text("strategy", strategy)
+            .int("devices", *devices as u64)
+            .raw(
+                "per_device",
+                &json::array(per_device.iter().map(SimReport::to_json)),
+            )
+            .num("mean_map50", *mean_map50)
+            .num("cloud_gpu_secs", *cloud_gpu_secs)
+            .num("duration_secs", *duration_secs)
+            .num("gpu_utilization_per_device", *gpu_utilization_per_device)
+            .num("supported_devices_per_gpu", *supported_devices_per_gpu)
+            .num("mean_uplink_kbps", *mean_uplink_kbps)
+            .finish()
+    }
 }
 
 impl std::fmt::Display for FleetReport {

@@ -39,14 +39,14 @@
 //! invariant the chaos tests assert.
 
 use crate::error::InvalidConfig;
-use serde::{Deserialize, Serialize};
 use shoggoth_net::Link;
 use shoggoth_telemetry::{RunTotals, TelemetryCounters};
+use shoggoth_util::json::Obj;
 use shoggoth_util::Rng;
 use shoggoth_video::Frame;
 
 /// Parameters of the edge resilience layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Seconds after which an unacknowledged upload counts as timed out.
     pub upload_timeout_secs: f64,
@@ -162,7 +162,7 @@ impl Default for ResilienceConfig {
 }
 
 /// The circuit breaker's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal operation: uploads flow.
     Closed,
@@ -305,7 +305,7 @@ pub struct UploadTimeout {
 ///
 /// `PartialEq` is derived so determinism tests can compare whole chaos
 /// runs bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceReport {
     /// Uploads that reached their deadline unacknowledged.
     pub upload_timeouts: u64,
@@ -363,6 +363,46 @@ impl ResilienceReport {
             messages_lost: link.dropped_messages(),
             outage_drops: link.outage_drops(),
         }
+    }
+
+    /// The report as a JSON object, one field per counter.
+    pub fn to_json(&self) -> String {
+        let Self {
+            upload_timeouts,
+            retransmits,
+            retries_dropped,
+            probe_uploads,
+            suppressed_uploads,
+            suppressed_bytes,
+            breaker_opens,
+            breaker_half_opens,
+            breaker_closes,
+            closed_secs,
+            open_secs,
+            half_open_secs,
+            cloud_label_drops,
+            slow_label_batches,
+            messages_lost,
+            outage_drops,
+        } = *self;
+        Obj::new()
+            .int("upload_timeouts", upload_timeouts)
+            .int("retransmits", retransmits)
+            .int("retries_dropped", retries_dropped)
+            .int("probe_uploads", probe_uploads)
+            .int("suppressed_uploads", suppressed_uploads)
+            .int("suppressed_bytes", suppressed_bytes)
+            .int("breaker_opens", breaker_opens)
+            .int("breaker_half_opens", breaker_half_opens)
+            .int("breaker_closes", breaker_closes)
+            .num("closed_secs", closed_secs)
+            .num("open_secs", open_secs)
+            .num("half_open_secs", half_open_secs)
+            .int("cloud_label_drops", cloud_label_drops)
+            .int("slow_label_batches", slow_label_batches)
+            .int("messages_lost", messages_lost)
+            .int("outage_drops", outage_drops)
+            .finish()
     }
 }
 

@@ -12,7 +12,6 @@ use crate::error::SimError;
 use crate::resilience::{BreakerState, EdgeResilience, ResilienceConfig, ResilienceReport};
 use crate::strategy::{AdapterSite, Rate, Strategy, Uplink};
 use crate::trainer::{AdaptiveTrainer, FreezePolicy, ReplayPlacement, TrainerConfig};
-use serde::Serialize;
 use shoggoth_compute::training::{training_time, TrainingPlan};
 use shoggoth_compute::{jetson_tx2, v100, Contention, DeviceProfile};
 use shoggoth_metrics::map::{average_iou, frame_map_at_05, map_at_05, FrameEval};
@@ -24,6 +23,7 @@ use shoggoth_net::{Codec, FrameGroupStats, Link, LinkConfig, Message, SendOutcom
 use shoggoth_telemetry::{
     BreakerPhase, Event, EventFold, NoopRecorder, Record, Recorder, TelemetrySummary,
 };
+use shoggoth_util::json::{self, Obj};
 use shoggoth_util::Rng;
 use shoggoth_video::{Frame, StreamConfig};
 
@@ -120,7 +120,7 @@ impl SimConfig {
 /// (e.g. serial vs. parallel fleet schedules, or telemetry-on vs.
 /// telemetry-off) are bit-identical in every field, the telemetry summary
 /// included.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Strategy name.
     pub strategy: String,
@@ -171,6 +171,62 @@ pub struct SimReport {
     /// Aggregated telemetry, folded from every event of the run whether
     /// or not a recorder also kept them.
     pub telemetry: TelemetrySummary,
+}
+
+impl SimReport {
+    /// The report as a JSON object, one field per report field; the FPS
+    /// series is written as `[secs, fps]` pairs and the resilience and
+    /// telemetry sections are nested objects.
+    pub fn to_json(&self) -> String {
+        let Self {
+            strategy,
+            stream_name,
+            frames,
+            duration_secs,
+            map50,
+            average_iou,
+            per_frame_map,
+            uplink_kbps,
+            downlink_kbps,
+            uplink_bytes,
+            downlink_bytes,
+            avg_fps,
+            min_fps,
+            fps_series,
+            training_sessions,
+            avg_session_secs,
+            avg_sampling_rate,
+            final_sampling_rate,
+            teacher_frames,
+            cloud_training_secs,
+            resilience,
+            telemetry,
+        } = self;
+        Obj::new()
+            .text("strategy", strategy)
+            .text("stream_name", stream_name)
+            .int("frames", *frames)
+            .num("duration_secs", *duration_secs)
+            .num("map50", *map50)
+            .num("average_iou", *average_iou)
+            .raw("per_frame_map", &json::nums(per_frame_map))
+            .num("uplink_kbps", *uplink_kbps)
+            .num("downlink_kbps", *downlink_kbps)
+            .int("uplink_bytes", *uplink_bytes)
+            .int("downlink_bytes", *downlink_bytes)
+            .num("avg_fps", *avg_fps)
+            .num("min_fps", *min_fps)
+            .raw("fps_series", &json::pairs(fps_series))
+            .int("training_sessions", *training_sessions as u64)
+            .num("avg_session_secs", *avg_session_secs)
+            .num("avg_sampling_rate", *avg_sampling_rate)
+            .num("final_sampling_rate", *final_sampling_rate)
+            .int("teacher_frames", *teacher_frames)
+            .num("cloud_training_secs", *cloud_training_secs)
+            .raw("resilience", &resilience.to_json())
+            .raw("telemetry", &telemetry.to_json())
+            .finish()
+    }
 }
 
 impl std::fmt::Display for SimReport {

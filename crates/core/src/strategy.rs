@@ -1,12 +1,10 @@
 //! The strategies compared in the paper's evaluation (§IV-A).
 
-use serde::{Deserialize, Serialize};
-
 /// An inference/adaptation strategy.
 ///
 /// These are exactly the five strategies of the paper's Table I, plus the
 /// fixed-rate family used by Table III's sensitivity study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Strategy {
     /// The paper's system: edge inference, cloud labeling, edge adaptive

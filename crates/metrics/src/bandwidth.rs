@@ -1,7 +1,5 @@
 //! Uplink/downlink bandwidth accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulates transferred bytes and reports average rates in Kbps, the
 /// unit of the paper's Tables I and III.
 ///
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// meter.finish(10.0);           // over 10 seconds
 /// assert!((meter.uplink_kbps() - 100.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BandwidthMeter {
     uplink_bytes: u64,
     downlink_bytes: u64,

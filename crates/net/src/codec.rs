@@ -1,9 +1,7 @@
 //! H.264-like group-of-pictures compression model.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-frame statistics the codec model needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameGroupStats {
     /// Uncompressed frame size in bytes.
     pub raw_bytes: u64,
@@ -29,7 +27,7 @@ impl FrameGroupStats {
 /// paper behaviours: 30 fps Cloud-Only streams compress extremely well,
 /// while Shoggoth's sparsely-sampled buffers pay more bytes per frame —
 /// yet far fewer bytes overall because there are few frames.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Codec {
     /// Compression ratio of an intra-coded frame (JPEG-grade).
     pub i_frame_ratio: f64,

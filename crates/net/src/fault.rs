@@ -23,7 +23,6 @@
 //! rates and inverted windows with a typed [`InvalidLink`] error instead
 //! of silently clamping.
 
-use serde::{Deserialize, Serialize};
 use shoggoth_util::Rng;
 
 /// A link or fault-profile configuration rejected at construction time.
@@ -60,7 +59,7 @@ fn unit_rate(v: f64) -> bool {
 /// produces the long clustered loss episodes that i.i.d. loss cannot:
 /// the same average loss rate concentrated into bursts that starve the
 /// labeling loop for seconds at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Per-message probability of entering the bad state from good.
     pub enter_bad: f64,
@@ -128,7 +127,7 @@ impl GilbertElliott {
 
 /// A scheduled total-connectivity outage: every message sent with
 /// `start_secs <= now < end_secs` is lost, deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageWindow {
     /// Outage start, in simulation seconds (inclusive).
     pub start_secs: f64,
@@ -167,7 +166,7 @@ impl OutageWindow {
 
 /// A bandwidth-degradation episode: while active, both link capacities are
 /// multiplied by `capacity_factor` (transfers slow down; nothing is lost).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationWindow {
     /// Episode start, in simulation seconds (inclusive).
     pub start_secs: f64,
@@ -218,7 +217,7 @@ impl DegradationWindow {
 /// Random latency perturbation on delivered messages: a uniform jitter in
 /// `[0, jitter_secs)` on every transfer, plus an occasional spike of
 /// `spike_secs` with probability `spike_prob`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyJitter {
     /// Maximum uniform jitter added to every delivered transfer, seconds.
     pub jitter_secs: f64,
@@ -276,7 +275,7 @@ impl LatencyJitter {
 /// assert!((profile.capacity_factor(75.0) - 0.25).abs() < 1e-12);
 /// # Ok::<(), shoggoth_net::fault::InvalidLink>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     /// Baseline i.i.d. per-message loss probability.
     pub loss_rate: f64,

@@ -2,11 +2,10 @@
 
 use crate::fault::{FaultProfile, InvalidLink};
 use crate::message::Message;
-use serde::{Deserialize, Serialize};
 use shoggoth_util::Rng;
 
 /// Link capacity, latency, and fault-injection parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkConfig {
     /// Uplink capacity in kilobits per second.
     pub uplink_kbps: f64,

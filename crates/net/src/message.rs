@@ -1,7 +1,5 @@
 //! Sizes of everything that crosses the edge-cloud link.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes to encode one label: class id (2) + confidence (4) + box (4 × 4)
 /// + framing overhead (6).
 const LABEL_BYTES: u64 = 28;
@@ -13,7 +11,7 @@ const DETECTION_BYTES: u64 = 28;
 const HEADER_BYTES: u64 = 64;
 
 /// A typed unit of edge ↔ cloud traffic with a well-defined wire size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Message {
     /// A codec-encoded batch of sampled frames (edge → cloud).

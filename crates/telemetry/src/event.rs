@@ -7,11 +7,9 @@
 //! breaker transitions, label arrival, adaptation steps, and the
 //! controller's rate decisions with their Eq. (2)–(3) inputs.
 
-use serde::Serialize;
-
 /// Deterministic timestamp of one event: simulation seconds plus the
 /// index of the frame being played when the event fired.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stamp {
     /// Simulation time in seconds.
     pub sim_secs: f64,
@@ -23,7 +21,7 @@ pub struct Stamp {
 ///
 /// A local mirror of the core crate's breaker state (telemetry sits below
 /// the core crate in the dependency graph, so it cannot import it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerPhase {
     /// Uploads flow normally.
     Closed,
@@ -48,7 +46,7 @@ impl BreakerPhase {
 ///
 /// All payloads are plain scalars so records are `Copy` and the ring
 /// recorder stores them without allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// A frame was sampled into the pending upload chunk.
     FrameSampled {
@@ -208,7 +206,7 @@ impl Event {
 }
 
 /// A stamped event: what happened, and when in simulation time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Record {
     /// Deterministic sim-time stamp.
     pub stamp: Stamp,

@@ -1,95 +1,20 @@
 //! JSONL export of a recorded event stream.
 //!
-//! The writer is hand-rolled and fully deterministic: field order is
-//! fixed per event kind, floats use Rust's shortest-roundtrip `Display`
-//! (non-finite values become `null`), and no wall-clock or locale state
-//! is consulted. One JSON object per line, stamped with `secs` (sim time)
-//! and `frame`.
+//! Written with the deterministic [`shoggoth_util::json`] writer: field
+//! order is fixed per event kind, floats use Rust's shortest-roundtrip
+//! `Display` (non-finite values become `null`), and no wall-clock or
+//! locale state is consulted. One JSON object per line, stamped with
+//! `type`, `secs` (sim time) and `frame`.
 
 use crate::event::{Event, Record};
-
-/// Formats an `f64` as a JSON value (non-finite → `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `Display` omits the decimal point for integral floats; keep the
-        // output unambiguously a float-typed field anyway (valid JSON
-        // either way, and `1` parses as the number 1).
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Incremental JSON object writer with fixed field order.
-struct Obj {
-    buf: String,
-}
-
-impl Obj {
-    fn new(record: &Record) -> Self {
-        let mut buf = String::with_capacity(160);
-        buf.push_str("{\"type\":\"");
-        buf.push_str(record.event.kind());
-        buf.push_str("\",\"secs\":");
-        buf.push_str(&json_f64(record.stamp.sim_secs));
-        buf.push_str(",\"frame\":");
-        buf.push_str(&record.stamp.frame.to_string());
-        Self { buf }
-    }
-
-    fn key(&mut self, key: &str) {
-        self.buf.push_str(",\"");
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-    }
-
-    fn num(mut self, key: &str, v: f64) -> Self {
-        self.key(key);
-        self.buf.push_str(&json_f64(v));
-        self
-    }
-
-    fn opt_num(mut self, key: &str, v: Option<f64>) -> Self {
-        self.key(key);
-        match v {
-            Some(v) => self.buf.push_str(&json_f64(v)),
-            None => self.buf.push_str("null"),
-        }
-        self
-    }
-
-    fn int(mut self, key: &str, v: u64) -> Self {
-        self.key(key);
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
-    fn flag(mut self, key: &str, v: bool) -> Self {
-        self.key(key);
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    fn text(mut self, key: &str, v: &str) -> Self {
-        // Only used for enum kind names, which contain no characters that
-        // need escaping.
-        self.key(key);
-        self.buf.push('"');
-        self.buf.push_str(v);
-        self.buf.push('"');
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
+use shoggoth_util::json::Obj;
 
 /// Serializes one record to a single JSON line (no trailing newline).
 pub fn record_to_json(record: &Record) -> String {
-    let obj = Obj::new(record);
+    let obj = Obj::new()
+        .text("type", record.event.kind())
+        .num("secs", record.stamp.sim_secs)
+        .int("frame", record.stamp.frame);
     match record.event {
         Event::FrameSampled { chunk_len, breaker } => obj
             .int("chunk_len", u64::from(chunk_len))

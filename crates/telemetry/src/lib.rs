@@ -20,8 +20,8 @@
 //!   tensor kernels take no recorder at all.
 //!
 //! The crate provides the event taxonomy ([`Event`]), the recorders, the
-//! fold's counters and fixed-bucket histograms, a hand-rolled
-//! deterministic JSONL exporter ([`export::to_jsonl`]), and a
+//! fold's counters and fixed-bucket histograms, a deterministic JSONL
+//! exporter ([`export::to_jsonl`]) on `shoggoth_util::json`, and a
 //! self-contained HTML/SVG timeline report ([`timeline::render_timeline`]).
 
 pub mod event;

@@ -3,10 +3,10 @@
 
 use crate::event::{BreakerPhase, Event, Record};
 use crate::recorder::Recorder;
-use serde::Serialize;
+use shoggoth_util::json::{self, Obj};
 
 /// Monotone event counters maintained by the [`EventFold`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryCounters {
     /// Frames played (one `FrameStatus` each).
     pub frames: u64,
@@ -43,11 +43,53 @@ pub struct TelemetryCounters {
     pub rate_decisions: u64,
 }
 
+impl TelemetryCounters {
+    /// The counters as a JSON object, one field per counter.
+    pub fn to_json(&self) -> String {
+        let Self {
+            frames,
+            frames_sampled,
+            samples_skipped,
+            chunks_uploaded,
+            probe_uploads,
+            retransmits,
+            uploads_lost,
+            uploads_suppressed,
+            upload_timeouts,
+            breaker_transitions,
+            label_batches,
+            labeled_samples,
+            cloud_label_drops,
+            slow_label_batches,
+            adaptation_steps,
+            rate_decisions,
+        } = *self;
+        Obj::new()
+            .int("frames", frames)
+            .int("frames_sampled", frames_sampled)
+            .int("samples_skipped", samples_skipped)
+            .int("chunks_uploaded", chunks_uploaded)
+            .int("probe_uploads", probe_uploads)
+            .int("retransmits", retransmits)
+            .int("uploads_lost", uploads_lost)
+            .int("uploads_suppressed", uploads_suppressed)
+            .int("upload_timeouts", upload_timeouts)
+            .int("breaker_transitions", breaker_transitions)
+            .int("label_batches", label_batches)
+            .int("labeled_samples", labeled_samples)
+            .int("cloud_label_drops", cloud_label_drops)
+            .int("slow_label_batches", slow_label_batches)
+            .int("adaptation_steps", adaptation_steps)
+            .int("rate_decisions", rate_decisions)
+            .finish()
+    }
+}
+
 /// A fixed-bucket histogram: `bounds` are ascending inclusive upper
 /// edges, and one extra overflow bucket catches everything above the last
 /// edge (non-finite samples land there too), so bucket counts always sum
 /// to the number of recorded samples.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bounds: Vec<f64>,
     counts: Vec<u64>,
@@ -126,7 +168,7 @@ impl Histogram {
 }
 
 /// Immutable snapshot of one histogram.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSummary {
     /// Samples recorded.
     pub count: u64,
@@ -141,11 +183,35 @@ pub struct HistogramSummary {
     pub buckets: Vec<(f64, u64)>,
 }
 
+impl HistogramSummary {
+    /// The summary as a JSON object; each bucket is an `[edge, count]`
+    /// pair, and the overflow bucket's infinite edge is written as `null`.
+    pub fn to_json(&self) -> String {
+        let Self {
+            count,
+            mean,
+            min,
+            max,
+            buckets,
+        } = self;
+        let buckets = buckets
+            .iter()
+            .map(|&(edge, n)| json::array([json::num(edge), n.to_string()]));
+        Obj::new()
+            .int("count", *count)
+            .num("mean", *mean)
+            .num("min", *min)
+            .num("max", *max)
+            .raw("buckets", &json::array(buckets))
+            .finish()
+    }
+}
+
 /// Aggregated telemetry of one run, attached to the simulation report.
 ///
 /// Folded from every event the engine emitted, whichever recorder (if
 /// any) also saw them, so traced and untraced runs carry equal summaries.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySummary {
     /// Events the engine emitted.
     pub events_recorded: u64,
@@ -157,6 +223,27 @@ pub struct TelemetrySummary {
     pub queue_depth: HistogramSummary,
     /// Absolute per-frame mAP@0.5 change between consecutive frames.
     pub map_delta: HistogramSummary,
+}
+
+impl TelemetrySummary {
+    /// The summary as a JSON object with the counters and histograms
+    /// nested.
+    pub fn to_json(&self) -> String {
+        let Self {
+            events_recorded,
+            counters,
+            frame_latency_ms,
+            queue_depth,
+            map_delta,
+        } = self;
+        Obj::new()
+            .int("events_recorded", *events_recorded)
+            .raw("counters", &counters.to_json())
+            .raw("frame_latency_ms", &frame_latency_ms.to_json())
+            .raw("queue_depth", &queue_depth.to_json())
+            .raw("map_delta", &map_delta.to_json())
+            .finish()
+    }
 }
 
 /// What the fold totals beside the counters: the report-side sums and the

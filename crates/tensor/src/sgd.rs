@@ -1,7 +1,5 @@
 //! Mini-batch SGD configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyper-parameters for stochastic gradient descent with momentum.
 ///
 /// The paper's adaptive training "decreases the learning rate of all layers
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let sgd = SgdConfig::new(0.05).with_momentum(0.9).with_weight_decay(1e-4);
 /// assert_eq!(sgd.learning_rate, 0.05);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Base learning rate applied to every parameter.
     pub learning_rate: f32,

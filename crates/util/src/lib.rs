@@ -6,9 +6,10 @@
 //! summary statistics used by the evaluation harness (means, percentiles,
 //! empirical CDFs), [`ewma`] the exponentially-weighted averages used by the
 //! sampling-rate controller, [`ring`] a fixed-capacity ring buffer used
-//! for recent-frame horizons, and [`pool`] a scoped thread pool whose
+//! for recent-frame horizons, [`pool`] a scoped thread pool whose
 //! index-merged results keep parallel experiment runs bit-identical to
-//! serial ones.
+//! serial ones, and [`json`] the deterministic JSON writer behind every
+//! report, result file and telemetry trace.
 //!
 //! # Examples
 //!
@@ -22,6 +23,7 @@
 
 pub mod ewma;
 pub mod float;
+pub mod json;
 pub mod pool;
 pub mod ring;
 pub mod rng;

@@ -1,7 +1,5 @@
 //! Axis-aligned bounding boxes in normalized image coordinates.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned bounding box with its top-left corner at `(x, y)`, in
 /// normalized coordinates (`0.0..=1.0` spans the image).
 ///
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let iou = a.iou(&b);
 /// assert!((iou - 1.0 / 7.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     /// Left edge.
     pub x: f32,

@@ -9,11 +9,10 @@
 
 use crate::world::{FeatureWorld, WorldConfig};
 use crate::ClassId;
-use serde::{Deserialize, Serialize};
 use shoggoth_util::Rng;
 
 /// Illumination condition of a domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Illumination {
     /// Full daylight: low feature noise.
     Day,
@@ -45,7 +44,7 @@ impl Illumination {
 }
 
 /// Weather condition of a domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Weather {
     /// Clear skies.
     Sunny,

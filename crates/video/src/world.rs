@@ -10,7 +10,6 @@
 //! [`WorldConfig`] agree on what a "car" looks like.
 
 use crate::ClassId;
-use serde::{Deserialize, Serialize};
 use shoggoth_util::Rng;
 
 /// Configuration of a feature world.
@@ -24,7 +23,7 @@ use shoggoth_util::Rng;
 /// assert_eq!(world.num_classes(), 4);
 /// assert_eq!(world.prototype(0).len(), 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WorldConfig {
     /// Number of foreground object classes.
     pub num_classes: usize,

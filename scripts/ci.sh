@@ -50,12 +50,24 @@ for artifact in target/experiments/telemetry_unreliable_network.jsonl \
 done
 echo "    telemetry artifacts present (JSONL + timeline HTML)"
 
-# Non-gating: the throughput probe exercises the release-mode hot path and
-# refreshes BENCH_tensor.json, but perf numbers on shared runners are too
-# noisy to gate a merge on.
-echo "==> bench smoke: scripts/bench.sh --probe (non-gating)"
-if ! bash scripts/bench.sh --probe; then
-  echo "bench smoke failed (non-gating; see output above)"
+# Gating: experiment result files. A short run_all must write each of its
+# nine result files as a non-empty JSON document, and experiments_md.py
+# must render all five measured sections (Tables I-III, Figs. 4-5).
+echo "==> experiment results: SHOGGOTH_FRAMES=300 run_all"
+rm -f target/experiments/*.json
+SHOGGOTH_FRAMES=300 cargo run -q --release -p shoggoth-bench --bin run_all
+for name in table1 table2 table3 fig1c fig4 fig5 fleet ablate_controller ablate_replay; do
+  if ! python3 -c 'import json,sys; sys.exit(not json.load(open(sys.argv[1])))' \
+      "target/experiments/$name.json"; then
+    echo "run_all did not write a non-empty, parseable $name.json" >&2
+    exit 1
+  fi
+done
+sections=$(python3 scripts/experiments_md.py | grep -c '^### ' || true)
+if [[ "$sections" -ne 5 ]]; then
+  echo "experiments_md.py rendered $sections of 5 sections" >&2
+  exit 1
 fi
+echo "    nine result files parse; five sections render"
 
 echo "CI green."

@@ -82,7 +82,7 @@ fn bench_controller(c: &mut Criterion) {
     c.bench_function("controller_observe_and_update", |b| {
         b.iter(|| {
             ctl.observe_phi(black_box(0.3));
-            black_box(ctl.update(black_box(0.6), black_box(0.4)))
+            black_box(ctl.update_detailed(black_box(0.6), black_box(0.4)).rate)
         });
     });
 }

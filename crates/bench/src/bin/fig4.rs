@@ -2,5 +2,6 @@
 //! `shoggoth_bench::experiments::fig4`.
 
 fn main() {
-    shoggoth_bench::experiments::fig4::run();
+    let detrac = shoggoth_bench::Sweep::detrac(&shoggoth::strategy::Strategy::table_one());
+    shoggoth_bench::experiments::fig4::run(&detrac);
 }

@@ -2,5 +2,6 @@
 //! `shoggoth_bench::experiments::table3`.
 
 fn main() {
-    shoggoth_bench::experiments::table3::run();
+    let detrac = shoggoth_bench::Sweep::detrac(&[shoggoth::strategy::Strategy::Shoggoth]);
+    shoggoth_bench::experiments::table3::run(&detrac);
 }

@@ -13,19 +13,10 @@
 use shoggoth::sim::{SimConfig, Simulation};
 use shoggoth::strategy::Strategy;
 use shoggoth::CloudFaultProfile;
-use shoggoth_bench::{artifact_slug, experiment_seed, export_telemetry, rule};
+use shoggoth_bench::{artifact_slug, env_u64, experiment_seed, export_telemetry, rule};
 use shoggoth_net::{FaultProfile, GilbertElliott, LatencyJitter, LinkConfig};
 use shoggoth_telemetry::RingRecorder;
 use shoggoth_video::presets;
-
-/// Frames per run: the chaos window is 90 s, so the default is smaller
-/// than the 15-minute experiment default.
-fn timeline_frames() -> u64 {
-    std::env::var("SHOGGOTH_FRAMES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_700)
-}
 
 /// The scripted outage storm the chaos smoke test uses: two outages,
 /// a degradation episode, bursty loss, jitter, and a flaky cloud labeler.
@@ -53,7 +44,9 @@ fn chaos_config(strategy: Strategy, frames: u64, seed: u64) -> SimConfig {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let frames = timeline_frames();
+    // The chaos window is 90 s, so the default is smaller than the
+    // 15-minute experiment default.
+    let frames = env_u64("SHOGGOTH_FRAMES", 2_700);
     let seed = experiment_seed().wrapping_add(28); // distinct stream from table runs
     let strategies = [
         Strategy::Shoggoth,

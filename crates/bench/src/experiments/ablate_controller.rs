@@ -8,15 +8,12 @@
 //! * α-only (φ term disabled via `η_r = 0`),
 //! * loose / tight φ targets.
 
-use crate::{
-    experiment_config, experiment_frames, experiment_seed, rule, run_strategy, write_json,
-    SharedModels,
-};
+use super::{Row, Rows};
+use crate::{rule, write_json, Sweep};
 use shoggoth::controller::ControllerConfig;
-use shoggoth::sim::Simulation;
+use shoggoth::sim::{SimConfig, SimReport};
 use shoggoth::strategy::Strategy;
-use shoggoth_util::json::{self, Obj};
-use shoggoth_video::presets;
+use shoggoth_util::json::Obj;
 
 /// One ablation row.
 #[derive(Debug)]
@@ -33,9 +30,8 @@ pub struct ControllerRow {
     pub sessions: usize,
 }
 
-impl ControllerRow {
-    /// The row as a JSON object.
-    pub fn to_json(&self) -> String {
+impl Row for ControllerRow {
+    fn to_json(&self) -> String {
         let Self {
             variant,
             map50,
@@ -53,31 +49,8 @@ impl ControllerRow {
     }
 }
 
-/// Serializable result bundle.
-#[derive(Debug)]
-pub struct ControllerResult {
-    /// Frames simulated.
-    pub frames: u64,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Ablation rows.
-    pub rows: Vec<ControllerRow>,
-}
-
-impl ControllerResult {
-    /// The result as a JSON object.
-    pub fn to_json(&self) -> String {
-        let Self { frames, seed, rows } = self;
-        Obj::new()
-            .int("frames", *frames)
-            .int("seed", *seed)
-            .raw(
-                "rows",
-                &json::array(rows.iter().map(ControllerRow::to_json)),
-            )
-            .finish()
-    }
-}
+/// The experiment's rows with the scale they were measured at.
+pub type ControllerResult = Rows<ControllerRow>;
 
 fn variants() -> Vec<(&'static str, ControllerConfig)> {
     let base = ControllerConfig::paper_defaults();
@@ -108,17 +81,39 @@ fn variants() -> Vec<(&'static str, ControllerConfig)> {
     ]
 }
 
-/// Runs the controller ablation on the UA-DETRAC preset.
-///
-/// # Panics
-///
-/// Aborts the experiment if a simulation run fails.
-pub fn run() -> ControllerResult {
-    let frames = experiment_frames();
-    let seed = experiment_seed();
-    let stream = presets::detrac(seed).with_total_frames(frames);
-    eprintln!("[ablate_controller] pre-training models ...");
-    let models = SharedModels::build(&stream, seed);
+/// The simulation config of each controller variant on `detrac`, in row
+/// order, then the fixed 0.5 fps reference. The full controller is the
+/// default one, so it is the sweep's Shoggoth run.
+pub fn configs(detrac: &Sweep) -> Vec<SimConfig> {
+    let shoggoth = detrac.config(Strategy::Shoggoth);
+    variants()
+        .into_iter()
+        .map(|(_, controller)| {
+            let mut config = shoggoth.clone();
+            config.cloud.controller = controller;
+            config
+        })
+        .chain(std::iter::once(detrac.config(Strategy::FixedRate(0.5))))
+        .collect()
+}
+
+/// Prints one ablation row.
+fn print_row(name: &str, report: &SimReport) {
+    println!(
+        "{:<18} {:>10.1} {:>14.1} {:>14.2} {:>12}",
+        name,
+        report.map50 * 100.0,
+        report.uplink_kbps,
+        report.avg_sampling_rate,
+        report.training_sessions
+    );
+}
+
+/// Runs the controller ablation on `detrac`.
+pub fn run(detrac: &Sweep) -> ControllerResult {
+    let (frames, seed) = (detrac.stream.total_frames(), detrac.seed);
+    let mut reports = detrac.run(configs(detrac));
+    let fixed = reports.pop();
 
     println!("Controller ablation — contribution of Eq. (2)'s terms");
     println!("({frames} frames on UA-DETRAC, seed {seed})\n");
@@ -130,21 +125,8 @@ pub fn run() -> ControllerResult {
     rule(78);
 
     let mut rows = Vec::new();
-    for (name, controller) in variants() {
-        eprintln!("[ablate_controller] running {name} ...");
-        let mut config = experiment_config(&stream, Strategy::Shoggoth, seed);
-        config.cloud.controller = controller;
-        let report =
-            Simulation::run_with_models(&config, models.student.clone(), models.teacher.clone())
-                .expect("experiment run failed");
-        println!(
-            "{:<18} {:>10.1} {:>14.1} {:>14.2} {:>12}",
-            name,
-            report.map50 * 100.0,
-            report.uplink_kbps,
-            report.avg_sampling_rate,
-            report.training_sessions
-        );
+    for ((name, _), report) in variants().into_iter().zip(reports) {
+        print_row(name, &report);
         rows.push(ControllerRow {
             variant: name.to_owned(),
             map50: report.map50,
@@ -156,16 +138,9 @@ pub fn run() -> ControllerResult {
     rule(78);
 
     // Also show the fixed-rate envelope for context.
-    eprintln!("[ablate_controller] running fixed 0.5 fps reference ...");
-    let fixed = run_strategy(&stream, Strategy::FixedRate(0.5), &models, seed);
-    println!(
-        "{:<18} {:>10.1} {:>14.1} {:>14.2} {:>12}",
-        "fixed 0.5 (ref)",
-        fixed.map50 * 100.0,
-        fixed.uplink_kbps,
-        fixed.avg_sampling_rate,
-        fixed.training_sessions
-    );
+    if let Some(fixed) = fixed {
+        print_row("fixed 0.5 (ref)", &fixed);
+    }
 
     let result = ControllerResult { frames, seed, rows };
     write_json("ablate_controller", &result.to_json());

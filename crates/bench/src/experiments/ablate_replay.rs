@@ -4,14 +4,12 @@
 //! protection (small memories) and staleness (the aging effect of very
 //! large, rarely-refreshed memories).
 
-use crate::{
-    experiment_config, experiment_frames, experiment_seed, rule, write_json, SharedModels,
-};
-use shoggoth::sim::Simulation;
+use super::{Row, Rows};
+use crate::{rule, write_json, Sweep};
+use shoggoth::sim::SimConfig;
 use shoggoth::strategy::Strategy;
 use shoggoth::trainer::TrainerConfig;
-use shoggoth_util::json::{self, Obj};
-use shoggoth_video::presets;
+use shoggoth_util::json::Obj;
 
 /// One capacity row.
 #[derive(Debug)]
@@ -24,9 +22,8 @@ pub struct ReplayRow {
     pub average_iou: f64,
 }
 
-impl ReplayRow {
-    /// The row as a JSON object.
-    pub fn to_json(&self) -> String {
+impl Row for ReplayRow {
+    fn to_json(&self) -> String {
         let Self {
             capacity,
             map50,
@@ -40,40 +37,32 @@ impl ReplayRow {
     }
 }
 
-/// Serializable result bundle.
-#[derive(Debug)]
-pub struct ReplayResult {
-    /// Frames simulated.
-    pub frames: u64,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Capacity sweep rows.
-    pub rows: Vec<ReplayRow>,
+/// The experiment's rows with the scale they were measured at.
+pub type ReplayResult = Rows<ReplayRow>;
+
+/// Replay capacities swept, in row order.
+const CAPACITIES: [usize; 6] = [1, 300, 1000, 3000, 9000, 30000];
+
+/// The simulation config of each capacity on `detrac`, in row order. The
+/// default trainer's capacity is 3000, so that row is the sweep's
+/// Shoggoth run.
+pub fn configs(detrac: &Sweep) -> Vec<SimConfig> {
+    CAPACITIES
+        .into_iter()
+        .map(|replay_capacity| SimConfig {
+            trainer: TrainerConfig {
+                replay_capacity,
+                ..TrainerConfig::paper_scaled()
+            },
+            ..detrac.config(Strategy::Shoggoth)
+        })
+        .collect()
 }
 
-impl ReplayResult {
-    /// The result as a JSON object.
-    pub fn to_json(&self) -> String {
-        let Self { frames, seed, rows } = self;
-        Obj::new()
-            .int("frames", *frames)
-            .int("seed", *seed)
-            .raw("rows", &json::array(rows.iter().map(ReplayRow::to_json)))
-            .finish()
-    }
-}
-
-/// Runs the replay-capacity sweep on the UA-DETRAC preset.
-///
-/// # Panics
-///
-/// Aborts the experiment if a simulation run fails.
-pub fn run() -> ReplayResult {
-    let frames = experiment_frames();
-    let seed = experiment_seed();
-    let stream = presets::detrac(seed).with_total_frames(frames);
-    eprintln!("[ablate_replay] pre-training models ...");
-    let models = SharedModels::build(&stream, seed);
+/// Runs the replay-capacity sweep on `detrac`.
+pub fn run(detrac: &Sweep) -> ReplayResult {
+    let (frames, seed) = (detrac.stream.total_frames(), detrac.seed);
+    let reports = detrac.run(configs(detrac));
 
     println!("Replay-capacity ablation (paper default ≈ 3000 samples, 5× fresh)");
     println!("({frames} frames on UA-DETRAC, seed {seed})\n");
@@ -82,16 +71,7 @@ pub fn run() -> ReplayResult {
     rule(48);
 
     let mut rows = Vec::new();
-    for capacity in [1usize, 300, 1000, 3000, 9000, 30000] {
-        eprintln!("[ablate_replay] capacity {capacity} ...");
-        let mut config = experiment_config(&stream, Strategy::Shoggoth, seed);
-        config.trainer = TrainerConfig {
-            replay_capacity: capacity,
-            ..TrainerConfig::paper_scaled()
-        };
-        let report =
-            Simulation::run_with_models(&config, models.student.clone(), models.teacher.clone())
-                .expect("experiment run failed");
+    for (capacity, report) in CAPACITIES.into_iter().zip(reports) {
         println!(
             "{:<12} {:>12.1} {:>14.3}",
             capacity,

@@ -5,10 +5,10 @@
 //! Shoggoth and Prompt lose a few fps on average because short training
 //! sessions halve the rate while they run.
 
-use crate::{experiment_frames, experiment_seed, rule, run_strategy, write_json, SharedModels};
+use crate::{rule, write_json, Sweep};
+use shoggoth::sim::SimReport;
 use shoggoth::strategy::Strategy;
 use shoggoth_util::json::{self, Obj};
-use shoggoth_video::presets;
 
 /// Serializable result bundle.
 #[derive(Debug)]
@@ -42,45 +42,48 @@ impl Fig4Result {
             .raw("shoggoth_series", &json::pairs(shoggoth_series))
             .finish()
     }
+
+    /// Figure 4 as a view of finished runs on one stream: every report's
+    /// FPS, and the Shoggoth report's FPS series.
+    pub fn from_reports(frames: u64, seed: u64, reports: &[SimReport]) -> Self {
+        Self {
+            frames,
+            seed,
+            averages: reports
+                .iter()
+                .map(|report| (report.strategy.clone(), report.avg_fps, report.min_fps))
+                .collect(),
+            shoggoth_series: reports
+                .iter()
+                .find(|report| report.strategy == Strategy::Shoggoth.name())
+                .map(|report| report.fps_series.clone())
+                .unwrap_or_default(),
+        }
+    }
 }
 
-/// Runs the Figure 4 experiment.
-pub fn run() -> Fig4Result {
-    let frames = experiment_frames();
-    let seed = experiment_seed();
-    let stream = presets::detrac(seed).with_total_frames(frames);
-    eprintln!("[fig4] pre-training models ...");
-    let models = SharedModels::build(&stream, seed);
+/// Runs the Figure 4 experiment on the Table I reports of `detrac`.
+pub fn run(detrac: &Sweep) -> Fig4Result {
+    let (frames, seed) = (detrac.stream.total_frames(), detrac.seed);
+    let reports = detrac.reports(&Strategy::table_one());
+    let result = Fig4Result::from_reports(frames, seed, &reports);
 
     println!("Figure 4 (left) — average inference FPS per strategy");
     println!("({frames} frames on UA-DETRAC, seed {seed})\n");
     rule(54);
     println!("{:<12} {:>14} {:>14}", "Strategy", "Avg FPS", "Min FPS");
     rule(54);
-
-    let mut averages = Vec::new();
-    let mut shoggoth_series = Vec::new();
-    for strategy in Strategy::table_one() {
-        eprintln!("[fig4] running {strategy} ...");
-        let report = run_strategy(&stream, strategy, &models, seed);
-        println!(
-            "{:<12} {:>14.1} {:>14.1}",
-            strategy.name(),
-            report.avg_fps,
-            report.min_fps
-        );
-        if strategy == Strategy::Shoggoth {
-            shoggoth_series = report.fps_series.clone();
-        }
-        averages.push((strategy.name(), report.avg_fps, report.min_fps));
+    for (name, avg_fps, min_fps) in &result.averages {
+        println!("{name:<12} {avg_fps:>14.1} {min_fps:>14.1}");
     }
     rule(54);
 
     println!("\nFigure 4 (right) — Shoggoth FPS over time (first dips shown)");
     println!("(paper: FPS drops from 30 to ~15 while a training session runs)\n");
+    let shoggoth_series = &result.shoggoth_series;
     let mut shown = 0;
     let mut in_dip = false;
-    for &(t, fps) in &shoggoth_series {
+    for &(t, fps) in shoggoth_series {
         let dipping = fps < 29.0;
         if dipping != in_dip {
             println!("  t = {t:7.1} s   fps -> {fps:.1}");
@@ -96,12 +99,6 @@ pub fn run() -> Fig4Result {
         println!("  (no training dips occurred — stream too short for a session)");
     }
 
-    let result = Fig4Result {
-        frames,
-        seed,
-        averages,
-        shoggoth_series,
-    };
     write_json("fig4", &result.to_json());
     result
 }

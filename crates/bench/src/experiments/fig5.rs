@@ -9,11 +9,11 @@
 //! AMS on most frames and even beats Cloud-Only on a minority of frames;
 //! Prompt is the weakest adaptive strategy.
 
-use crate::{experiment_frames, experiment_seed, rule, run_strategy, write_json, SharedModels};
+use crate::{rule, write_json, Sweep};
+use shoggoth::sim::SimReport;
 use shoggoth::strategy::Strategy;
 use shoggoth_util::json::{self, Obj};
 use shoggoth_util::stats::EmpiricalCdf;
-use shoggoth_video::presets;
 
 /// Serializable result bundle.
 #[derive(Debug)]
@@ -61,39 +61,66 @@ impl Fig5Result {
     }
 }
 
-/// Runs the Figure 5 experiment.
-///
-/// # Panics
-///
-/// Aborts the experiment if a simulation run fails.
-pub fn run() -> Fig5Result {
-    let frames = experiment_frames();
-    let seed = experiment_seed();
-    let stream = presets::detrac(seed).with_total_frames(frames);
-    eprintln!("[fig5] pre-training models ...");
-    let models = SharedModels::build(&stream, seed);
+/// Per-frame mAP gain over Edge-Only of every other report, for reports
+/// in Table I order (Edge-Only first). Every run replays the identical
+/// stream, so the series are frame-aligned.
+fn gains(reports: &[SimReport]) -> Vec<(String, Vec<f64>)> {
+    let Some((edge, others)) = reports.split_first() else {
+        return Vec::new();
+    };
+    others
+        .iter()
+        .map(|report| {
+            let gain = report
+                .per_frame_map
+                .iter()
+                .zip(&edge.per_frame_map)
+                .map(|(s, e)| s - e)
+                .collect();
+            (report.strategy.clone(), gain)
+        })
+        .collect()
+}
 
-    eprintln!("[fig5] running Edge-Only baseline ...");
-    let edge = run_strategy(&stream, Strategy::EdgeOnly, &models, seed);
-
-    let others = [
-        Strategy::CloudOnly,
-        Strategy::Prompt,
-        Strategy::Ams,
-        Strategy::Shoggoth,
-    ];
-    let mut gains: Vec<(String, Vec<f64>)> = Vec::new();
-    for strategy in others {
-        eprintln!("[fig5] running {strategy} ...");
-        let report = run_strategy(&stream, strategy, &models, seed);
-        let gain: Vec<f64> = report
-            .per_frame_map
+impl Fig5Result {
+    /// Figure 5 as a view of Table I's runs on one stream, in Table I
+    /// order: the gain CDF of every strategy against Edge-Only, and
+    /// Shoggoth's frame-wise dominance over AMS and Cloud-Only.
+    pub fn from_reports(frames: u64, seed: u64, reports: &[SimReport]) -> Self {
+        let gains = gains(reports);
+        let gain_of = |strategy: Strategy| {
+            gains
+                .iter()
+                .find(|(name, _)| *name == strategy.name())
+                .map_or(&[][..], |(_, gain)| gain)
+        };
+        let shoggoth = gain_of(Strategy::Shoggoth);
+        let (curves, fraction_above_zero) = gains
             .iter()
-            .zip(&edge.per_frame_map)
-            .map(|(s, e)| s - e)
-            .collect();
-        gains.push((strategy.name(), gain));
+            .map(|(name, gain)| {
+                let cdf = EmpiricalCdf::new(gain);
+                (
+                    (name.clone(), cdf.curve(41)),
+                    (name.clone(), cdf.fraction_above(0.0)),
+                )
+            })
+            .unzip();
+        Self {
+            frames,
+            seed,
+            curves,
+            fraction_above_zero,
+            shoggoth_beats_ams: pairwise_ge(shoggoth, gain_of(Strategy::Ams), true),
+            shoggoth_meets_cloud: pairwise_ge(shoggoth, gain_of(Strategy::CloudOnly), false),
+        }
     }
+}
+
+/// Runs the Figure 5 experiment on the Table I reports of `detrac`.
+pub fn run(detrac: &Sweep) -> Fig5Result {
+    let (frames, seed) = (detrac.stream.total_frames(), detrac.seed);
+    let reports = detrac.reports(&Strategy::table_one());
+    let result = Fig5Result::from_reports(frames, seed, &reports);
 
     println!("Figure 5 — CDF of per-frame mAP gain vs Edge-Only");
     println!("({frames} frames on UA-DETRAC, seed {seed})\n");
@@ -103,12 +130,7 @@ pub fn run() -> Fig5Result {
         "Strategy", "P(gain>0)", "median gain", "p90 gain", "mean gain"
     );
     rule(70);
-
-    let mut curves = Vec::new();
-    let mut fraction_above_zero = Vec::new();
-    for (name, gain) in &gains {
-        let cdf = EmpiricalCdf::new(gain);
-        let above = cdf.fraction_above(0.0);
+    for ((name, gain), (_, above)) in gains(&reports).iter().zip(&result.fraction_above_zero) {
         println!(
             "{:<12} {:>13.1}% {:>14.3} {:>14.3} {:>12.3}",
             name,
@@ -117,41 +139,19 @@ pub fn run() -> Fig5Result {
             shoggoth_util::stats::percentile(gain, 90.0),
             shoggoth_util::stats::mean(gain),
         );
-        curves.push((name.clone(), cdf.curve(41)));
-        fraction_above_zero.push((name.clone(), above));
     }
     rule(70);
 
     // Pairwise dominance claims from the paper's prose.
-    let find = |name: &str| {
-        gains
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, g)| g.clone())
-            .expect("strategy was run")
-    };
-    let shoggoth = find("Shoggoth");
-    let ams = find("AMS");
-    let cloud = find("Cloud-Only");
-    let beats_ams = pairwise_ge(&shoggoth, &ams, true);
-    let meets_cloud = pairwise_ge(&shoggoth, &cloud, false);
     println!(
         "\nShoggoth gain > AMS gain on {:.1}% of frames (paper: 73%)",
-        beats_ams * 100.0
+        result.shoggoth_beats_ams * 100.0
     );
     println!(
         "Shoggoth gain >= Cloud-Only gain on {:.1}% of frames (paper: ~20%)",
-        meets_cloud * 100.0
+        result.shoggoth_meets_cloud * 100.0
     );
 
-    let result = Fig5Result {
-        frames,
-        seed,
-        curves,
-        fraction_above_zero,
-        shoggoth_beats_ams: beats_ams,
-        shoggoth_meets_cloud: meets_cloud,
-    };
     write_json("fig5", &result.to_json());
     result
 }

@@ -8,7 +8,7 @@
 //! downlink; AMS pays a heavy downlink for similar mAP; Edge-Only is far
 //! behind.
 
-use crate::{experiment_frames, experiment_seed, rule, run_strategies, write_json, SharedModels};
+use crate::{rule, write_json, Sweep};
 use shoggoth::sim::SimReport;
 use shoggoth::strategy::Strategy;
 use shoggoth_util::json::{self, Obj};
@@ -82,10 +82,10 @@ impl Table1Result {
     }
 }
 
-/// Runs the Table I experiment and returns all reports.
-pub fn run() -> Table1Result {
-    let frames = experiment_frames();
-    let seed = experiment_seed();
+/// Runs the Table I experiment and returns all reports. The UA-DETRAC
+/// rows come from `detrac`; the other presets get a sweep of their own.
+pub fn run(detrac: &Sweep) -> Table1Result {
+    let (frames, seed) = (detrac.stream.total_frames(), detrac.seed);
     let strategies = Strategy::table_one();
     let mut all_reports = Vec::new();
 
@@ -95,16 +95,13 @@ pub fn run() -> Table1Result {
     for (preset_idx, stream) in presets::all(seed).into_iter().enumerate() {
         let stream = stream.with_total_frames(frames);
         let (display_name, paper_rows) = PAPER[preset_idx];
-        eprintln!("[table1] pre-training models for {display_name} ...");
-        let models = SharedModels::build(&stream, seed);
-
         // Compute first (strategies fan out over worker threads), print the
         // finished rows after — output is identical to the serial order.
-        eprintln!(
-            "[table1] running {} strategies on {display_name} ...",
-            strategies.len()
-        );
-        let reports = run_strategies(&stream, &strategies, &models, seed, 0);
+        let reports = if stream == detrac.stream {
+            detrac.reports(&strategies)
+        } else {
+            Sweep::new(stream, seed, &strategies).reports(&strategies)
+        };
 
         println!("{display_name}");
         rule(90);

@@ -6,16 +6,14 @@
 //! stream; training time comes from the Jetson-TX2 FLOP model at the
 //! paper's session scale (300 fresh / 1500 replay images, 8 epochs).
 
-use crate::{
-    experiment_config, experiment_frames, experiment_seed, rule, write_json, SharedModels,
-};
-use shoggoth::sim::Simulation;
+use super::{Row, Rows};
+use crate::{rule, write_json, Sweep};
+use shoggoth::sim::SimConfig;
 use shoggoth::strategy::Strategy;
 use shoggoth::trainer::{FreezePolicy, ReplayPlacement, TrainerConfig};
 use shoggoth_compute::training::{training_time, TrainingPlan};
 use shoggoth_compute::{jetson_tx2, yolov4_resnet18};
-use shoggoth_util::json::{self, Obj};
-use shoggoth_video::presets;
+use shoggoth_util::json::Obj;
 
 /// Paper Table II reference: (method, mAP %, forward s, backward s,
 /// overall s).
@@ -42,9 +40,8 @@ pub struct Table2Row {
     pub overall_secs: f64,
 }
 
-impl Table2Row {
-    /// The row as a JSON object.
-    pub fn to_json(&self) -> String {
+impl Row for Table2Row {
+    fn to_json(&self) -> String {
         let Self {
             method,
             map50,
@@ -62,28 +59,8 @@ impl Table2Row {
     }
 }
 
-/// Serializable result bundle.
-#[derive(Debug)]
-pub struct Table2Result {
-    /// Frames simulated.
-    pub frames: u64,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Measured rows in Table II order.
-    pub rows: Vec<Table2Row>,
-}
-
-impl Table2Result {
-    /// The result as a JSON object.
-    pub fn to_json(&self) -> String {
-        let Self { frames, seed, rows } = self;
-        Obj::new()
-            .int("frames", *frames)
-            .int("seed", *seed)
-            .raw("rows", &json::array(rows.iter().map(Table2Row::to_json)))
-            .finish()
-    }
-}
+/// The experiment's rows with the scale they were measured at.
+pub type Table2Result = Rows<Table2Row>;
 
 /// Builds the trainer-config and wall-clock plan for each Table II variant.
 fn variants() -> Vec<(&'static str, TrainerConfig, TrainingPlan)> {
@@ -132,19 +109,25 @@ fn variants() -> Vec<(&'static str, TrainerConfig, TrainingPlan)> {
     ]
 }
 
-/// Runs the Table II ablation.
-///
-/// # Panics
-///
-/// Aborts the experiment if a simulation run fails.
-pub fn run() -> Table2Result {
-    let frames = experiment_frames();
-    let seed = experiment_seed();
+/// The simulation config of each Table II variant on `detrac`, in table
+/// order. The baseline's trainer is the default one, so it is the sweep's
+/// Shoggoth run.
+pub fn configs(detrac: &Sweep) -> Vec<SimConfig> {
+    variants()
+        .into_iter()
+        .map(|(_, trainer, _)| SimConfig {
+            trainer,
+            ..detrac.config(Strategy::Shoggoth)
+        })
+        .collect()
+}
+
+/// Runs the Table II ablation on `detrac`.
+pub fn run(detrac: &Sweep) -> Table2Result {
+    let (frames, seed) = (detrac.stream.total_frames(), detrac.seed);
     let stack = yolov4_resnet18();
     let device = jetson_tx2();
-    let stream = presets::detrac(seed).with_total_frames(frames);
-    eprintln!("[table2] pre-training models ...");
-    let models = SharedModels::build(&stream, seed);
+    let reports = detrac.run(configs(detrac));
 
     println!("Table II — mAP and training time of adaptive-training variants");
     println!("({frames} frames on UA-DETRAC, seed {seed}; paper values in parentheses)\n");
@@ -156,16 +139,10 @@ pub fn run() -> Table2Result {
     rule(100);
 
     let mut rows = Vec::new();
-    for (i, (name, trainer_cfg, plan)) in variants().into_iter().enumerate() {
-        eprintln!("[table2] running variant {name} ...");
-        let mut config = experiment_config(&stream, Strategy::Shoggoth, seed);
-        config.trainer = trainer_cfg;
-        let report =
-            Simulation::run_with_models(&config, models.student.clone(), models.teacher.clone())
-                .expect("experiment run failed");
-
+    for (((name, _, plan), report), (_, p_map, p_fwd, p_bwd, p_all)) in
+        variants().into_iter().zip(reports).zip(PAPER)
+    {
         let time = training_time(&stack, &plan, &device);
-        let (_, p_map, p_fwd, p_bwd, p_all) = PAPER[i];
         println!(
             "{:<22} {:>7.1} ({:>5.1}) {:>9.1} ({:>6.1}) {:>9.1} ({:>6.1}) {:>9.1} ({:>6.1})",
             name,
@@ -193,12 +170,27 @@ pub fn run() -> Table2Result {
     result
 }
 
-/// Convenience: run a single variant's wall-clock model (used by tests).
-pub fn wallclock_of(variant: &str) -> Option<f64> {
-    let stack = yolov4_resnet18();
-    let device = jetson_tx2();
-    variants()
-        .into_iter()
-        .find(|(name, _, _)| *name == variant)
-        .map(|(_, _, plan)| training_time(&stack, &plan, &device).total_secs())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wallclock_variants_keep_paper_ordering() {
+        let stack = yolov4_resnet18();
+        let device = jetson_tx2();
+        let secs = |variant: &str| {
+            let (_, _, plan) = variants()
+                .into_iter()
+                .find(|(name, _, _)| *name == variant)
+                .expect("known variant");
+            training_time(&stack, &plan, &device).total_secs()
+        };
+        let ours = secs("Ours (Baseline)");
+        let frozen = secs("Completely Freezing");
+        let conv = secs("Conv5_4");
+        let none = secs("No Replay Memory");
+        let input = secs("Input");
+        assert!((ours - frozen).abs() < 1e-9);
+        assert!(ours < conv && conv < none && none < input);
+    }
 }

@@ -6,10 +6,11 @@
 //! falls (overfitting to a few recent frames); adaptive sampling beats
 //! every fixed rate at a mid-range uplink cost.
 
-use crate::{experiment_frames, experiment_seed, rule, run_strategy, write_json, SharedModels};
+use super::{Row, Rows};
+use crate::{rule, write_json, Sweep};
+use shoggoth::sim::SimConfig;
 use shoggoth::strategy::Strategy;
-use shoggoth_util::json::{self, Obj};
-use shoggoth_video::presets;
+use shoggoth_util::json::Obj;
 
 /// Paper Table III reference: (rate label, up Kbps, average IoU).
 const PAPER: [(&str, f64, f64); 7] = [
@@ -35,9 +36,8 @@ pub struct Table3Row {
     pub map50: f64,
 }
 
-impl Table3Row {
-    /// The row as a JSON object.
-    pub fn to_json(&self) -> String {
+impl Row for Table3Row {
+    fn to_json(&self) -> String {
         let Self {
             rate,
             uplink_kbps,
@@ -53,36 +53,32 @@ impl Table3Row {
     }
 }
 
-/// Serializable result bundle.
-#[derive(Debug)]
-pub struct Table3Result {
-    /// Frames simulated.
-    pub frames: u64,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Rows in Table III order.
-    pub rows: Vec<Table3Row>,
+/// The experiment's rows with the scale they were measured at.
+pub type Table3Result = Rows<Table3Row>;
+
+/// The Table III rows in order: each fixed rate, then adaptive sampling
+/// (Shoggoth itself).
+fn rates() -> Vec<(String, Strategy)> {
+    [0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
+        .iter()
+        .map(|&r| (format!("{r}"), Strategy::FixedRate(r)))
+        .chain(std::iter::once(("Adaptive".to_owned(), Strategy::Shoggoth)))
+        .collect()
 }
 
-impl Table3Result {
-    /// The result as a JSON object.
-    pub fn to_json(&self) -> String {
-        let Self { frames, seed, rows } = self;
-        Obj::new()
-            .int("frames", *frames)
-            .int("seed", *seed)
-            .raw("rows", &json::array(rows.iter().map(Table3Row::to_json)))
-            .finish()
-    }
+/// The simulation config of each Table III row on `detrac`, in table
+/// order. The adaptive row is the sweep's Shoggoth run.
+pub fn configs(detrac: &Sweep) -> Vec<SimConfig> {
+    rates()
+        .into_iter()
+        .map(|(_, strategy)| detrac.config(strategy))
+        .collect()
 }
 
-/// Runs the Table III sensitivity sweep.
-pub fn run() -> Table3Result {
-    let frames = experiment_frames();
-    let seed = experiment_seed();
-    let stream = presets::detrac(seed).with_total_frames(frames);
-    eprintln!("[table3] pre-training models ...");
-    let models = SharedModels::build(&stream, seed);
+/// Runs the Table III sensitivity sweep on `detrac`.
+pub fn run(detrac: &Sweep) -> Table3Result {
+    let (frames, seed) = (detrac.stream.total_frames(), detrac.seed);
+    let reports = detrac.run(configs(detrac));
 
     println!("Table III — sensitivity to different sampling rates");
     println!("({frames} frames on UA-DETRAC, seed {seed}; paper values in parentheses)\n");
@@ -93,17 +89,8 @@ pub fn run() -> Table3Result {
     );
     rule(76);
 
-    let strategies: Vec<(String, Strategy)> = [0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
-        .iter()
-        .map(|&r| (format!("{r}"), Strategy::FixedRate(r)))
-        .chain(std::iter::once(("Adaptive".to_owned(), Strategy::Shoggoth)))
-        .collect();
-
     let mut rows = Vec::new();
-    for (i, (label, strategy)) in strategies.into_iter().enumerate() {
-        eprintln!("[table3] running rate {label} ...");
-        let report = run_strategy(&stream, strategy, &models, seed);
-        let (_, p_up, p_iou) = PAPER[i];
+    for (((label, _), report), (_, p_up, p_iou)) in rates().into_iter().zip(reports).zip(PAPER) {
         println!(
             "{:<10} {:>11.1} ({:>6.1}) {:>12.3} ({:>5.3}) {:>10.1}",
             label,

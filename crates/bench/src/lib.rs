@@ -4,7 +4,8 @@
 //! regenerates one table or figure of the paper: it runs the simulation at
 //! the configured scale, prints the paper's rows side by side with the
 //! measured ones, and writes a machine-readable JSON copy under
-//! `target/experiments/`.
+//! `target/experiments/`. The UA-DETRAC experiments draw their runs from
+//! one [`Sweep`], which `run_all` builds once for the whole suite.
 //!
 //! Scale is controlled by the `SHOGGOTH_FRAMES` environment variable
 //! (frames per stream; default 27 000 = 15 minutes of 30 fps video) and
@@ -16,24 +17,42 @@ use shoggoth::sim::{SimConfig, SimReport, Simulation};
 use shoggoth::strategy::Strategy;
 use shoggoth_models::{StudentDetector, TeacherDetector};
 use shoggoth_util::parallel_map;
-use shoggoth_video::StreamConfig;
+use shoggoth_video::{presets, StreamConfig};
+use std::ffi::OsStr;
 use std::path::PathBuf;
 
 /// Frames per stream for experiment runs (`SHOGGOTH_FRAMES`, default
 /// 27 000 ≈ 15 minutes at 30 fps).
 pub fn experiment_frames() -> u64 {
-    std::env::var("SHOGGOTH_FRAMES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(27_000)
+    env_u64("SHOGGOTH_FRAMES", 27_000)
 }
 
 /// Experiment seed (`SHOGGOTH_SEED`, default 1).
 pub fn experiment_seed() -> u64 {
-    std::env::var("SHOGGOTH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+    env_u64("SHOGGOTH_SEED", 1)
+}
+
+/// The environment variable `name` as an integer, or `default` when it
+/// is unset. A set value that does not parse ends the process with a
+/// message naming the variable, rather than silently running at the
+/// default scale.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    parse_var(name, std::env::var_os(name).as_deref(), default).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
+}
+
+/// [`env_u64`]'s parse step: `default` for an unset variable, otherwise
+/// the value as an integer or an error naming the variable.
+fn parse_var(name: &str, value: Option<&OsStr>, default: u64) -> Result<u64, String> {
+    let Some(value) = value else {
+        return Ok(default);
+    };
+    value
+        .to_str()
+        .and_then(|text| text.parse().ok())
+        .ok_or_else(|| format!("{name}={value:?} is not a non-negative integer"))
 }
 
 /// Directory where result JSON files land.
@@ -125,50 +144,124 @@ impl SharedModels {
     }
 }
 
-/// Runs one strategy over a stream with shared models.
-///
-/// # Panics
-///
-/// Aborts if the simulation run fails.
-pub fn run_strategy(
-    stream: &StreamConfig,
-    strategy: Strategy,
-    models: &SharedModels,
-    seed: u64,
-) -> SimReport {
-    let config = experiment_config(stream, strategy, seed);
-    Simulation::run_with_models(&config, models.student.clone(), models.teacher.clone())
-        .expect("experiment run failed")
-}
-
-/// Runs several strategies over one stream with shared models, fanning the
+/// Runs every config on clones of the shared models, fanning the
 /// independent simulations over `threads` worker threads (`0` = auto,
 /// honoring `SHOGGOTH_THREADS`; `1` = serial).
 ///
-/// Seeding happens per strategy before the fan-out and reports are merged
-/// back in strategy order, so the returned vector is bit-identical for
-/// every thread count.
+/// Each run is seeded by its own config and the reports come back in
+/// config order, so the returned vector is bit-identical for every
+/// thread count.
 ///
 /// # Panics
 ///
 /// Aborts if any simulation run fails.
-pub fn run_strategies(
-    stream: &StreamConfig,
-    strategies: &[Strategy],
+pub fn run_configs(
     models: &SharedModels,
-    seed: u64,
+    configs: Vec<SimConfig>,
     threads: usize,
 ) -> Vec<SimReport> {
-    let jobs: Vec<(Strategy, StudentDetector, TeacherDetector)> = strategies
-        .iter()
-        .map(|&strategy| (strategy, models.student.clone(), models.teacher.clone()))
+    let jobs: Vec<_> = configs
+        .into_iter()
+        .map(|config| (config, models.student.clone(), models.teacher.clone()))
         .collect();
-    parallel_map(jobs, threads, |_, (strategy, student, teacher)| {
-        Simulation::run_with_models(&experiment_config(stream, strategy, seed), student, teacher)
+    parallel_map(jobs, threads, |_, (config, student, teacher)| {
+        Simulation::run_with_models(&config, student, teacher)
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()
     .expect("experiment run failed")
+}
+
+/// One stream's experiment context: the stream and seed, its models
+/// pre-trained once, and the reports of the strategies it was built with.
+///
+/// Every experiment on a stream draws from one sweep, so a configuration
+/// several experiments report (Table I's Shoggoth run is also Table II's
+/// baseline, Table III's adaptive row and both ablations' default row) is
+/// simulated once.
+pub struct Sweep {
+    /// Experiment seed.
+    pub seed: u64,
+    /// The stream every run plays.
+    pub stream: StreamConfig,
+    /// The models every run starts from.
+    pub models: SharedModels,
+    runs: Vec<(SimConfig, SimReport)>,
+}
+
+impl Sweep {
+    /// The UA-DETRAC sweep at the experiment scale (`SHOGGOTH_FRAMES`,
+    /// `SHOGGOTH_SEED`), running `strategies`.
+    pub fn detrac(strategies: &[Strategy]) -> Self {
+        let seed = experiment_seed();
+        let stream = presets::detrac(seed).with_total_frames(experiment_frames());
+        Self::new(stream, seed, strategies)
+    }
+
+    /// Pre-trains the models for `stream` and runs `strategies` on them.
+    pub fn new(stream: StreamConfig, seed: u64, strategies: &[Strategy]) -> Self {
+        eprintln!("[sweep] pre-training models for {} ...", stream.name);
+        let models = SharedModels::build(&stream, seed);
+        let configs: Vec<SimConfig> = strategies
+            .iter()
+            .map(|&strategy| experiment_config(&stream, strategy, seed))
+            .collect();
+        let reports = run_configs(&models, configs.clone(), 0);
+        Self {
+            seed,
+            stream,
+            models,
+            runs: configs.into_iter().zip(reports).collect(),
+        }
+    }
+
+    /// The experiment configuration of `strategy` on this stream.
+    pub fn config(&self, strategy: Strategy) -> SimConfig {
+        experiment_config(&self.stream, strategy, self.seed)
+    }
+
+    /// The report of a run the sweep already holds for exactly `config`.
+    pub fn cached(&self, config: &SimConfig) -> Option<&SimReport> {
+        self.runs
+            .iter()
+            .find(|(run, _)| run == config)
+            .map(|(_, report)| report)
+    }
+
+    /// Reports for `configs`, in order. A config the sweep already ran
+    /// reuses that report; the rest run on the shared models.
+    ///
+    /// # Panics
+    ///
+    /// Aborts if any simulation run fails.
+    pub fn run(&self, configs: Vec<SimConfig>) -> Vec<SimReport> {
+        let fresh: Vec<SimConfig> = configs
+            .iter()
+            .filter(|config| self.cached(config).is_none())
+            .cloned()
+            .collect();
+        if !fresh.is_empty() {
+            eprintln!("[sweep] simulating {} configs ...", fresh.len());
+        }
+        let mut fresh = run_configs(&self.models, fresh, 0).into_iter();
+        configs
+            .iter()
+            .map(|config| {
+                self.cached(config)
+                    .cloned()
+                    .unwrap_or_else(|| fresh.next().expect("one report per fresh config"))
+            })
+            .collect()
+    }
+
+    /// Reports for `strategies` on this stream, in order.
+    ///
+    /// # Panics
+    ///
+    /// Aborts if any simulation run fails.
+    pub fn reports(&self, strategies: &[Strategy]) -> Vec<SimReport> {
+        self.run(strategies.iter().map(|&s| self.config(s)).collect())
+    }
 }
 
 /// Prints a horizontal rule sized to a table width.
@@ -192,21 +285,22 @@ mod tests {
     }
 
     #[test]
-    fn out_dir_is_creatable() {
-        let dir = out_dir();
-        assert!(dir.exists());
+    fn env_values_parse_or_name_the_variable() {
+        assert_eq!(parse_var("N", None, 7), Ok(7));
+        assert_eq!(parse_var("N", Some(OsStr::new("300")), 7), Ok(300));
+        assert_eq!(parse_var("N", Some(OsStr::new("0")), 7), Ok(0));
+        for bad in ["3k", "", " 300", "-1", "1.5"] {
+            let err = parse_var("SHOGGOTH_FRAMES", Some(OsStr::new(bad)), 7)
+                .expect_err("an unparsable value is an error");
+            assert!(err.contains("SHOGGOTH_FRAMES"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]
-    fn table2_wallclock_variants_keep_paper_ordering() {
-        let secs = |v: &str| crate::experiments::table2::wallclock_of(v).expect("known variant");
-        let ours = secs("Ours (Baseline)");
-        let frozen = secs("Completely Freezing");
-        let conv = secs("Conv5_4");
-        let none = secs("No Replay Memory");
-        let input = secs("Input");
-        assert!((ours - frozen).abs() < 1e-9);
-        assert!(ours < conv && conv < none && none < input);
+    fn out_dir_is_creatable() {
+        let dir = out_dir();
+        assert!(dir.exists());
     }
 
     #[test]

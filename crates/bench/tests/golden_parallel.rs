@@ -10,7 +10,7 @@
 use shoggoth::fleet::{run_fleet, FleetConfig, FleetReport};
 use shoggoth::sim::SimConfig;
 use shoggoth::strategy::Strategy;
-use shoggoth_bench::{run_strategies, SharedModels};
+use shoggoth_bench::{experiment_config, run_configs, SharedModels};
 use shoggoth_video::presets;
 
 fn fleet_report(seed: u64, threads: usize) -> FleetReport {
@@ -36,9 +36,12 @@ fn strategy_sweep_parallel_is_bit_identical_to_serial() {
     for seed in [1u64, 9] {
         let stream = presets::kitti(seed).with_total_frames(300);
         let models = SharedModels::build(&stream, seed);
-        let strategies = [Strategy::Shoggoth, Strategy::EdgeOnly, Strategy::CloudOnly];
-        let serial = run_strategies(&stream, &strategies, &models, seed, 1);
-        let parallel = run_strategies(&stream, &strategies, &models, seed, 4);
+        let configs: Vec<SimConfig> = [Strategy::Shoggoth, Strategy::EdgeOnly, Strategy::CloudOnly]
+            .into_iter()
+            .map(|strategy| experiment_config(&stream, strategy, seed))
+            .collect();
+        let serial = run_configs(&models, configs.clone(), 1);
+        let parallel = run_configs(&models, configs, 4);
         assert_eq!(
             serial, parallel,
             "seed {seed}: parallel strategy sweep diverged from serial"

@@ -230,12 +230,7 @@ impl CloudServer {
     }
 
     /// Updates the sampling rate from the edge's reported estimated
-    /// accuracy α and resource usage λ (Eqs. 2–3).
-    pub fn update_rate(&mut self, alpha: f64, lambda: f64) -> f64 {
-        self.controller.update(alpha, lambda)
-    }
-
-    /// [`update_rate`](Self::update_rate), but returning the fully
+    /// accuracy α and resource usage λ (Eqs. 2–3), returning the fully
     /// attributed [`RateDecision`] for the telemetry trace.
     pub fn update_rate_detailed(&mut self, alpha: f64, lambda: f64) -> RateDecision {
         self.controller.update_detailed(alpha, lambda)
@@ -301,7 +296,7 @@ mod tests {
         let (mut cloud, frames) = setup();
         let refs: Vec<&Frame> = frames.iter().take(5).collect();
         cloud.label_batch(&refs);
-        let r_low_alpha = cloud.update_rate(0.1, 0.1);
+        let r_low_alpha = cloud.update_rate_detailed(0.1, 0.1).rate;
         assert!(r_low_alpha >= cloud.controller().config().r_min);
         assert!(r_low_alpha <= cloud.controller().config().r_max);
     }

@@ -109,7 +109,7 @@ pub struct RateDecision {
 /// for _ in 0..10 {
 ///     ctl.observe_phi(0.9);
 /// }
-/// let r = ctl.update(0.3, 0.2);
+/// let r = ctl.update_detailed(0.3, 0.2).rate;
 /// assert!(r > ctl.config().initial_rate);
 /// assert!(r <= ctl.config().r_max);
 /// # Ok::<(), shoggoth::error::InvalidConfig>(())
@@ -176,13 +176,9 @@ impl SamplingRateController {
     }
 
     /// Applies Eq. (2)/(3) with the edge-reported estimated accuracy `α_t`
-    /// and resource usage `λ_{t+1}`, returning the new rate `r_{t+1}`.
-    pub fn update(&mut self, alpha: f64, lambda: f64) -> f64 {
-        self.update_detailed(alpha, lambda).rate
-    }
-
-    /// [`update`](Self::update), but returning the fully-attributed
-    /// [`RateDecision`] (telemetry's controller trace).
+    /// and resource usage `λ_{t+1}`, returning the fully-attributed
+    /// [`RateDecision`] (telemetry's controller trace) whose `rate` is the
+    /// new rate `r_{t+1}`.
     pub fn update_detailed(&mut self, alpha: f64, lambda: f64) -> RateDecision {
         let phi_bar = self.phi_bar();
         let r_phi = self.config.eta_r * (phi_bar - self.config.phi_target);
@@ -306,7 +302,7 @@ mod tests {
             ctl.observe_phi(1.0);
         }
         for _ in 0..10 {
-            let r = ctl.update(0.0, 1.0);
+            let r = ctl.update_detailed(0.0, 1.0).rate;
             assert!(r <= ctl.config().r_max && r >= ctl.config().r_min);
         }
         assert!((ctl.rate() - 2.0).abs() < 1e-9, "should saturate at r_max");
@@ -321,7 +317,7 @@ mod tests {
             ctl.observe_phi(0.0);
         }
         for _ in 0..20 {
-            ctl.update(0.95, 0.05);
+            ctl.update_detailed(0.95, 0.05);
         }
         assert!(
             ctl.rate() < ctl.config().initial_rate,
@@ -338,7 +334,7 @@ mod tests {
             ctl.observe_phi(0.25); // exactly on target: no φ pressure
         }
         let before = ctl.rate();
-        let after = ctl.update(0.2, 0.1);
+        let after = ctl.update_detailed(0.2, 0.1).rate;
         assert!(
             after > before,
             "low α must raise the rate: {before} -> {after}"
@@ -363,7 +359,7 @@ mod tests {
                               // R(φ) = 1.0·(0.6−0.2) = 0.4
                               // R(α) = 2.0·max(0, 0.8−0.5) = 0.6
                               // λ̄_{t+1} = 0.3, λ̄_t = 0 → R(λ) = (1+0.3)·1.0 = 1.3
-        let r = ctl.update(0.5, 0.3);
+        let r = ctl.update_detailed(0.5, 0.3).rate;
         assert!((r - 2.3).abs() < 1e-9, "r {r}");
     }
 

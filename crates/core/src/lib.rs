@@ -67,7 +67,7 @@ pub use error::{InvalidConfig, SimError, TrainError};
 pub use fleet::{run_fleet, run_fleet_traced, FleetConfig, FleetReport};
 pub use replay::{ReplayItem, ReplayMemory};
 pub use resilience::{
-    BreakerState, CircuitBreaker, EdgeResilience, ResilienceConfig, ResilienceReport, UploadTimeout,
+    CircuitBreaker, EdgeResilience, ResilienceConfig, ResilienceReport, UploadTimeout,
 };
 pub use sim::{SimConfig, SimReport, Simulation};
 pub use strategy::Strategy;

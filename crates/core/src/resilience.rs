@@ -40,7 +40,7 @@
 
 use crate::error::InvalidConfig;
 use shoggoth_net::Link;
-use shoggoth_telemetry::{RunTotals, TelemetryCounters};
+use shoggoth_telemetry::{BreakerPhase, RunTotals, TelemetryCounters};
 use shoggoth_util::json::Obj;
 use shoggoth_util::Rng;
 use shoggoth_video::Frame;
@@ -161,17 +161,6 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// The circuit breaker's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation: uploads flow.
-    Closed,
-    /// Outage detected: uplink suspended, adaptation frozen.
-    Open,
-    /// Cooldown elapsed: probing the link with a single chunk.
-    HalfOpen,
-}
-
 /// A consecutive-failure circuit breaker with an escalating cooldown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitBreaker {
@@ -179,7 +168,7 @@ pub struct CircuitBreaker {
     cooldown_secs: f64,
     cooldown_max_secs: f64,
     current_cooldown_secs: f64,
-    state: BreakerState,
+    state: BreakerPhase,
     consecutive_failures: u32,
     opened_at_secs: f64,
 }
@@ -194,14 +183,14 @@ impl CircuitBreaker {
             cooldown_secs,
             cooldown_max_secs,
             current_cooldown_secs: cooldown_secs,
-            state: BreakerState::Closed,
+            state: BreakerPhase::Closed,
             consecutive_failures: 0,
             opened_at_secs: 0.0,
         }
     }
 
     /// The current state.
-    pub fn state(&self) -> BreakerState {
+    pub fn state(&self) -> BreakerPhase {
         self.state
     }
 
@@ -211,21 +200,21 @@ impl CircuitBreaker {
     /// outage is probed at a geometrically decaying rate.
     pub fn on_failure(&mut self, now_secs: f64) {
         match self.state {
-            BreakerState::Closed => {
+            BreakerPhase::Closed => {
                 self.consecutive_failures += 1;
                 if self.open_after > 0 && self.consecutive_failures >= self.open_after {
-                    self.state = BreakerState::Open;
+                    self.state = BreakerPhase::Open;
                     self.opened_at_secs = now_secs;
                     self.current_cooldown_secs = self.cooldown_secs;
                 }
             }
-            BreakerState::HalfOpen => {
-                self.state = BreakerState::Open;
+            BreakerPhase::HalfOpen => {
+                self.state = BreakerPhase::Open;
                 self.opened_at_secs = now_secs;
                 self.current_cooldown_secs =
                     (self.current_cooldown_secs * 2.0).min(self.cooldown_max_secs);
             }
-            BreakerState::Open => {}
+            BreakerPhase::Open => {}
         }
     }
 
@@ -233,8 +222,8 @@ impl CircuitBreaker {
     /// this success closed the breaker (a delivered probe).
     pub fn on_success(&mut self) -> bool {
         self.consecutive_failures = 0;
-        if self.state == BreakerState::HalfOpen {
-            self.state = BreakerState::Closed;
+        if self.state == BreakerPhase::HalfOpen {
+            self.state = BreakerPhase::Closed;
             self.current_cooldown_secs = self.cooldown_secs;
             true
         } else {
@@ -245,10 +234,10 @@ impl CircuitBreaker {
     /// Advances time-driven transitions: an open breaker half-opens once
     /// its (possibly escalated) cooldown has elapsed.
     pub fn poll(&mut self, now_secs: f64) {
-        if self.state == BreakerState::Open
+        if self.state == BreakerPhase::Open
             && now_secs - self.opened_at_secs >= self.current_cooldown_secs
         {
-            self.state = BreakerState::HalfOpen;
+            self.state = BreakerPhase::HalfOpen;
         }
     }
 }
@@ -445,7 +434,7 @@ impl EdgeResilience {
     }
 
     /// The breaker's current state.
-    pub fn state(&self) -> BreakerState {
+    pub fn state(&self) -> BreakerPhase {
         self.breaker.state()
     }
 
@@ -542,7 +531,7 @@ impl EdgeResilience {
     /// Pops the first retransmit whose backoff has elapsed, if the breaker
     /// is closed (an open breaker holds the queue).
     pub fn take_ready(&mut self, now_secs: f64) -> Option<QueuedRetransmit> {
-        if self.breaker.state() != BreakerState::Closed {
+        if self.breaker.state() != BreakerPhase::Closed {
             return None;
         }
         let pos = self
@@ -588,9 +577,9 @@ mod tests {
     fn breaker_opens_after_consecutive_failures() {
         let mut b = CircuitBreaker::new(2, 5.0, 40.0);
         b.on_failure(1.0);
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state(), BreakerPhase::Closed);
         b.on_failure(2.0);
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state(), BreakerPhase::Open);
     }
 
     #[test]
@@ -599,20 +588,20 @@ mod tests {
         b.on_failure(1.0);
         assert!(!b.on_success());
         b.on_failure(2.0);
-        assert_eq!(b.state(), BreakerState::Closed, "streak was reset");
+        assert_eq!(b.state(), BreakerPhase::Closed, "streak was reset");
     }
 
     #[test]
     fn breaker_half_opens_after_cooldown_and_closes_on_probe_success() {
         let mut b = CircuitBreaker::new(1, 5.0, 40.0);
         b.on_failure(10.0);
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state(), BreakerPhase::Open);
         b.poll(14.9);
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state(), BreakerPhase::Open);
         b.poll(15.0);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state(), BreakerPhase::HalfOpen);
         assert!(b.on_success(), "probe success closes the breaker");
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state(), BreakerPhase::Closed);
     }
 
     #[test]
@@ -620,17 +609,17 @@ mod tests {
         let mut b = CircuitBreaker::new(1, 5.0, 40.0);
         b.on_failure(10.0);
         b.poll(15.0);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state(), BreakerPhase::HalfOpen);
         b.on_failure(17.0);
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state(), BreakerPhase::Open);
         b.poll(26.9);
         assert_eq!(
             b.state(),
-            BreakerState::Open,
+            BreakerPhase::Open,
             "cooldown restarts, doubled to 10 s by the failed probe"
         );
         b.poll(27.0);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state(), BreakerPhase::HalfOpen);
     }
 
     #[test]
@@ -638,21 +627,21 @@ mod tests {
         let mut b = CircuitBreaker::new(1, 5.0, 12.0);
         b.on_failure(0.0); // open, cooldown 5
         b.poll(5.0);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state(), BreakerPhase::HalfOpen);
         b.on_failure(6.0); // probe failed → cooldown 10
         b.poll(15.9);
-        assert_eq!(b.state(), BreakerState::Open, "escalated cooldown");
+        assert_eq!(b.state(), BreakerPhase::Open, "escalated cooldown");
         b.poll(16.0);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state(), BreakerPhase::HalfOpen);
         b.on_failure(17.0); // probe failed → cooldown capped at 12
         b.poll(28.9);
-        assert_eq!(b.state(), BreakerState::Open, "cap holds");
+        assert_eq!(b.state(), BreakerPhase::Open, "cap holds");
         b.poll(29.0);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state(), BreakerPhase::HalfOpen);
         assert!(b.on_success(), "recovery closes and resets");
         b.on_failure(31.0); // re-open: cooldown back to base 5
         b.poll(36.0);
-        assert_eq!(b.state(), BreakerState::HalfOpen, "base cooldown again");
+        assert_eq!(b.state(), BreakerPhase::HalfOpen, "base cooldown again");
     }
 
     #[test]
@@ -661,7 +650,7 @@ mod tests {
         for i in 0..100 {
             b.on_failure(i as f64);
         }
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state(), BreakerPhase::Closed);
     }
 
     #[test]
@@ -763,7 +752,7 @@ mod tests {
         let mut rng = Rng::seed_from(4);
         r.register(0.0, frames(1), 1, false);
         r.expire(2.0, &mut rng); // timeout opens the breaker and queues
-        assert_eq!(r.state(), BreakerState::Open);
+        assert_eq!(r.state(), BreakerPhase::Open);
         assert!(r.take_ready(100.0).is_none(), "open breaker holds queue");
     }
 

@@ -9,13 +9,13 @@
 
 use crate::cloud::{CloudConfig, CloudServer, LabelFate};
 use crate::error::SimError;
-use crate::resilience::{BreakerState, EdgeResilience, ResilienceConfig, ResilienceReport};
+use crate::resilience::{EdgeResilience, ResilienceConfig, ResilienceReport};
 use crate::strategy::{AdapterSite, Rate, Strategy, Uplink};
 use crate::trainer::{AdaptiveTrainer, FreezePolicy, ReplayPlacement, TrainerConfig};
 use shoggoth_compute::training::{training_time, TrainingPlan};
 use shoggoth_compute::{jetson_tx2, v100, Contention, DeviceProfile};
 use shoggoth_metrics::map::{average_iou, frame_map_at_05, map_at_05, FrameEval};
-use shoggoth_metrics::FpsTracker;
+use shoggoth_metrics::{kbps, FpsTracker};
 use shoggoth_models::{
     Detector, LabeledSample, StudentConfig, StudentDetector, TeacherConfig, TeacherDetector,
 };
@@ -28,7 +28,7 @@ use shoggoth_util::Rng;
 use shoggoth_video::{Frame, StreamConfig};
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The video stream to play.
     pub stream: StreamConfig,
@@ -502,23 +502,14 @@ impl<'a, R: Recorder> Engine<'a, R> {
         self.recorder.record(record);
     }
 
-    /// The telemetry mirror of a breaker state.
-    fn phase(state: BreakerState) -> BreakerPhase {
-        match state {
-            BreakerState::Closed => BreakerPhase::Closed,
-            BreakerState::Open => BreakerPhase::Open,
-            BreakerState::HalfOpen => BreakerPhase::HalfOpen,
-        }
-    }
-
     /// Emits a `BreakerTransition` if the breaker left `before` during the
     /// maintenance step that just ran.
-    fn trace_breaker(&mut self, before: BreakerState) {
+    fn trace_breaker(&mut self, before: BreakerPhase) {
         let after = self.resilience.state();
         if after != before {
             self.rec(Event::BreakerTransition {
-                from: Self::phase(before),
-                to: Self::phase(after),
+                from: before,
+                to: after,
             });
         }
     }
@@ -568,7 +559,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             // while the breaker is not closed: labels cannot be fresh
             // during an outage, and training through one would burn the
             // edge GPU for nothing.
-            if self.resilience.state() == BreakerState::Closed
+            if self.resilience.state() == BreakerPhase::Closed
                 && self.pool_frames >= self.config.trainer.batch_frames
             {
                 self.adapt(t)?;
@@ -594,7 +585,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             detections: detection_count as u32,
             uplink_bytes: self.link.uplink_bytes(),
             queue_depth: self.resilience.queue_len() as u32,
-            breaker: Self::phase(self.resilience.state()),
+            breaker: self.resilience.state(),
         });
         Ok(())
     }
@@ -603,10 +594,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
     fn finish(self) -> SimReport {
         let frames_played = self.frames_played;
         let duration = frames_played as f64 / self.config.stream.fps as f64;
-        let mut bandwidth = shoggoth_metrics::BandwidthMeter::new();
-        bandwidth.record_uplink(self.link.uplink_bytes());
-        bandwidth.record_downlink(self.link.downlink_bytes());
-        bandwidth.finish(duration);
         let (telemetry, totals) = self.fold.finish(duration);
         let sessions = telemetry.counters.adaptation_steps;
 
@@ -619,8 +606,8 @@ impl<'a, R: Recorder> Engine<'a, R> {
             map50: map_at_05(&self.frame_evals, self.num_classes),
             average_iou: average_iou(&self.frame_evals),
             per_frame_map: self.per_frame_map,
-            uplink_kbps: bandwidth.uplink_kbps(),
-            downlink_kbps: bandwidth.downlink_kbps(),
+            uplink_kbps: kbps(self.link.uplink_bytes(), duration),
+            downlink_kbps: kbps(self.link.downlink_bytes(), duration),
             uplink_bytes: self.link.uplink_bytes(),
             downlink_bytes: self.link.downlink_bytes(),
             avg_fps: self.fps.average(),
@@ -712,7 +699,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             self.transmit_chunk(t, q.frames, q.attempt, false);
         }
 
-        if self.resilience.state() == BreakerState::HalfOpen && !self.resilience.probe_in_flight() {
+        if self.resilience.state() == BreakerPhase::HalfOpen && !self.resilience.probe_in_flight() {
             self.transmit_chunk(t, vec![frame.clone()], 1, true);
         }
     }
@@ -728,17 +715,17 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
         self.next_sample_time = t + 1.0 / self.effective_rate().max(1e-6);
         let breaker = self.resilience.state();
-        if breaker == BreakerState::HalfOpen {
+        if breaker == BreakerPhase::HalfOpen {
             self.rec(Event::SampleSkipped);
             return;
         }
         self.chunk.push(frame.clone());
         self.rec(Event::FrameSampled {
             chunk_len: self.chunk.len() as u32,
-            breaker: Self::phase(breaker),
+            breaker,
         });
         if self.chunk.len() >= self.config.upload_chunk_frames {
-            if breaker == BreakerState::Closed {
+            if breaker == BreakerPhase::Closed {
                 self.upload_chunk(t);
             } else {
                 self.suppress_chunk();
@@ -751,8 +738,8 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// half-open (no point sampling fast into a dead link).
     fn effective_rate(&self) -> f64 {
         match self.resilience.state() {
-            BreakerState::Closed => self.sampling_rate,
-            BreakerState::Open | BreakerState::HalfOpen => self
+            BreakerPhase::Closed => self.sampling_rate,
+            BreakerPhase::Open | BreakerPhase::HalfOpen => self
                 .config
                 .cloud
                 .controller

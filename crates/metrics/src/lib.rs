@@ -9,8 +9,8 @@
 //!   [`shoggoth_util::stats::EmpiricalCdf`].
 //! * [`map::average_iou`] — mean IoU of matched true-positive detections
 //!   (Table III's accuracy metric).
-//! * [`bandwidth::BandwidthMeter`] — uplink/downlink byte accounting
-//!   reported in Kbps (Tables I, III).
+//! * [`bandwidth::kbps`] — uplink/downlink byte counts as average Kbps
+//!   (Tables I, III).
 //! * [`fps::FpsTracker`] — achieved inference FPS, overall average and
 //!   time series (Figure 4).
 //!
@@ -32,7 +32,7 @@ pub mod fps;
 pub mod map;
 pub mod matching;
 
-pub use bandwidth::BandwidthMeter;
+pub use bandwidth::kbps;
 pub use fps::FpsTracker;
 pub use map::{average_iou, frame_map_at_05, map_at_05, FrameEval};
 pub use matching::{match_detections, MatchResult};

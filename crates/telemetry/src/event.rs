@@ -17,17 +17,17 @@ pub struct Stamp {
     pub frame: u64,
 }
 
-/// The circuit breaker's phase as seen by telemetry.
+/// The phase of the edge's uplink circuit breaker.
 ///
-/// A local mirror of the core crate's breaker state (telemetry sits below
-/// the core crate in the dependency graph, so it cannot import it).
+/// The core crate's breaker keeps its state in this type, so the phase it
+/// traces is the state it runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerPhase {
-    /// Uploads flow normally.
+    /// Normal operation: uploads flow.
     Closed,
-    /// Outage detected: uplink suspended.
+    /// Outage detected: uplink suspended, adaptation frozen.
     Open,
-    /// Probing the link with a single chunk.
+    /// Cooldown elapsed: probing the link with a single chunk.
     HalfOpen,
 }
 

@@ -34,7 +34,7 @@ impl SceneSpec {
 /// Full configuration of a synthetic video stream.
 ///
 /// Obtain presets from [`crate::presets`] or build one directly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
     /// Stream name (e.g. `"ua-detrac"`), used in reports.
     pub name: String,

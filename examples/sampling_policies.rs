@@ -74,7 +74,7 @@ fn main() {
             } else {
                 0.95
             };
-            let rate = ctl.update(alpha, 0.4);
+            let rate = ctl.update_detailed(alpha, 0.4).rate;
             shown_step += 1;
             println!(
                 "  t={:>5.0}s  domain={:<22} phi_bar={:.2}  rate={:.2} fps",

@@ -52,10 +52,18 @@ echo "    telemetry artifacts present (JSONL + timeline HTML)"
 
 # Gating: experiment result files. A short run_all must write each of its
 # nine result files as a non-empty JSON document, and experiments_md.py
-# must render all five measured sections (Tables I-III, Figs. 4-5).
+# must render all five measured sections (Tables I-III, Figs. 4-5). It
+# must also pre-train models exactly once per stream preset: every
+# UA-DETRAC experiment shares one sweep.
 echo "==> experiment results: SHOGGOTH_FRAMES=300 run_all"
 rm -f target/experiments/*.json
-SHOGGOTH_FRAMES=300 cargo run -q --release -p shoggoth-bench --bin run_all
+SHOGGOTH_FRAMES=300 cargo run -q --release -p shoggoth-bench --bin run_all \
+  2> target/run_all.stderr || { cat target/run_all.stderr >&2; exit 1; }
+pretrainings=$(grep -c 'pre-training models' target/run_all.stderr || true)
+if [[ "$pretrainings" -ne 3 ]]; then
+  echo "run_all pre-trained models $pretrainings times, expected 3 (one per stream preset)" >&2
+  exit 1
+fi
 for name in table1 table2 table3 fig1c fig4 fig5 fleet ablate_controller ablate_replay; do
   if ! python3 -c 'import json,sys; sys.exit(not json.load(open(sys.argv[1])))' \
       "target/experiments/$name.json"; then
@@ -68,6 +76,6 @@ if [[ "$sections" -ne 5 ]]; then
   echo "experiments_md.py rendered $sections of 5 sections" >&2
   exit 1
 fi
-echo "    nine result files parse; five sections render"
+echo "    nine result files parse; five sections render; three pre-trainings"
 
 echo "CI green."

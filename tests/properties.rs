@@ -136,7 +136,7 @@ proptest! {
         }
         for &alpha in &alphas {
             let lambda = rng.next_f64();
-            let r = ctl.update(alpha, lambda);
+            let r = ctl.update_detailed(alpha, lambda).rate;
             prop_assert!(r >= config.r_min - 1e-12 && r <= config.r_max + 1e-12);
             prop_assert!((ctl.rate() - r).abs() < 1e-12);
         }
@@ -171,7 +171,7 @@ proptest! {
         let mut ctl = SamplingRateController::new(config).expect("generated config is valid");
         for &(phi, alpha, lambda) in &steps {
             ctl.observe_phi(phi);
-            let r = ctl.update(alpha, lambda);
+            let r = ctl.update_detailed(alpha, lambda).rate;
             prop_assert!(r >= config.r_min - 1e-12 && r <= config.r_max + 1e-12);
         }
     }

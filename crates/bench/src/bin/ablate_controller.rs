@@ -2,6 +2,7 @@
 //! `shoggoth_bench::experiments::ablate_controller`.
 
 fn main() {
+    shoggoth_bench::check_threads();
     let detrac = shoggoth_bench::Sweep::detrac(&[shoggoth::strategy::Strategy::Shoggoth]);
     shoggoth_bench::experiments::ablate_controller::run(&detrac);
 }

@@ -2,5 +2,6 @@
 //! `shoggoth_bench::experiments::fig1c`.
 
 fn main() {
+    shoggoth_bench::check_threads();
     shoggoth_bench::experiments::fig1c::run();
 }

@@ -2,5 +2,6 @@
 //! `shoggoth_bench::experiments::fleet`.
 
 fn main() {
+    shoggoth_bench::check_threads();
     shoggoth_bench::experiments::fleet::run();
 }

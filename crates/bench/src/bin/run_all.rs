@@ -10,14 +10,16 @@
 //!
 //! Experiments with independent simulations (every sweep, the fleet
 //! analysis) fan out over worker threads; `SHOGGOTH_THREADS` caps the pool
-//! (`SHOGGOTH_THREADS=1` forces serial). Every thread count produces
-//! bit-identical tables and JSON — seeding is fixed per work item and
-//! results are merged back in submission order.
+//! (`SHOGGOTH_THREADS=1` forces serial, and a value that is not a positive
+//! integer is an error). Every thread count produces bit-identical tables
+//! and JSON — seeding is fixed per work item and results are merged back
+//! in submission order.
 
 use shoggoth::strategy::Strategy;
 use shoggoth_bench::{experiments, Sweep};
 
 fn main() {
+    shoggoth_bench::check_threads();
     println!("=== Shoggoth reproduction: full experiment suite ===\n");
     experiments::fig1c::run();
     println!("\n");

@@ -44,6 +44,7 @@ fn chaos_config(strategy: Strategy, frames: u64, seed: u64) -> SimConfig {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    shoggoth_bench::check_threads();
     // The chaos window is 90 s, so the default is smaller than the
     // 15-minute experiment default.
     let frames = env_u64("SHOGGOTH_FRAMES", 2_700);

@@ -37,22 +37,47 @@ pub fn experiment_seed() -> u64 {
 /// message naming the variable, rather than silently running at the
 /// default scale.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    parse_var(name, std::env::var_os(name).as_deref(), default).unwrap_or_else(|message| {
-        eprintln!("error: {message}");
-        std::process::exit(2)
-    })
+    let value = std::env::var_os(name);
+    parse_var(name, value.as_deref(), default, false).unwrap_or_else(|message| exit_with(&message))
 }
 
-/// [`env_u64`]'s parse step: `default` for an unset variable, otherwise
-/// the value as an integer or an error naming the variable.
-fn parse_var(name: &str, value: Option<&OsStr>, default: u64) -> Result<u64, String> {
+/// Ends the process with a message naming `SHOGGOTH_THREADS` when it is
+/// set to anything but a positive integer. The variable sizes the worker
+/// pool and decides whether a run generates its stream on a second
+/// thread; the pool reads an invalid value as unset, which would silently
+/// use every core. Every experiment binary calls this first.
+pub fn check_threads() {
+    let name = "SHOGGOTH_THREADS";
+    let value = std::env::var_os(name);
+    if let Err(message) = parse_var(name, value.as_deref(), 0, true) {
+        exit_with(&message);
+    }
+}
+
+/// Prints `message` as an error and exits with status 2.
+fn exit_with(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// The parse step of [`env_u64`] and [`check_threads`]: `default` for an
+/// unset variable, otherwise the value as an integer (a positive one if
+/// `positive`) or an error naming the variable.
+fn parse_var(
+    name: &str,
+    value: Option<&OsStr>,
+    default: u64,
+    positive: bool,
+) -> Result<u64, String> {
     let Some(value) = value else {
         return Ok(default);
     };
+    let kind = if positive { "positive" } else { "non-negative" };
     value
         .to_str()
         .and_then(|text| text.parse().ok())
-        .ok_or_else(|| format!("{name}={value:?} is not a non-negative integer"))
+        .filter(|&n| n > 0 || !positive)
+        .ok_or_else(|| format!("{name}={value:?} is not a {kind} integer"))
 }
 
 /// Directory where result JSON files land.
@@ -286,14 +311,29 @@ mod tests {
 
     #[test]
     fn env_values_parse_or_name_the_variable() {
-        assert_eq!(parse_var("N", None, 7), Ok(7));
-        assert_eq!(parse_var("N", Some(OsStr::new("300")), 7), Ok(300));
-        assert_eq!(parse_var("N", Some(OsStr::new("0")), 7), Ok(0));
+        assert_eq!(parse_var("N", None, 7, false), Ok(7));
+        assert_eq!(parse_var("N", Some(OsStr::new("300")), 7, false), Ok(300));
+        assert_eq!(parse_var("N", Some(OsStr::new("0")), 7, false), Ok(0));
         for bad in ["3k", "", " 300", "-1", "1.5"] {
-            let err = parse_var("SHOGGOTH_FRAMES", Some(OsStr::new(bad)), 7)
+            let err = parse_var("SHOGGOTH_FRAMES", Some(OsStr::new(bad)), 7, false)
                 .expect_err("an unparsable value is an error");
             assert!(err.contains("SHOGGOTH_FRAMES"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn thread_count_must_be_a_positive_integer() {
+        let threads =
+            |value: Option<&str>| parse_var("SHOGGOTH_THREADS", value.map(OsStr::new), 0, true);
+        assert_eq!(threads(None), Ok(0));
+        assert_eq!(threads(Some("1")), Ok(1));
+        assert_eq!(threads(Some("2")), Ok(2));
+        for bad in ["0", "two", "", "-1", "1.5"] {
+            let err = threads(Some(bad)).expect_err("an invalid thread count is an error");
+            assert!(err.contains("SHOGGOTH_THREADS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("positive integer"), "{err}");
         }
     }
 

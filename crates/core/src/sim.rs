@@ -24,6 +24,7 @@ use shoggoth_telemetry::{
     BreakerPhase, Event, EventFold, NoopRecorder, Record, Recorder, TelemetrySummary,
 };
 use shoggoth_util::json::{self, Obj};
+use shoggoth_util::pool::pipeline;
 use shoggoth_util::Rng;
 use shoggoth_video::{Frame, StreamConfig};
 
@@ -333,6 +334,11 @@ impl Simulation {
     /// its [`SimReport::telemetry`] summary included, is bit-identical to
     /// an untraced run of the same configuration.
     ///
+    /// Called outside a worker pool with more than one thread available,
+    /// the run generates its video stream on a second thread
+    /// ([`shoggoth_util::pool::pipeline`]); the engine and `recorder` stay
+    /// on the calling thread, and the report is the same either way.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError`] if the configuration is inconsistent or the
@@ -375,6 +381,12 @@ enum Adapter {
         session_secs: f64,
     },
 }
+
+/// Frames the stream generator hands the engine at a time when it runs
+/// ahead on a second thread (`pool::pipeline`). A UA-DETRAC block is
+/// about 0.7 ms of generation and 100 KiB, so one hand-off per block
+/// costs little per frame and the three blocks in flight stay small.
+const FRAME_BLOCK: usize = 32;
 
 /// Mutable state of one run, generic over its telemetry sink so the
 /// no-op recorder compiles away entirely.
@@ -514,10 +526,14 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
     }
 
+    /// Plays the whole stream. The frames are generated a block ahead on
+    /// a second thread when one is free (`pool::pipeline`); the stream's
+    /// RNG never reads engine state, so this plays exactly the frames of
+    /// the serial loop.
     fn run(mut self) -> Result<SimReport, SimError> {
-        for frame in self.config.stream.build() {
-            self.step(&frame)?;
-        }
+        pipeline(self.config.stream.build(), FRAME_BLOCK, |frame| {
+            self.step(frame)
+        })?;
         Ok(self.finish())
     }
 

@@ -8,7 +8,8 @@
 //! sampling-rate controller, [`ring`] a fixed-capacity ring buffer used
 //! for recent-frame horizons, [`pool`] a scoped thread pool whose
 //! index-merged results keep parallel experiment runs bit-identical to
-//! serial ones, and [`json`] the deterministic JSON writer behind every
+//! serial ones (and the pipeline that generates a run's stream on a second
+//! thread), and [`json`] the deterministic JSON writer behind every
 //! report, result file and telemetry trace.
 //!
 //! # Examples

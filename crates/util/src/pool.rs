@@ -15,14 +15,36 @@
 //!
 //! [`join`] is the two-closure form under the same contract: it runs two
 //! independent computations (the student and teacher pre-training) at
-//! once.
+//! once. [`pipeline`] overlaps a producer with its consumer: it pulls an
+//! iterator (a simulation's video stream) on a second thread while the
+//! calling thread consumes the items in order.
+//!
+//! Parallelism stays one level deep: a thread the pool spawned runs any
+//! nested [`pipeline`] inline, so a pool of simulations never spawns a
+//! producer per simulation.
 //!
 //! No external dependencies: the pool is `std::thread::scope` plus a
-//! mutex-guarded queue and an mpsc channel, which is plenty for the
-//! coarse-grained work (whole simulations) it schedules.
+//! mutex-guarded queue and mpsc channels, which is plenty for the
+//! coarse-grained work (whole simulations, blocks of frames) it schedules.
 
+use std::cell::Cell;
 use std::sync::mpsc;
 use std::sync::Mutex;
+
+thread_local! {
+    /// Set on every thread the pool spawns; [`pipeline`] runs inline there.
+    static POOL_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as one the pool spawned.
+fn mark_pool_thread() {
+    POOL_THREAD.with(|flag| flag.set(true));
+}
+
+/// Whether the current thread is one the pool spawned.
+fn on_pool_thread() -> bool {
+    POOL_THREAD.with(Cell::get)
+}
 
 /// Worker-thread count to use when the caller passes `threads == 0`:
 /// the `SHOGGOTH_THREADS` environment variable when set and positive,
@@ -73,17 +95,20 @@ where
             let tx = tx.clone();
             let queue = &queue;
             let f = &f;
-            scope.spawn(move || loop {
-                // Take the next pending item; drop the lock before the
-                // (expensive) call so other workers keep stealing work.
-                let next = match queue.lock() {
-                    Ok(mut guard) => guard.next(),
-                    Err(poisoned) => poisoned.into_inner().next(),
-                };
-                let Some((i, item)) = next else { return };
-                let result = f(i, item);
-                if tx.send((i, result)).is_err() {
-                    return;
+            scope.spawn(move || {
+                mark_pool_thread();
+                loop {
+                    // Take the next pending item; drop the lock before the
+                    // (expensive) call so other workers keep stealing work.
+                    let next = match queue.lock() {
+                        Ok(mut guard) => guard.next(),
+                        Err(poisoned) => poisoned.into_inner().next(),
+                    };
+                    let Some((i, item)) = next else { return };
+                    let result = f(i, item);
+                    if tx.send((i, result)).is_err() {
+                        return;
+                    }
                 }
             });
         }
@@ -129,7 +154,10 @@ where
         return (ra, b());
     }
     std::thread::scope(|scope| {
-        let worker = scope.spawn(a);
+        let worker = scope.spawn(|| {
+            mark_pool_thread();
+            a()
+        });
         // A panic in `b` unwinds out of this closure; the scope joins the
         // worker before re-raising it.
         let rb = b();
@@ -138,6 +166,114 @@ where
             Err(panic) => std::panic::resume_unwind(panic),
         }
     })
+}
+
+/// Blocks waiting in [`pipeline`]'s queue. With the block the consumer
+/// holds and the one the producer fills, at most `QUEUED_BLOCKS + 2`
+/// blocks exist at once.
+const QUEUED_BLOCKS: usize = 1;
+
+/// Calls `consume(&item)` for every item of `source`, in order, on the
+/// calling thread, and stops at the first error, which it returns.
+///
+/// When [`available_threads`] resolves to more than one and the calling
+/// thread is not one the pool spawned, `source` is pulled on a scoped
+/// producer thread, `block` items at a time (a `block` of zero counts as
+/// one), so making the next items overlaps consuming these. Consumed
+/// blocks go back to the producer, which clears and refills them: every
+/// item is dropped on the thread that made it, so the memory a producer
+/// allocates stays in its own allocator arena and is reused there.
+/// Otherwise, on one thread or inside a [`parallel_map`] or [`join`]
+/// worker, it is a plain loop and spawns nothing.
+///
+/// The consumer sees the same items in the same order either way, so when
+/// `source` owns its seeded state the result does not depend on the
+/// thread count.
+///
+/// # Errors
+///
+/// Returns the first error `consume` returns; the producer then stops.
+///
+/// # Panics
+///
+/// Propagates a panic from `source` or `consume` once the producer has
+/// finished.
+pub fn pipeline<I, E, F>(source: I, block: usize, consume: F) -> Result<(), E>
+where
+    I: Iterator + Send,
+    I::Item: Send,
+    F: FnMut(&I::Item) -> Result<(), E>,
+{
+    pipeline_on(0, source, block, consume)
+}
+
+/// [`pipeline`] with an explicit thread count (`0` = auto).
+fn pipeline_on<I, E, F>(
+    threads: usize,
+    mut source: I,
+    block: usize,
+    mut consume: F,
+) -> Result<(), E>
+where
+    I: Iterator + Send,
+    I::Item: Send,
+    F: FnMut(&I::Item) -> Result<(), E>,
+{
+    if resolve_threads(threads) <= 1 || on_pool_thread() {
+        return source.try_for_each(|item| consume(&item));
+    }
+    let (full_tx, full_rx) = mpsc::sync_channel::<Vec<I::Item>>(QUEUED_BLOCKS);
+    let (empty_tx, empty_rx) = mpsc::channel::<Vec<I::Item>>();
+    std::thread::scope(|scope| {
+        let producer = scope.spawn(move || {
+            mark_pool_thread();
+            produce(source, block.max(1), full_tx, empty_rx);
+        });
+        // The consumer owns `full_rx` and `empty_tx`. However it ends (the
+        // queue closed, an error, a panic) dropping them unblocks the
+        // producer, so the scope can join it.
+        let result = (move || {
+            for items in full_rx {
+                for item in &items {
+                    consume(item)?;
+                }
+                // Fails only when the producer panicked; the block is then
+                // dropped here.
+                let _ = empty_tx.send(items);
+            }
+            Ok(())
+        })();
+        match producer.join() {
+            Ok(()) => result,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
+/// [`pipeline`]'s producer: fills blocks from `source` and queues them
+/// until it runs dry, taking the consumer's emptied blocks back once
+/// `QUEUED_BLOCKS + 2` are out. After the last block it closes the queue
+/// and frees the blocks that still come back.
+fn produce<I: Iterator>(
+    mut source: I,
+    block: usize,
+    full: mpsc::SyncSender<Vec<I::Item>>,
+    empty: mpsc::Receiver<Vec<I::Item>>,
+) {
+    let fresh = std::iter::repeat_with(Vec::new).take(QUEUED_BLOCKS + 2);
+    for mut items in fresh.chain(&empty) {
+        items.clear();
+        items.extend(source.by_ref().take(block));
+        let last = items.len() < block;
+        if !items.is_empty() && full.send(items).is_err() {
+            return;
+        }
+        if last {
+            break;
+        }
+    }
+    drop(full);
+    empty.iter().for_each(drop);
 }
 
 /// Resolves a requested thread count (`0` = auto) to at least one worker.
@@ -246,6 +382,141 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The items `pipeline_on(threads, 0..n, block, ..)` consumes.
+    fn piped(threads: usize, n: usize, block: usize) -> Vec<usize> {
+        let mut seen = Vec::new();
+        let result: Result<(), ()> = pipeline_on(threads, 0..n, block, |&i| {
+            seen.push(i);
+            Ok(())
+        });
+        assert_eq!(result, Ok(()));
+        seen
+    }
+
+    #[test]
+    fn pipeline_consumes_every_item_in_order() {
+        let block = 4;
+        for threads in [1, 2] {
+            for n in [0, 1, block, block + 1, 3 * block + 5] {
+                let expect: Vec<usize> = (0..n).collect();
+                assert_eq!(piped(threads, n, block), expect, "threads {threads}, n {n}");
+            }
+        }
+        // A zero block counts as one.
+        assert_eq!(piped(2, 3, 0), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn pipeline_returns_the_first_error_and_stops_the_producer() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (n, block, k) = (10_000, 8, 20);
+        for threads in [1, 2] {
+            let pulled = AtomicUsize::new(0);
+            let source = (0..n).inspect(|_| {
+                pulled.fetch_add(1, Ordering::SeqCst);
+            });
+            let mut consumed = 0;
+            let result = pipeline_on(threads, source, block, |&i| {
+                if i == k {
+                    return Err(format!("item {i}"));
+                }
+                consumed += 1;
+                Ok(())
+            });
+            assert_eq!(result, Err(format!("item {k}")), "threads {threads}");
+            assert_eq!(consumed, k, "threads {threads}");
+            // The producer stops within the blocks it may hold.
+            let pulled = pulled.load(Ordering::SeqCst);
+            assert!(
+                pulled <= k + 1 + (QUEUED_BLOCKS + 2) * block,
+                "threads {threads}: pulled {pulled}"
+            );
+        }
+    }
+
+    #[test]
+    fn pipeline_propagates_a_panic_from_either_side() {
+        for threads in [1, 2] {
+            for producer_panics in [true, false] {
+                let result = std::panic::catch_unwind(|| {
+                    let source = (0..100).inspect(|&i| {
+                        assert!(!(producer_panics && i == 50), "producer side");
+                    });
+                    pipeline_on(threads, source, 8, |&i| {
+                        assert!(producer_panics || i != 50, "consumer side");
+                        Ok::<(), ()>(())
+                    })
+                });
+                let payload = result.expect_err("the panic propagates");
+                let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+                let side = if producer_panics {
+                    "producer side"
+                } else {
+                    "consumer side"
+                };
+                assert_eq!(message, side, "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_spawns_a_producer_only_at_the_top_level() {
+        let made_on = |threads: usize| {
+            let mut ids = Vec::new();
+            let source = (0..20).map(|_| std::thread::current().id());
+            let result: Result<(), ()> = pipeline_on(threads, source, 4, |&id| {
+                ids.push(id);
+                Ok(())
+            });
+            assert_eq!(result, Ok(()));
+            ids
+        };
+        let caller = std::thread::current().id();
+        assert!(made_on(1).iter().all(|&id| id == caller));
+        assert!(made_on(2).iter().all(|&id| id != caller));
+        // Inside a pool worker the pipeline runs inline on that worker.
+        let on_worker = || (std::thread::current().id(), made_on(2));
+        let (joined, _) = join_on(2, on_worker, || ());
+        for (worker, ids) in parallel_map(vec![(); 2], 2, |_, ()| on_worker())
+            .into_iter()
+            .chain([joined])
+        {
+            assert_ne!(worker, caller);
+            assert!(ids.iter().all(|&id| id == worker));
+        }
+    }
+
+    #[test]
+    fn pipeline_drops_every_item_on_the_thread_that_made_it() {
+        use std::thread::ThreadId;
+        /// Records the thread it was made on and the thread it dies on.
+        struct Item<'a> {
+            made_on: ThreadId,
+            log: &'a Mutex<Vec<(ThreadId, ThreadId)>>,
+        }
+        impl Drop for Item<'_> {
+            fn drop(&mut self) {
+                let dropped_on = std::thread::current().id();
+                if let Ok(mut log) = self.log.lock() {
+                    log.push((self.made_on, dropped_on));
+                }
+            }
+        }
+        let log = Mutex::new(Vec::new());
+        let source = (0..50).map(|_| Item {
+            made_on: std::thread::current().id(),
+            log: &log,
+        });
+        let result: Result<(), ()> = pipeline_on(2, source, 4, |_| Ok(()));
+        assert_eq!(result, Ok(()));
+        let log = log.into_inner().expect("no thread panicked");
+        assert_eq!(log.len(), 50);
+        let caller = std::thread::current().id();
+        assert!(log
+            .iter()
+            .all(|&(made, dropped)| made == dropped && made != caller));
     }
 
     #[test]

@@ -141,6 +141,25 @@ struct ActiveObject {
     ttl: u64,
 }
 
+/// The domain in effect at the current frame.
+#[derive(Debug, Clone)]
+enum Effective {
+    /// A scene's own domain: borrowed from the library.
+    Library(usize),
+    /// The blend of two scenes' domains during a gradual transition.
+    Blend(Domain),
+}
+
+impl Effective {
+    /// The effective domain, borrowed from the library or the blend.
+    fn domain<'a>(&'a self, library: &'a DomainLibrary) -> &'a Domain {
+        match self {
+            Effective::Library(index) => library.domain(*index),
+            Effective::Blend(domain) => domain,
+        }
+    }
+}
+
 /// Iterator over the frames of a configured stream.
 ///
 /// Produced by [`StreamConfig::build`]; yields exactly
@@ -154,15 +173,15 @@ pub struct VideoStream {
     scene_offset: u64,
     objects: Vec<ActiveObject>,
     next_track_id: u64,
-    /// Domain in effect last frame (for cache invalidation).
-    current_domain: Domain,
-    in_transition_last: bool,
+    /// Domain in effect this frame; last frame's until `next` moves it
+    /// (for cache invalidation).
+    current_domain: Effective,
 }
 
 impl VideoStream {
     fn new(config: StreamConfig) -> Self {
         let mut rng = Rng::seed_from(config.seed ^ 0x5354_5245_414d); // "STREAM"
-        let current_domain = config.library.domain(config.scenes[0].domain_index).clone();
+        let current_domain = Effective::Library(config.scenes[0].domain_index);
         let mut stream = Self {
             rng: rng.fork(),
             frame_index: 0,
@@ -171,7 +190,6 @@ impl VideoStream {
             objects: Vec::new(),
             next_track_id: 0,
             current_domain,
-            in_transition_last: false,
             config,
         };
         // Pre-populate the first scene so frame 0 is not empty.
@@ -193,28 +211,27 @@ impl VideoStream {
 
     /// The domain (with any transition blending) in effect at the scene
     /// position `(scene_index, scene_offset)`.
-    fn effective_domain(&self, scene_index: usize, scene_offset: u64) -> (Domain, bool) {
+    fn effective_domain(&self, scene_index: usize, scene_offset: u64) -> Effective {
         let lib = &self.config.library;
-        let target = lib.domain(self.config.scenes[scene_index].domain_index);
+        let target = self.config.scenes[scene_index].domain_index;
         let t_frames = self.config.transition_frames;
         if scene_index > 0 && t_frames > 0 && scene_offset < t_frames {
             let prev = lib.domain(self.config.scenes[scene_index - 1].domain_index);
             let t = (scene_offset + 1) as f32 / t_frames as f32;
-            (prev.lerp(target, t), true)
+            Effective::Blend(prev.lerp(lib.domain(target), t))
         } else {
-            (target.clone(), false)
+            Effective::Library(target)
         }
     }
 
     fn spawn_object(&mut self) {
-        let dim = self.config.library.world().feature_dim();
-        let class = self.current_domain.sample_class(&mut self.rng);
-        let jitter: Vec<f32> = (0..dim)
+        let library = &self.config.library;
+        let domain = self.current_domain.domain(library);
+        let class = domain.sample_class(&mut self.rng);
+        let jitter: Vec<f32> = (0..library.world().feature_dim())
             .map(|_| self.rng.next_gaussian_f32(0.0, 0.45))
             .collect();
-        let base_appearance =
-            self.current_domain
-                .object_appearance(self.config.library.world(), class, &jitter);
+        let base_appearance = domain.object_appearance(library.world(), class, &jitter);
         let size = self.rng.range_f64(0.05, 0.25) as f32;
         let bbox = BBox::new(
             self.rng.range_f64(0.0, (1.0 - size) as f64) as f32,
@@ -272,61 +289,61 @@ impl VideoStream {
     }
 
     fn refresh_appearances(&mut self) {
-        let world = self.config.library.world().clone();
-        let domain = self.current_domain.clone();
+        let library = &self.config.library;
+        let domain = self.current_domain.domain(library);
         for obj in &mut self.objects {
-            obj.base_appearance = domain.object_appearance(&world, obj.class, &obj.jitter);
+            obj.base_appearance = domain.object_appearance(library.world(), obj.class, &obj.jitter);
         }
     }
 
-    fn make_proposals(&mut self, domain: &Domain) -> Vec<Proposal> {
+    fn make_proposals(&mut self) -> Vec<Proposal> {
+        let domain = self.current_domain.domain(&self.config.library);
+        let rng = &mut self.rng;
         let noise = domain.noise_std();
         let mut proposals =
             Vec::with_capacity(self.objects.len() + self.config.background_proposals);
         let jitter_frac = self.config.bbox_jitter;
         let miss_rate = self.config.proposal_miss_rate;
         // Object proposals.
-        for i in 0..self.objects.len() {
-            if self.rng.bernoulli(miss_rate) {
+        for o in &self.objects {
+            if rng.bernoulli(miss_rate) {
                 continue;
             }
-            let (bbox, class, track_id, base) = {
-                let o = &self.objects[i];
-                (o.bbox, o.class, o.track_id, o.base_appearance.clone())
-            };
-            let dx = self.rng.next_gaussian_f32(0.0, jitter_frac * bbox.w);
-            let dy = self.rng.next_gaussian_f32(0.0, jitter_frac * bbox.h);
-            let sw = (1.0 + self.rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
-            let sh = (1.0 + self.rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
+            let bbox = o.bbox;
+            let dx = rng.next_gaussian_f32(0.0, jitter_frac * bbox.w);
+            let dy = rng.next_gaussian_f32(0.0, jitter_frac * bbox.h);
+            let sw = (1.0 + rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
+            let sh = (1.0 + rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
             let proposal_box = BBox::new(bbox.x + dx, bbox.y + dy, bbox.w * sw, bbox.h * sh);
-            let features: Vec<f32> = base
+            let features: Vec<f32> = o
+                .base_appearance
                 .iter()
-                .map(|&v| v + self.rng.next_gaussian_f32(0.0, noise))
+                .map(|&v| v + rng.next_gaussian_f32(0.0, noise))
                 .collect();
             proposals.push(Proposal {
                 bbox: proposal_box,
                 features,
-                true_class: Some(class),
-                track_id: Some(track_id),
+                true_class: Some(o.class),
+                track_id: Some(o.track_id),
             });
         }
         // Background distractors.
         for _ in 0..self.config.background_proposals {
-            let size = self.rng.range_f64(0.04, 0.2) as f32;
+            let size = rng.range_f64(0.04, 0.2) as f32;
             let bbox = BBox::new(
-                self.rng.range_f64(0.0, (1.0 - size) as f64) as f32,
-                self.rng.range_f64(0.0, (1.0 - size) as f64) as f32,
+                rng.range_f64(0.0, (1.0 - size) as f64) as f32,
+                rng.range_f64(0.0, (1.0 - size) as f64) as f32,
                 size,
                 size,
             );
             proposals.push(Proposal {
                 bbox,
-                features: domain.background_appearance(&mut self.rng),
+                features: domain.background_appearance(rng),
                 true_class: None,
                 track_id: None,
             });
         }
-        self.rng.shuffle(&mut proposals);
+        rng.shuffle(&mut proposals);
         proposals
     }
 }
@@ -349,11 +366,15 @@ impl Iterator for VideoStream {
             }
         }
 
-        let (domain, in_transition) = self.effective_domain(self.scene_index, self.scene_offset);
-        let domain_changed =
-            domain.name != self.current_domain.name || in_transition || self.in_transition_last;
-        self.current_domain = domain.clone();
-        self.in_transition_last = in_transition;
+        // Cached appearances follow the domain: refresh them on a switch,
+        // on every frame of a blend and on the first frame after one.
+        let domain = self.effective_domain(self.scene_index, self.scene_offset);
+        let library = &self.config.library;
+        let domain_changed = domain.domain(library).name
+            != self.current_domain.domain(library).name
+            || matches!(domain, Effective::Blend(_))
+            || matches!(self.current_domain, Effective::Blend(_));
+        self.current_domain = domain;
         if domain_changed {
             self.refresh_appearances();
         }
@@ -370,14 +391,18 @@ impl Iterator for VideoStream {
                 bbox: o.bbox,
             })
             .collect();
-        let proposals = self.make_proposals(&domain);
+        let proposals = self.make_proposals();
 
         let (w, h) = self.config.resolution;
         let frame = Frame {
             index: self.frame_index,
             timestamp: self.frame_index as f64 / self.config.fps as f64,
             scene_index: self.scene_index,
-            domain_name: domain.name.clone(),
+            domain_name: self
+                .current_domain
+                .domain(&self.config.library)
+                .name
+                .clone(),
             ground_truth,
             proposals,
             raw_bytes: w as u64 * h as u64 * 3,

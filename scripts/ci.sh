@@ -16,6 +16,11 @@ cargo run -q -p xtask -- lint
 echo "==> cargo test --workspace (tier-1 and crate tests)"
 cargo test -q --workspace
 
+# The pins again on one thread: every run then generates its stream inline
+# instead of on a second thread, and pre-trains its models serially.
+echo "==> SHOGGOTH_THREADS=1 cargo test --test report_pin --test pretrain_pin"
+SHOGGOTH_THREADS=1 cargo test -q --test report_pin --test pretrain_pin
+
 echo "==> cargo test -p shoggoth-tensor --features finite-check"
 cargo test -q -p shoggoth-tensor --features finite-check
 

@@ -15,6 +15,7 @@ use shoggoth::CloudFaultProfile;
 use shoggoth_models::{StudentDetector, TeacherDetector};
 use shoggoth_net::{FaultProfile, GilbertElliott, LatencyJitter, LinkConfig};
 use shoggoth_telemetry::{Histogram, NoopRecorder, Record, Recorder, RingRecorder};
+use shoggoth_util::parallel_map;
 use shoggoth_video::presets;
 
 const STREAM_SEED: u64 = 83;
@@ -82,6 +83,32 @@ fn tracing_is_observation_only() {
     assert_eq!(summary.queue_depth.count, traced.frames);
     let bucket_sum: u64 = summary.queue_depth.buckets.iter().map(|(_, n)| n).sum();
     assert_eq!(bucket_sum, summary.queue_depth.count);
+}
+
+/// A top-level run generates its stream a block ahead on a second thread
+/// (when the host has one); inside a pool worker the same run generates
+/// each frame inline. Both loops must play the same frames.
+#[test]
+fn pipelined_and_inline_runs_are_identical() {
+    let config = storm_config(1_800);
+    let traced = |(student, teacher): (StudentDetector, TeacherDetector)| {
+        let mut ring = RingRecorder::default();
+        let report = Simulation::run_traced(&config, student, teacher, &mut ring)
+            .expect("traced run must not fail");
+        assert_eq!(ring.events_dropped(), 0);
+        (report, ring.records())
+    };
+    let models = MODELS.with(Clone::clone);
+    let (report, records) = traced(models.clone());
+    assert!(
+        report.resilience.breaker_opens >= 1,
+        "storm must trip the breaker"
+    );
+    let inline = parallel_map(vec![models; 2], 2, |_, models| traced(models));
+    for (inline_report, inline_records) in inline {
+        assert_eq!(inline_report, report, "reports must match");
+        assert!(inline_records == records, "traces must match");
+    }
 }
 
 #[test]

@@ -14,27 +14,16 @@ use shoggoth::sim::{SimConfig, Simulation};
 use shoggoth::strategy::Strategy;
 use shoggoth::CloudFaultProfile;
 use shoggoth_bench::{artifact_slug, env_u64, experiment_seed, export_telemetry, rule};
-use shoggoth_net::{FaultProfile, GilbertElliott, LatencyJitter, LinkConfig};
+use shoggoth_net::{FaultProfile, LinkConfig};
 use shoggoth_telemetry::RingRecorder;
 use shoggoth_video::presets;
 
 /// The scripted outage storm the chaos smoke test uses: two outages,
 /// a degradation episode, bursty loss, jitter, and a flaky cloud labeler.
 fn chaos_config(strategy: Strategy, frames: u64, seed: u64) -> SimConfig {
-    let storm = FaultProfile::none()
-        .with_loss_rate(0.05)
-        .with_burst(GilbertElliott::bursty())
-        .with_outage(15.0, 58.0)
-        .with_outage(75.0, 79.0)
-        .with_degradation(60.0, 68.0, 0.5)
-        .with_jitter(LatencyJitter {
-            jitter_secs: 0.05,
-            spike_prob: 0.1,
-            spike_secs: 1.0,
-        });
     let mut config = SimConfig::quick(presets::kitti(seed).with_total_frames(frames));
     config.strategy = strategy;
-    config.link = LinkConfig::cellular().with_fault(storm);
+    config.link = LinkConfig::cellular().with_fault(FaultProfile::storm());
     config.cloud.faults = CloudFaultProfile {
         label_drop_rate: 0.1,
         slow_label_rate: 0.2,

@@ -235,11 +235,6 @@ impl CloudServer {
     pub fn update_rate_detailed(&mut self, alpha: f64, lambda: f64) -> RateDecision {
         self.controller.update_detailed(alpha, lambda)
     }
-
-    /// Mutable access to the hosted teacher (AMS's cloud-side training).
-    pub fn teacher_mut(&mut self) -> &mut TeacherDetector {
-        &mut self.teacher
-    }
 }
 
 #[cfg(test)]

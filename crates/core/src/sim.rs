@@ -14,8 +14,7 @@ use crate::strategy::{AdapterSite, Rate, Strategy, Uplink};
 use crate::trainer::{AdaptiveTrainer, FreezePolicy, ReplayPlacement, TrainerConfig};
 use shoggoth_compute::training::{training_time, TrainingPlan};
 use shoggoth_compute::{jetson_tx2, v100, Contention, DeviceProfile};
-use shoggoth_metrics::map::{average_iou, frame_map_at_05, map_at_05, FrameEval};
-use shoggoth_metrics::{kbps, FpsTracker};
+use shoggoth_metrics::{kbps, Evaluation, FpsTracker};
 use shoggoth_models::{
     Detector, LabeledSample, StudentConfig, StudentDetector, TeacherConfig, TeacherDetector,
 };
@@ -409,7 +408,6 @@ struct Engine<'a, R: Recorder> {
     resilience: EdgeResilience,
     pending_labels: Vec<PendingLabels>,
     rng: Rng,
-    num_classes: usize,
 
     sampling_rate: f64,
     next_sample_time: f64,
@@ -426,7 +424,7 @@ struct Engine<'a, R: Recorder> {
     alpha_hits: u64,
     alpha_total: u64,
 
-    frame_evals: Vec<FrameEval>,
+    eval: Evaluation,
     per_frame_map: Vec<f64>,
     fps: FpsTracker,
     rate_sum: f64,
@@ -488,7 +486,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             last_rate_update: 0.0,
             alpha_hits: 0,
             alpha_total: 0,
-            frame_evals: Vec::new(),
+            eval: Evaluation::new(num_classes),
             per_frame_map: Vec::new(),
             fps: FpsTracker::new(),
             rate_sum: 0.0,
@@ -502,7 +500,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
             frames_played: 0,
             student,
             cloud,
-            num_classes,
         })
     }
 
@@ -582,15 +579,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
             }
         }
 
-        // Evaluation.
-        let eval = FrameEval {
-            detections,
-            ground_truth: frame.ground_truth.clone(),
-        };
-        let frame_map = frame_map_at_05(&eval, self.num_classes);
-        let detection_count = eval.detections.len();
+        // Evaluation: one match, folded into the run's scores.
+        let frame_map = self.eval.add(&detections, &frame.ground_truth);
         self.per_frame_map.push(frame_map);
-        self.frame_evals.push(eval);
 
         // The per-frame status sample: the telemetry timeline's
         // backbone, emitted once per played frame after evaluation.
@@ -598,7 +589,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             map: frame_map,
             fps: fps_now,
             sampling_rate: self.effective_rate(),
-            detections: detection_count as u32,
+            detections: detections.len() as u32,
             uplink_bytes: self.link.uplink_bytes(),
             queue_depth: self.resilience.queue_len() as u32,
             breaker: self.resilience.state(),
@@ -619,8 +610,8 @@ impl<'a, R: Recorder> Engine<'a, R> {
             stream_name: self.config.stream.name.clone(),
             frames: frames_played,
             duration_secs: duration,
-            map50: map_at_05(&self.frame_evals, self.num_classes),
-            average_iou: average_iou(&self.frame_evals),
+            map50: self.eval.map50(),
+            average_iou: self.eval.average_iou(),
             per_frame_map: self.per_frame_map,
             uplink_kbps: kbps(self.link.uplink_bytes(), duration),
             downlink_kbps: kbps(self.link.downlink_bytes(), duration),
@@ -628,7 +619,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             downlink_bytes: self.link.downlink_bytes(),
             avg_fps: self.fps.average(),
             min_fps: self.fps.min(),
-            fps_series: self.fps.series(1.0),
+            fps_series: self.fps.series(),
             training_sessions: sessions as usize,
             avg_session_secs: if sessions == 0 {
                 0.0
@@ -657,15 +648,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// outcome is consulted, so the detections arrive even through an
     /// outage.
     fn cloud_infer(&mut self, frame: &Frame) -> Vec<shoggoth_models::Detection> {
-        let codec = &self.config.codec;
-        let gop_position = (frame.index % codec.gop.max(1) as u64) as usize;
-        let encoded = if gop_position == 0 {
-            codec.encode_single(frame.raw_bytes)
-        } else {
-            let sim = codec.similarity(1.0 / self.config.stream.fps as f64, frame.motion_magnitude);
-            let ratio = codec.i_frame_ratio + (codec.p_frame_ratio - codec.i_frame_ratio) * sim;
-            ((frame.raw_bytes as f64 / ratio).ceil() as u64).max(1)
-        };
+        let encoded = self.config.codec.encode_frame(
+            frame.index,
+            frame.raw_bytes,
+            frame.motion_magnitude,
+            1.0 / self.config.stream.fps as f64,
+        );
         self.link.send_uplink(
             frame.timestamp,
             Message::FrameBatch {

@@ -2,17 +2,23 @@
 //!
 //! Implements exactly the quantities the paper reports:
 //!
-//! * [`map::map_at_05`] — mean Average Precision at IoU 0.5 (Tables I, II),
-//!   VOC-2010-style all-point interpolation.
-//! * [`map::frame_map_at_05`] — per-frame mAP, pooled into the CDF of
-//!   mAP gain vs. Edge-Only (Figure 5) via
-//!   [`shoggoth_util::stats::EmpiricalCdf`].
-//! * [`map::average_iou`] — mean IoU of matched true-positive detections
-//!   (Table III's accuracy metric).
+//! * [`map::Evaluation`] — the streaming evaluator a simulation run feeds
+//!   frame by frame. It matches each frame once and yields
+//!   - the frame's own mAP@0.5, pooled into the CDF of mAP gain vs.
+//!     Edge-Only (Figure 5) via [`shoggoth_util::stats::EmpiricalCdf`];
+//!   - the run's mAP@0.5 (Tables I, II), VOC-2010-style all-point
+//!     interpolation over detections pooled across frames;
+//!   - the run's mean IoU of matched true-positive detections (Table
+//!     III's accuracy metric).
+//!
+//!   [`map::map_at_05`], [`map::frame_map_at_05`] and
+//!   [`map::average_iou`] give the same scores for a slice of
+//!   [`map::FrameEval`]s.
 //! * [`bandwidth::kbps`] — uplink/downlink byte counts as average Kbps
 //!   (Tables I, III).
-//! * [`fps::FpsTracker`] — achieved inference FPS, overall average and
-//!   time series (Figure 4).
+//! * [`fps::FpsTracker`] — achieved inference FPS, overall average,
+//!   minimum and one-second time series (Figure 4), kept as running
+//!   totals.
 //!
 //! # Examples
 //!
@@ -34,5 +40,5 @@ pub mod matching;
 
 pub use bandwidth::kbps;
 pub use fps::FpsTracker;
-pub use map::{average_iou, frame_map_at_05, map_at_05, FrameEval};
+pub use map::{average_iou, frame_map_at_05, map_at_05, Evaluation, FrameEval};
 pub use matching::{match_detections, MatchResult};

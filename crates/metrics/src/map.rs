@@ -14,116 +14,171 @@ pub struct FrameEval {
     pub ground_truth: Vec<GroundTruthObject>,
 }
 
-/// Mean Average Precision at IoU 0.5 over a set of frames, averaged over
-/// the classes that appear in the ground truth.
+/// One class's evaluation state: `(confidence, is_tp)` per detection in
+/// the order the frames were added, and its ground-truth count.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct ClassScores {
+    scored: Vec<(f32, bool)>,
+    ground_truth: usize,
+}
+
+impl ClassScores {
+    /// Average Precision with VOC-2010-style all-point interpolation:
+    /// rank by confidence (a stable sort, so ties keep their order), walk
+    /// cumulative precision/recall, take the running max of precision
+    /// from the right and sum it over each recall increment.
+    fn ap(&self) -> f64 {
+        let mut ranked = self.scored.clone();
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let (mut tp, mut fp) = (0usize, 0usize);
+        let mut curve: Vec<(f64, f64)> = Vec::with_capacity(ranked.len());
+        for &(_, is_tp) in &ranked {
+            if is_tp {
+                tp += 1;
+            } else {
+                fp += 1;
+            }
+            curve.push((
+                tp as f64 / self.ground_truth as f64,
+                tp as f64 / (tp + fp) as f64,
+            ));
+        }
+        let mut max_from_right = 0.0f64;
+        for (_, p) in curve.iter_mut().rev() {
+            max_from_right = max_from_right.max(*p);
+            *p = max_from_right;
+        }
+        let (mut ap, mut prev_recall) = (0.0, 0.0);
+        for (r, p) in curve {
+            ap += (r - prev_recall) * p;
+            prev_recall = r;
+        }
+        ap
+    }
+}
+
+/// Streaming accuracy evaluation: every frame is matched once, at IoU 0.5
+/// over all classes, and folded into the run's pooled scores as it is
+/// added, so no frame is kept.
 ///
-/// Uses VOC-2010-style all-point interpolation: detections of each class
-/// are pooled across frames, ranked by confidence, matched greedily within
-/// their frame, and AP is the area under the interpolated precision-recall
-/// curve. Classes with no ground truth anywhere are skipped (not counted as
-/// zero), matching common practice.
+/// A detection only claims ground truth of its own class, so the one
+/// all-class match assigns each detection exactly as a per-class match
+/// would. Each class list grows in frame order and is stable-sorted when
+/// scored, which ranks ties as pooling every frame and sorting would.
 ///
-/// Returns `0.0` if no class has any ground truth.
-pub fn map_at_05(frames: &[FrameEval], num_classes: usize) -> f64 {
-    let mut ap_sum = 0.0;
-    let mut classes_counted = 0;
-    for class in 0..num_classes {
-        if let Some(ap) = average_precision(frames, class, 0.5) {
-            ap_sum += ap;
-            classes_counted += 1;
+/// # Examples
+///
+/// ```
+/// use shoggoth_metrics::map::Evaluation;
+/// use shoggoth_models::Detection;
+/// use shoggoth_video::{BBox, GroundTruthObject};
+///
+/// let gt = GroundTruthObject { track_id: 0, class: 0, bbox: BBox::new(0.1, 0.1, 0.2, 0.2) };
+/// let hit = Detection { bbox: BBox::new(0.1, 0.1, 0.2, 0.2), class: 0, confidence: 0.9 };
+/// let mut eval = Evaluation::new(1);
+/// assert_eq!(eval.add(&[hit], &[gt.clone()]), 1.0);
+/// assert_eq!(eval.add(&[], &[gt]), 0.0);
+/// assert_eq!(eval.map50(), 0.5);
+/// assert!((eval.average_iou() - 0.5).abs() < 1e-6);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Evaluation {
+    classes: Vec<ClassScores>,
+    iou_sum: f64,
+    total_gt: usize,
+}
+
+impl Evaluation {
+    /// An empty evaluation over classes `0..num_classes`. Detections and
+    /// ground truth of other classes count toward [`Self::average_iou`]
+    /// only.
+    pub fn new(num_classes: usize) -> Self {
+        Self {
+            classes: vec![ClassScores::default(); num_classes],
+            iou_sum: 0.0,
+            total_gt: 0,
         }
     }
-    if classes_counted == 0 {
-        0.0
-    } else {
-        ap_sum / classes_counted as f64
+
+    /// Scores one frame and folds it into the run; returns the frame's
+    /// own mAP@0.5 (the paper's Fig. 5 per-frame value).
+    pub fn add(&mut self, detections: &[Detection], ground_truth: &[GroundTruthObject]) -> f64 {
+        let mut frame = Self::new(self.classes.len());
+        let result = match_detections(detections, ground_truth, 0.5);
+        for (det, assignment) in detections.iter().zip(&result.assignments) {
+            if let Some(class) = frame.classes.get_mut(det.class) {
+                class.scored.push((det.confidence, assignment.is_some()));
+            }
+            if let Some((_, iou)) = assignment {
+                self.iou_sum += f64::from(*iou);
+            }
+        }
+        for gt in ground_truth {
+            if let Some(class) = frame.classes.get_mut(gt.class) {
+                class.ground_truth += 1;
+            }
+        }
+        self.total_gt += ground_truth.len();
+        let frame_map = frame.map50();
+        for (run, class) in self.classes.iter_mut().zip(frame.classes) {
+            run.scored.extend(class.scored);
+            run.ground_truth += class.ground_truth;
+        }
+        frame_map
     }
+
+    /// Mean Average Precision at IoU 0.5 over the frames added, averaged
+    /// over the classes that appear in their ground truth. Detections of
+    /// each class are pooled across frames and ranked by confidence; AP
+    /// is the area under the interpolated precision-recall curve
+    /// (VOC-2010 all-point). Classes with no ground truth are skipped,
+    /// not counted as zero. `0.0` if no class has any ground truth.
+    pub fn map50(&self) -> f64 {
+        let (ap_sum, counted) = self
+            .classes
+            .iter()
+            .filter(|class| class.ground_truth > 0)
+            .fold((0.0, 0usize), |(sum, n), class| (sum + class.ap(), n + 1));
+        if counted == 0 {
+            0.0
+        } else {
+            ap_sum / counted as f64
+        }
+    }
+
+    /// Mean IoU of matched true-positive detections, Table III's "Average
+    /// IoU": `sum(matched IoUs) / max(ground-truth objects, 1)`, so both
+    /// localization quality and recall count. Unmatched detections add
+    /// zero, and missed objects drag the average down.
+    pub fn average_iou(&self) -> f64 {
+        self.iou_sum / self.total_gt.max(1) as f64
+    }
+}
+
+/// The [`Evaluation`] of a set of frames, added in order.
+fn evaluate(frames: &[FrameEval], num_classes: usize) -> Evaluation {
+    let mut eval = Evaluation::new(num_classes);
+    for frame in frames {
+        eval.add(&frame.detections, &frame.ground_truth);
+    }
+    eval
+}
+
+/// Mean Average Precision at IoU 0.5 over a set of frames
+/// ([`Evaluation::map50`]).
+pub fn map_at_05(frames: &[FrameEval], num_classes: usize) -> f64 {
+    evaluate(frames, num_classes).map50()
 }
 
 /// mAP@0.5 of a single frame (used for the paper's Fig. 5 per-frame CDF).
 pub fn frame_map_at_05(frame: &FrameEval, num_classes: usize) -> f64 {
-    map_at_05(std::slice::from_ref(frame), num_classes)
+    Evaluation::new(num_classes).add(&frame.detections, &frame.ground_truth)
 }
 
-/// Average Precision of one class at the given IoU threshold, or `None`
-/// when the class never appears in the ground truth.
-pub fn average_precision(frames: &[FrameEval], class: usize, iou: f32) -> Option<f64> {
-    // (confidence, is_tp) per detection of this class, pooled over frames.
-    let mut scored: Vec<(f32, bool)> = Vec::new();
-    let mut total_gt = 0usize;
-    for frame in frames {
-        let class_dets: Vec<Detection> = frame
-            .detections
-            .iter()
-            .filter(|d| d.class == class)
-            .cloned()
-            .collect();
-        let class_gt: Vec<GroundTruthObject> = frame
-            .ground_truth
-            .iter()
-            .filter(|g| g.class == class)
-            .cloned()
-            .collect();
-        total_gt += class_gt.len();
-        let result = match_detections(&class_dets, &class_gt, iou);
-        for (det, assignment) in class_dets.iter().zip(&result.assignments) {
-            scored.push((det.confidence, assignment.is_some()));
-        }
-    }
-    if total_gt == 0 {
-        return None;
-    }
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-
-    // Cumulative precision/recall down the ranked list.
-    let mut tp = 0usize;
-    let mut fp = 0usize;
-    let mut recalls = Vec::with_capacity(scored.len());
-    let mut precisions = Vec::with_capacity(scored.len());
-    for &(_, is_tp) in &scored {
-        if is_tp {
-            tp += 1;
-        } else {
-            fp += 1;
-        }
-        recalls.push(tp as f64 / total_gt as f64);
-        precisions.push(tp as f64 / (tp + fp) as f64);
-    }
-
-    // All-point interpolation: running max of precision from the right,
-    // then sum precision over each recall increment.
-    let mut max_from_right = 0.0f64;
-    for p in precisions.iter_mut().rev() {
-        max_from_right = max_from_right.max(*p);
-        *p = max_from_right;
-    }
-    let mut ap = 0.0;
-    let mut prev_recall = 0.0;
-    for (r, p) in recalls.iter().zip(&precisions) {
-        ap += (r - prev_recall) * p;
-        prev_recall = *r;
-    }
-    Some(ap)
-}
-
-/// Mean IoU of matched true-positive detections over a set of frames —
-/// Table III's "Average IoU" metric. Detections that fail to match
-/// contribute zero, and frames with ground truth but no detections drag
-/// the average down through their misses.
-///
-/// Concretely: `sum(matched IoUs) / max(total ground-truth objects, 1)`,
-/// so both localization quality and recall are reflected.
+/// Mean IoU of matched true-positive detections over a set of frames
+/// ([`Evaluation::average_iou`], Table III).
 pub fn average_iou(frames: &[FrameEval]) -> f64 {
-    let mut iou_sum = 0.0f64;
-    let mut total_gt = 0usize;
-    for frame in frames {
-        total_gt += frame.ground_truth.len();
-        let result = match_detections(&frame.detections, &frame.ground_truth, 0.5);
-        for assignment in result.assignments.iter().flatten() {
-            iou_sum += assignment.1 as f64;
-        }
-    }
-    iou_sum / total_gt.max(1) as f64
+    evaluate(frames, 0).average_iou()
 }
 
 #[cfg(test)]
@@ -179,7 +234,7 @@ mod tests {
             detections: vec![det(0, 0.7, 0.9), det(0, 0.1, 0.5)],
             ground_truth: vec![gt(0, 0.1)],
         }];
-        let ap = average_precision(&frames, 0, 0.5).expect("class present");
+        let ap = map_at_05(&frames, 1);
         assert!((ap - 0.5).abs() < 1e-9, "ap {ap}");
     }
 
@@ -190,7 +245,7 @@ mod tests {
             detections: vec![det(0, 0.1, 0.9), det(0, 0.7, 0.2)],
             ground_truth: vec![gt(0, 0.1)],
         }];
-        let ap = average_precision(&frames, 0, 0.5).expect("class present");
+        let ap = map_at_05(&frames, 1);
         assert!((ap - 1.0).abs() < 1e-9, "ap {ap}");
     }
 
@@ -202,7 +257,10 @@ mod tests {
             ground_truth: vec![gt(0, 0.1)],
         }];
         assert!((map_at_05(&frames, 2) - 1.0).abs() < 1e-9);
-        assert!(average_precision(&frames, 1, 0.5).is_none());
+        // A class-1 false positive does not bring class 1 into the mean.
+        let mut eval = Evaluation::new(2);
+        eval.add(&[det(0, 0.1, 0.9), det(1, 0.6, 0.8)], &[gt(0, 0.1)]);
+        assert_eq!(eval.map50(), 1.0);
     }
 
     #[test]
@@ -211,7 +269,7 @@ mod tests {
             detections: vec![det(0, 0.1, 0.9)],
             ground_truth: vec![gt(0, 0.1), gt(0, 0.6)],
         }];
-        let ap = average_precision(&frames, 0, 0.5).expect("class present");
+        let ap = map_at_05(&frames, 1);
         assert!((ap - 0.5).abs() < 1e-9, "ap {ap}");
     }
 
@@ -258,5 +316,27 @@ mod tests {
             frame_map_at_05(&frame, 1),
             map_at_05(std::slice::from_ref(&frame), 1)
         );
+    }
+
+    #[test]
+    fn pooled_ranking_spans_frames() {
+        // Frame 1 ranks a false positive above its hit (AP 1/2); frame 2
+        // has one hit (AP 1). Pooled, the hits sit at precision 1/2 and
+        // 2/3, interpolated to 2/3 over both recall steps: AP 2/3, not the
+        // frames' mean 3/4.
+        let mut eval = Evaluation::new(1);
+        let first = eval.add(&[det(0, 0.7, 0.9), det(0, 0.1, 0.3)], &[gt(0, 0.1)]);
+        assert!((first - 0.5).abs() < 1e-9, "frame map {first}");
+        assert_eq!(eval.add(&[det(0, 0.3, 0.6)], &[gt(0, 0.3)]), 1.0);
+        assert!((eval.map50() - 2.0 / 3.0).abs() < 1e-9);
+        assert!((eval.average_iou() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn out_of_range_classes_count_toward_iou_only() {
+        let mut eval = Evaluation::new(1);
+        assert_eq!(eval.add(&[det(3, 0.1, 0.9)], &[gt(3, 0.1)]), 0.0);
+        assert_eq!(eval.map50(), 0.0);
+        assert!((eval.average_iou() - 1.0).abs() < 1e-6);
     }
 }

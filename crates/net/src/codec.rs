@@ -57,13 +57,28 @@ impl Codec {
 
     /// Inter-frame similarity in `[0, 1]` for a gap of `gap_secs` seconds
     /// and the given motion level.
-    pub fn similarity(&self, gap_secs: f64, motion: f32) -> f64 {
+    fn similarity(&self, gap_secs: f64, motion: f32) -> f64 {
         (-(self.temporal_decay * gap_secs + self.motion_decay * motion as f64)).exp()
     }
 
-    /// Encoded size in bytes of a single intra-coded frame.
-    pub fn encode_single(&self, raw_bytes: u64) -> u64 {
-        ((raw_bytes as f64 / self.i_frame_ratio).ceil() as u64).max(1)
+    /// Compression ratio of a predicted frame `gap_secs` after its
+    /// predecessor at the given motion level.
+    fn p_ratio(&self, gap_secs: f64, motion: f32) -> f64 {
+        let sim = self.similarity(gap_secs, motion);
+        self.i_frame_ratio + (self.p_frame_ratio - self.i_frame_ratio) * sim
+    }
+
+    /// Encoded size in bytes (at least 1) of frame `index` of a live
+    /// stream whose frames are `gap_secs` apart, sent on its own: an
+    /// I-frame at every GOP boundary (every frame when `gop == 0`), a
+    /// P-frame otherwise.
+    pub fn encode_frame(&self, index: u64, raw_bytes: u64, motion: f32, gap_secs: f64) -> u64 {
+        let ratio = if self.gop == 0 || index.is_multiple_of(self.gop as u64) {
+            self.i_frame_ratio
+        } else {
+            self.p_ratio(gap_secs, motion)
+        };
+        ((raw_bytes as f64 / ratio).ceil() as u64).max(1)
     }
 
     /// Encoded size in bytes of a buffered frame group whose frames are
@@ -78,8 +93,7 @@ impl Codec {
             let ratio = if is_i_frame {
                 self.i_frame_ratio
             } else {
-                let sim = self.similarity(gap_secs, frame.motion);
-                self.i_frame_ratio + (self.p_frame_ratio - self.i_frame_ratio) * sim
+                self.p_ratio(gap_secs, frame.motion)
             };
             total += frame.raw_bytes as f64 / ratio;
         }
@@ -149,9 +163,45 @@ mod tests {
     fn single_frame_is_intra_coded() {
         let c = Codec::h264_like();
         assert_eq!(
-            c.encode_single(786_432),
+            c.encode_frame(0, 786_432, 0.0, 1.0),
             c.encode_group(&frames(1, 0.0), 1.0)
         );
+    }
+
+    #[test]
+    fn live_frames_are_intra_coded_at_gop_boundaries() {
+        let c = Codec::h264_like();
+        let (raw, motion, gap) = (786_432, 0.002, 1.0 / 30.0);
+        let intra = (raw as f64 / c.i_frame_ratio).ceil() as u64;
+        let ratio =
+            c.i_frame_ratio + (c.p_frame_ratio - c.i_frame_ratio) * c.similarity(gap, motion);
+        let predicted = (raw as f64 / ratio).ceil() as u64;
+        assert!(predicted < intra);
+        for (index, expected) in [
+            (0, intra),
+            (1, predicted),
+            (29, predicted),
+            (30, intra),
+            (31, predicted),
+            (60, intra),
+        ] {
+            assert_eq!(
+                c.encode_frame(index, raw, motion, gap),
+                expected,
+                "frame {index}"
+            );
+        }
+        let all_intra = Codec { gop: 0, ..c };
+        for index in [0, 1, 29, 31] {
+            assert_eq!(
+                all_intra.encode_frame(index, raw, motion, gap),
+                intra,
+                "frame {index}"
+            );
+        }
+        // An empty frame still costs one byte.
+        assert_eq!(c.encode_frame(0, 0, motion, gap), 1);
+        assert_eq!(c.encode_frame(1, 0, motion, gap), 1);
     }
 
     #[test]

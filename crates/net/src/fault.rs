@@ -302,6 +302,25 @@ impl FaultProfile {
         }
     }
 
+    /// The scripted outage storm of the chaos smoke, the telemetry
+    /// timelines and the behaviour pins, one 90 s window of every fault
+    /// kind: 5% i.i.d. loss under bursty Gilbert–Elliott loss, total
+    /// outages over 15–58 s and 75–79 s, capacity halved over 60–68 s,
+    /// and 50 ms jitter with 1 s spikes on 10% of messages.
+    pub fn storm() -> Self {
+        Self::none()
+            .with_loss_rate(0.05)
+            .with_burst(GilbertElliott::bursty())
+            .with_outage(15.0, 58.0)
+            .with_outage(75.0, 79.0)
+            .with_degradation(60.0, 68.0, 0.5)
+            .with_jitter(LatencyJitter {
+                jitter_secs: 0.05,
+                spike_prob: 0.1,
+                spike_secs: 1.0,
+            })
+    }
+
     /// Sets the baseline i.i.d. loss rate (validated, not clamped).
     #[must_use]
     pub fn with_loss_rate(mut self, loss_rate: f64) -> Self {

@@ -88,11 +88,6 @@ impl Mlp {
         self.layers.is_empty()
     }
 
-    /// Layer names front to back (for diagnostics).
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
-
     /// Full forward pass.
     ///
     /// # Errors

@@ -15,26 +15,14 @@ use shoggoth::resilience::ResilienceConfig;
 use shoggoth::sim::{SimConfig, Simulation};
 use shoggoth::strategy::Strategy;
 use shoggoth::CloudFaultProfile;
-use shoggoth_net::{FaultProfile, GilbertElliott, LatencyJitter, LinkConfig};
+use shoggoth_net::{FaultProfile, LinkConfig};
 use shoggoth_telemetry::{render_timeline, to_jsonl, RingRecorder};
 use shoggoth_video::presets;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let storm = FaultProfile::none()
-        .with_loss_rate(0.05)
-        .with_burst(GilbertElliott::bursty())
-        .with_outage(15.0, 58.0)
-        .with_outage(75.0, 79.0)
-        .with_degradation(60.0, 68.0, 0.5)
-        .with_jitter(LatencyJitter {
-            jitter_secs: 0.05,
-            spike_prob: 0.1,
-            spike_secs: 1.0,
-        });
-
     let mut config = SimConfig::quick(presets::kitti(29).with_total_frames(2700));
     config.strategy = Strategy::Shoggoth;
-    config.link = LinkConfig::cellular().with_fault(storm);
+    config.link = LinkConfig::cellular().with_fault(FaultProfile::storm());
     config.cloud.faults = CloudFaultProfile {
         label_drop_rate: 0.1,
         slow_label_rate: 0.2,

@@ -1,11 +1,12 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants: PRNG ranges, matrix algebra, IoU geometry, replay-memory
-//! size discipline, controller clamping, codec bounds, and mAP bounds.
+//! size discipline, controller clamping, codec bounds, mAP bounds, and
+//! the streaming evaluation against the per-class definition of mAP.
 
 use proptest::prelude::*;
 use shoggoth::controller::{phi_score, ControllerConfig, SamplingRateController};
 use shoggoth::replay::{ReplayItem, ReplayMemory};
-use shoggoth_metrics::map::{average_iou, map_at_05, FrameEval};
+use shoggoth_metrics::map::{average_iou, frame_map_at_05, map_at_05, Evaluation, FrameEval};
 use shoggoth_metrics::matching::match_detections;
 use shoggoth_models::Detection;
 use shoggoth_net::{Codec, FrameGroupStats};
@@ -25,6 +26,132 @@ fn arb_detection() -> impl Strategy<Value = Detection> {
         class,
         confidence,
     })
+}
+
+/// Box positions on a small grid: same-class boxes overlap above and
+/// below IoU 0.5, and several detections compete for one object.
+const GRID_X: [f32; 6] = [0.10, 0.12, 0.15, 0.30, 0.50, 0.53];
+/// A few confidence levels, so ranks tie within and across frames.
+const CONFIDENCES: [f32; 4] = [0.3, 0.5, 0.7, 0.9];
+/// Classes scored by the evaluation; ground truth uses all four, the
+/// detections only the first three.
+const EVAL_CLASSES: usize = 4;
+
+/// A frame of up to 5 objects and 9 detections, possibly empty, possibly
+/// multi-class, with tied confidences and overlapping same-class boxes.
+fn arb_frame() -> impl Strategy<Value = FrameEval> {
+    (
+        prop::collection::vec((0usize..6, 0usize..EVAL_CLASSES), 0..6),
+        prop::collection::vec((0usize..6, 0usize..3, 0usize..4, 0.0f32..0.03), 0..10),
+    )
+        .prop_map(|(objects, dets)| FrameEval {
+            ground_truth: objects
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, class))| GroundTruthObject {
+                    track_id: i as u64,
+                    class,
+                    bbox: BBox::new(GRID_X[x], 0.1, 0.2, 0.2),
+                })
+                .collect(),
+            detections: dets
+                .iter()
+                .map(|&(x, class, level, shift)| Detection {
+                    bbox: BBox::new(GRID_X[x] + shift, 0.1 + shift, 0.2, 0.2),
+                    class,
+                    confidence: CONFIDENCES[level],
+                })
+                .collect(),
+        })
+}
+
+/// Average Precision of one class as mAP was defined before the streaming
+/// [`Evaluation`]: filter and clone the class's detections and ground
+/// truth per frame, match them on their own, pool in frame order,
+/// stable-sort by confidence and integrate the interpolated curve.
+fn reference_average_precision(frames: &[FrameEval], class: usize) -> Option<f64> {
+    let mut scored: Vec<(f32, bool)> = Vec::new();
+    let mut total_gt = 0usize;
+    for frame in frames {
+        let class_dets: Vec<Detection> = frame
+            .detections
+            .iter()
+            .filter(|d| d.class == class)
+            .cloned()
+            .collect();
+        let class_gt: Vec<GroundTruthObject> = frame
+            .ground_truth
+            .iter()
+            .filter(|g| g.class == class)
+            .cloned()
+            .collect();
+        total_gt += class_gt.len();
+        let result = match_detections(&class_dets, &class_gt, 0.5);
+        for (det, assignment) in class_dets.iter().zip(&result.assignments) {
+            scored.push((det.confidence, assignment.is_some()));
+        }
+    }
+    if total_gt == 0 {
+        return None;
+    }
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let (mut tp, mut fp) = (0usize, 0usize);
+    let mut recalls = Vec::new();
+    let mut precisions = Vec::new();
+    for &(_, is_tp) in &scored {
+        if is_tp {
+            tp += 1;
+        } else {
+            fp += 1;
+        }
+        recalls.push(tp as f64 / total_gt as f64);
+        precisions.push(tp as f64 / (tp + fp) as f64);
+    }
+    let mut max_from_right = 0.0f64;
+    for p in precisions.iter_mut().rev() {
+        max_from_right = max_from_right.max(*p);
+        *p = max_from_right;
+    }
+    let mut ap = 0.0;
+    let mut prev_recall = 0.0;
+    for (r, p) in recalls.iter().zip(&precisions) {
+        ap += (r - prev_recall) * p;
+        prev_recall = *r;
+    }
+    Some(ap)
+}
+
+/// The per-class definition's mAP@0.5: the mean AP over the classes with
+/// ground truth, `0.0` when none has any.
+fn reference_map(frames: &[FrameEval]) -> f64 {
+    let mut ap_sum = 0.0;
+    let mut classes_counted = 0;
+    for class in 0..EVAL_CLASSES {
+        if let Some(ap) = reference_average_precision(frames, class) {
+            ap_sum += ap;
+            classes_counted += 1;
+        }
+    }
+    if classes_counted == 0 {
+        0.0
+    } else {
+        ap_sum / classes_counted as f64
+    }
+}
+
+/// The per-class definition's average IoU, from a separate all-class
+/// match of every frame.
+fn reference_average_iou(frames: &[FrameEval]) -> f64 {
+    let mut iou_sum = 0.0f64;
+    let mut total_gt = 0usize;
+    for frame in frames {
+        total_gt += frame.ground_truth.len();
+        let result = match_detections(&frame.detections, &frame.ground_truth, 0.5);
+        for assignment in result.assignments.iter().flatten() {
+            iou_sum += assignment.1 as f64;
+        }
+    }
+    iou_sum / total_gt.max(1) as f64
 }
 
 proptest! {
@@ -252,6 +379,25 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&map));
         let iou = average_iou(&frames);
         prop_assert!((0.0..=1.0 + 1e-6).contains(&iou));
+    }
+
+    #[test]
+    fn evaluation_matches_the_per_class_definition(
+        frames in prop::collection::vec(arb_frame(), 0..12),
+    ) {
+        let mut eval = Evaluation::new(EVAL_CLASSES);
+        for (i, frame) in frames.iter().enumerate() {
+            let frame_map = eval.add(&frame.detections, &frame.ground_truth);
+            let expected = reference_map(std::slice::from_ref(frame));
+            prop_assert!(frame_map.to_bits() == expected.to_bits(), "frame {i}: mAP {frame_map} vs {expected}");
+            prop_assert_eq!(frame_map_at_05(frame, EVAL_CLASSES).to_bits(), expected.to_bits());
+        }
+        let map = reference_map(&frames);
+        prop_assert!(eval.map50().to_bits() == map.to_bits(), "pooled mAP {} vs {map}", eval.map50());
+        prop_assert_eq!(map_at_05(&frames, EVAL_CLASSES).to_bits(), map.to_bits());
+        let iou = reference_average_iou(&frames);
+        prop_assert!(eval.average_iou().to_bits() == iou.to_bits(), "average IoU {} vs {iou}", eval.average_iou());
+        prop_assert_eq!(average_iou(&frames).to_bits(), iou.to_bits());
     }
 
     #[test]

@@ -172,20 +172,9 @@ fn map_digest<'a>(maps: impl IntoIterator<Item = &'a [f64]>) -> u64 {
 /// The scripted outage storm of `tests/telemetry.rs` (and the
 /// `unreliable_network` example), with a flaky cloud labeler.
 fn storm_config(frames: u64) -> SimConfig {
-    let storm = FaultProfile::none()
-        .with_loss_rate(0.05)
-        .with_burst(GilbertElliott::bursty())
-        .with_outage(15.0, 58.0)
-        .with_outage(75.0, 79.0)
-        .with_degradation(60.0, 68.0, 0.5)
-        .with_jitter(LatencyJitter {
-            jitter_secs: 0.05,
-            spike_prob: 0.1,
-            spike_secs: 1.0,
-        });
     let mut config = SimConfig::quick(presets::kitti(83).with_total_frames(frames));
     config.strategy = Strategy::Shoggoth;
-    config.link = LinkConfig::cellular().with_fault(storm);
+    config.link = LinkConfig::cellular().with_fault(FaultProfile::storm());
     config.cloud.faults = CloudFaultProfile {
         label_drop_rate: 0.1,
         slow_label_rate: 0.2,

@@ -13,7 +13,7 @@ use shoggoth::sim::{SimConfig, SimReport, Simulation};
 use shoggoth::strategy::Strategy;
 use shoggoth::CloudFaultProfile;
 use shoggoth_models::{StudentDetector, TeacherDetector};
-use shoggoth_net::{FaultProfile, GilbertElliott, LatencyJitter, LinkConfig};
+use shoggoth_net::{FaultProfile, LinkConfig};
 use shoggoth_telemetry::{Histogram, NoopRecorder, Record, Recorder, RingRecorder};
 use shoggoth_util::parallel_map;
 use shoggoth_video::presets;
@@ -24,20 +24,9 @@ const STREAM_SEED: u64 = 83;
 /// `unreliable_network` smoke test, on the same stream seed the chaos
 /// harness uses, plus a flaky cloud labeler.
 fn storm_config(frames: u64) -> SimConfig {
-    let storm = FaultProfile::none()
-        .with_loss_rate(0.05)
-        .with_burst(GilbertElliott::bursty())
-        .with_outage(15.0, 58.0)
-        .with_outage(75.0, 79.0)
-        .with_degradation(60.0, 68.0, 0.5)
-        .with_jitter(LatencyJitter {
-            jitter_secs: 0.05,
-            spike_prob: 0.1,
-            spike_secs: 1.0,
-        });
     let mut config = SimConfig::quick(presets::kitti(STREAM_SEED).with_total_frames(frames));
     config.strategy = Strategy::Shoggoth;
-    config.link = LinkConfig::cellular().with_fault(storm);
+    config.link = LinkConfig::cellular().with_fault(FaultProfile::storm());
     config.cloud.faults = CloudFaultProfile {
         label_drop_rate: 0.1,
         slow_label_rate: 0.2,

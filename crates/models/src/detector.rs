@@ -94,6 +94,7 @@ pub(crate) fn classify_with(net: &mut Mlp, features: &Matrix) -> Vec<(ClassId, f
         .forward(features, Mode::Eval)
         .expect("feature width matches network input");
     let probs = losses::softmax(&logits);
+    net.recycle(logits);
     (0..probs.rows())
         .map(|r| {
             let row = probs.row(r);
@@ -110,6 +111,9 @@ pub(crate) fn classify_with(net: &mut Mlp, features: &Matrix) -> Vec<(ClassId, f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::student::{StudentConfig, StudentDetector};
+    use crate::teacher::{TeacherConfig, TeacherDetector};
+    use shoggoth_util::Rng;
     use shoggoth_video::Proposal;
 
     #[test]
@@ -137,5 +141,49 @@ mod tests {
     fn empty_proposals_yield_empty_matrix() {
         let m = features_matrix(&[]);
         assert_eq!(m.rows(), 0);
+    }
+
+    fn frame_with_proposals(dim: usize, count: usize) -> Frame {
+        let mut rng = Rng::seed_from(3);
+        Frame {
+            index: 0,
+            timestamp: 0.0,
+            scene_index: 0,
+            domain_name: "day".to_owned(),
+            ground_truth: Vec::new(),
+            proposals: (0..count)
+                .map(|i| Proposal {
+                    bbox: BBox::new(0.05 * i as f32, 0.1, 0.05, 0.05),
+                    features: (0..dim).map(|_| rng.next_gaussian_f32(0.0, 1.0)).collect(),
+                    true_class: None,
+                    track_id: None,
+                })
+                .collect(),
+            raw_bytes: 0,
+            motion_magnitude: 0.0,
+        }
+    }
+
+    #[test]
+    fn repeated_detection_reuses_the_workspace() {
+        // Inference hands its logits back to the network, so after the
+        // first call no `detect` allocates a fresh tensor buffer.
+        let frame = frame_with_proposals(16, 12);
+        let mut student = StudentDetector::new(StudentConfig::new(16, 3, 1).quick());
+        let mut teacher = TeacherDetector::new(TeacherConfig::new(16, 3, 1).quick());
+        let allocations = |s: &StudentDetector, t: &TeacherDetector| {
+            (
+                s.net().workspace_allocations(),
+                t.net().workspace_allocations(),
+            )
+        };
+        student.detect(&frame);
+        teacher.detect(&frame);
+        let warm = allocations(&student, &teacher);
+        for _ in 0..50 {
+            student.detect(&frame);
+            teacher.detect(&frame);
+        }
+        assert_eq!(allocations(&student, &teacher), warm);
     }
 }

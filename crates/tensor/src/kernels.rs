@@ -27,7 +27,7 @@ type Lanes = [f32; LANES];
 /// `out = a · b` for row-major `a` (`m × k`), `b` (`k × n`), `out`
 /// (`m × n`).
 ///
-/// Register-tiled (see [`tiled_row`]): every `out[i][j]` starts from `0.0`
+/// Register-tiled (see `tiled_row`): every `out[i][j]` starts from `0.0`
 /// and adds `a[i][kk]·b[kk][j]` for `kk` in increasing order — the
 /// classic triple loop's order. `out` is overwritten.
 pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {

@@ -152,12 +152,6 @@ pub trait Layer: std::fmt::Debug + Send {
         Ok(())
     }
 
-    /// Output width for a given input width, used for shape validation when
-    /// assembling networks.
-    fn output_dim(&self, input_dim: usize) -> usize {
-        input_dim
-    }
-
     /// Deep-copies the layer behind a fresh `Box` (enables cloning whole
     /// networks, e.g. AMS's cloud-side shadow student).
     fn clone_box(&self) -> Box<dyn Layer>;
@@ -366,10 +360,6 @@ impl Layer for Dense {
         self.bias = Matrix::from_vec(1, self.out_dim, b)?;
         Ok(())
     }
-
-    fn output_dim(&self, _input_dim: usize) -> usize {
-        self.out_dim
-    }
 }
 
 /// Rectified linear activation, `max(0, x)`.
@@ -446,91 +436,9 @@ impl Layer for Relu {
             .zip(grad_output.as_slice())
             .zip(self.cached_input.as_slice())
         {
-            // `g * mask` (not a select) keeps results bit-identical to the
-            // previous hadamard-with-mask formulation.
+            // `g * mask`, not a select: a negative `g` at a masked input
+            // must give `-0.0`, which a select would turn into `0.0`.
             *o = g * if x > 0.0 { 1.0 } else { 0.0 };
-        }
-        Ok(grad_in)
-    }
-
-    fn apply_update(&mut self, _cfg: &SgdConfig, _lr_scale: f32) {}
-}
-
-/// Hyperbolic-tangent activation.
-#[derive(Debug, Clone)]
-pub struct Tanh {
-    cached_output: Matrix,
-    cache_valid: bool,
-}
-
-impl Tanh {
-    /// Creates the activation.
-    pub fn new() -> Self {
-        Self {
-            cached_output: Matrix::zeros(0, 0),
-            cache_valid: false,
-        }
-    }
-}
-
-impl Default for Tanh {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Layer for Tanh {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-
-    fn forward(
-        &mut self,
-        input: &Matrix,
-        mode: Mode,
-        ws: &mut Workspace,
-    ) -> Result<Matrix, TensorError> {
-        let mut out = ws.take(input.rows(), input.cols());
-        for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-            *o = v.tanh();
-        }
-        if mode == Mode::Train {
-            self.cached_output.copy_from(&out);
-            self.cache_valid = true;
-        }
-        Ok(out)
-    }
-
-    fn backward(
-        &mut self,
-        grad_output: &Matrix,
-        ws: &mut Workspace,
-    ) -> Result<Matrix, TensorError> {
-        if !self.cache_valid {
-            return Err(TensorError::MissingForwardCache { layer: "tanh" });
-        }
-        self.cache_valid = false;
-        if grad_output.rows() != self.cached_output.rows()
-            || grad_output.cols() != self.cached_output.cols()
-        {
-            return Err(TensorError::ShapeMismatch {
-                context: "Tanh::backward",
-                expected: (self.cached_output.rows(), self.cached_output.cols()),
-                actual: (grad_output.rows(), grad_output.cols()),
-            });
-        }
-        let mut grad_in = ws.take(grad_output.rows(), grad_output.cols());
-        for ((o, &g), &y) in grad_in
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_output.as_slice())
-            .zip(self.cached_output.as_slice())
-        {
-            *o = g * (1.0 - y * y);
         }
         Ok(grad_in)
     }
@@ -602,18 +510,6 @@ mod tests {
         let g = Matrix::from_rows(&[&[5.0, 5.0]]).expect("valid");
         let gi = relu.backward(&g, &mut ws).expect("cached");
         assert_eq!(gi.row(0), &[0.0, 5.0]);
-    }
-
-    #[test]
-    fn tanh_gradient_matches_identity() {
-        let mut tanh = Tanh::new();
-        let mut ws = Workspace::new();
-        let x = Matrix::from_rows(&[&[0.0]]).expect("valid");
-        tanh.forward(&x, Mode::Train, &mut ws).expect("shapes");
-        let g = Matrix::from_rows(&[&[1.0]]).expect("valid");
-        let gi = tanh.backward(&g, &mut ws).expect("cached");
-        // d tanh(0)/dx = 1
-        assert!((gi.get(0, 0) - 1.0).abs() < 1e-6);
     }
 
     #[test]

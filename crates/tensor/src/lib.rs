@@ -6,14 +6,14 @@
 //! exactly the machinery the reproduction needs, from scratch:
 //!
 //! * [`Matrix`] — dense row-major `f32` matrices (a mini-batch is a matrix).
-//! * [`Dense`], [`Relu`], [`Tanh`] — layers with full backpropagation.
-//! * [`BatchNorm`] and [`BatchRenorm`] — the paper replaces BN with Batch
-//!   Renormalization (Ioffe 2017) for robust small-batch training.
+//! * [`Dense`] and [`Relu`] — layers with full backpropagation.
+//! * [`BatchRenorm`] — the paper replaces BN with Batch Renormalization
+//!   (Ioffe 2017) for robust small-batch training.
 //! * [`SgdConfig`] — mini-batch SGD with momentum, weight decay, and
 //!   *per-layer learning-rate scaling* (the paper's freeze policy sets the
 //!   front layers' rate to zero while BRN statistics keep adapting).
-//! * [`Mlp`] — a sequential network supporting `forward_from` (inject replay
-//!   activations at an interior layer) and `backward_to` (stop
+//! * [`Mlp`] — a sequential network supporting `forward_range` (inject
+//!   replay activations at an interior layer) and `backward_range` (stop
 //!   backpropagation at the replay layer when the front is frozen).
 //!
 //! Every layer's gradients are verified against finite differences in the
@@ -37,13 +37,13 @@
 //! Train a tiny classifier on XOR:
 //!
 //! ```
-//! use shoggoth_tensor::{losses, Dense, Matrix, Mlp, Mode, SgdConfig, Tanh};
+//! use shoggoth_tensor::{losses, Dense, Matrix, Mlp, Mode, Relu, SgdConfig};
 //! use shoggoth_util::Rng;
 //!
 //! let mut rng = Rng::seed_from(0);
 //! let mut net = Mlp::new(vec![
 //!     Box::new(Dense::new(2, 8, &mut rng)),
-//!     Box::new(Tanh::new()),
+//!     Box::new(Relu::new()),
 //!     Box::new(Dense::new(8, 2, &mut rng)),
 //! ]);
 //! let x = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]])?;
@@ -69,10 +69,10 @@ pub mod norm;
 pub mod sgd;
 pub mod workspace;
 
-pub use layer::{Dense, Layer, Mode, ParamCursor, Relu, Tanh};
+pub use layer::{Dense, Layer, Mode, ParamCursor, Relu};
 pub use matrix::Matrix;
 pub use net::Mlp;
-pub use norm::{BatchNorm, BatchRenorm};
+pub use norm::BatchRenorm;
 pub use sgd::SgdConfig;
 pub use workspace::Workspace;
 

@@ -132,31 +132,6 @@ pub fn softmax_cross_entropy_into(
     Ok(loss)
 }
 
-/// Mean squared error `mean((pred − target)²)` with gradient w.r.t. `pred`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-pub fn mse(pred: &Matrix, target: &Matrix) -> Result<(f32, Matrix), TensorError> {
-    let diff = pred.sub(target)?;
-    let n = (pred.rows() * pred.cols()).max(1) as f32;
-    let loss = diff.as_slice().iter().map(|v| v * v).sum::<f32>() / n;
-    let grad = diff.scaled(2.0 / n);
-    #[cfg(feature = "finite-check")]
-    {
-        if !loss.is_finite() {
-            return Err(TensorError::NonFinite {
-                op: "losses::mse",
-                row: 0,
-                col: 0,
-                value: loss,
-            });
-        }
-        grad.ensure_finite("losses::mse")?;
-    }
-    Ok((loss, grad))
-}
-
 /// Classification accuracy of logits against labels.
 ///
 /// Returns `0.0` for an empty batch.
@@ -248,15 +223,6 @@ mod tests {
         let loss_b = softmax_cross_entropy_into(&logits, &labels, &mut grad_b).expect("shapes");
         assert_eq!(loss_a, loss_b);
         assert_eq!(grad_a, grad_b);
-    }
-
-    #[test]
-    fn mse_hand_checked() {
-        let pred = Matrix::from_rows(&[&[1.0, 2.0]]).expect("valid");
-        let target = Matrix::from_rows(&[&[0.0, 0.0]]).expect("valid");
-        let (loss, grad) = mse(&pred, &target).expect("shapes");
-        assert_eq!(loss, 2.5);
-        assert_eq!(grad.row(0), &[1.0, 2.0]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::{kernels, TensorError, Workspace};
 /// use shoggoth_tensor::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-/// let b = Matrix::identity(2);
+/// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]])?;
 /// let c = a.matmul(&b)?;
 /// assert_eq!(c, a);
 /// # Ok::<(), shoggoth_tensor::TensorError>(())
@@ -45,15 +45,6 @@ impl Matrix {
             cols,
             data: vec![value; rows * cols],
         }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
     }
 
     /// Creates a matrix from a flat row-major vector.
@@ -408,15 +399,6 @@ impl Matrix {
         self.zip_with(other, "Matrix::sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix, TensorError> {
-        self.zip_with(other, "Matrix::hadamard", |a, b| a * b)
-    }
-
     fn zip_with(
         &self,
         other: &Matrix,
@@ -443,20 +425,6 @@ impl Matrix {
         })
     }
 
-    /// Returns a copy scaled by `factor`.
-    pub fn scaled(&self, factor: f32) -> Matrix {
-        self.map(|v| v * factor)
-    }
-
-    /// Returns a copy with `f` applied element-wise.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
     /// Adds a row vector (`1 × cols`) to every row.
     ///
     /// # Errors
@@ -479,31 +447,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Column-wise mean as a `1 × cols` matrix.
-    pub fn col_mean(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        if self.rows == 0 {
-            return out;
-        }
-        for r in 0..self.rows {
-            for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
-        let inv = 1.0 / self.rows as f32;
-        for o in &mut out.data {
-            *o *= inv;
-        }
-        out
-    }
-
-    /// Column-wise sum as a `1 × cols` matrix.
-    pub fn col_sum(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        self.col_sum_into(&mut out);
-        out
-    }
-
     /// Column-wise sum written into `out` (resized to `1 × cols`, storage
     /// reused).
     pub fn col_sum_into(&self, out: &mut Matrix) {
@@ -513,46 +456,6 @@ impl Matrix {
                 *o += v;
             }
         }
-    }
-
-    /// Vertically stacks matrices with identical column counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the column counts differ or
-    /// `parts` is empty.
-    pub fn vstack(parts: &[&Matrix]) -> Result<Matrix, TensorError> {
-        let first = parts.first().ok_or(TensorError::ShapeMismatch {
-            context: "Matrix::vstack",
-            expected: (1, 1),
-            actual: (0, 0),
-        })?;
-        let cols = first.cols;
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for part in parts {
-            if part.cols != cols {
-                return Err(TensorError::ShapeMismatch {
-                    context: "Matrix::vstack",
-                    expected: (part.rows, cols),
-                    actual: (part.rows, part.cols),
-                });
-            }
-            data.extend_from_slice(&part.data);
-            rows += part.rows;
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
-    /// Copies rows `range` into a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the row count.
-    pub fn rows_range(&self, range: std::ops::Range<usize>) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.rows_range_into(range, &mut out);
-        out
     }
 
     /// Copies rows `range` into `out` (resized, storage reused).
@@ -567,17 +470,6 @@ impl Matrix {
             .extend_from_slice(&self.data[range.start * self.cols..range.end * self.cols]);
         out.rows = range.len();
         out.cols = self.cols;
-    }
-
-    /// Selects the given rows into a new matrix (rows may repeat).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.select_rows_into(indices, &mut out);
-        out
     }
 
     /// Selects the given rows into `out` (resized, storage reused; rows
@@ -686,12 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_neutral() {
-        let a = m(&[&[1.5, -2.0], &[0.0, 9.0]]);
-        assert_eq!(a.matmul(&Matrix::identity(2)).expect("shapes"), a);
-    }
-
-    #[test]
     fn transpose_round_trips() {
         let a = m(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let t = a.transpose();
@@ -706,8 +592,6 @@ mod tests {
         let b = m(&[&[3.0, 4.0]]);
         assert_eq!(a.add(&b).expect("shapes"), m(&[&[4.0, 6.0]]));
         assert_eq!(b.sub(&a).expect("shapes"), m(&[&[2.0, 2.0]]));
-        assert_eq!(a.hadamard(&b).expect("shapes"), m(&[&[3.0, 8.0]]));
-        assert_eq!(a.scaled(2.0), m(&[&[2.0, 4.0]]));
     }
 
     #[test]
@@ -719,34 +603,19 @@ mod tests {
     }
 
     #[test]
-    fn col_mean_and_sum() {
-        let a = m(&[&[1.0, 2.0], &[3.0, 6.0]]);
-        assert_eq!(a.col_mean(), m(&[&[2.0, 4.0]]));
-        assert_eq!(a.col_sum(), m(&[&[4.0, 8.0]]));
+    fn rows_range_into_copies_the_rows() {
+        let a = m(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let mut out = Matrix::filled(4, 1, f32::NAN);
+        a.rows_range_into(1..3, &mut out);
+        assert_eq!(out, m(&[&[3.0, 4.0], &[5.0, 6.0]]));
     }
 
     #[test]
-    fn vstack_and_rows_range_invert() {
-        let a = m(&[&[1.0, 2.0]]);
-        let b = m(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let stacked = Matrix::vstack(&[&a, &b]).expect("same cols");
-        assert_eq!(stacked.rows(), 3);
-        assert_eq!(stacked.rows_range(0..1), a);
-        assert_eq!(stacked.rows_range(1..3), b);
-    }
-
-    #[test]
-    fn vstack_rejects_mismatched_cols() {
-        let a = Matrix::zeros(1, 2);
-        let b = Matrix::zeros(1, 3);
-        assert!(Matrix::vstack(&[&a, &b]).is_err());
-    }
-
-    #[test]
-    fn select_rows_allows_repeats() {
+    fn select_rows_into_allows_repeats() {
         let a = m(&[&[1.0], &[2.0], &[3.0]]);
-        let sel = a.select_rows(&[2, 0, 2]);
-        assert_eq!(sel, m(&[&[3.0], &[1.0], &[3.0]]));
+        let mut out = Matrix::zeros(0, 0);
+        a.select_rows_into(&[2, 0, 2], &mut out);
+        assert_eq!(out, m(&[&[3.0], &[1.0], &[3.0]]));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`Mlp::activation_at`] — run only the front layers to produce the
 //!   activation volume stored in replay memory;
-//! * [`Mlp::forward_from`] — inject a (fresh ⊕ replay) activation batch at
-//!   the replay layer and run the remaining layers;
+//! * [`Mlp::forward_range`] — inject a (fresh ⊕ replay) activation batch
+//!   at the replay layer and run the remaining layers;
 //! * [`Mlp::backward_range`] — stop backpropagation at the replay layer when
 //!   the front is frozen, or continue through the front for fresh rows.
 
@@ -134,21 +134,6 @@ impl Mlp {
             ws.give(std::mem::replace(&mut current, next));
         }
         Ok(current)
-    }
-
-    /// Forward pass starting at layer `start` — this is how replay
-    /// activations (stored at the replay layer) re-enter the network.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any layer shape error.
-    pub fn forward_from(
-        &mut self,
-        start: usize,
-        input: &Matrix,
-        mode: Mode,
-    ) -> Result<Matrix, TensorError> {
-        self.forward_range(start..self.layers.len(), input, mode)
     }
 
     /// Runs layers `0..upto` in eval mode to produce the activation volume
@@ -396,15 +381,16 @@ mod tests {
     }
 
     #[test]
-    fn forward_from_matches_split_execution() {
+    fn forward_range_matches_split_execution() {
         let mut rng = Rng::seed_from(1);
         let mut net = small_net(&mut rng);
         let x = Matrix::from_fn(3, 4, |_, _| rng.next_gaussian_f32(0.0, 1.0));
         let full = net.forward(&x, Mode::Eval).expect("shapes");
         let mid = net.activation_at(2, &x).expect("shapes");
-        let resumed = net.forward_from(2, &mid, Mode::Eval).expect("shapes");
-        let diff = full.sub(&resumed).expect("shapes").frobenius_norm();
-        assert!(diff < 1e-5, "split execution diverged: {diff}");
+        let resumed = net
+            .forward_range(2..net.len(), &mid, Mode::Eval)
+            .expect("shapes");
+        assert_eq!(full, resumed, "split execution diverged");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Batch Normalization and Batch Renormalization layers.
+//! The Batch Renormalization layer.
 //!
 //! The paper (§III-B) replaces BN with Batch Renormalization (Ioffe, 2017)
 //! because adaptive training runs with fine-grained mini-batches whose
@@ -7,36 +7,40 @@
 //! covariate shift, hence making learning with fine-grained batches faster
 //! and more robust."
 //!
-//! Both layers share the affine `γ`/`β` parameters and running-moment
-//! machinery; they differ only in the train-time normalization statistics.
 //! All per-call scratch (batch moments, effective scale/shift, backward σ)
 //! lives in persistent vectors overwritten in place, so steady-state
-//! training through these layers performs no heap allocation.
+//! training through this layer performs no heap allocation.
 
 use crate::layer::{Layer, Mode, ParamCursor};
 use crate::workspace::Workspace;
 use crate::{kernels, Matrix, SgdConfig, TensorError};
 
 const EPS: f32 = 1e-5;
+/// Clip limit on the scale correction: `r ∈ [1/R_MAX, R_MAX]`.
+const R_MAX: f32 = 3.0;
+/// Clip limit on the shift correction: `d ∈ [−D_MAX, D_MAX]`.
+const D_MAX: f32 = 5.0;
 
-/// Batch Renormalization's clip limits on its correction factors.
-#[derive(Debug, Clone, Copy)]
-struct Clip {
-    r_max: f32,
-    d_max: f32,
-}
-
-/// Internal state shared by [`BatchNorm`] and [`BatchRenorm`].
+/// Batch Renormalization (Ioffe, 2017).
+///
+/// Train-mode forward corrects the batch statistics toward the running
+/// moments with clipped factors `r = clip(σ_B/σ, 1/r_max, r_max)` and
+/// `d = clip((μ_B − μ)/σ, −d_max, d_max)` (stop-gradient on both), with
+/// the customary limits `r_max = 3`, `d_max = 5`, and updates the running
+/// moments; eval-mode forward uses the running moments. This makes
+/// small-batch training behave like large-batch training — the property
+/// the paper relies on for fine-grained on-device batches.
 ///
 /// Every pass sweeps the row-major matrices row by row, with per-feature
 /// accumulators in persistent vectors; each per-feature sum still runs
 /// over the batch rows in increasing order from `0.0`, so the floats are
 /// those of the column-by-column formulation (pinned in the tests).
 #[derive(Debug, Clone)]
-struct NormCore {
+pub struct BatchRenorm {
     dim: usize,
-    /// `None` for BN; BRN's clip limits otherwise.
-    renorm: Option<Clip>,
+    /// Clip limits on `r` and `d`: `R_MAX` and `D_MAX` (tests vary them).
+    r_max: f32,
+    d_max: f32,
     gamma: Matrix,
     beta: Matrix,
     grad_gamma: Matrix,
@@ -63,7 +67,7 @@ struct NormCore {
     stat_var: Vec<f32>,
     /// Scratch: per-feature normalization scale.
     stat_scale: Vec<f32>,
-    /// Scratch: per-feature normalization shift (BRN's `d`; zero for BN).
+    /// Scratch: per-feature normalization shift (`d`; zero in eval).
     stat_shift: Vec<f32>,
     /// Scratch: per-feature σ_B recomputed during backward.
     stat_sigma: Vec<f32>,
@@ -73,12 +77,18 @@ struct NormCore {
     mean_gx: Vec<f32>,
 }
 
-impl NormCore {
-    fn new(dim: usize, renorm: Option<Clip>) -> Self {
+impl BatchRenorm {
+    /// Creates a BRN layer over `dim` features.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0`.
+    pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "normalization dimension must be positive");
         Self {
             dim,
-            renorm,
+            r_max: R_MAX,
+            d_max: D_MAX,
             gamma: Matrix::filled(1, dim, 1.0),
             beta: Matrix::zeros(1, dim),
             grad_gamma: Matrix::zeros(1, dim),
@@ -99,36 +109,6 @@ impl NormCore {
             stat_sigma: Vec::new(),
             mean_g: Vec::new(),
             mean_gx: Vec::new(),
-        }
-    }
-
-    fn check_width(&self, input: &Matrix, context: &'static str) -> Result<(), TensorError> {
-        if input.cols() != self.dim {
-            return Err(TensorError::ShapeMismatch {
-                context,
-                expected: (input.rows(), self.dim),
-                actual: (input.rows(), input.cols()),
-            });
-        }
-        Ok(())
-    }
-
-    /// Train mode normalizes with batch statistics (BRN-corrected when
-    /// `renorm` is set) and updates the running moments; eval mode uses
-    /// the running moments.
-    fn forward(&mut self, input: &Matrix, mode: Mode, ws: &mut Workspace) -> Matrix {
-        match mode {
-            Mode::Train => {
-                self.batch_moments(input);
-                self.load_train_stats();
-                let out = self.normalize_from_stats(input, true, ws);
-                self.update_running();
-                out
-            }
-            Mode::Eval => {
-                self.load_eval_stats();
-                self.normalize_from_stats(input, false, ws)
-            }
         }
     }
 
@@ -164,29 +144,20 @@ impl NormCore {
         }
     }
 
-    /// Loads the train-mode scale and shift from the batch moments: BN's
-    /// `1/σ_B` and zero, or BRN's `r/σ_B` and `d` with
-    /// `r = clip(σ_B/σ, 1/r_max, r_max)`, `d = clip((μ_B − μ)/σ, ±d_max)`.
+    /// Loads the train-mode scale `r/σ_B` and shift `d` from the batch
+    /// moments, with `r = clip(σ_B/σ, 1/r_max, r_max)` and
+    /// `d = clip((μ_B − μ)/σ, ±d_max)`.
     fn load_train_stats(&mut self) {
         self.stat_scale.clear();
         self.stat_shift.clear();
-        match self.renorm {
-            None => {
-                self.stat_scale
-                    .extend(self.stat_var.iter().map(|&v| 1.0 / (v + EPS).sqrt()));
-                self.stat_shift.resize(self.dim, 0.0);
-            }
-            Some(Clip { r_max, d_max }) => {
-                for c in 0..self.dim {
-                    let sigma_b = (self.stat_var[c] + EPS).sqrt();
-                    let sigma_run = (self.running_var[c] + EPS).sqrt();
-                    let r = (sigma_b / sigma_run).clamp(1.0 / r_max, r_max);
-                    let d = ((self.stat_mean[c] - self.running_mean[c]) / sigma_run)
-                        .clamp(-d_max, d_max);
-                    self.stat_scale.push(r / sigma_b);
-                    self.stat_shift.push(d);
-                }
-            }
+        for c in 0..self.dim {
+            let sigma_b = (self.stat_var[c] + EPS).sqrt();
+            let sigma_run = (self.running_var[c] + EPS).sqrt();
+            let r = (sigma_b / sigma_run).clamp(1.0 / self.r_max, self.r_max);
+            let d = ((self.stat_mean[c] - self.running_mean[c]) / sigma_run)
+                .clamp(-self.d_max, self.d_max);
+            self.stat_scale.push(r / sigma_b);
+            self.stat_shift.push(d);
         }
     }
 
@@ -252,18 +223,56 @@ impl NormCore {
         }
         out
     }
+}
 
-    /// Shared backward pass.
-    ///
-    /// With stop-gradient on the renorm correction factors (per Ioffe 2017),
-    /// both BN and BRN reduce to the classic BN input gradient scaled by the
-    /// cached effective per-feature scale `s = r/σ_B` (`r = 1` for BN):
+impl Layer for BatchRenorm {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+
+    fn name(&self) -> &'static str {
+        "batch-renorm"
+    }
+
+    /// Train mode normalizes with the corrected batch statistics and
+    /// updates the running moments; eval mode uses the running moments.
+    fn forward(
+        &mut self,
+        input: &Matrix,
+        mode: Mode,
+        ws: &mut Workspace,
+    ) -> Result<Matrix, TensorError> {
+        if input.cols() != self.dim {
+            return Err(TensorError::ShapeMismatch {
+                context: "BatchRenorm::forward",
+                expected: (input.rows(), self.dim),
+                actual: (input.rows(), input.cols()),
+            });
+        }
+        Ok(match mode {
+            Mode::Train => {
+                self.batch_moments(input);
+                self.load_train_stats();
+                let out = self.normalize_from_stats(input, true, ws);
+                self.update_running();
+                out
+            }
+            Mode::Eval => {
+                self.load_eval_stats();
+                self.normalize_from_stats(input, false, ws)
+            }
+        })
+    }
+
+    /// With stop-gradient on the correction factors (per Ioffe 2017), the
+    /// input gradient is the classic BN one scaled by the cached effective
+    /// per-feature scale `s = r/σ_B`:
     ///
     /// `dL/dx = s · (ĝ − mean(ĝ) − x̂_c · mean(ĝ ⊙ x̂_c))`
     ///
     /// where `ĝ = γ ⊙ dL/dy` and `x̂_c = centered/σ_B` is the *uncorrected*
-    /// normalized input. For BRN the cache holds `r/σ_B`, not σ_B, so σ_B
-    /// is recomputed from the centered cache, which is exact.
+    /// normalized input. The cache holds `r/σ_B`, not σ_B, so σ_B is
+    /// recomputed from the centered cache, which is exact.
     ///
     /// Three row-major sweeps: parameter gradients and `Σ centered²`; then
     /// `x̂_c` (one division per element, written over the centered cache,
@@ -276,13 +285,13 @@ impl NormCore {
     ) -> Result<Matrix, TensorError> {
         if !self.cache_valid {
             return Err(TensorError::MissingForwardCache {
-                layer: "batch-norm",
+                layer: "batch-renorm",
             });
         }
         self.cache_valid = false;
         if grad_output.rows() != self.cached_xhat.rows() || grad_output.cols() != self.dim {
             return Err(TensorError::ShapeMismatch {
-                context: "NormCore::backward",
+                context: "BatchRenorm::backward",
                 expected: (self.cached_xhat.rows(), self.dim),
                 actual: (grad_output.rows(), grad_output.cols()),
             });
@@ -371,6 +380,12 @@ impl NormCore {
         );
     }
 
+    fn param_count(&self) -> usize {
+        // γ, β plus the running moments (shipped with the model in AMS-style
+        // model streaming, so they count toward transfer size).
+        4 * self.dim
+    }
+
     fn export_params(&self, out: &mut Vec<f32>) {
         out.extend_from_slice(self.gamma.as_slice());
         out.extend_from_slice(self.beta.as_slice());
@@ -387,181 +402,6 @@ impl NormCore {
         self.running_var = cursor.take(self.dim)?.to_vec();
         Ok(())
     }
-
-    fn param_count(&self) -> usize {
-        // γ, β plus the running moments (shipped with the model in AMS-style
-        // model streaming, so they count toward transfer size).
-        4 * self.dim
-    }
-}
-
-/// Classic Batch Normalization (Ioffe & Szegedy, 2015).
-///
-/// Train-mode forward normalizes with batch statistics and updates running
-/// moments; eval-mode forward uses the running moments.
-#[derive(Debug, Clone)]
-pub struct BatchNorm {
-    core: NormCore,
-}
-
-impl BatchNorm {
-    /// Creates a BN layer over `dim` features.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
-    pub fn new(dim: usize) -> Self {
-        Self {
-            core: NormCore::new(dim, None),
-        }
-    }
-
-    /// The running mean (for tests/diagnostics).
-    pub fn running_mean(&self) -> &[f32] {
-        &self.core.running_mean
-    }
-
-    /// The running variance (for tests/diagnostics).
-    pub fn running_var(&self) -> &[f32] {
-        &self.core.running_var
-    }
-}
-
-impl Layer for BatchNorm {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "batch-norm"
-    }
-
-    fn forward(
-        &mut self,
-        input: &Matrix,
-        mode: Mode,
-        ws: &mut Workspace,
-    ) -> Result<Matrix, TensorError> {
-        self.core.check_width(input, "BatchNorm::forward")?;
-        Ok(self.core.forward(input, mode, ws))
-    }
-
-    fn backward(
-        &mut self,
-        grad_output: &Matrix,
-        ws: &mut Workspace,
-    ) -> Result<Matrix, TensorError> {
-        self.core.backward(grad_output, ws)
-    }
-
-    fn apply_update(&mut self, cfg: &SgdConfig, lr_scale: f32) {
-        self.core.apply_update(cfg, lr_scale);
-    }
-
-    fn param_count(&self) -> usize {
-        self.core.param_count()
-    }
-
-    fn export_params(&self, out: &mut Vec<f32>) {
-        self.core.export_params(out);
-    }
-
-    fn import_params(&mut self, cursor: &mut ParamCursor<'_>) -> Result<(), TensorError> {
-        self.core.import_params(cursor)
-    }
-}
-
-/// Batch Renormalization (Ioffe, 2017).
-///
-/// Train-mode forward corrects the batch statistics toward the running
-/// moments with clipped factors `r = clip(σ_B/σ, 1/r_max, r_max)` and
-/// `d = clip((μ_B − μ)/σ, −d_max, d_max)` (stop-gradient on both), making
-/// small-batch training behave like large-batch training — the property the
-/// paper relies on for fine-grained on-device batches.
-#[derive(Debug, Clone)]
-pub struct BatchRenorm {
-    core: NormCore,
-}
-
-impl BatchRenorm {
-    /// Creates a BRN layer over `dim` features with the customary clip
-    /// limits `r_max = 3`, `d_max = 5`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
-    pub fn new(dim: usize) -> Self {
-        Self {
-            core: NormCore::new(
-                dim,
-                Some(Clip {
-                    r_max: 3.0,
-                    d_max: 5.0,
-                }),
-            ),
-        }
-    }
-
-    /// Overrides the clip limits.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `r_max >= 1` and `d_max >= 0`.
-    pub fn with_clip(mut self, r_max: f32, d_max: f32) -> Self {
-        assert!(r_max >= 1.0, "r_max must be >= 1");
-        assert!(d_max >= 0.0, "d_max must be >= 0");
-        self.core.renorm = Some(Clip { r_max, d_max });
-        self
-    }
-
-    /// The running mean (for tests/diagnostics).
-    pub fn running_mean(&self) -> &[f32] {
-        &self.core.running_mean
-    }
-}
-
-impl Layer for BatchRenorm {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "batch-renorm"
-    }
-
-    fn forward(
-        &mut self,
-        input: &Matrix,
-        mode: Mode,
-        ws: &mut Workspace,
-    ) -> Result<Matrix, TensorError> {
-        self.core.check_width(input, "BatchRenorm::forward")?;
-        Ok(self.core.forward(input, mode, ws))
-    }
-
-    fn backward(
-        &mut self,
-        grad_output: &Matrix,
-        ws: &mut Workspace,
-    ) -> Result<Matrix, TensorError> {
-        self.core.backward(grad_output, ws)
-    }
-
-    fn apply_update(&mut self, cfg: &SgdConfig, lr_scale: f32) {
-        self.core.apply_update(cfg, lr_scale);
-    }
-
-    fn param_count(&self) -> usize {
-        self.core.param_count()
-    }
-
-    fn export_params(&self, out: &mut Vec<f32>) {
-        self.core.export_params(out);
-    }
-
-    fn import_params(&mut self, cursor: &mut ParamCursor<'_>) -> Result<(), TensorError> {
-        self.core.import_params(cursor)
-    }
 }
 
 #[cfg(test)]
@@ -573,96 +413,92 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| rng.next_gaussian_f32(mean, std))
     }
 
-    #[test]
-    fn batchnorm_train_output_is_standardized() {
-        let mut rng = Rng::seed_from(0);
-        let mut ws = Workspace::new();
-        let mut bn = BatchNorm::new(4);
-        let x = gaussian_batch(&mut rng, 256, 4, 5.0, 2.0);
-        let y = bn.forward(&x, Mode::Train, &mut ws).expect("shapes");
-        let mean = y.col_mean();
-        for c in 0..4 {
-            assert!(mean.get(0, c).abs() < 1e-4, "column mean not ~0");
-        }
-        // Per-column variance ~1.
-        for c in 0..4 {
-            let mut v = 0.0;
-            for r in 0..y.rows() {
-                v += y.get(r, c) * y.get(r, c);
-            }
-            v /= y.rows() as f32;
-            assert!((v - 1.0).abs() < 1e-2, "column var {v}");
-        }
+    /// A layer with clip limits other than the defaults. `(1, 0)` pins
+    /// `r = 1` and `d = 0`: train mode is then plain batch normalization.
+    fn with_limits(dim: usize, r_max: f32, d_max: f32) -> BatchRenorm {
+        let mut layer = BatchRenorm::new(dim);
+        layer.r_max = r_max;
+        layer.d_max = d_max;
+        layer
     }
 
     #[test]
-    fn batchnorm_running_stats_converge() {
+    fn running_stats_converge() {
         let mut rng = Rng::seed_from(1);
         let mut ws = Workspace::new();
-        let mut bn = BatchNorm::new(2);
+        let mut brn = BatchRenorm::new(2);
         for _ in 0..400 {
             let x = gaussian_batch(&mut rng, 64, 2, 3.0, 1.5);
-            let out = bn.forward(&x, Mode::Train, &mut ws).expect("shapes");
+            let out = brn.forward(&x, Mode::Train, &mut ws).expect("shapes");
             ws.give(out);
         }
-        assert!((bn.running_mean()[0] - 3.0).abs() < 0.2);
-        assert!((bn.running_var()[0] - 2.25).abs() < 0.4);
+        assert!((brn.running_mean[0] - 3.0).abs() < 0.2);
+        assert!((brn.running_var[0] - 2.25).abs() < 0.4);
     }
 
     #[test]
-    fn batchnorm_eval_uses_running_moments() {
+    fn eval_uses_running_moments() {
         let mut rng = Rng::seed_from(2);
         let mut ws = Workspace::new();
-        let mut bn = BatchNorm::new(1);
+        let mut brn = BatchRenorm::new(1);
         for _ in 0..300 {
             let x = gaussian_batch(&mut rng, 64, 1, 10.0, 1.0);
-            let out = bn.forward(&x, Mode::Train, &mut ws).expect("shapes");
+            let out = brn.forward(&x, Mode::Train, &mut ws).expect("shapes");
             ws.give(out);
         }
         // A single far-off sample in eval mode should be normalized with the
         // learned moments, not its own (degenerate) batch statistics.
         let x = Matrix::from_rows(&[&[10.0]]).expect("valid");
-        let y = bn.forward(&x, Mode::Eval, &mut ws).expect("shapes");
+        let y = brn.forward(&x, Mode::Eval, &mut ws).expect("shapes");
         assert!(y.get(0, 0).abs() < 0.3, "got {}", y.get(0, 0));
     }
 
     #[test]
-    fn batchrenorm_matches_batchnorm_when_stats_agree() {
-        // Once the running stats equal the batch stats, r = 1 and d = 0, so
-        // BRN must reproduce BN exactly.
+    fn batchrenorm_without_corrections_is_the_batch_norm_formula() {
+        // At r_max = 1, d_max = 0 the corrections are r = 1, d = 0, so a
+        // train-mode forward must be `(x − μ_B) / sqrt(σ²_B + ε)` exactly,
+        // whatever the running moments, and standardize every column.
         let mut rng = Rng::seed_from(3);
         let mut ws = Workspace::new();
-        let mut brn = BatchRenorm::new(2);
-        let mut bn = BatchNorm::new(2);
-        for _ in 0..600 {
-            let x = gaussian_batch(&mut rng, 128, 2, 0.0, 1.0);
-            let a = brn.forward(&x, Mode::Train, &mut ws).expect("shapes");
-            ws.give(a);
-            let b = bn.forward(&x, Mode::Train, &mut ws).expect("shapes");
-            ws.give(b);
+        let mut brn = with_limits(4, 1.0, 0.0);
+        for step in 0..3 {
+            let x = gaussian_batch(&mut rng, 256, 4, 5.0 * step as f32, 2.0);
+            let y = brn.forward(&x, Mode::Train, &mut ws).expect("shapes");
+            let n = x.rows() as f32;
+            for c in 0..4 {
+                let mut mean = 0.0;
+                for r in 0..x.rows() {
+                    mean += x.get(r, c);
+                }
+                mean /= n;
+                let mut var = 0.0;
+                for r in 0..x.rows() {
+                    let d = x.get(r, c) - mean;
+                    var += d * d;
+                }
+                var /= n;
+                let inv_sigma = 1.0 / (var + EPS).sqrt();
+                let (mut out_mean, mut out_var) = (0.0, 0.0);
+                for r in 0..x.rows() {
+                    assert_eq!(y.get(r, c), (x.get(r, c) - mean) * inv_sigma, "step {step}");
+                    out_mean += y.get(r, c);
+                    out_var += y.get(r, c) * y.get(r, c);
+                }
+                assert!((out_mean / n).abs() < 1e-4, "column mean not ~0");
+                assert!((out_var / n - 1.0).abs() < 1e-2, "column var not ~1");
+            }
+            ws.give(y);
         }
-        let x = gaussian_batch(&mut rng, 128, 2, 0.0, 1.0);
-        // Eval mode uses running moments for both layers: outputs agree to
-        // the extent the learned moments agree.
-        let yb = bn.forward(&x, Mode::Eval, &mut ws).expect("shapes");
-        let yr = brn.forward(&x, Mode::Eval, &mut ws).expect("shapes");
-        let rel = yb.sub(&yr).expect("shapes").frobenius_norm() / yb.frobenius_norm();
-        assert!(rel < 0.05, "BN and BRN eval outputs diverge: {rel}");
-        // Train mode: BRN normalizes by the running σ (r/σ_B = 1/σ_run)
-        // while BN uses the batch σ, so agreement is approximate.
-        let yb = bn.forward(&x, Mode::Train, &mut ws).expect("shapes");
-        let yr = brn.forward(&x, Mode::Train, &mut ws).expect("shapes");
-        let rel = yb.sub(&yr).expect("shapes").frobenius_norm() / yb.frobenius_norm();
-        assert!(rel < 0.15, "BN and BRN train outputs diverge: {rel}");
     }
 
     #[test]
     fn batchrenorm_clips_corrections_under_shift() {
         // Feed a drastically shifted batch: the d correction must be clipped
-        // at d_max, keeping outputs bounded instead of exploding.
+        // at the default d_max = 5, keeping outputs bounded instead of
+        // exploding.
         let mut rng = Rng::seed_from(4);
         let mut ws = Workspace::new();
-        let mut brn = BatchRenorm::new(1).with_clip(2.0, 1.0);
+        let mut brn = BatchRenorm::new(1);
         for _ in 0..100 {
             let x = gaussian_batch(&mut rng, 64, 1, 0.0, 1.0);
             let out = brn.forward(&x, Mode::Train, &mut ws).expect("shapes");
@@ -670,38 +506,41 @@ mod tests {
         }
         let shifted = gaussian_batch(&mut rng, 64, 1, 50.0, 1.0);
         let y = brn.forward(&shifted, Mode::Train, &mut ws).expect("shapes");
-        // Without clipping, the shift term would be ~50; with d_max = 1 the
-        // output stays near the standardized batch plus at most 1.
+        // Without clipping, the shift term would be ~50; with d_max = 5 the
+        // output stays near the standardized batch plus at most 5.
         let max = y.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        assert!(max < 8.0, "BRN output exploded: {max}");
+        assert!(max < 10.0, "BRN output exploded: {max}");
     }
 
     #[test]
-    fn batchnorm_gradient_check() {
+    fn batchrenorm_gradient_check() {
+        // r_max = 1, d_max = 0 pin r = 1 and d = 0, whose stop-gradient
+        // then costs nothing, so finite differences of the train-mode
+        // forward must match the analytic backward.
         let mut rng = Rng::seed_from(5);
         let mut ws = Workspace::new();
-        let mut bn = BatchNorm::new(3);
+        let mut brn = with_limits(3, 1.0, 0.0);
         let x = gaussian_batch(&mut rng, 8, 3, 1.0, 2.0);
-        let y = bn.forward(&x, Mode::Train, &mut ws).expect("shapes");
+        let y = brn.forward(&x, Mode::Train, &mut ws).expect("shapes");
         let grad_out = y.clone(); // L = sum(y^2)/2
-        let grad_in = bn.backward(&grad_out, &mut ws).expect("cached");
+        let grad_in = brn.backward(&grad_out, &mut ws).expect("cached");
 
         let eps = 1e-2f32;
-        let mut loss = |m: &Matrix, bn: &mut BatchNorm| {
+        let mut loss = |m: &Matrix, brn: &mut BatchRenorm| {
             // Use a fresh clone so running stats are not perturbed between
             // probes; forward in Train mode to use batch statistics.
-            let y = bn.forward(m, Mode::Train, &mut ws).expect("shapes");
+            let y = brn.forward(m, Mode::Train, &mut ws).expect("shapes");
             y.as_slice().iter().map(|v| v * v).sum::<f32>() / 2.0
         };
         for probe in [(0usize, 0usize), (4, 1), (7, 2)] {
-            let mut bn_probe = bn.clone();
+            let mut brn_probe = brn.clone();
             let mut xp = x.clone();
             xp.set(probe.0, probe.1, x.get(probe.0, probe.1) + eps);
-            let lp = loss(&xp, &mut bn_probe);
-            let mut bn_probe = bn.clone();
+            let lp = loss(&xp, &mut brn_probe);
+            let mut brn_probe = brn.clone();
             let mut xm = x.clone();
             xm.set(probe.0, probe.1, x.get(probe.0, probe.1) - eps);
-            let lm = loss(&xm, &mut bn_probe);
+            let lm = loss(&xm, &mut brn_probe);
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = grad_in.get(probe.0, probe.1);
             assert!(
@@ -715,27 +554,28 @@ mod tests {
     fn norm_export_import_round_trip() {
         let mut rng = Rng::seed_from(6);
         let mut ws = Workspace::new();
-        let mut bn = BatchNorm::new(3);
+        let mut brn = BatchRenorm::new(3);
         for _ in 0..10 {
             let x = gaussian_batch(&mut rng, 32, 3, 2.0, 1.0);
-            let out = bn.forward(&x, Mode::Train, &mut ws).expect("shapes");
+            let out = brn.forward(&x, Mode::Train, &mut ws).expect("shapes");
             ws.give(out);
         }
         let mut buf = Vec::new();
-        bn.export_params(&mut buf);
-        assert_eq!(buf.len(), bn.param_count());
-        let mut copy = BatchNorm::new(3);
+        brn.export_params(&mut buf);
+        assert_eq!(buf.len(), brn.param_count());
+        let mut copy = BatchRenorm::new(3);
         let mut cursor = ParamCursor::new(&buf);
         copy.import_params(&mut cursor).expect("params fit");
-        assert_eq!(copy.running_mean(), bn.running_mean());
+        assert_eq!(copy.running_mean, brn.running_mean);
+        assert_eq!(copy.running_var, brn.running_var);
     }
 
     #[test]
     fn backward_without_forward_errors() {
-        let mut bn = BatchNorm::new(2);
+        let mut brn = BatchRenorm::new(2);
         let mut ws = Workspace::new();
         assert!(matches!(
-            bn.backward(&Matrix::zeros(1, 2), &mut ws),
+            brn.backward(&Matrix::zeros(1, 2), &mut ws),
             Err(TensorError::MissingForwardCache { .. })
         ));
     }
@@ -765,7 +605,7 @@ mod tests {
 
     /// The column-by-column formulation the row-major passes replaced,
     /// kept as the reference they must match bit for bit.
-    impl NormCore {
+    impl BatchRenorm {
         fn reference_forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
             match mode {
                 Mode::Train => {
@@ -859,22 +699,22 @@ mod tests {
     }
 
     /// Everything the two formulations produce or update, as bit patterns.
-    fn state_bits(core: &NormCore) -> [Vec<u32>; 6] {
+    fn state_bits(layer: &BatchRenorm) -> [Vec<u32>; 6] {
         [
-            bits(core.grad_gamma.as_slice()),
-            bits(core.grad_beta.as_slice()),
-            bits(&core.running_mean),
-            bits(&core.running_var),
-            bits(core.gamma.as_slice()),
-            bits(core.beta.as_slice()),
+            bits(layer.grad_gamma.as_slice()),
+            bits(layer.grad_beta.as_slice()),
+            bits(&layer.running_mean),
+            bits(&layer.running_var),
+            bits(layer.gamma.as_slice()),
+            bits(layer.beta.as_slice()),
         ]
     }
 
     /// Runs train steps (forward, backward, update) and eval forwards
-    /// through the live core and a clone on the reference path, asserting
+    /// through the live layer and a clone on the reference path, asserting
     /// bit equality of every output, input gradient, parameter gradient,
     /// parameter and running moment.
-    fn assert_matches_reference(mut live: NormCore, label: &str) {
+    fn assert_matches_reference(mut live: BatchRenorm, label: &str) {
         let mut reference = live.clone();
         let mut rng = Rng::seed_from(11);
         let mut ws = Workspace::new();
@@ -883,12 +723,12 @@ mod tests {
         for rows in [1, 3, 64, 128] {
             for step in 0..3 {
                 let context = format!("{label}, batch {rows}, step {step}");
-                // Shifted, scaled inputs keep BRN's r/d clips in play.
+                // Shifted, scaled inputs keep the r/d clips in play.
                 let shift = step as f32 * 2.0 - 1.0;
                 let x = gaussian_batch(&mut rng, rows, dim, shift, 1.5);
                 let g = gaussian_batch(&mut rng, rows, dim, 0.0, 1.0);
 
-                let y = live.forward(&x, Mode::Train, &mut ws);
+                let y = live.forward(&x, Mode::Train, &mut ws).expect("shapes");
                 let y_ref = reference.reference_forward(&x, Mode::Train);
                 assert_eq!(
                     bits(y.as_slice()),
@@ -912,7 +752,7 @@ mod tests {
                 ws.give(y);
                 ws.give(gi);
 
-                let y = live.forward(&x, Mode::Eval, &mut ws);
+                let y = live.forward(&x, Mode::Eval, &mut ws).expect("shapes");
                 let y_ref = reference.reference_forward(&x, Mode::Eval);
                 assert_eq!(
                     bits(y.as_slice()),
@@ -925,14 +765,16 @@ mod tests {
     }
 
     #[test]
-    fn row_major_batchnorm_matches_the_column_reference() {
-        assert_matches_reference(BatchNorm::new(24).core, "BN 24");
-        assert_matches_reference(BatchNorm::new(5).core, "BN 5");
-    }
-
-    #[test]
     fn row_major_batchrenorm_matches_the_column_reference() {
-        assert_matches_reference(BatchRenorm::new(24).core, "BRN 24");
-        assert_matches_reference(BatchRenorm::new(5).with_clip(1.5, 0.5).core, "BRN 5");
+        for dim in [24, 5] {
+            // No corrections (plain batch norm), the defaults, and tighter
+            // limits than the defaults.
+            for (r_max, d_max) in [(1.0, 0.0), (R_MAX, D_MAX), (1.5, 0.5)] {
+                assert_matches_reference(
+                    with_limits(dim, r_max, d_max),
+                    &format!("BRN {dim}, r_max {r_max}, d_max {d_max}"),
+                );
+            }
+        }
     }
 }

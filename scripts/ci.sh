@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo run -p xtask -- lint"
 cargo run -q -p xtask -- lint
 
+# The workspace denies warnings, rustdoc's included: a doc link to a
+# private or deleted item fails here.
+echo "==> cargo doc --workspace --no-deps"
+cargo doc -q --workspace --no-deps
+
 echo "==> cargo test --workspace (tier-1 and crate tests)"
 cargo test -q --workspace
 

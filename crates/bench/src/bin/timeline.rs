@@ -24,11 +24,7 @@ fn chaos_config(strategy: Strategy, frames: u64, seed: u64) -> SimConfig {
     let mut config = SimConfig::quick(presets::kitti(seed).with_total_frames(frames));
     config.strategy = strategy;
     config.link = LinkConfig::cellular().with_fault(FaultProfile::storm());
-    config.cloud.faults = CloudFaultProfile {
-        label_drop_rate: 0.1,
-        slow_label_rate: 0.2,
-        slow_label_secs: 0.5,
-    };
+    config.cloud.faults = CloudFaultProfile::flaky();
     config
 }
 

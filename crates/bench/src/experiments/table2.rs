@@ -11,8 +11,7 @@ use crate::{rule, write_json, Sweep};
 use shoggoth::sim::SimConfig;
 use shoggoth::strategy::Strategy;
 use shoggoth::trainer::{FreezePolicy, ReplayPlacement, TrainerConfig};
-use shoggoth_compute::training::{training_time, TrainingPlan};
-use shoggoth_compute::{jetson_tx2, yolov4_resnet18};
+use shoggoth_compute::JETSON_TX2;
 use shoggoth_util::json::Obj;
 
 /// Paper Table II reference: (method, mAP %, forward s, backward s,
@@ -62,23 +61,20 @@ impl Row for Table2Row {
 /// The experiment's rows with the scale they were measured at.
 pub type Table2Result = Rows<Table2Row>;
 
-/// Builds the trainer-config and wall-clock plan for each Table II variant.
-fn variants() -> Vec<(&'static str, TrainerConfig, TrainingPlan)> {
-    let stack = yolov4_resnet18();
+/// The paper's training batch, which the time columns are priced at.
+const PAPER_BATCH_FRAMES: usize = 300;
+
+/// The trainer config of each Table II variant, in table order.
+fn variants() -> Vec<(&'static str, TrainerConfig)> {
     let base = TrainerConfig::paper_scaled();
     vec![
-        (
-            "Ours (Baseline)",
-            base.clone(),
-            TrainingPlan::paper_defaults(&stack),
-        ),
+        ("Ours (Baseline)", base.clone()),
         (
             "Input",
             TrainerConfig {
                 placement: ReplayPlacement::Input,
                 ..base.clone()
             },
-            TrainingPlan::input_replay(&stack),
         ),
         (
             "Completely Freezing",
@@ -86,7 +82,6 @@ fn variants() -> Vec<(&'static str, TrainerConfig, TrainingPlan)> {
                 freeze: FreezePolicy::CompletelyFrozen,
                 ..base.clone()
             },
-            TrainingPlan::completely_frozen(&stack),
         ),
         (
             // The conv5_4 analog on the latent student: replay before the
@@ -96,7 +91,6 @@ fn variants() -> Vec<(&'static str, TrainerConfig, TrainingPlan)> {
                 placement: ReplayPlacement::Layer(7),
                 ..base.clone()
             },
-            TrainingPlan::conv5_4(&stack),
         ),
         (
             "No Replay Memory",
@@ -104,7 +98,6 @@ fn variants() -> Vec<(&'static str, TrainerConfig, TrainingPlan)> {
                 replay_capacity: 1,
                 ..base
             },
-            TrainingPlan::no_replay(&stack),
         ),
     ]
 }
@@ -115,7 +108,7 @@ fn variants() -> Vec<(&'static str, TrainerConfig, TrainingPlan)> {
 pub fn configs(detrac: &Sweep) -> Vec<SimConfig> {
     variants()
         .into_iter()
-        .map(|(_, trainer, _)| SimConfig {
+        .map(|(_, trainer)| SimConfig {
             trainer,
             ..detrac.config(Strategy::Shoggoth)
         })
@@ -125,8 +118,6 @@ pub fn configs(detrac: &Sweep) -> Vec<SimConfig> {
 /// Runs the Table II ablation on `detrac`.
 pub fn run(detrac: &Sweep) -> Table2Result {
     let (frames, seed) = (detrac.stream.total_frames(), detrac.seed);
-    let stack = yolov4_resnet18();
-    let device = jetson_tx2();
     let reports = detrac.run(configs(detrac));
 
     println!("Table II — mAP and training time of adaptive-training variants");
@@ -139,10 +130,14 @@ pub fn run(detrac: &Sweep) -> Table2Result {
     rule(100);
 
     let mut rows = Vec::new();
-    for (((name, _, plan), report), (_, p_map, p_fwd, p_bwd, p_all)) in
+    for (((name, trainer), report), (_, p_map, p_fwd, p_bwd, p_all)) in
         variants().into_iter().zip(reports).zip(PAPER)
     {
-        let time = training_time(&stack, &plan, &device);
+        let time = TrainerConfig {
+            batch_frames: PAPER_BATCH_FRAMES,
+            ..trainer
+        }
+        .session_time(&JETSON_TX2);
         println!(
             "{:<22} {:>7.1} ({:>5.1}) {:>9.1} ({:>6.1}) {:>9.1} ({:>6.1}) {:>9.1} ({:>6.1})",
             name,
@@ -168,29 +163,4 @@ pub fn run(detrac: &Sweep) -> Table2Result {
     let result = Table2Result { frames, seed, rows };
     write_json("table2", &result.to_json());
     result
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wallclock_variants_keep_paper_ordering() {
-        let stack = yolov4_resnet18();
-        let device = jetson_tx2();
-        let secs = |variant: &str| {
-            let (_, _, plan) = variants()
-                .into_iter()
-                .find(|(name, _, _)| *name == variant)
-                .expect("known variant");
-            training_time(&stack, &plan, &device).total_secs()
-        };
-        let ours = secs("Ours (Baseline)");
-        let frozen = secs("Completely Freezing");
-        let conv = secs("Conv5_4");
-        let none = secs("No Replay Memory");
-        let input = secs("Input");
-        assert!((ours - frozen).abs() < 1e-9);
-        assert!(ours < conv && conv < none && none < input);
-    }
 }

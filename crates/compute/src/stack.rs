@@ -44,11 +44,6 @@ impl LayerStack {
         self.layers.is_empty()
     }
 
-    /// The layer groups in order.
-    pub fn layers(&self) -> &[LayerCost] {
-        &self.layers
-    }
-
     /// Index of the group with the given name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.layers.iter().position(|l| l.name == name)
@@ -61,12 +56,6 @@ impl LayerStack {
     /// Panics if the range exceeds the stack.
     pub fn forward_flops(&self, range: std::ops::Range<usize>) -> f64 {
         self.layers[range].iter().map(|l| l.forward_flops).sum()
-    }
-
-    /// Backward FLOPs per image across groups `range` (the standard ~2×
-    /// forward estimate).
-    pub fn backward_flops(&self, range: std::ops::Range<usize>) -> f64 {
-        2.0 * self.forward_flops(range)
     }
 
     /// Full per-image forward cost.
@@ -167,7 +156,7 @@ mod tests {
 
     #[test]
     fn teacher_inference_is_subsecond_on_v100() {
-        let secs = crate::v100().secs_for(mask_rcnn_x101().total_forward_flops());
+        let secs = crate::V100.secs_for(mask_rcnn_x101().total_forward_flops());
         assert!(secs < 0.2, "teacher inference {secs} s per frame");
     }
 
@@ -199,15 +188,6 @@ mod tests {
         assert!(
             tail < 0.01 * stack.total_forward_flops(),
             "replay tail should be ~free: {tail}"
-        );
-    }
-
-    #[test]
-    fn backward_is_twice_forward() {
-        let stack = yolov4_resnet18();
-        assert_eq!(
-            stack.backward_flops(0..stack.len()),
-            2.0 * stack.total_forward_flops()
         );
     }
 

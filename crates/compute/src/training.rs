@@ -23,85 +23,30 @@ pub struct TrainingPlan {
     pub cache_front: bool,
 }
 
-impl TrainingPlan {
-    /// The paper's baseline ("Ours"): replay at the penultimate `pool`
-    /// layer, front frozen after the first batch (activations cached),
-    /// 300 fresh / 1500 replay images, 8 epochs.
+/// A named layer-group boundary of [`yolov4_resnet18`](crate::yolov4_resnet18)
+/// that the paper's Table II places replay at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boundary {
+    /// The late-backbone `conv5_4` group (Table II's "Conv5_4" row).
+    Conv5_4,
+    /// The penultimate `pool` layer, where the paper's replay lives.
+    Pool,
+}
+
+impl Boundary {
+    /// Index of this boundary's layer group in `stack`.
     ///
     /// # Panics
     ///
-    /// Panics if the stack has no `pool` layer.
-    pub fn paper_defaults(stack: &LayerStack) -> Self {
-        let pool = stack
-            .index_of("pool")
-            .expect("stack must name a pool layer");
-        Self {
-            replay_layer: pool,
-            trainable_from: pool,
-            fresh_images: 300,
-            replay_images: 1500,
-            epochs: 8,
-            cache_front: true,
-        }
-    }
-
-    /// Table II variant: replay memory on the input layer (raw images).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stack has no `pool` layer.
-    pub fn input_replay(stack: &LayerStack) -> Self {
-        let pool = stack
-            .index_of("pool")
-            .expect("stack must name a pool layer");
-        Self {
-            replay_layer: 0,
-            trainable_from: pool,
-            cache_front: false,
-            ..Self::paper_defaults(stack)
-        }
-    }
-
-    /// Table II variant: front layers completely frozen (identical cost
-    /// structure to the baseline; differs in accuracy, not time).
-    pub fn completely_frozen(stack: &LayerStack) -> Self {
-        Self::paper_defaults(stack)
-    }
-
-    /// Table II variant: replay at the `conv5_4` layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stack has no `conv5_4` layer.
-    pub fn conv5_4(stack: &LayerStack) -> Self {
-        let conv = stack
-            .index_of("conv5_4")
-            .expect("stack must name a conv5_4 layer");
-        Self {
-            replay_layer: conv,
-            trainable_from: conv,
-            ..Self::paper_defaults(stack)
-        }
-    }
-
-    /// Table II variant: no replay memory — only the fresh batch is used,
-    /// and without a replay buffer there is nowhere to cache activations,
-    /// so fresh images cross the full network every epoch.
-    pub fn no_replay(stack: &LayerStack) -> Self {
-        Self {
-            replay_images: 0,
-            cache_front: false,
-            ..Self::paper_defaults(stack)
-        }
-    }
-
-    /// Rescales the batch composition, preserving everything else. Used by
-    /// the simulation, which runs smaller sessions than the paper's
-    /// 300/1500 (see DESIGN.md).
-    pub fn with_batch(mut self, fresh: usize, replay: usize) -> Self {
-        self.fresh_images = fresh;
-        self.replay_images = replay;
-        self
+    /// Panics if `stack` has no group of this name.
+    pub fn index(self, stack: &LayerStack) -> usize {
+        let name = match self {
+            Boundary::Conv5_4 => "conv5_4",
+            Boundary::Pool => "pool",
+        };
+        stack
+            .index_of(name)
+            .expect("the stack names the Table II boundaries")
     }
 }
 
@@ -157,11 +102,11 @@ pub fn training_time(
             plan.epochs as f64
         };
 
-    let forward_flops = front_passes * front_fwd + tail_passes * tail_fwd;
-    let backward_flops = tail_passes * trainable_fwd;
+    let forward = front_passes * front_fwd + tail_passes * tail_fwd;
+    let backward = tail_passes * trainable_fwd;
     TrainingTime {
-        forward_secs: device.secs_for(forward_flops),
-        backward_secs: device.secs_for(backward_flops),
+        forward_secs: device.secs_for(forward),
+        backward_secs: device.secs_for(backward),
     }
 }
 
@@ -169,53 +114,25 @@ pub fn training_time(
 mod tests {
     use super::*;
     use crate::stack::yolov4_resnet18;
-    use crate::{jetson_tx2, v100};
+    use crate::{JETSON_TX2, V100};
 
-    fn all_variants() -> Vec<(&'static str, TrainingPlan)> {
-        let stack = yolov4_resnet18();
-        vec![
-            ("ours", TrainingPlan::paper_defaults(&stack)),
-            ("input", TrainingPlan::input_replay(&stack)),
-            ("frozen", TrainingPlan::completely_frozen(&stack)),
-            ("conv5_4", TrainingPlan::conv5_4(&stack)),
-            ("no_replay", TrainingPlan::no_replay(&stack)),
-        ]
-    }
-
-    #[test]
-    fn table_ii_ordering_holds() {
-        let stack = yolov4_resnet18();
-        let device = jetson_tx2();
-        let time = |name: &str| {
-            let plan = all_variants()
-                .into_iter()
-                .find(|(n, _)| *n == name)
-                .expect("variant exists")
-                .1;
-            training_time(&stack, &plan, &device).total_secs()
-        };
-        let ours = time("ours");
-        let frozen = time("frozen");
-        let conv = time("conv5_4");
-        let no_replay = time("no_replay");
-        let input = time("input");
-        // Paper Table II: 18.6 ≈ 18.5 < 26.0 < 101.9 < 567.8.
-        assert!(
-            (ours - frozen).abs() < 1e-9,
-            "ours {ours} vs frozen {frozen}"
-        );
-        assert!(ours < conv, "ours {ours} < conv5_4 {conv}");
-        assert!(conv < no_replay, "conv5_4 {conv} < no-replay {no_replay}");
-        assert!(no_replay < input, "no-replay {no_replay} < input {input}");
-        // Input replay is ~30× the baseline in the paper.
-        let ratio = input / ours;
-        assert!((10.0..60.0).contains(&ratio), "input/ours ratio {ratio}");
+    /// The paper's baseline session at `fresh`/`replay` images.
+    fn ours(stack: &LayerStack, fresh: usize, replay: usize) -> TrainingPlan {
+        let pool = Boundary::Pool.index(stack);
+        TrainingPlan {
+            replay_layer: pool,
+            trainable_from: pool,
+            fresh_images: fresh,
+            replay_images: replay,
+            epochs: 8,
+            cache_front: true,
+        }
     }
 
     #[test]
     fn baseline_magnitude_matches_paper() {
         let stack = yolov4_resnet18();
-        let t = training_time(&stack, &TrainingPlan::paper_defaults(&stack), &jetson_tx2());
+        let t = training_time(&stack, &ours(&stack, 300, 1500), &JETSON_TX2);
         // Paper: 18.6 s overall; accept the right order of magnitude.
         assert!(
             (8.0..40.0).contains(&t.total_secs()),
@@ -226,24 +143,30 @@ mod tests {
     }
 
     #[test]
-    fn cloud_device_trains_much_faster() {
+    fn cloud_trains_much_faster() {
         let stack = yolov4_resnet18();
-        let plan = TrainingPlan::paper_defaults(&stack);
-        let edge = training_time(&stack, &plan, &jetson_tx2()).total_secs();
-        let cloud = training_time(&stack, &plan, &v100()).total_secs();
+        let plan = ours(&stack, 300, 1500);
+        let edge = training_time(&stack, &plan, &JETSON_TX2).total_secs();
+        let cloud = training_time(&stack, &plan, &V100).total_secs();
         assert!(cloud < edge / 10.0);
     }
 
     #[test]
     fn smaller_batches_scale_cost_down() {
         let stack = yolov4_resnet18();
-        let big = TrainingPlan::paper_defaults(&stack);
-        let small = TrainingPlan::paper_defaults(&stack).with_batch(60, 300);
-        let tb = training_time(&stack, &big, &jetson_tx2()).total_secs();
-        let ts = training_time(&stack, &small, &jetson_tx2()).total_secs();
+        let tb = training_time(&stack, &ours(&stack, 300, 1500), &JETSON_TX2).total_secs();
+        let ts = training_time(&stack, &ours(&stack, 60, 300), &JETSON_TX2).total_secs();
         assert!(
             (ts - tb / 5.0).abs() < tb * 0.05,
             "expected ~5x cheaper: {tb} vs {ts}"
         );
+    }
+
+    #[test]
+    fn boundaries_resolve_in_stack_order() {
+        let stack = yolov4_resnet18();
+        let conv5_4 = Boundary::Conv5_4.index(&stack);
+        let pool = Boundary::Pool.index(&stack);
+        assert!(0 < conv5_4 && conv5_4 < pool && pool < stack.len());
     }
 }

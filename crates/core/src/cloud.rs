@@ -47,6 +47,16 @@ impl CloudFaultProfile {
         }
     }
 
+    /// A flaky labeling service: a tenth of the label batches are dropped
+    /// and a fifth of the rest return half a second late.
+    pub fn flaky() -> Self {
+        Self {
+            label_drop_rate: 0.1,
+            slow_label_rate: 0.2,
+            slow_label_secs: 0.5,
+        }
+    }
+
     /// Validates the profile.
     ///
     /// # Errors
@@ -93,25 +103,17 @@ impl Default for CloudFaultProfile {
     }
 }
 
-/// Cloud-side configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Confidence threshold θ of the pseudo-labeling rule (Eq. 1).
+const LABEL_THRESHOLD: f32 = 0.5;
+
+/// Cloud-side configuration; the default is the paper's controller and a
+/// healthy labeling service.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CloudConfig {
-    /// Confidence threshold θ of the pseudo-labeling rule (Eq. 1).
-    pub label_threshold: f32,
     /// Sampling-rate controller parameters (Eqs. 2–3).
     pub controller: ControllerConfig,
     /// Fault injection on the labeling service itself.
     pub faults: CloudFaultProfile,
-}
-
-impl Default for CloudConfig {
-    fn default() -> Self {
-        Self {
-            label_threshold: 0.5,
-            controller: ControllerConfig::paper_defaults(),
-            faults: CloudFaultProfile::none(),
-        }
-    }
 }
 
 /// The result of labeling one uploaded batch.
@@ -151,7 +153,6 @@ pub struct LabelBatch {
 pub struct CloudServer {
     teacher: TeacherDetector,
     controller: SamplingRateController,
-    config: CloudConfig,
     num_classes: usize,
     prev_labels: Option<Vec<Detection>>,
 }
@@ -172,7 +173,6 @@ impl CloudServer {
         Ok(Self {
             teacher,
             controller: SamplingRateController::new(config.controller)?,
-            config,
             num_classes,
             prev_labels: None,
         })
@@ -208,12 +208,7 @@ impl CloudServer {
                 phi_scores.push(0.0);
             }
             self.prev_labels = Some(detections);
-            let samples = pseudo_label_from(
-                &predictions,
-                frame,
-                self.num_classes,
-                self.config.label_threshold,
-            );
+            let samples = pseudo_label_from(&predictions, frame, self.num_classes, LABEL_THRESHOLD);
             total += samples.len();
             per_frame.push(samples);
         }

@@ -129,8 +129,10 @@ impl SamplingRateController {
     /// # Errors
     ///
     /// Returns [`InvalidConfig`] if the configuration is inconsistent
-    /// (`r_min > r_max`, non-positive window, or an initial rate outside
-    /// the bounds).
+    /// (`r_min > r_max`, `r_min <= 0`, non-positive window, an initial
+    /// rate outside the bounds, a non-finite step size or target, or a
+    /// `lambda_alpha` outside `(0, 1]`). Each of these would otherwise
+    /// panic or drive the rate to 0 or NaN, which stops the edge sampling.
     pub fn new(config: ControllerConfig) -> Result<Self, InvalidConfig> {
         let reject = |reason| InvalidConfig {
             component: "sampling-rate controller",
@@ -138,6 +140,22 @@ impl SamplingRateController {
         };
         if config.r_min > config.r_max {
             return Err(reject("r_min must not exceed r_max"));
+        }
+        if config.r_min <= 0.0 {
+            return Err(reject("r_min must be positive"));
+        }
+        for (value, reason) in [
+            (config.eta_r, "eta_r must be finite"),
+            (config.eta_alpha, "eta_alpha must be finite"),
+            (config.phi_target, "phi_target must be finite"),
+            (config.alpha_target, "alpha_target must be finite"),
+        ] {
+            if !value.is_finite() {
+                return Err(reject(reason));
+            }
+        }
+        if !(config.lambda_alpha > 0.0 && config.lambda_alpha <= 1.0) {
+            return Err(reject("lambda_alpha must be in (0, 1]"));
         }
         if config.phi_window == 0 {
             return Err(reject("phi window must be positive"));
@@ -348,7 +366,7 @@ mod tests {
             alpha_target: 0.8,
             eta_r: 1.0,
             eta_alpha: 2.0,
-            r_min: 0.0,
+            r_min: 0.1,
             r_max: 10.0,
             initial_rate: 1.0,
             phi_window: 4,
@@ -382,5 +400,72 @@ mod tests {
         })
         .expect_err("inverted bounds must be rejected");
         assert!(err.reason.contains("r_min"), "{err}");
+    }
+
+    /// The reason `SamplingRateController::new` gives for rejecting the
+    /// paper defaults with `edit` applied.
+    fn rejection(edit: impl FnOnce(&mut ControllerConfig)) -> &'static str {
+        let mut config = ControllerConfig::paper_defaults();
+        edit(&mut config);
+        SamplingRateController::new(config)
+            .expect_err("invalid config must be rejected")
+            .reason
+    }
+
+    #[test]
+    fn lambda_alpha_outside_unit_interval_rejected() {
+        for bad in [0.0, -0.5, 1.5, f64::NAN] {
+            let reason = rejection(|c| c.lambda_alpha = bad);
+            assert!(reason.contains("lambda_alpha"), "{bad}: {reason}");
+        }
+    }
+
+    #[test]
+    fn non_finite_eta_r_rejected() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(rejection(|c| c.eta_r = bad).contains("eta_r"));
+        }
+    }
+
+    #[test]
+    fn non_finite_eta_alpha_rejected() {
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            assert!(rejection(|c| c.eta_alpha = bad).contains("eta_alpha"));
+        }
+    }
+
+    #[test]
+    fn non_finite_phi_target_rejected() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(rejection(|c| c.phi_target = bad).contains("phi_target"));
+        }
+    }
+
+    #[test]
+    fn non_finite_alpha_target_rejected() {
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            assert!(rejection(|c| c.alpha_target = bad).contains("alpha_target"));
+        }
+    }
+
+    #[test]
+    fn non_positive_r_min_rejected() {
+        for bad in [0.0, -0.1] {
+            let reason = rejection(|c| {
+                c.r_min = bad;
+                c.initial_rate = 0.5;
+            });
+            assert!(reason.contains("r_min must be positive"), "{bad}: {reason}");
+        }
+    }
+
+    #[test]
+    fn zero_step_sizes_stay_valid() {
+        let config = ControllerConfig {
+            eta_r: 0.0,
+            eta_alpha: 0.0,
+            ..ControllerConfig::paper_defaults()
+        };
+        assert!(SamplingRateController::new(config).is_ok());
     }
 }

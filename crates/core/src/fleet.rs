@@ -13,7 +13,7 @@
 use crate::error::SimError;
 use crate::sim::{SimConfig, SimReport, Simulation};
 use shoggoth_compute::stack::mask_rcnn_x101;
-use shoggoth_compute::DeviceProfile;
+use shoggoth_compute::V100;
 use shoggoth_models::{StudentDetector, TeacherDetector};
 use shoggoth_telemetry::{NoopRecorder, Record, Recorder, RingRecorder};
 use shoggoth_util::json::{self, Obj};
@@ -27,8 +27,6 @@ pub struct FleetConfig {
     pub base: SimConfig,
     /// Number of edge devices to simulate.
     pub devices: usize,
-    /// The shared cloud GPU.
-    pub cloud_gpu: DeviceProfile,
     /// Worker threads for the per-device simulations. `0` (the default)
     /// resolves to the machine's available parallelism; `1` forces the
     /// serial path. Device seeds and report order do not depend on this —
@@ -44,11 +42,9 @@ impl FleetConfig {
     /// Panics if `devices == 0`.
     pub fn new(base: SimConfig, devices: usize) -> Self {
         assert!(devices > 0, "fleet needs at least one device");
-        let cloud_gpu = base.cloud_device;
         Self {
             base,
             devices,
-            cloud_gpu,
             threads: 0,
         }
     }
@@ -234,9 +230,7 @@ fn device_jobs(config: &FleetConfig) -> Vec<(SimConfig, StudentDetector, Teacher
 /// Folds per-device reports into the fleet aggregate (shared by the traced
 /// and untraced runners).
 fn aggregate(config: &FleetConfig, per_device: Vec<SimReport>) -> FleetReport {
-    let teacher_infer_secs = config
-        .cloud_gpu
-        .secs_for(mask_rcnn_x101().total_forward_flops());
+    let teacher_infer_secs = V100.secs_for(mask_rcnn_x101().total_forward_flops());
     let duration_secs = per_device
         .first()
         .map(|r| r.duration_secs)
@@ -326,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn edge_only_uses_no_cloud_gpu() {
+    fn edge_only_bills_no_cloud_gpu_secs() {
         let report = fleet(Strategy::EdgeOnly, 2);
         assert_eq!(report.cloud_gpu_secs, 0.0);
         assert!(report.supported_devices_per_gpu.is_infinite());

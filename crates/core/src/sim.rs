@@ -11,9 +11,8 @@ use crate::cloud::{CloudConfig, CloudServer, LabelFate};
 use crate::error::SimError;
 use crate::resilience::{EdgeResilience, ResilienceConfig, ResilienceReport};
 use crate::strategy::{AdapterSite, Rate, Strategy, Uplink};
-use crate::trainer::{AdaptiveTrainer, FreezePolicy, ReplayPlacement, TrainerConfig};
-use shoggoth_compute::training::{training_time, TrainingPlan};
-use shoggoth_compute::{jetson_tx2, v100, Contention, DeviceProfile};
+use crate::trainer::{AdaptiveTrainer, TrainerConfig};
+use shoggoth_compute::{JETSON_TX2, V100};
 use shoggoth_metrics::{kbps, Evaluation, FpsTracker};
 use shoggoth_models::{
     Detector, LabeledSample, StudentConfig, StudentDetector, TeacherConfig, TeacherDetector,
@@ -46,29 +45,12 @@ pub struct SimConfig {
     pub resilience: ResilienceConfig,
     /// Codec used for frame uploads.
     pub codec: Codec,
-    /// GPU contention model on the edge device.
-    pub contention: Contention,
-    /// Edge device profile (wall-clock model).
-    pub edge_device: DeviceProfile,
-    /// Cloud device profile (AMS training wall-clock).
-    pub cloud_device: DeviceProfile,
     /// Sampled frames per upload chunk. The edge buffers this many sampled
     /// frames, H.264-encodes the buffer (1–3 s in the paper) and ships it;
     /// the cloud labels each chunk on arrival and updates the sampling
     /// rate, while the edge pools labeled samples until a full training
     /// batch ([`TrainerConfig::batch_frames`]) has accumulated.
     pub upload_chunk_frames: usize,
-    /// Confidence threshold used for the edge's estimated-accuracy
-    /// signal α (a prediction counts as "accurate" when its posterior
-    /// clears this). Deliberately stricter than the 0.5 labeling
-    /// threshold: the micro-student's argmax posterior over a handful of
-    /// classes is rarely below 0.5, so a 0.5 cut would saturate α at 1.
-    pub alpha_conf_threshold: f32,
-    /// Modeled size of one AMS model update on the downlink. Our
-    /// stand-in student is a micro-MLP, but AMS ships the *real*
-    /// YOLOv4-ResNet18 student (compressed deltas on the order of a
-    /// megabyte), so the byte accounting uses this paper-scale figure.
-    pub ams_update_bytes: u64,
     /// Student initialization / pre-training seed.
     pub student_seed: u64,
     /// Teacher initialization / pre-training seed.
@@ -90,12 +72,7 @@ impl SimConfig {
             link: LinkConfig::cellular(),
             resilience: ResilienceConfig::standard(),
             codec: Codec::h264_like(),
-            contention: Contention::default(),
-            edge_device: jetson_tx2(),
-            cloud_device: v100(),
             upload_chunk_frames: 10,
-            alpha_conf_threshold: 0.8,
-            ams_update_bytes: 1_200_000,
             student_seed: 1,
             teacher_seed: 2,
             sim_seed: 3,
@@ -381,6 +358,23 @@ enum Adapter {
     },
 }
 
+/// Share of the edge's idle inference rate left while a training session
+/// runs on the same GPU: the paper observes 30 fps dropping to 15 (Fig. 4).
+const TRAINING_INFERENCE_SHARE: f64 = 0.5;
+
+/// Confidence threshold θ of the edge's estimated-accuracy signal α: a
+/// prediction counts as "accurate" when its posterior clears it.
+/// Deliberately stricter than Eq. 1's 0.5 labeling threshold: the
+/// micro-student's argmax posterior over a handful of classes is rarely
+/// below 0.5, so a 0.5 cut would saturate α at 1.
+const ALPHA_THETA: f32 = 0.8;
+
+/// Modeled size of one AMS model update on the downlink. The stand-in
+/// student is a micro-MLP, but AMS ships the real YOLOv4-ResNet18 student
+/// (compressed deltas on the order of a megabyte), so the byte accounting
+/// uses this paper-scale figure.
+const AMS_UPDATE_BYTES: u64 = 1_200_000;
+
 /// Frames the stream generator hands the engine at a time when it runs
 /// ahead on a second thread (`pool::pipeline`). A UA-DETRAC block is
 /// about 0.7 ms of generation and 100 KiB, so one hand-off per block
@@ -450,26 +444,26 @@ impl<'a, R: Recorder> Engine<'a, R> {
             AdapterSite::None => Adapter::None,
             AdapterSite::Edge => Adapter::Edge {
                 trainer: AdaptiveTrainer::new(config.trainer.clone()),
-                session_secs: session_wallclock(&config.trainer, &config.edge_device),
+                session_secs: config.trainer.session_time(&JETSON_TX2).total_secs(),
             },
             // AMS (Khani et al.) fine-tunes the *entire* student in the
-            // cloud — no latent replay, full backpropagation — which is
-            // exactly the paper's Table II "Input" configuration. The
-            // cloud's V100 can afford it; the cost shows up as model-sized
+            // cloud — no latent replay, full backpropagation. The cloud's
+            // V100 can afford it; the cost shows up as model-sized
             // downlink updates and slightly more forgetting.
-            AdapterSite::CloudShadow => Adapter::CloudShadow {
-                student: student.clone(),
-                trainer: AdaptiveTrainer::new(TrainerConfig {
-                    placement: ReplayPlacement::Input,
-                    freeze: FreezePolicy::FullyTrainable,
-                    // AMS keeps only a recent-frame window, not a
-                    // reservoir replay memory — a capacity of one
-                    // disables replay.
-                    replay_capacity: 1,
-                    ..config.trainer.clone()
-                }),
-                session_secs: ams_session_wallclock(&config.trainer, &config.cloud_device),
-            },
+            AdapterSite::CloudShadow => {
+                let ams = config.trainer.ams_shadow();
+                Adapter::CloudShadow {
+                    student: student.clone(),
+                    session_secs: ams.session_time(&V100).total_secs(),
+                    // AMS keeps only its recent-frame window, not a
+                    // reservoir replay memory: a capacity of one disables
+                    // replay.
+                    trainer: AdaptiveTrainer::new(TrainerConfig {
+                        replay_capacity: 1,
+                        ..ams
+                    }),
+                }
+            }
         };
         Ok(Self {
             link: Link::new(config.link.clone())?,
@@ -543,10 +537,11 @@ impl<'a, R: Recorder> Engine<'a, R> {
         self.cur_frame = frame.index;
 
         // Achieved inference rate under training contention.
-        let fps_now = self.config.contention.inference_fps(
-            self.config.edge_device.idle_inference_fps,
-            t < self.training_until,
-        );
+        let fps_now = if t < self.training_until {
+            JETSON_TX2.idle_inference_fps * TRAINING_INFERENCE_SHARE
+        } else {
+            JETSON_TX2.idle_inference_fps
+        };
         self.fps.record(t, fps_now);
         self.rate_sum += self.effective_rate();
 
@@ -557,10 +552,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
         };
 
         // Estimated-accuracy bookkeeping (the α metric).
-        let theta = self.config.alpha_conf_threshold;
         for d in &detections {
             self.alpha_total += 1;
-            if d.confidence >= theta {
+            if d.confidence >= ALPHA_THETA {
                 self.alpha_hits += 1;
             }
         }
@@ -929,7 +923,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 let report = trainer.train_session(student, &fresh, &mut self.rng)?;
                 let weights = student.net().export_weights();
                 let update = Message::ModelWeights {
-                    bytes: self.config.ams_update_bytes,
+                    bytes: AMS_UPDATE_BYTES,
                 };
                 if self
                     .link
@@ -959,46 +953,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
         });
         Ok(())
     }
-}
-
-/// Modeled wall-clock of one AMS cloud-side session: full fine-tuning on
-/// raw frames (input-layer data, everything trainable, nothing cacheable)
-/// at the paper's 1:5 fresh:window ratio.
-fn ams_session_wallclock(cfg: &TrainerConfig, device: &DeviceProfile) -> f64 {
-    let stack = shoggoth_compute::yolov4_resnet18();
-    let mut plan =
-        TrainingPlan::input_replay(&stack).with_batch(cfg.batch_frames, cfg.batch_frames * 5);
-    plan.trainable_from = 0;
-    plan.epochs = cfg.epochs;
-    training_time(&stack, &plan, device).total_secs()
-}
-
-/// Modeled wall-clock of one edge training session on a device.
-fn session_wallclock(cfg: &TrainerConfig, device: &DeviceProfile) -> f64 {
-    let stack = shoggoth_compute::yolov4_resnet18();
-    let mut plan = match cfg.placement {
-        ReplayPlacement::Penultimate => TrainingPlan::paper_defaults(&stack),
-        ReplayPlacement::Input => TrainingPlan::input_replay(&stack),
-        ReplayPlacement::Layer(_) => TrainingPlan::conv5_4(&stack),
-    };
-    if cfg.replay_capacity <= 1 {
-        plan = TrainingPlan::no_replay(&stack);
-    }
-    if matches!(
-        cfg.freeze,
-        FreezePolicy::SlowFront { .. } | FreezePolicy::FullyTrainable
-    ) {
-        plan.cache_front = false;
-        plan.trainable_from = 0;
-    }
-    let replay_frames = if plan.replay_images == 0 {
-        0
-    } else {
-        cfg.batch_frames * 5
-    };
-    plan = plan.with_batch(cfg.batch_frames, replay_frames);
-    plan.epochs = cfg.epochs;
-    training_time(&stack, &plan, device).total_secs()
 }
 
 #[cfg(test)]
@@ -1112,5 +1066,12 @@ mod tests {
         let report = run_ok(&quick_config(Strategy::EdgeOnly, 150));
         assert_eq!(report.per_frame_map.len(), 150);
         assert!(report.per_frame_map.iter().all(|m| (0.0..=1.0).contains(m)));
+    }
+
+    #[test]
+    fn invalid_controller_config_is_an_error_not_a_panic() {
+        let mut config = quick_config(Strategy::Shoggoth, 30);
+        config.cloud.controller.lambda_alpha = 0.0;
+        assert!(matches!(Simulation::run(&config), Err(SimError::Config(_))));
     }
 }

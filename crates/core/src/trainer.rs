@@ -10,6 +10,9 @@
 
 use crate::error::TrainError;
 use crate::replay::{ReplayItem, ReplayMemory};
+use shoggoth_compute::{
+    training_time, yolov4_resnet18, Boundary, DeviceProfile, TrainingPlan, TrainingTime,
+};
 use shoggoth_models::{LabeledSample, StudentDetector};
 use shoggoth_tensor::{losses, Matrix, Mode, SgdConfig};
 use shoggoth_util::Rng;
@@ -26,7 +29,7 @@ pub enum ReplayPlacement {
 }
 
 /// How the layers before the replay layer are treated.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreezePolicy {
     /// The paper's baseline: front weights train only on the very first
     /// mini-batch of the very first session, then their learning rate is
@@ -36,32 +39,8 @@ pub enum FreezePolicy {
     /// Front entirely frozen: weights *and* normalization statistics
     /// (front forward passes run in eval mode).
     CompletelyFrozen,
-    /// Front trains at a reduced learning-rate scale every mini-batch.
-    SlowFront {
-        /// Learning-rate multiplier for the front layers.
-        scale: f32,
-    },
     /// Everything trains at full rate (no freeze).
     FullyTrainable,
-}
-
-impl FreezePolicy {
-    /// Whether front weights receive gradient after warm-up.
-    fn front_trains(&self) -> bool {
-        matches!(
-            self,
-            FreezePolicy::SlowFront { .. } | FreezePolicy::FullyTrainable
-        )
-    }
-
-    /// Learning-rate scale for front layers after warm-up.
-    fn front_scale(&self) -> f32 {
-        match self {
-            FreezePolicy::SlowFront { scale } => *scale,
-            FreezePolicy::FullyTrainable => 1.0,
-            _ => 0.0,
-        }
-    }
 }
 
 /// Adaptive-training hyper-parameters.
@@ -116,6 +95,67 @@ impl TrainerConfig {
 impl Default for TrainerConfig {
     fn default() -> Self {
         Self::paper_scaled()
+    }
+}
+
+/// Replay images per fresh image in a priced session: the paper's 1500
+/// replay images to its 300 fresh ones.
+const REPLAY_PER_FRESH: usize = 5;
+
+impl TrainerConfig {
+    /// Modeled wall-clock of one of this config's sessions on `device`.
+    /// The session is priced on the paper's YOLOv4-ResNet18 student, not
+    /// on the micro-student that trains (DESIGN.md §4, "Two planes").
+    ///
+    /// The placement picks where replay enters the stack; `Layer(_)`
+    /// stands for Table II's `conv5_4`. With replay on, a session replays
+    /// 5× its batch. Unless the policy is [`FreezePolicy::FullyTrainable`],
+    /// it then caches the frozen front's activations and trains from the
+    /// replay layer (from `pool` for input replay). With replay off
+    /// (`replay_capacity <= 1`), fresh frames alone cross the whole stack
+    /// every epoch and train from `pool`.
+    pub fn session_time(&self, device: &DeviceProfile) -> TrainingTime {
+        let stack = yolov4_resnet18();
+        let pool = Boundary::Pool.index(&stack);
+        let replays = self.replay_capacity > 1;
+        let replay_layer = match self.placement {
+            _ if !replays => pool,
+            ReplayPlacement::Input => 0,
+            ReplayPlacement::Penultimate => pool,
+            ReplayPlacement::Layer(_) => Boundary::Conv5_4.index(&stack),
+        };
+        let front_trains = self.freeze == FreezePolicy::FullyTrainable;
+        let plan = TrainingPlan {
+            replay_layer,
+            trainable_from: match replay_layer {
+                _ if front_trains => 0,
+                0 => pool,
+                at => at,
+            },
+            fresh_images: self.batch_frames,
+            replay_images: if replays {
+                REPLAY_PER_FRESH * self.batch_frames
+            } else {
+                0
+            },
+            epochs: self.epochs,
+            // Input replay has no front, so caching it costs nothing.
+            cache_front: replays && !front_trains,
+        };
+        training_time(&stack, &plan, device)
+    }
+
+    /// The session AMS (Khani et al.) runs in the cloud for this edge
+    /// config, as priced: the entire student fine-tunes on raw frames,
+    /// which is Table II's "Input" row with nothing frozen, over a window
+    /// of 5× the batch.
+    pub(crate) fn ams_shadow(&self) -> Self {
+        Self {
+            placement: ReplayPlacement::Input,
+            freeze: FreezePolicy::FullyTrainable,
+            replay_capacity: REPLAY_PER_FRESH * self.batch_frames,
+            ..self.clone()
+        }
     }
 }
 
@@ -245,7 +285,7 @@ impl AdaptiveTrainer {
         };
         let k_replay = k.saturating_sub(k_fresh).min(m);
 
-        let front_trains = self.config.freeze.front_trains() && replay_layer > 0;
+        let front_trains = self.config.freeze == FreezePolicy::FullyTrainable && replay_layer > 0;
         let warm_up_front = matches!(self.config.freeze, FreezePolicy::FreezeAfterFirstBatch)
             && self.sessions == 0
             && replay_layer > 0;
@@ -384,11 +424,7 @@ impl AdaptiveTrainer {
                 }
 
                 // Per-layer learning-rate scales.
-                let front_scale = if warm_up_front && first_mini_batch {
-                    1.0
-                } else {
-                    self.config.freeze.front_scale()
-                };
+                let front_scale = if train_front_now { 1.0 } else { 0.0 };
                 for (i, s) in scales.iter_mut().enumerate() {
                     *s = if i < replay_layer { front_scale } else { 1.0 };
                 }
@@ -637,5 +673,93 @@ mod tests {
             .expect("session trains");
         // quick() student: hidden widths [32, 24] -> penultimate width 24.
         assert_eq!(trainer.memory().items()[0].activation.len(), 24);
+    }
+
+    /// The five Table II variants at the paper's 300-frame batch and the
+    /// AMS shadow at the default and quick batches, each priced as
+    /// [`TrainingPlan`] literals: the plans the cost rule must reproduce.
+    #[test]
+    fn session_time_reproduces_the_table_ii_and_ams_plans() {
+        use shoggoth_compute::{JETSON_TX2, V100};
+        let stack = yolov4_resnet18();
+        let (conv5_4, pool) = (
+            Boundary::Conv5_4.index(&stack),
+            Boundary::Pool.index(&stack),
+        );
+        let plan = |replay_layer, trainable_from, fresh, replay, cache_front| TrainingPlan {
+            replay_layer,
+            trainable_from,
+            fresh_images: fresh,
+            replay_images: replay,
+            epochs: 8,
+            cache_front,
+        };
+        let paper = TrainerConfig {
+            batch_frames: 300,
+            ..TrainerConfig::paper_scaled()
+        };
+        let variants = [
+            (paper.clone(), plan(pool, pool, 300, 1500, true)),
+            (
+                TrainerConfig {
+                    placement: ReplayPlacement::Input,
+                    ..paper.clone()
+                },
+                plan(0, pool, 300, 1500, false),
+            ),
+            (
+                TrainerConfig {
+                    freeze: FreezePolicy::CompletelyFrozen,
+                    ..paper.clone()
+                },
+                plan(pool, pool, 300, 1500, true),
+            ),
+            (
+                TrainerConfig {
+                    placement: ReplayPlacement::Layer(7),
+                    ..paper.clone()
+                },
+                plan(conv5_4, conv5_4, 300, 1500, true),
+            ),
+            (
+                TrainerConfig {
+                    replay_capacity: 1,
+                    ..paper
+                },
+                plan(pool, pool, 300, 0, false),
+            ),
+        ];
+        let mut secs = Vec::new();
+        for (config, expected) in &variants {
+            let time = config.session_time(&JETSON_TX2);
+            assert_eq!(time, training_time(&stack, expected, &JETSON_TX2));
+            secs.push(time.total_secs());
+        }
+        // Paper Table II: 18.6 ≈ 18.5 < 26.0 < 101.9 < 567.8, and input
+        // replay is ~30× the baseline.
+        let [ours, input, frozen, conv, none] = secs[..] else {
+            unreachable!("five variants")
+        };
+        assert_eq!(ours, frozen);
+        assert!(ours < conv && conv < none && none < input);
+        assert!(
+            (10.0..60.0).contains(&(input / ours)),
+            "input/ours {}",
+            input / ours
+        );
+
+        for (edge, batch, epochs) in [
+            (TrainerConfig::paper_scaled(), 60, 8),
+            (TrainerConfig::quick(), 12, 4),
+        ] {
+            let expected = TrainingPlan {
+                epochs,
+                ..plan(0, 0, batch, 5 * batch, false)
+            };
+            assert_eq!(
+                edge.ams_shadow().session_time(&V100),
+                training_time(&stack, &expected, &V100)
+            );
+        }
     }
 }

@@ -26,8 +26,6 @@ pub struct StudentConfig {
     /// the paper's "full learning of all layers after the replay layer" —
     /// so it needs genuine capacity.
     pub head_width: usize,
-    /// Confidence threshold θ (the paper uses 0.5).
-    pub confidence_threshold: f32,
     /// Object samples synthesized for pre-training.
     pub pretrain_objects: usize,
     /// Background samples synthesized for pre-training.
@@ -58,7 +56,6 @@ impl StudentConfig {
             num_classes,
             widths: vec![64, 64, 48],
             head_width: 32,
-            confidence_threshold: 0.5,
             pretrain_objects: 1000,
             pretrain_background: 500,
             pretrain_epochs: 25,
@@ -319,11 +316,6 @@ impl StudentDetector {
     /// The configuration the student was built with.
     pub fn config(&self) -> &StudentConfig {
         &self.config
-    }
-
-    /// Confidence threshold θ used for the paper's α estimate.
-    pub fn confidence_threshold(&self) -> f32 {
-        self.config.confidence_threshold
     }
 
     /// Read access to the underlying network.

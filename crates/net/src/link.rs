@@ -146,7 +146,6 @@ pub struct Link {
     downlink_bytes: u64,
     dropped_messages: u64,
     outage_drops: u64,
-    burst_drops: u64,
     ge_bad: bool,
 }
 
@@ -165,7 +164,6 @@ impl Link {
             downlink_bytes: 0,
             dropped_messages: 0,
             outage_drops: 0,
-            burst_drops: 0,
             ge_bad: false,
         })
     }
@@ -218,9 +216,6 @@ impl Link {
         }
         if rng.bernoulli(loss) {
             self.dropped_messages += 1;
-            if self.ge_bad {
-                self.burst_drops += 1;
-            }
             return SendOutcome::LostToLoss;
         }
         let factor = fault.capacity_factor(now_secs);
@@ -258,11 +253,6 @@ impl Link {
     /// Messages lost to scheduled outage windows.
     pub fn outage_drops(&self) -> u64 {
         self.outage_drops
-    }
-
-    /// Messages lost while the burst chain was in its bad state.
-    pub fn burst_drops(&self) -> u64 {
-        self.burst_drops
     }
 }
 
@@ -417,21 +407,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bursty_link_drops_in_clusters() {
-        let config = LinkConfig::cellular()
-            .with_fault(FaultProfile::none().with_burst(GilbertElliott::bursty()));
+    /// Sends 2000 messages and returns the mean length of the runs of
+    /// consecutive `LostToLoss` outcomes and the share of messages lost.
+    fn loss_runs(config: LinkConfig) -> (f64, f64) {
         let mut link = Link::new(config).expect("valid config");
         let mut rng = Rng::seed_from(7);
+        let (mut lost, mut runs, mut in_run) = (0u32, 0u32, false);
         for _ in 0..2000 {
-            link.send_uplink(0.0, Message::Telemetry, &mut rng);
+            let hit =
+                link.send_uplink(0.0, Message::Telemetry, &mut rng) == SendOutcome::LostToLoss;
+            if hit {
+                lost += 1;
+                runs += u32::from(!in_run);
+            }
+            in_run = hit;
         }
-        assert!(link.dropped_messages() > 0, "bursty chain should drop some");
+        (
+            f64::from(lost) / f64::from(runs.max(1)),
+            f64::from(lost) / 2000.0,
+        )
+    }
+
+    #[test]
+    fn bursty_link_drops_in_clusters() {
+        let bursty = LinkConfig::cellular()
+            .with_fault(FaultProfile::none().with_burst(GilbertElliott::bursty()));
+        let (bursty_run, loss) = loss_runs(bursty);
+        assert!(loss > 0.0, "bursty chain should drop some");
+        let (iid_run, _) = loss_runs(LinkConfig::cellular().with_loss_rate(loss));
         assert!(
-            link.burst_drops() > link.dropped_messages() / 2,
-            "most drops should come from bad-state bursts: {} of {}",
-            link.burst_drops(),
-            link.dropped_messages()
+            bursty_run > 2.0 * iid_run,
+            "bursty loss runs average {bursty_run}, i.i.d. runs at the same rate {iid_run}"
         );
     }
 

@@ -54,11 +54,6 @@ impl Ewma {
         self.value.unwrap_or(0.0)
     }
 
-    /// Whether at least one observation has been fed.
-    pub fn is_initialized(&self) -> bool {
-        self.value.is_some()
-    }
-
     /// The smoothing factor.
     pub fn alpha(&self) -> f64 {
         self.alpha
@@ -77,9 +72,8 @@ mod tests {
     #[test]
     fn first_observation_seeds_value() {
         let mut e = Ewma::new(0.1);
-        assert!(!e.is_initialized());
+        assert_eq!(e.value(), 0.0);
         assert_eq!(e.observe(7.0), 7.0);
-        assert!(e.is_initialized());
     }
 
     #[test]
@@ -104,8 +98,9 @@ mod tests {
         let mut e = Ewma::new(0.5);
         e.observe(2.0);
         e.reset();
-        assert!(!e.is_initialized());
         assert_eq!(e.value(), 0.0);
+        // The next observation seeds the value again.
+        assert_eq!(e.observe(4.0), 4.0);
     }
 
     #[test]

@@ -54,12 +54,6 @@ pub fn approx_eq(a: f64, b: f64, tolerance: f64) -> bool {
     (a - b).abs() <= tolerance
 }
 
-/// `f32` variant of [`approx_eq`].
-#[must_use]
-pub fn approx_eq_f32(a: f32, b: f32, tolerance: f32) -> bool {
-    (a - b).abs() <= tolerance
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,6 +81,5 @@ mod tests {
         assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-9));
         assert!(!approx_eq(1.0, 2.0, 0.5));
         assert!(!approx_eq(f64::NAN, f64::NAN, 1.0));
-        assert!(approx_eq_f32(0.5, 0.5 + 1e-8, 1e-6));
     }
 }

@@ -76,18 +76,6 @@ impl Xoshiro256StarStar {
         }
     }
 
-    /// Creates a generator directly from a full 256-bit state.
-    ///
-    /// The state must not be all zeros; if it is, a fixed non-zero state is
-    /// substituted so the generator never degenerates.
-    pub fn from_state(state: [u64; 4]) -> Self {
-        if state == [0; 4] {
-            Self::seed_from(0xdead_beef)
-        } else {
-            Self { s: state }
-        }
-    }
-
     /// Returns the next 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -302,13 +290,6 @@ mod tests {
         let vc: Vec<u64> = (0..16).map(|_| c.next_u64()).collect();
         assert_eq!(va, vb);
         assert_ne!(va, vc);
-    }
-
-    #[test]
-    fn xoshiro_all_zero_state_is_fixed_up() {
-        let mut g = Xoshiro256StarStar::from_state([0; 4]);
-        // Would emit only zeros if the state were left all-zero.
-        assert!((0..8).any(|_| g.next_u64() != 0));
     }
 
     #[test]

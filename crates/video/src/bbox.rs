@@ -41,11 +41,6 @@ impl BBox {
         self.w * self.h
     }
 
-    /// Center point `(cx, cy)`.
-    pub fn center(&self) -> (f32, f32) {
-        (self.x + self.w / 2.0, self.y + self.h / 2.0)
-    }
-
     /// Intersection area with another box.
     pub fn intersection(&self, other: &BBox) -> f32 {
         let x1 = self.x.max(other.x);
@@ -133,13 +128,5 @@ mod tests {
         let t = b.translated_clamped(0.5, 0.5);
         assert!(t.x + t.w <= 1.0 + 1e-6);
         assert!(t.y + t.h <= 1.0 + 1e-6);
-    }
-
-    #[test]
-    fn center_hand_checked() {
-        let b = BBox::new(0.2, 0.4, 0.2, 0.2);
-        let (cx, cy) = b.center();
-        assert!((cx - 0.3).abs() < 1e-6);
-        assert!((cy - 0.5).abs() < 1e-6);
     }
 }

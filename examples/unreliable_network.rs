@@ -23,11 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = SimConfig::quick(presets::kitti(29).with_total_frames(2700));
     config.strategy = Strategy::Shoggoth;
     config.link = LinkConfig::cellular().with_fault(FaultProfile::storm());
-    config.cloud.faults = CloudFaultProfile {
-        label_drop_rate: 0.1,
-        slow_label_rate: 0.2,
-        slow_label_secs: 0.5,
-    };
+    config.cloud.faults = CloudFaultProfile::flaky();
 
     println!("90 s KITTI run through an outage storm (pre-training models) ...\n");
     let (student, teacher) = Simulation::build_models(&config);

@@ -136,7 +136,6 @@ fn all_freeze_policies_complete_and_preserve_source_competence() {
     for freeze in [
         FreezePolicy::FreezeAfterFirstBatch,
         FreezePolicy::CompletelyFrozen,
-        FreezePolicy::SlowFront { scale: 0.1 },
         FreezePolicy::FullyTrainable,
     ] {
         let mut s = student.clone();

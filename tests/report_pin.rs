@@ -175,11 +175,7 @@ fn storm_config(frames: u64) -> SimConfig {
     let mut config = SimConfig::quick(presets::kitti(83).with_total_frames(frames));
     config.strategy = Strategy::Shoggoth;
     config.link = LinkConfig::cellular().with_fault(FaultProfile::storm());
-    config.cloud.faults = CloudFaultProfile {
-        label_drop_rate: 0.1,
-        slow_label_rate: 0.2,
-        slow_label_secs: 0.5,
-    };
+    config.cloud.faults = CloudFaultProfile::flaky();
     config
 }
 

@@ -52,8 +52,6 @@ pub use training::{training_time, Boundary, TrainingPlan, TrainingTime};
 pub struct DeviceProfile {
     /// Effective sustained throughput in FLOP/s (well below peak).
     pub effective_flops: f64,
-    /// Inference frame-rate cap when the device is otherwise idle.
-    pub idle_inference_fps: f64,
 }
 
 impl DeviceProfile {
@@ -63,17 +61,14 @@ impl DeviceProfile {
     }
 }
 
-/// NVIDIA Jetson TX2-class edge device: ~0.4 TFLOP/s sustained, capped at
-/// the 30 fps the paper's edge inference achieves.
+/// NVIDIA Jetson TX2-class edge device: ~0.4 TFLOP/s sustained.
 pub const JETSON_TX2: DeviceProfile = DeviceProfile {
     effective_flops: 4.0e11,
-    idle_inference_fps: 30.0,
 };
 
 /// NVIDIA V100-class cloud GPU: ~7 TFLOP/s sustained.
 pub const V100: DeviceProfile = DeviceProfile {
     effective_flops: 7.0e12,
-    idle_inference_fps: 120.0,
 };
 
 #[cfg(test)]

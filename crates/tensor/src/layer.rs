@@ -269,7 +269,7 @@ impl Layer for Dense {
             self.cache_valid = true;
         }
         let mut out = ws.take(input.rows(), self.out_dim);
-        input.addmm_into(&self.weights, &self.bias, &mut out)?;
+        input.addmm_into(&self.weights, &self.bias, &mut out, ws)?;
         Ok(out)
     }
 
@@ -290,7 +290,7 @@ impl Layer for Dense {
             });
         }
         self.cached_input
-            .matmul_transa_into(grad_output, &mut self.grad_weights)?;
+            .matmul_transa_into(grad_output, &mut self.grad_weights, ws)?;
         grad_output.col_sum_into(&mut self.grad_bias);
         let mut grad_in = ws.take(grad_output.rows(), self.in_dim);
         grad_output.matmul_transb_into(&self.weights, &mut grad_in, ws)?;
@@ -300,7 +300,7 @@ impl Layer for Dense {
     fn backward_params_only(
         &mut self,
         grad_output: &Matrix,
-        _ws: &mut Workspace,
+        ws: &mut Workspace,
     ) -> Result<(), TensorError> {
         if !self.cache_valid {
             return Err(TensorError::MissingForwardCache { layer: "dense" });
@@ -316,7 +316,7 @@ impl Layer for Dense {
         // Identical parameter gradients to `backward`, minus the
         // `grad · Wᵀ` matmul that a terminal layer's caller discards.
         self.cached_input
-            .matmul_transa_into(grad_output, &mut self.grad_weights)?;
+            .matmul_transa_into(grad_output, &mut self.grad_weights, ws)?;
         grad_output.col_sum_into(&mut self.grad_bias);
         Ok(())
     }

@@ -203,6 +203,7 @@ impl Matrix {
             self.rows,
             self.cols,
             other.cols,
+            Workspace::new().scratch(self.cols),
         );
         #[cfg(feature = "finite-check")]
         out.ensure_finite("Matrix::matmul")?;
@@ -210,15 +211,22 @@ impl Matrix {
     }
 
     /// Matrix product `self · other`, written into `out` (resized and
-    /// overwritten; its storage is reused).
+    /// overwritten; its storage is reused), with the kernel's scratch
+    /// borrowed from `ws`.
     ///
-    /// Bit-identical to [`Matrix::matmul`] — same kernel, no allocation.
+    /// Bit-identical to [`Matrix::matmul`] — same kernel, no allocation
+    /// once `out` and `ws` are warm.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols == other.rows`.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), TensorError> {
+    pub fn matmul_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        ws: &mut Workspace,
+    ) -> Result<(), TensorError> {
         if self.cols != other.rows {
             return Err(TensorError::ShapeMismatch {
                 context: "Matrix::matmul_into",
@@ -234,6 +242,7 @@ impl Matrix {
             self.rows,
             self.cols,
             other.cols,
+            ws.scratch(self.cols),
         );
         #[cfg(feature = "finite-check")]
         out.ensure_finite("Matrix::matmul_into")?;
@@ -273,6 +282,7 @@ impl Matrix {
             self.rows,
             self.cols,
             other.rows,
+            ws.scratch(self.cols),
         );
         ws.give(transposed);
         #[cfg(feature = "finite-check")]
@@ -282,14 +292,19 @@ impl Matrix {
 
     /// Transposed-A product `selfᵀ · other`, written into `out`: the
     /// gradient-of-weights kernel (`grad_W = inputᵀ · grad_output`) that
-    /// never materializes the transpose. Bit-identical to
-    /// `self.transpose().matmul(other)`.
+    /// never materializes the transpose, with its scratch borrowed from
+    /// `ws`. Bit-identical to `self.transpose().matmul(other)`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.rows == other.rows`.
-    pub fn matmul_transa_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), TensorError> {
+    pub fn matmul_transa_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        ws: &mut Workspace,
+    ) -> Result<(), TensorError> {
         if self.rows != other.rows {
             return Err(TensorError::ShapeMismatch {
                 context: "Matrix::matmul_transa_into",
@@ -305,6 +320,7 @@ impl Matrix {
             self.rows,
             self.cols,
             other.cols,
+            ws.scratch(self.rows),
         );
         #[cfg(feature = "finite-check")]
         out.ensure_finite("Matrix::matmul_transa_into")?;
@@ -312,8 +328,9 @@ impl Matrix {
     }
 
     /// Bias-fused affine map `out = self · weights + bias` (bias is
-    /// `1 × n`, broadcast over rows) — the dense-layer forward kernel.
-    /// Bit-identical to `matmul` followed by `add_row_broadcast`.
+    /// `1 × n`, broadcast over rows) — the dense-layer forward kernel,
+    /// with the product's scratch borrowed from `ws`. Bit-identical to
+    /// `matmul` followed by `add_row_broadcast`.
     ///
     /// # Errors
     ///
@@ -324,6 +341,7 @@ impl Matrix {
         weights: &Matrix,
         bias: &Matrix,
         out: &mut Matrix,
+        ws: &mut Workspace,
     ) -> Result<(), TensorError> {
         if self.cols != weights.rows {
             return Err(TensorError::ShapeMismatch {
@@ -347,6 +365,7 @@ impl Matrix {
             self.rows,
             self.cols,
             weights.cols,
+            ws.scratch(self.cols),
         );
         kernels::add_bias_rows(&mut out.data, &bias.data, self.rows, weights.cols);
         #[cfg(feature = "finite-check")]

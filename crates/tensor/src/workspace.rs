@@ -16,10 +16,15 @@
 //! * dropping such a matrix is always safe; it merely costs the pool one
 //!   buffer, which the next `take` re-allocates.
 //!
+//! The workspace also owns the matrix products' [`Scratch`], which the
+//! `Matrix` wrappers reserve and lend to the kernels, so their narrow tile
+//! and zero-skip allocate nothing once it has grown.
+//!
 //! [`Workspace::allocations`] counts every fresh heap allocation (new
 //! buffer or capacity growth), which is what the workspace-reuse tests
 //! assert goes flat after warm-up.
 
+use crate::kernels::Scratch;
 use crate::Matrix;
 
 /// A pool of reusable `f32` buffers handed out as [`Matrix`] values.
@@ -27,6 +32,8 @@ use crate::Matrix;
 pub struct Workspace {
     /// Returned buffers, available for reuse.
     free: Vec<Vec<f32>>,
+    /// Scratch the matrix-product kernels borrow.
+    scratch: Scratch,
     /// Fresh heap allocations performed (buffer creations plus capacity
     /// growth on reuse).
     allocations: usize,
@@ -62,6 +69,16 @@ impl Workspace {
     /// Returns a matrix's buffer to the pool for reuse.
     pub fn give(&mut self, m: Matrix) {
         self.free.push(m.into_vec());
+    }
+
+    /// The kernels' [`Scratch`], reserved for a product of `steps` steps
+    /// (see [`Scratch::reserve`]). Growth counts toward
+    /// [`Workspace::allocations`].
+    pub(crate) fn scratch(&mut self, steps: usize) -> &mut Scratch {
+        if self.scratch.reserve(steps) {
+            self.allocations += 1;
+        }
+        &mut self.scratch
     }
 
     /// Fresh heap allocations performed so far. Flat across iterations ⇔
@@ -112,6 +129,18 @@ mod tests {
         ws.give(m);
         let _big = ws.take(8, 8);
         assert_eq!(ws.allocations(), 2, "capacity growth is an allocation");
+    }
+
+    #[test]
+    fn kernel_scratch_growth_counts_as_allocation() {
+        let mut ws = Workspace::new();
+        ws.scratch(64);
+        assert_eq!(ws.allocations(), 1);
+        ws.scratch(32);
+        ws.scratch(64);
+        assert_eq!(ws.allocations(), 1, "a reserved scratch must not grow");
+        ws.scratch(128);
+        assert_eq!(ws.allocations(), 2);
     }
 
     #[test]

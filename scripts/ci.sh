@@ -29,6 +29,12 @@ SHOGGOTH_THREADS=1 cargo test -q --test report_pin --test pretrain_pin
 echo "==> cargo test -p shoggoth-tensor --features finite-check"
 cargo test -q -p shoggoth-tensor --features finite-check
 
+# The kernel proptests again at opt level 3: the dev profile builds at opt
+# level 1, but perfbench and the experiment binaries run the release build,
+# whose vectorized tiles must give the same bits.
+echo "==> cargo test --release -p shoggoth-tensor --test kernels_prop"
+cargo test -q --release -p shoggoth-tensor --test kernels_prop
+
 echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 

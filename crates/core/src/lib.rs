@@ -66,9 +66,7 @@ pub use controller::{phi_score, ControllerConfig, RateDecision, SamplingRateCont
 pub use error::{InvalidConfig, SimError, TrainError};
 pub use fleet::{run_fleet, run_fleet_traced, FleetConfig, FleetReport};
 pub use replay::{ReplayItem, ReplayMemory};
-pub use resilience::{
-    CircuitBreaker, EdgeResilience, ResilienceConfig, ResilienceReport, UploadTimeout,
-};
+pub use resilience::{ResilienceConfig, ResilienceReport};
 pub use sim::{SimConfig, SimReport, Simulation};
 pub use strategy::Strategy;
 pub use trainer::{AdaptiveTrainer, FreezePolicy, ReplayPlacement, SessionReport, TrainerConfig};

@@ -9,19 +9,24 @@
 //! simulation's seeded RNG:
 //!
 //! * **In-flight tracking** ([`EdgeResilience::register`] /
-//!   [`EdgeResilience::ack`]): every upload carries an id and a deadline;
-//!   an upload not acknowledged (labels returned) by its deadline counts
-//!   as a timeout.
+//!   [`EdgeResilience::ack`]): every upload carries an id and a 2 s
+//!   deadline; an upload not acknowledged (labels returned) by its
+//!   deadline counts as a timeout.
 //! * **Bounded retransmission**: timed-out chunks requeue with
-//!   exponential backoff plus jitter, up to `max_attempts` sends and a
-//!   bounded queue — overflow drops the oldest work instead of growing
-//!   without bound.
+//!   exponential backoff (0.5 s doubling per attempt, capped at 8 s) plus
+//!   a jitter in `[0, 0.25)` s, up to `max_attempts` sends and a queue of
+//!   `retransmit_capacity` chunks — overflow drops the oldest work instead
+//!   of growing without bound.
 //! * **Circuit breaker** ([`CircuitBreaker`]): consecutive timeouts open
 //!   the breaker, which *suspends* the uplink (sampled chunks are counted
 //!   and discarded, saving their bytes), freezes adaptation, and widens
-//!   the sampling interval to the controller's outage floor. After a
-//!   cooldown it half-opens and sends a single probe chunk; a delivered
-//!   probe closes the breaker and releases the queued retransmits.
+//!   the sampling interval to the controller's outage floor. After a 5 s
+//!   cooldown, doubled by each failed probe up to 40 s, it half-opens and
+//!   sends a single probe chunk; a delivered probe closes the breaker and
+//!   releases the queued retransmits.
+//!
+//! The timings are constants; [`ResilienceConfig`] holds the three values
+//! runs set differently.
 //!
 //! ```text
 //!            consecutive timeouts ≥ open_after
@@ -45,30 +50,31 @@ use shoggoth_util::json::Obj;
 use shoggoth_util::Rng;
 use shoggoth_video::Frame;
 
+/// Seconds after which an unacknowledged upload counts as timed out.
+const UPLOAD_TIMEOUT_SECS: f64 = 2.0;
+/// Base of the exponential backoff before a retransmit, seconds.
+const BACKOFF_BASE_SECS: f64 = 0.5;
+/// Cap on the exponential backoff, seconds.
+const BACKOFF_MAX_SECS: f64 = 8.0;
+/// Uniform jitter added to each backoff, seconds (decorrelates retransmit
+/// storms across a fleet).
+const BACKOFF_JITTER_SECS: f64 = 0.25;
+/// Seconds the breaker stays open before half-opening with a probe. Each
+/// failed probe doubles the next cooldown (escalation), so a long outage
+/// costs a handful of probes, not one per cooldown.
+const BREAKER_COOLDOWN_SECS: f64 = 5.0;
+/// Cap on the escalating cooldown, seconds. A successful recovery resets
+/// the cooldown to [`BREAKER_COOLDOWN_SECS`].
+const BREAKER_COOLDOWN_MAX_SECS: f64 = 40.0;
+
 /// Parameters of the edge resilience layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
-    /// Seconds after which an unacknowledged upload counts as timed out.
-    pub upload_timeout_secs: f64,
     /// Maximum total send attempts per chunk (1 = never retransmit).
     pub max_attempts: u32,
-    /// Base of the exponential backoff before a retransmit, seconds.
-    pub backoff_base_secs: f64,
-    /// Cap on the exponential backoff, seconds.
-    pub backoff_max_secs: f64,
-    /// Uniform jitter added to each backoff, seconds (decorrelates
-    /// retransmit storms across a fleet).
-    pub backoff_jitter_secs: f64,
     /// Consecutive timeouts that open the circuit breaker
     /// (0 = breaker disabled, never opens).
     pub breaker_open_after: u32,
-    /// Seconds the breaker stays open before half-opening with a probe.
-    /// Each failed probe doubles the next cooldown (escalation), so a
-    /// long outage costs a handful of probes, not one per cooldown.
-    pub breaker_cooldown_secs: f64,
-    /// Cap on the escalating cooldown, seconds. A successful recovery
-    /// resets the cooldown to `breaker_cooldown_secs`.
-    pub breaker_cooldown_max_secs: f64,
     /// Maximum chunks waiting in the retransmit queue; overflow drops the
     /// oldest queued chunk.
     pub retransmit_capacity: usize,
@@ -79,14 +85,8 @@ impl ResilienceConfig {
     /// outage-detecting breaker.
     pub fn standard() -> Self {
         Self {
-            upload_timeout_secs: 2.0,
             max_attempts: 3,
-            backoff_base_secs: 0.5,
-            backoff_max_secs: 8.0,
-            backoff_jitter_secs: 0.25,
             breaker_open_after: 2,
-            breaker_cooldown_secs: 5.0,
-            breaker_cooldown_max_secs: 40.0,
             retransmit_capacity: 4,
         }
     }
@@ -95,14 +95,8 @@ impl ResilienceConfig {
     /// breaker. Used as the baseline in blackout-waste comparisons.
     pub fn disabled() -> Self {
         Self {
-            upload_timeout_secs: 2.0,
             max_attempts: 1,
-            backoff_base_secs: 0.5,
-            backoff_max_secs: 8.0,
-            backoff_jitter_secs: 0.0,
             breaker_open_after: 0,
-            breaker_cooldown_secs: 5.0,
-            breaker_cooldown_max_secs: 40.0,
             retransmit_capacity: 0,
         }
     }
@@ -111,47 +105,15 @@ impl ResilienceConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidConfig`] on NaN/non-positive timeouts or
-    /// cooldowns, negative backoff parameters, or `max_attempts == 0`.
+    /// Returns [`InvalidConfig`] if `max_attempts == 0`.
     pub fn validate(&self) -> Result<(), InvalidConfig> {
-        let reject = |reason| InvalidConfig {
-            component: "resilience",
-            reason,
-        };
-        if !self.upload_timeout_secs.is_finite() || self.upload_timeout_secs <= 0.0 {
-            return Err(reject("upload timeout must be finite and positive"));
-        }
         if self.max_attempts == 0 {
-            return Err(reject("max attempts must be at least 1"));
-        }
-        if !self.backoff_base_secs.is_finite() || self.backoff_base_secs < 0.0 {
-            return Err(reject("backoff base must be finite and non-negative"));
-        }
-        if !self.backoff_max_secs.is_finite() || self.backoff_max_secs < self.backoff_base_secs {
-            return Err(reject("backoff cap must be finite and at least the base"));
-        }
-        if !self.backoff_jitter_secs.is_finite() || self.backoff_jitter_secs < 0.0 {
-            return Err(reject("backoff jitter must be finite and non-negative"));
-        }
-        if !self.breaker_cooldown_secs.is_finite() || self.breaker_cooldown_secs <= 0.0 {
-            return Err(reject("breaker cooldown must be finite and positive"));
-        }
-        if !self.breaker_cooldown_max_secs.is_finite()
-            || self.breaker_cooldown_max_secs < self.breaker_cooldown_secs
-        {
-            return Err(reject(
-                "breaker cooldown cap must be finite and at least the base cooldown",
-            ));
+            return Err(InvalidConfig {
+                component: "resilience",
+                reason: "max attempts must be at least 1",
+            });
         }
         Ok(())
-    }
-
-    /// The backoff delay before send attempt `attempt + 1`, given that
-    /// attempt number `attempt` (1-based) just failed: exponential in the
-    /// attempt index, capped at `backoff_max_secs`.
-    pub fn backoff_secs(&self, attempt: u32) -> f64 {
-        let exp = attempt.saturating_sub(1).min(32);
-        (self.backoff_base_secs * f64::powi(2.0, exp as i32)).min(self.backoff_max_secs)
     }
 }
 
@@ -161,12 +123,18 @@ impl Default for ResilienceConfig {
     }
 }
 
+/// The backoff delay before send attempt `attempt + 1`, given that attempt
+/// number `attempt` (1-based) just failed: exponential in the attempt
+/// index, capped at [`BACKOFF_MAX_SECS`].
+fn backoff_secs(attempt: u32) -> f64 {
+    let exp = attempt.saturating_sub(1).min(32);
+    (BACKOFF_BASE_SECS * f64::powi(2.0, exp as i32)).min(BACKOFF_MAX_SECS)
+}
+
 /// A consecutive-failure circuit breaker with an escalating cooldown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitBreaker {
     open_after: u32,
-    cooldown_secs: f64,
-    cooldown_max_secs: f64,
     current_cooldown_secs: f64,
     state: BreakerPhase,
     consecutive_failures: u32,
@@ -175,14 +143,12 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// Creates a closed breaker. `open_after == 0` disables it entirely.
-    /// Each failed probe doubles the cooldown up to `cooldown_max_secs`;
-    /// a recovery resets it to `cooldown_secs`.
-    pub fn new(open_after: u32, cooldown_secs: f64, cooldown_max_secs: f64) -> Self {
+    /// The cooldown starts at 5 s, each failed probe doubles it up to
+    /// 40 s, and a recovery resets it to 5 s.
+    pub fn new(open_after: u32) -> Self {
         Self {
             open_after,
-            cooldown_secs,
-            cooldown_max_secs,
-            current_cooldown_secs: cooldown_secs,
+            current_cooldown_secs: BREAKER_COOLDOWN_SECS,
             state: BreakerPhase::Closed,
             consecutive_failures: 0,
             opened_at_secs: 0.0,
@@ -205,14 +171,14 @@ impl CircuitBreaker {
                 if self.open_after > 0 && self.consecutive_failures >= self.open_after {
                     self.state = BreakerPhase::Open;
                     self.opened_at_secs = now_secs;
-                    self.current_cooldown_secs = self.cooldown_secs;
+                    self.current_cooldown_secs = BREAKER_COOLDOWN_SECS;
                 }
             }
             BreakerPhase::HalfOpen => {
                 self.state = BreakerPhase::Open;
                 self.opened_at_secs = now_secs;
                 self.current_cooldown_secs =
-                    (self.current_cooldown_secs * 2.0).min(self.cooldown_max_secs);
+                    (self.current_cooldown_secs * 2.0).min(BREAKER_COOLDOWN_MAX_SECS);
             }
             BreakerPhase::Open => {}
         }
@@ -224,7 +190,7 @@ impl CircuitBreaker {
         self.consecutive_failures = 0;
         if self.state == BreakerPhase::HalfOpen {
             self.state = BreakerPhase::Closed;
-            self.current_cooldown_secs = self.cooldown_secs;
+            self.current_cooldown_secs = BREAKER_COOLDOWN_SECS;
             true
         } else {
             false
@@ -416,21 +382,12 @@ impl EdgeResilience {
     pub fn new(config: ResilienceConfig) -> Result<Self, InvalidConfig> {
         config.validate()?;
         Ok(Self {
-            breaker: CircuitBreaker::new(
-                config.breaker_open_after,
-                config.breaker_cooldown_secs,
-                config.breaker_cooldown_max_secs,
-            ),
+            breaker: CircuitBreaker::new(config.breaker_open_after),
             config,
             inflight: Vec::new(),
             queue: Vec::new(),
             next_id: 0,
         })
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ResilienceConfig {
-        &self.config
     }
 
     /// The breaker's current state.
@@ -451,7 +408,7 @@ impl EdgeResilience {
         self.next_id += 1;
         self.inflight.push(InflightUpload {
             id,
-            deadline_secs: now_secs + self.config.upload_timeout_secs,
+            deadline_secs: now_secs + UPLOAD_TIMEOUT_SECS,
             attempt,
             probe,
             frames,
@@ -499,10 +456,7 @@ impl EdgeResilience {
                 timeouts.push(timeout);
                 continue;
             }
-            let mut delay = self.config.backoff_secs(expired.attempt);
-            if self.config.backoff_jitter_secs > 0.0 {
-                delay += rng.range_f64(0.0, self.config.backoff_jitter_secs);
-            }
+            let delay = backoff_secs(expired.attempt) + rng.range_f64(0.0, BACKOFF_JITTER_SECS);
             if self.queue.len() >= self.config.retransmit_capacity {
                 // Bounded queue: shed the oldest queued chunk first.
                 if self.queue.is_empty() {
@@ -575,7 +529,7 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_consecutive_failures() {
-        let mut b = CircuitBreaker::new(2, 5.0, 40.0);
+        let mut b = CircuitBreaker::new(2);
         b.on_failure(1.0);
         assert_eq!(b.state(), BreakerPhase::Closed);
         b.on_failure(2.0);
@@ -584,7 +538,7 @@ mod tests {
 
     #[test]
     fn success_resets_the_failure_streak() {
-        let mut b = CircuitBreaker::new(2, 5.0, 40.0);
+        let mut b = CircuitBreaker::new(2);
         b.on_failure(1.0);
         assert!(!b.on_success());
         b.on_failure(2.0);
@@ -593,7 +547,7 @@ mod tests {
 
     #[test]
     fn breaker_half_opens_after_cooldown_and_closes_on_probe_success() {
-        let mut b = CircuitBreaker::new(1, 5.0, 40.0);
+        let mut b = CircuitBreaker::new(1);
         b.on_failure(10.0);
         assert_eq!(b.state(), BreakerPhase::Open);
         b.poll(14.9);
@@ -606,7 +560,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_the_breaker() {
-        let mut b = CircuitBreaker::new(1, 5.0, 40.0);
+        let mut b = CircuitBreaker::new(1);
         b.on_failure(10.0);
         b.poll(15.0);
         assert_eq!(b.state(), BreakerPhase::HalfOpen);
@@ -624,29 +578,30 @@ mod tests {
 
     #[test]
     fn failed_probes_escalate_the_cooldown_until_recovery_resets_it() {
-        let mut b = CircuitBreaker::new(1, 5.0, 12.0);
-        b.on_failure(0.0); // open, cooldown 5
-        b.poll(5.0);
-        assert_eq!(b.state(), BreakerPhase::HalfOpen);
-        b.on_failure(6.0); // probe failed → cooldown 10
-        b.poll(15.9);
-        assert_eq!(b.state(), BreakerPhase::Open, "escalated cooldown");
-        b.poll(16.0);
-        assert_eq!(b.state(), BreakerPhase::HalfOpen);
-        b.on_failure(17.0); // probe failed → cooldown capped at 12
-        b.poll(28.9);
-        assert_eq!(b.state(), BreakerPhase::Open, "cap holds");
-        b.poll(29.0);
-        assert_eq!(b.state(), BreakerPhase::HalfOpen);
+        let mut b = CircuitBreaker::new(1);
+        let mut now = 0.0;
+        b.on_failure(now);
+        // The cooldown starts at 5 s; each failed probe doubles it, up to
+        // the 40 s cap.
+        for cooldown in [5.0, 10.0, 20.0, 40.0, 40.0] {
+            b.poll(now + cooldown - 0.1);
+            assert_eq!(b.state(), BreakerPhase::Open, "cooldown {cooldown}");
+            b.poll(now + cooldown);
+            assert_eq!(b.state(), BreakerPhase::HalfOpen, "cooldown {cooldown}");
+            now += cooldown + 1.0;
+            b.on_failure(now); // the probe failed
+        }
+        b.poll(now + 40.0);
         assert!(b.on_success(), "recovery closes and resets");
-        b.on_failure(31.0); // re-open: cooldown back to base 5
-        b.poll(36.0);
+        now += 50.0;
+        b.on_failure(now); // re-open: cooldown back to base 5
+        b.poll(now + 5.0);
         assert_eq!(b.state(), BreakerPhase::HalfOpen, "base cooldown again");
     }
 
     #[test]
     fn disabled_breaker_never_opens() {
-        let mut b = CircuitBreaker::new(0, 5.0, 40.0);
+        let mut b = CircuitBreaker::new(0);
         for i in 0..100 {
             b.on_failure(i as f64);
         }
@@ -655,17 +610,15 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let cfg = ResilienceConfig::standard();
-        assert!((cfg.backoff_secs(1) - 0.5).abs() < 1e-12);
-        assert!((cfg.backoff_secs(2) - 1.0).abs() < 1e-12);
-        assert!((cfg.backoff_secs(3) - 2.0).abs() < 1e-12);
-        assert!((cfg.backoff_secs(10) - 8.0).abs() < 1e-12, "capped");
+        assert!((backoff_secs(1) - 0.5).abs() < 1e-12);
+        assert!((backoff_secs(2) - 1.0).abs() < 1e-12);
+        assert!((backoff_secs(3) - 2.0).abs() < 1e-12);
+        assert!((backoff_secs(10) - 8.0).abs() < 1e-12, "capped");
     }
 
     #[test]
     fn timeout_requeues_with_backoff_then_exhausts() {
         let mut r = EdgeResilience::new(ResilienceConfig {
-            backoff_jitter_secs: 0.0,
             breaker_open_after: 0,
             ..ResilienceConfig::standard()
         })
@@ -679,17 +632,22 @@ mod tests {
         };
         r.register(0.0, frames(2), 1, false);
         assert!(r.expire(1.9, &mut rng).is_empty(), "before the deadline");
+        // Each backoff is its base plus a jitter in [0, 0.25) s.
         assert_eq!(r.expire(2.0, &mut rng), [timeout(1, true)]);
-        let q = r.take_ready(2.5).expect("backoff 0.5 s elapsed");
+        assert!(
+            r.take_ready(2.49).is_none(),
+            "backoff 0.5 s not yet elapsed"
+        );
+        let q = r.take_ready(2.75).expect("backoff 0.5 s + jitter elapsed");
         assert_eq!(q.attempt, 2);
-        r.register(2.5, q.frames, q.attempt, false);
-        assert_eq!(r.expire(4.5, &mut rng), [timeout(2, true)]);
-        assert!(r.take_ready(5.0).is_none(), "backoff 1 s not yet elapsed");
-        let q = r.take_ready(5.5).expect("backoff elapsed");
+        r.register(2.75, q.frames, q.attempt, false);
+        assert_eq!(r.expire(4.75, &mut rng), [timeout(2, true)]);
+        assert!(r.take_ready(5.74).is_none(), "backoff 1 s not yet elapsed");
+        let q = r.take_ready(6.0).expect("backoff 1 s + jitter elapsed");
         assert_eq!(q.attempt, 3);
-        r.register(5.5, q.frames, q.attempt, false);
+        r.register(6.0, q.frames, q.attempt, false);
         // Attempt 3 = max_attempts: dropped, not requeued.
-        assert_eq!(r.expire(7.5, &mut rng), [timeout(3, false)]);
+        assert_eq!(r.expire(8.0, &mut rng), [timeout(3, false)]);
         assert!(r.take_ready(100.0).is_none());
     }
 
@@ -745,7 +703,6 @@ mod tests {
     fn open_breaker_holds_the_queue_until_release() {
         let mut r = EdgeResilience::new(ResilienceConfig {
             breaker_open_after: 1,
-            backoff_jitter_secs: 0.0,
             ..ResilienceConfig::standard()
         })
         .expect("valid config");
@@ -768,45 +725,12 @@ mod tests {
 
     #[test]
     fn config_rejections() {
-        let base = ResilienceConfig::standard;
-        let cases = [
-            ResilienceConfig {
-                upload_timeout_secs: f64::NAN,
-                ..base()
-            },
-            ResilienceConfig {
-                upload_timeout_secs: 0.0,
-                ..base()
-            },
-            ResilienceConfig {
-                max_attempts: 0,
-                ..base()
-            },
-            ResilienceConfig {
-                backoff_base_secs: -1.0,
-                ..base()
-            },
-            ResilienceConfig {
-                backoff_max_secs: 0.1,
-                ..base()
-            },
-            ResilienceConfig {
-                backoff_jitter_secs: f64::NAN,
-                ..base()
-            },
-            ResilienceConfig {
-                breaker_cooldown_secs: 0.0,
-                ..base()
-            },
-            ResilienceConfig {
-                breaker_cooldown_max_secs: 1.0,
-                ..base()
-            },
-        ];
-        for bad in cases {
-            assert!(bad.validate().is_err(), "{bad:?} should be rejected");
-        }
-        assert!(base().validate().is_ok());
+        let bad = ResilienceConfig {
+            max_attempts: 0,
+            ..ResilienceConfig::standard()
+        };
+        assert!(bad.validate().is_err(), "{bad:?} should be rejected");
+        assert!(ResilienceConfig::standard().validate().is_ok());
         assert!(ResilienceConfig::disabled().validate().is_ok());
     }
 }

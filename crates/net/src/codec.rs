@@ -1,4 +1,8 @@
 //! H.264-like group-of-pictures compression model.
+//!
+//! The model has no settings: its ratios (20× intra, up to 300×
+//! predicted), its 30-frame GOP and its similarity decays are constants,
+//! since every experiment encodes with the same codec.
 
 /// Per-frame statistics the codec model needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,7 +21,21 @@ impl FrameGroupStats {
     }
 }
 
-/// An H.264-like codec model.
+/// Compression ratio of an intra-coded frame (JPEG-grade).
+const I_FRAME_RATIO: f64 = 20.0;
+/// Best-case compression ratio of a predicted frame (perfect temporal
+/// redundancy).
+const P_FRAME_RATIO: f64 = 300.0;
+/// Group-of-pictures length: one I-frame every `GOP` frames.
+const GOP: u64 = 30;
+/// Similarity decay rate per second of inter-frame gap.
+const TEMPORAL_DECAY: f64 = 0.9;
+/// Similarity decay rate per unit of scene motion.
+const MOTION_DECAY: f64 = 80.0;
+
+/// An H.264-like codec model at surveillance quality: ~20× intra
+/// compression, up to ~300× with full temporal redundancy, one I-frame
+/// every 30 frames.
 ///
 /// A group of buffered frames is encoded as one I-frame plus P-frames. The
 /// P-frame compression ratio interpolates between the I-frame ratio (no
@@ -27,56 +45,36 @@ impl FrameGroupStats {
 /// paper behaviours: 30 fps Cloud-Only streams compress extremely well,
 /// while Shoggoth's sparsely-sampled buffers pay more bytes per frame —
 /// yet far fewer bytes overall because there are few frames.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Codec {
-    /// Compression ratio of an intra-coded frame (JPEG-grade).
-    pub i_frame_ratio: f64,
-    /// Best-case compression ratio of a predicted frame (perfect temporal
-    /// redundancy).
-    pub p_frame_ratio: f64,
-    /// Group-of-pictures length: one I-frame every `gop` frames.
-    pub gop: usize,
-    /// Similarity decay rate per second of inter-frame gap.
-    pub temporal_decay: f64,
-    /// Similarity decay rate per unit of scene motion.
-    pub motion_decay: f64,
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Codec;
+
+/// Inter-frame similarity in `[0, 1]` for a gap of `gap_secs` seconds and
+/// the given motion level.
+fn similarity(gap_secs: f64, motion: f32) -> f64 {
+    (-(TEMPORAL_DECAY * gap_secs + MOTION_DECAY * motion as f64)).exp()
+}
+
+/// Compression ratio of a predicted frame `gap_secs` after its predecessor
+/// at the given motion level.
+fn p_ratio(gap_secs: f64, motion: f32) -> f64 {
+    let sim = similarity(gap_secs, motion);
+    I_FRAME_RATIO + (P_FRAME_RATIO - I_FRAME_RATIO) * sim
 }
 
 impl Codec {
-    /// A codec tuned to H.264-like behaviour at surveillance quality:
-    /// ~20× intra compression, up to ~300× with full temporal redundancy.
+    /// The H.264-like codec.
     pub fn h264_like() -> Self {
-        Self {
-            i_frame_ratio: 20.0,
-            p_frame_ratio: 300.0,
-            gop: 30,
-            temporal_decay: 0.9,
-            motion_decay: 80.0,
-        }
-    }
-
-    /// Inter-frame similarity in `[0, 1]` for a gap of `gap_secs` seconds
-    /// and the given motion level.
-    fn similarity(&self, gap_secs: f64, motion: f32) -> f64 {
-        (-(self.temporal_decay * gap_secs + self.motion_decay * motion as f64)).exp()
-    }
-
-    /// Compression ratio of a predicted frame `gap_secs` after its
-    /// predecessor at the given motion level.
-    fn p_ratio(&self, gap_secs: f64, motion: f32) -> f64 {
-        let sim = self.similarity(gap_secs, motion);
-        self.i_frame_ratio + (self.p_frame_ratio - self.i_frame_ratio) * sim
+        Self
     }
 
     /// Encoded size in bytes (at least 1) of frame `index` of a live
     /// stream whose frames are `gap_secs` apart, sent on its own: an
-    /// I-frame at every GOP boundary (every frame when `gop == 0`), a
-    /// P-frame otherwise.
+    /// I-frame at every GOP boundary, a P-frame otherwise.
     pub fn encode_frame(&self, index: u64, raw_bytes: u64, motion: f32, gap_secs: f64) -> u64 {
-        let ratio = if self.gop == 0 || index.is_multiple_of(self.gop as u64) {
-            self.i_frame_ratio
+        let ratio = if index.is_multiple_of(GOP) {
+            I_FRAME_RATIO
         } else {
-            self.p_ratio(gap_secs, motion)
+            p_ratio(gap_secs, motion)
         };
         ((raw_bytes as f64 / ratio).ceil() as u64).max(1)
     }
@@ -88,22 +86,15 @@ impl Codec {
     /// Returns `0` for an empty group.
     pub fn encode_group(&self, frames: &[FrameGroupStats], gap_secs: f64) -> u64 {
         let mut total = 0.0f64;
-        for (i, frame) in frames.iter().enumerate() {
-            let is_i_frame = self.gop == 0 || i % self.gop == 0;
-            let ratio = if is_i_frame {
-                self.i_frame_ratio
+        for (i, frame) in (0u64..).zip(frames) {
+            let ratio = if i.is_multiple_of(GOP) {
+                I_FRAME_RATIO
             } else {
-                self.p_ratio(gap_secs, frame.motion)
+                p_ratio(gap_secs, frame.motion)
             };
             total += frame.raw_bytes as f64 / ratio;
         }
         total.ceil() as u64
-    }
-}
-
-impl Default for Codec {
-    fn default() -> Self {
-        Self::h264_like()
     }
 }
 
@@ -117,10 +108,9 @@ mod tests {
 
     #[test]
     fn similarity_decays_with_gap_and_motion() {
-        let c = Codec::h264_like();
-        assert!(c.similarity(0.0, 0.0) > 0.99);
-        assert!(c.similarity(1.0, 0.0) < c.similarity(0.1, 0.0));
-        assert!(c.similarity(0.1, 0.01) < c.similarity(0.1, 0.0));
+        assert!(similarity(0.0, 0.0) > 0.99);
+        assert!(similarity(1.0, 0.0) < similarity(0.1, 0.0));
+        assert!(similarity(0.1, 0.01) < similarity(0.1, 0.0));
     }
 
     #[test]
@@ -172,9 +162,8 @@ mod tests {
     fn live_frames_are_intra_coded_at_gop_boundaries() {
         let c = Codec::h264_like();
         let (raw, motion, gap) = (786_432, 0.002, 1.0 / 30.0);
-        let intra = (raw as f64 / c.i_frame_ratio).ceil() as u64;
-        let ratio =
-            c.i_frame_ratio + (c.p_frame_ratio - c.i_frame_ratio) * c.similarity(gap, motion);
+        let intra = (raw as f64 / 20.0).ceil() as u64;
+        let ratio = 20.0 + (300.0 - 20.0) * similarity(gap, motion);
         let predicted = (raw as f64 / ratio).ceil() as u64;
         assert!(predicted < intra);
         for (index, expected) in [
@@ -191,31 +180,31 @@ mod tests {
                 "frame {index}"
             );
         }
-        let all_intra = Codec { gop: 0, ..c };
-        for index in [0, 1, 29, 31] {
-            assert_eq!(
-                all_intra.encode_frame(index, raw, motion, gap),
-                intra,
-                "frame {index}"
-            );
-        }
         // An empty frame still costs one byte.
         assert_eq!(c.encode_frame(0, 0, motion, gap), 1);
         assert_eq!(c.encode_frame(1, 0, motion, gap), 1);
     }
 
     #[test]
-    fn gop_inserts_periodic_i_frames() {
-        let c = Codec {
-            gop: 10,
-            ..Codec::h264_like()
+    fn buffered_groups_are_intra_coded_at_gop_boundaries() {
+        let c = Codec::h264_like();
+        let (motion, gap) = (0.002, 1.0 / 30.0);
+        let intra = 786_432.0 / 20.0;
+        let predicted = 786_432.0 / p_ratio(gap, motion);
+        // Each group total rounds up once, so a frame's cost is within a
+        // byte of its exact share.
+        let cost = |n| {
+            c.encode_group(&frames(n + 1, motion), gap) as f64
+                - c.encode_group(&frames(n, motion), gap) as f64
         };
-        let with_gop = c.encode_group(&frames(30, 0.0), 1.0 / 30.0);
-        let no_gop = Codec {
-            gop: 30,
-            ..Codec::h264_like()
+        for (n, expected) in [
+            (1, predicted),
+            (29, predicted),
+            (30, intra),
+            (31, predicted),
+            (60, intra),
+        ] {
+            assert!((cost(n) - expected).abs() <= 1.0, "frame {n}: {}", cost(n));
         }
-        .encode_group(&frames(30, 0.0), 1.0 / 30.0);
-        assert!(with_gop > no_gop, "more I-frames must cost more bytes");
     }
 }

@@ -4,27 +4,27 @@ use crate::fault::{FaultProfile, InvalidLink};
 use crate::message::Message;
 use shoggoth_util::Rng;
 
-/// Link capacity, latency, and fault-injection parameters.
+/// Uplink capacity of the 4G-class link, kilobits per second.
+const UPLINK_KBPS: f64 = 20_000.0;
+/// Downlink capacity, kilobits per second.
+const DOWNLINK_KBPS: f64 = 40_000.0;
+/// One-way base latency, seconds.
+const BASE_LATENCY_SECS: f64 = 0.025;
+
+/// The link's fault-injection schedule. Capacity and latency are fixed:
+/// 20 Mbps up, 40 Mbps down, 25 ms one way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkConfig {
-    /// Uplink capacity in kilobits per second.
-    pub uplink_kbps: f64,
-    /// Downlink capacity in kilobits per second.
-    pub downlink_kbps: f64,
-    /// One-way base latency in seconds.
-    pub base_latency_secs: f64,
     /// Composable fault schedule ([`FaultProfile::none`] for the paper's
     /// experiments).
     pub fault: FaultProfile,
 }
 
 impl LinkConfig {
-    /// A 4G-class link: 20 Mbps up, 40 Mbps down, 25 ms one-way latency.
+    /// A 4G-class link: 20 Mbps up, 40 Mbps down, 25 ms one-way latency,
+    /// no faults.
     pub fn cellular() -> Self {
         Self {
-            uplink_kbps: 20_000.0,
-            downlink_kbps: 40_000.0,
-            base_latency_secs: 0.025,
             fault: FaultProfile::none(),
         }
     }
@@ -42,35 +42,6 @@ impl LinkConfig {
     pub fn with_fault(mut self, fault: FaultProfile) -> Self {
         self.fault = fault;
         self
-    }
-
-    /// Validates capacities, latency, and the fault profile.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidLink`] if either capacity is non-positive or
-    /// non-finite, the base latency is negative or non-finite, or any
-    /// fault-profile component is out of range.
-    pub fn validate(&self) -> Result<(), InvalidLink> {
-        if !self.uplink_kbps.is_finite() || self.uplink_kbps <= 0.0 {
-            return Err(InvalidLink {
-                field: "uplink_kbps",
-                reason: "capacity must be finite and positive",
-            });
-        }
-        if !self.downlink_kbps.is_finite() || self.downlink_kbps <= 0.0 {
-            return Err(InvalidLink {
-                field: "downlink_kbps",
-                reason: "capacity must be finite and positive",
-            });
-        }
-        if !self.base_latency_secs.is_finite() || self.base_latency_secs < 0.0 {
-            return Err(InvalidLink {
-                field: "base_latency_secs",
-                reason: "latency must be finite and non-negative",
-            });
-        }
-        self.fault.validate()
     }
 }
 
@@ -141,7 +112,7 @@ impl SendOutcome {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Link {
-    config: LinkConfig,
+    fault: FaultProfile,
     uplink_bytes: u64,
     downlink_bytes: u64,
     dropped_messages: u64,
@@ -154,12 +125,12 @@ impl Link {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidLink`] if the configuration fails
-    /// [`LinkConfig::validate`].
+    /// Returns [`InvalidLink`] if the fault profile fails
+    /// [`FaultProfile::validate`].
     pub fn new(config: LinkConfig) -> Result<Self, InvalidLink> {
-        config.validate()?;
+        config.fault.validate()?;
         Ok(Self {
-            config,
+            fault: config.fault,
             uplink_bytes: 0,
             downlink_bytes: 0,
             dropped_messages: 0,
@@ -168,18 +139,13 @@ impl Link {
         })
     }
 
-    /// The link configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
     /// Sends a message edge → cloud at simulation time `now_secs`,
     /// reporting whether it arrived and, if not, why. Lost messages still
     /// consume uplink bytes (the sender transmitted them).
     pub fn send_uplink(&mut self, now_secs: f64, message: Message, rng: &mut Rng) -> SendOutcome {
         let bytes = message.bytes();
         self.uplink_bytes += bytes;
-        self.transfer(now_secs, bytes, self.config.uplink_kbps, rng)
+        self.transfer(now_secs, bytes, UPLINK_KBPS, rng)
     }
 
     /// Sends a message cloud → edge (same semantics as
@@ -187,7 +153,7 @@ impl Link {
     pub fn send_downlink(&mut self, now_secs: f64, message: Message, rng: &mut Rng) -> SendOutcome {
         let bytes = message.bytes();
         self.downlink_bytes += bytes;
-        self.transfer(now_secs, bytes, self.config.downlink_kbps, rng)
+        self.transfer(now_secs, bytes, DOWNLINK_KBPS, rng)
     }
 
     /// Applies the fault pipeline to one already-billed message: outage
@@ -201,7 +167,7 @@ impl Link {
         capacity_kbps: f64,
         rng: &mut Rng,
     ) -> SendOutcome {
-        let fault = &self.config.fault;
+        let fault = &self.fault;
         if fault.outage_active(now_secs) {
             self.dropped_messages += 1;
             self.outage_drops += 1;
@@ -220,7 +186,7 @@ impl Link {
         }
         let factor = fault.capacity_factor(now_secs);
         let payload_secs = bytes as f64 * 8.0 / (capacity_kbps * factor * 1000.0);
-        let mut latency_secs = self.config.base_latency_secs + payload_secs;
+        let mut latency_secs = BASE_LATENCY_SECS + payload_secs;
         if let Some(jitter) = &fault.jitter {
             if jitter.jitter_secs > 0.0 {
                 latency_secs += rng.range_f64(0.0, jitter.jitter_secs);
@@ -273,20 +239,30 @@ mod tests {
 
     #[test]
     fn latency_includes_serialization_time() {
-        let mut link = Link::new(LinkConfig {
-            uplink_kbps: 8.0, // 1 kB/s
-            downlink_kbps: 8.0,
-            base_latency_secs: 0.1,
-            fault: FaultProfile::none(),
-        })
-        .expect("valid config");
+        let mut link = Link::new(LinkConfig::cellular()).expect("valid config");
         let mut rng = Rng::seed_from(2);
-        let t = link
-            .send_uplink(0.0, Message::ModelWeights { bytes: 936 }, &mut rng)
+        let msg = Message::ModelWeights { bytes: 936 };
+        let up = link
+            .send_uplink(0.0, msg, &mut rng)
             .transfer()
             .expect("no loss configured");
-        // 936 + 64 header = 1000 bytes at 1 kB/s = 1 s, plus 0.1 s base.
-        assert!((t.latency_secs - 1.1).abs() < 1e-9, "{}", t.latency_secs);
+        // 936 + 64 header = 1000 bytes = 8000 bits at 20 Mbps = 0.4 ms,
+        // plus the 25 ms base.
+        assert!(
+            (up.latency_secs - (0.025 + 0.0004)).abs() < 1e-12,
+            "{}",
+            up.latency_secs
+        );
+        let down = link
+            .send_downlink(0.0, msg, &mut rng)
+            .transfer()
+            .expect("no loss configured");
+        // The downlink is twice as fast.
+        assert!(
+            (down.latency_secs - (0.025 + 0.0002)).abs() < 1e-12,
+            "{}",
+            down.latency_secs
+        );
     }
 
     #[test]
@@ -298,28 +274,6 @@ mod tests {
             .delivered());
         assert_eq!(link.dropped_messages(), 1);
         assert!(link.uplink_bytes() > 0);
-    }
-
-    #[test]
-    fn zero_capacity_rejected() {
-        let err = Link::new(LinkConfig {
-            uplink_kbps: 0.0,
-            downlink_kbps: 1.0,
-            base_latency_secs: 0.0,
-            fault: FaultProfile::none(),
-        })
-        .expect_err("zero capacity must be rejected");
-        assert_eq!(err.field, "uplink_kbps");
-    }
-
-    #[test]
-    fn nan_latency_rejected() {
-        let err = Link::new(LinkConfig {
-            base_latency_secs: f64::NAN,
-            ..LinkConfig::cellular()
-        })
-        .expect_err("NaN latency must be rejected");
-        assert_eq!(err.field, "base_latency_secs");
     }
 
     #[test]
@@ -355,12 +309,8 @@ mod tests {
 
     #[test]
     fn degradation_slows_transfers_without_losing_them() {
-        let config = LinkConfig {
-            uplink_kbps: 8.0,
-            downlink_kbps: 8.0,
-            base_latency_secs: 0.0,
-            fault: FaultProfile::none().with_degradation(10.0, 20.0, 0.5),
-        };
+        let config = LinkConfig::cellular()
+            .with_fault(FaultProfile::none().with_degradation(10.0, 20.0, 0.5));
         let mut link = Link::new(config).expect("valid config");
         let mut rng = Rng::seed_from(5);
         let msg = Message::ModelWeights { bytes: 936 };
@@ -372,7 +322,11 @@ mod tests {
             .send_uplink(15.0, msg, &mut rng)
             .transfer()
             .expect("delivered");
-        assert!((degraded.latency_secs - 2.0 * clean.latency_secs).abs() < 1e-9);
+        // Half the capacity doubles the serialization time, not the base
+        // latency.
+        let serialization = |t: Transfer| t.latency_secs - BASE_LATENCY_SECS;
+        assert!((serialization(clean) - 0.0004).abs() < 1e-12);
+        assert!((serialization(degraded) - 2.0 * serialization(clean)).abs() < 1e-12);
         assert_eq!(link.dropped_messages(), 0);
     }
 

@@ -23,8 +23,8 @@ cargo test -q --workspace
 
 # The pins again on one thread: every run then generates its stream inline
 # instead of on a second thread, and pre-trains its models serially.
-echo "==> SHOGGOTH_THREADS=1 cargo test --test report_pin --test pretrain_pin"
-SHOGGOTH_THREADS=1 cargo test -q --test report_pin --test pretrain_pin
+echo "==> SHOGGOTH_THREADS=1 cargo test --test pins"
+SHOGGOTH_THREADS=1 cargo test -q --test pins
 
 echo "==> cargo test -p shoggoth-tensor --features finite-check"
 cargo test -q -p shoggoth-tensor --features finite-check

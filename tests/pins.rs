@@ -1,34 +1,37 @@
-//! A pin on what the simulator computes that holds across commits: FNV-1a
-//! digests of whole `SimReport`s over a quick-scale scenario matrix.
+//! Pins on what the simulator computes that hold across commits: FNV-1a
+//! digests of the quick pre-trained weights and of whole `SimReport`s over
+//! a quick-scale scenario matrix.
 //!
 //! Every other golden test compares two runs of the same build (traced vs
-//! untraced, serial vs parallel), so a refactor that moves one report bit
-//! passes them all. These digests were computed before the report's
-//! counters moved onto the event fold; a refactor that keeps them changes
-//! no measured number. Re-pin only for an intended behaviour change, and
-//! say why.
+//! untraced, serial vs parallel), so a refactor that moves one weight or
+//! report bit passes them all. The weight digests were computed before
+//! pre-training moved to the shared fit loop and the concurrent
+//! `pretrain_pair`; the report digests before the report's counters moved
+//! onto the event fold. A refactor that keeps them changes no measured
+//! number. Re-pin only for an intended behaviour change, and say why.
 //!
-//! Each scenario pins two digests: one over `f64::to_bits` of every
+//! Each report scenario pins two digests: one over `f64::to_bits` of every
 //! measured report field, in the order `perfbench/src/digest.rs` hashes
-//! them, and one over the per-frame mAP vector alone. The traced storm run
-//! also pins its telemetry summary: the event count, the sixteen counters
-//! and the three histogram summaries.
+//! them, and one over the per-frame mAP vector alone. The storm Shoggoth
+//! run also pins its telemetry summary: the event count, the sixteen
+//! counters and the three histogram summaries.
 //!
 //! The digests are per target architecture: `exp`/`ln` come from the
-//! platform libm, so they are checked on `x86_64` only. Elsewhere the test
-//! still runs every scenario and its sanity checks.
+//! platform libm, so they are checked on `x86_64` only. Elsewhere the tests
+//! still run every scenario and its sanity checks.
 
 use shoggoth::fleet::{run_fleet, FleetConfig, FleetReport};
 use shoggoth::sim::{SimConfig, SimReport, Simulation};
 use shoggoth::strategy::Strategy;
-use shoggoth::CloudFaultProfile;
+use shoggoth::{CloudFaultProfile, ResilienceConfig};
+use shoggoth_models::{StudentConfig, StudentDetector, TeacherConfig, TeacherDetector};
 use shoggoth_net::{FaultProfile, GilbertElliott, LatencyJitter, LinkConfig};
-use shoggoth_telemetry::{HistogramSummary, RingRecorder};
+use shoggoth_telemetry::HistogramSummary;
 use shoggoth_video::{presets, StreamConfig};
 
 /// Frames per Table I run: enough for Shoggoth and AMS to train.
 const TABLE_FRAMES: u64 = 900;
-/// Frames of the traced storm run.
+/// Frames of the storm runs.
 const STORM_FRAMES: u64 = 2_700;
 /// Frames of the chaos run.
 const CHAOS_FRAMES: u64 = 1_800;
@@ -60,6 +63,13 @@ impl Fnv {
     fn str(&mut self, value: &str) {
         self.u64(value.len() as u64);
         self.bytes(value.as_bytes());
+    }
+
+    /// The little-endian bytes of each weight's bit pattern, no length.
+    fn weights(&mut self, weights: &[f32]) {
+        for w in weights {
+            self.bytes(&w.to_bits().to_le_bytes());
+        }
     }
 
     /// Every measured field of a report, in the benchmark digest's order.
@@ -169,6 +179,12 @@ fn map_digest<'a>(maps: impl IntoIterator<Item = &'a [f64]>) -> u64 {
     h.0
 }
 
+fn weights_digest(weights: &[f32]) -> u64 {
+    let mut h = Fnv::new();
+    h.weights(weights);
+    h.0
+}
+
 /// The scripted outage storm of `tests/telemetry.rs` (and the
 /// `unreliable_network` example), with a flaky cloud labeler.
 fn storm_config(frames: u64) -> SimConfig {
@@ -209,6 +225,110 @@ impl Pins {
                 "reports moved:\n  {}\nactual values:\n  {}",
                 self.mismatches.join("\n  "),
                 self.actual.join("\n  ")
+            );
+        }
+    }
+}
+
+/// The storm Shoggoth run's telemetry summary: its event count, counters
+/// and histogram digests.
+fn storm_telemetry(pins: &mut Pins, report: &SimReport) {
+    let summary = &report.telemetry;
+    let c = &summary.counters;
+    let counts = [
+        ("events_recorded", summary.events_recorded, 2738),
+        ("frames", c.frames, 2700),
+        ("frames_sampled", c.frames_sampled, 12),
+        ("samples_skipped", c.samples_skipped, 1),
+        ("chunks_uploaded", c.chunks_uploaded, 8),
+        ("probe_uploads", c.probe_uploads, 2),
+        ("retransmits", c.retransmits, 3),
+        ("uploads_lost", c.uploads_lost, 4),
+        ("uploads_suppressed", c.uploads_suppressed, 0),
+        ("upload_timeouts", c.upload_timeouts, 4),
+        ("breaker_transitions", c.breaker_transitions, 5),
+        ("label_batches", c.label_batches, 4),
+        ("labeled_samples", c.labeled_samples, 128),
+        ("cloud_label_drops", c.cloud_label_drops, 0),
+        ("slow_label_batches", c.slow_label_batches, 0),
+        ("adaptation_steps", c.adaptation_steps, 1),
+        ("rate_decisions", c.rate_decisions, 3),
+    ];
+    for (name, actual, pinned) in counts {
+        pins.count(&format!("storm telemetry {name}"), actual, pinned);
+    }
+    let histograms = [
+        (
+            "frame_latency_ms",
+            &summary.frame_latency_ms,
+            0xc4a5_c848_3091_0339,
+        ),
+        ("queue_depth", &summary.queue_depth, 0xf7da_97a6_3145_fed9),
+        ("map_delta", &summary.map_delta, 0x0d29_53a2_4408_c9a1),
+    ];
+    for (name, histogram, pinned) in histograms {
+        let mut h = Fnv::new();
+        h.histogram(histogram);
+        pins.check(&format!("storm telemetry {name}"), h.0, pinned);
+    }
+}
+
+/// The quick models `Simulation::build_models` pre-trains for `stream`,
+/// trained one after the other.
+fn serial_pair(config: &SimConfig) -> (StudentDetector, TeacherDetector) {
+    let library = &config.stream.library;
+    let world = library.world();
+    let (dim, classes) = (world.feature_dim(), world.num_classes());
+    let student_cfg = StudentConfig::new(dim, classes, config.student_seed).quick();
+    let teacher_cfg = TeacherConfig::new(dim, classes, config.teacher_seed).quick();
+    (
+        StudentDetector::pretrained_with(student_cfg, library, 0),
+        TeacherDetector::pretrained_with(teacher_cfg, library),
+    )
+}
+
+/// The quick student's and teacher's pre-trained weights on two presets,
+/// which the concurrent `build_models` must also reproduce serially.
+#[test]
+fn quick_pretrained_weights_match_the_pins() {
+    let cases: [(&str, StreamConfig, u64, u64); 2] = [
+        (
+            "detrac",
+            presets::detrac(1),
+            0xe2d8_f1f0_0873_72a9,
+            0x559c_391d_4c48_66ca,
+        ),
+        (
+            "kitti",
+            presets::kitti(1),
+            0x2312_f825_f3e1_30a2,
+            0x54df_cb2c_b903_dc73,
+        ),
+    ];
+    for (name, stream, student_pin, teacher_pin) in cases {
+        let config = SimConfig::quick(stream);
+        let (student, teacher) = Simulation::build_models(&config);
+        let (serial_student, serial_teacher) = serial_pair(&config);
+        let student_weights = student.net().export_weights();
+        let teacher_weights = teacher.net().export_weights();
+        assert_eq!(
+            student_weights,
+            serial_student.net().export_weights(),
+            "{name}: concurrent student differs from the serial one"
+        );
+        assert_eq!(
+            teacher_weights,
+            serial_teacher.net().export_weights(),
+            "{name}: concurrent teacher differs from the serial one"
+        );
+        if cfg!(target_arch = "x86_64") {
+            assert_eq!(
+                (
+                    weights_digest(&student_weights),
+                    weights_digest(&teacher_weights)
+                ),
+                (student_pin, teacher_pin),
+                "{name}: pre-trained weights moved (student, teacher digests)"
             );
         }
     }
@@ -296,6 +416,9 @@ fn table_one_reports_match_the_pins() {
                 } else if strategy == Strategy::CloudOnly {
                     assert!(r.outage_drops > 0, "storm {strategy}: no outage drop");
                 }
+                if strategy == Strategy::Shoggoth {
+                    storm_telemetry(&mut pins, &report);
+                }
             }
             let name = format!("{preset} {}", strategy.name());
             pins.check(
@@ -332,67 +455,33 @@ fn fixed_rate_report_matches_the_pin() {
     pins.finish();
 }
 
+/// The storm with fire-and-forget uploads (`ResilienceConfig::disabled()`):
+/// every upload that times out is dropped, with no retransmit and no
+/// breaker. No label batch comes back, so the run never trains and its mAP
+/// digest is the storm Edge-Only run's.
 #[test]
-fn traced_storm_report_and_telemetry_match_the_pins() {
-    let config = storm_config(STORM_FRAMES);
-    let (student, teacher) = Simulation::build_models(&config);
-    let mut ring = RingRecorder::default();
-    let report =
-        Simulation::run_traced(&config, student, teacher, &mut ring).expect("traced storm run");
-    assert!(
-        report.resilience.breaker_opens >= 1,
-        "the storm must trip the breaker"
+fn storm_fire_and_forget_report_matches_the_pin() {
+    let mut config = storm_config(STORM_FRAMES);
+    config.resilience = ResilienceConfig::disabled();
+    let report = Simulation::run(&config).expect("fire-and-forget storm run");
+    let r = &report.resilience;
+    assert!(r.upload_timeouts > 0, "the storm must time uploads out");
+    assert_eq!(
+        (r.retransmits, r.breaker_opens),
+        (0, 0),
+        "fire-and-forget neither retransmits nor opens the breaker"
     );
     let mut pins = Pins::default();
     pins.check(
-        "storm report",
+        "storm fire-and-forget report",
         report_digest(&report),
-        0x46c9_2f21_0a48_1076,
+        0xc806_1e1a_a938_910d,
     );
     pins.check(
-        "storm maps",
+        "storm fire-and-forget maps",
         map_digest([report.per_frame_map.as_slice()]),
-        0xfb2a_7d6e_56a9_1049,
+        0x3a8a_aed8_e07e_ea6d,
     );
-
-    let summary = &report.telemetry;
-    let c = &summary.counters;
-    let counts = [
-        ("events_recorded", summary.events_recorded, 2738),
-        ("frames", c.frames, 2700),
-        ("frames_sampled", c.frames_sampled, 12),
-        ("samples_skipped", c.samples_skipped, 1),
-        ("chunks_uploaded", c.chunks_uploaded, 8),
-        ("probe_uploads", c.probe_uploads, 2),
-        ("retransmits", c.retransmits, 3),
-        ("uploads_lost", c.uploads_lost, 4),
-        ("uploads_suppressed", c.uploads_suppressed, 0),
-        ("upload_timeouts", c.upload_timeouts, 4),
-        ("breaker_transitions", c.breaker_transitions, 5),
-        ("label_batches", c.label_batches, 4),
-        ("labeled_samples", c.labeled_samples, 128),
-        ("cloud_label_drops", c.cloud_label_drops, 0),
-        ("slow_label_batches", c.slow_label_batches, 0),
-        ("adaptation_steps", c.adaptation_steps, 1),
-        ("rate_decisions", c.rate_decisions, 3),
-    ];
-    for (name, actual, pinned) in counts {
-        pins.count(&format!("storm telemetry {name}"), actual, pinned);
-    }
-    let histograms = [
-        (
-            "frame_latency_ms",
-            &summary.frame_latency_ms,
-            0xc4a5_c848_3091_0339,
-        ),
-        ("queue_depth", &summary.queue_depth, 0xf7da_97a6_3145_fed9),
-        ("map_delta", &summary.map_delta, 0x0d29_53a2_4408_c9a1),
-    ];
-    for (name, histogram, pinned) in histograms {
-        let mut h = Fnv::new();
-        h.histogram(histogram);
-        pins.check(&format!("storm telemetry {name}"), h.0, pinned);
-    }
     pins.finish();
 }
 

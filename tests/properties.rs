@@ -324,10 +324,11 @@ proptest! {
         let group = vec![FrameGroupStats::new(786_432, motion); n];
         let bytes = codec.encode_group(&group, gap);
         prop_assert!(bytes > 0);
-        // Raw size is an upper bound; best-case P ratio a lower bound.
+        // Raw size is an upper bound; the best-case P ratio (300) a lower
+        // bound.
         let raw: u64 = group.iter().map(|f| f.raw_bytes).sum();
         prop_assert!(bytes <= raw);
-        prop_assert!(bytes as f64 >= raw as f64 / codec.p_frame_ratio * 0.99);
+        prop_assert!(bytes as f64 >= raw as f64 / 300.0 * 0.99);
         // One more frame never costs fewer bytes.
         let mut bigger = group.clone();
         bigger.push(FrameGroupStats::new(786_432, motion));

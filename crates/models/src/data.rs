@@ -50,12 +50,14 @@ pub fn sample_domain_batch(
     let mut samples = Vec::with_capacity(n_objects + n_background);
     for _ in 0..n_objects {
         let class = domain.sample_class(rng);
-        let jitter: Vec<f32> = (0..dim).map(|_| rng.next_gaussian_f32(0.0, 0.45)).collect();
+        let mut jitter = vec![0.0; dim];
+        rng.fill_gaussian_f32(0.45, &mut jitter);
         let base = domain.object_appearance(world, class, &jitter);
-        let features = base
-            .iter()
-            .map(|&v| v + rng.next_gaussian_f32(0.0, noise))
-            .collect();
+        let mut features = vec![0.0; dim];
+        rng.fill_gaussian_f32(noise, &mut features);
+        for (f, &v) in features.iter_mut().zip(&base) {
+            *f += v;
+        }
         samples.push(LabeledSample {
             features,
             label: class,

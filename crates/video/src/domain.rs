@@ -142,9 +142,12 @@ impl Domain {
     /// low-contrast objects.
     pub fn background_appearance(&self, rng: &mut Rng) -> Vec<f32> {
         let contrast = self.illumination.contrast();
-        (0..self.dim)
-            .map(|i| contrast * (0.4 * self.shift[i] + rng.next_gaussian_f32(0.0, 0.6)))
-            .collect()
+        let mut out = vec![0.0; self.dim];
+        rng.fill_gaussian_f32(0.6, &mut out);
+        for (o, &shift) in out.iter_mut().zip(&self.shift) {
+            *o = contrast * (0.4 * shift + *o);
+        }
+        out
     }
 
     /// Linear interpolation of two domains' transforms (used for gradual
@@ -308,25 +311,25 @@ impl DomainLibrary {
         // kept small relative to the shift so the paper's frozen-backbone
         // premise holds.
         let mut mix = vec![0.0f32; dim * dim];
-        for r in 0..dim {
-            for c in 0..dim {
-                let identity = if r == c { 1.0 } else { 0.0 };
-                // Off-diagonal mixing scaled down by dimension so the
-                // transform stays well-conditioned.
-                let perturb = self.rng.next_gaussian_f32(0.0, 1.0) / (dim as f32).sqrt();
-                mix[r * dim + c] = identity + severity * 0.3 * perturb;
-            }
+        self.rng.fill_gaussian_f32(1.0, &mut mix);
+        for (i, m) in mix.iter_mut().enumerate() {
+            let identity = if i / dim == i % dim { 1.0 } else { 0.0 };
+            // Off-diagonal mixing scaled down by dimension so the
+            // transform stays well-conditioned.
+            let perturb = *m / (dim as f32).sqrt();
+            *m = identity + severity * 0.3 * perturb;
         }
-        let shift: Vec<f32> = (0..dim)
-            .map(|_| severity * self.rng.next_gaussian_f32(0.0, 1.3))
-            .collect();
+        let mut shift = vec![0.0f32; dim];
+        self.rng.fill_gaussian_f32(1.3, &mut shift);
+        shift.iter_mut().for_each(|v| *v *= severity);
         // Class-conditional component: small next to the global shift but
         // un-normalizable, so it forces real head adaptation per domain.
         let class_shift: Vec<Vec<f32>> = (0..self.world.num_classes())
             .map(|_| {
-                (0..dim)
-                    .map(|_| severity * self.rng.next_gaussian_f32(0.0, 0.14))
-                    .collect()
+                let mut class = vec![0.0f32; dim];
+                self.rng.fill_gaussian_f32(0.14, &mut class);
+                class.iter_mut().for_each(|v| *v *= severity);
+                class
             })
             .collect();
         let domain = Domain {

@@ -228,9 +228,8 @@ impl VideoStream {
         let library = &self.config.library;
         let domain = self.current_domain.domain(library);
         let class = domain.sample_class(&mut self.rng);
-        let jitter: Vec<f32> = (0..library.world().feature_dim())
-            .map(|_| self.rng.next_gaussian_f32(0.0, 0.45))
-            .collect();
+        let mut jitter = vec![0.0; library.world().feature_dim()];
+        self.rng.fill_gaussian_f32(0.45, &mut jitter);
         let base_appearance = domain.object_appearance(library.world(), class, &jitter);
         let size = self.rng.range_f64(0.05, 0.25) as f32;
         let bbox = BBox::new(
@@ -315,11 +314,11 @@ impl VideoStream {
             let sw = (1.0 + rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
             let sh = (1.0 + rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
             let proposal_box = BBox::new(bbox.x + dx, bbox.y + dy, bbox.w * sw, bbox.h * sh);
-            let features: Vec<f32> = o
-                .base_appearance
-                .iter()
-                .map(|&v| v + rng.next_gaussian_f32(0.0, noise))
-                .collect();
+            let mut features = vec![0.0; o.base_appearance.len()];
+            rng.fill_gaussian_f32(noise, &mut features);
+            for (f, &v) in features.iter_mut().zip(&o.base_appearance) {
+                *f += v;
+            }
             proposals.push(Proposal {
                 bbox: proposal_box,
                 features,

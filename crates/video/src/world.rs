@@ -67,9 +67,8 @@ impl FeatureWorld {
         let mut rng = Rng::seed_from(config.seed ^ 0x5747_4f52_4c44); // "WORLD"
         let mut prototypes = Vec::with_capacity(config.num_classes);
         for _ in 0..config.num_classes {
-            let mut proto: Vec<f32> = (0..config.feature_dim)
-                .map(|_| rng.next_gaussian_f32(0.0, 1.0))
-                .collect();
+            let mut proto = vec![0.0f32; config.feature_dim];
+            rng.fill_gaussian_f32(1.0, &mut proto);
             let norm = proto.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-6);
             // Common norm 2.0: far enough apart to be learnable, close
             // enough that domain noise creates genuine confusion.

@@ -35,6 +35,12 @@ cargo test -q -p shoggoth-tensor --features finite-check
 echo "==> cargo test --release -p shoggoth-tensor --test kernels_prop"
 cargo test -q --release -p shoggoth-tensor --test kernels_prop
 
+# The fast Gaussian transform's margin test: 10^8 Box-Muller pairs against
+# libm at opt level 3, too slow for the dev profile, so it is #[ignore]d
+# in the workspace run.
+echo "==> cargo test --release -p shoggoth-util -- --ignored"
+cargo test -q --release -p shoggoth-util -- --ignored
+
 echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 

@@ -16,6 +16,10 @@
 //! run also pins its telemetry summary: the event count, the sixteen
 //! counters and the three histogram summaries.
 //!
+//! The stream pins digest every field of every frame the three presets
+//! generate, so stream generation is pinned directly and not only through
+//! the reports it feeds.
+//!
 //! The digests are per target architecture: `exp`/`ln` come from the
 //! platform libm, so they are checked on `x86_64` only. Elsewhere the tests
 //! still run every scenario and its sanity checks.
@@ -27,7 +31,7 @@ use shoggoth::{CloudFaultProfile, ResilienceConfig};
 use shoggoth_models::{StudentConfig, StudentDetector, TeacherConfig, TeacherDetector};
 use shoggoth_net::{FaultProfile, GilbertElliott, LatencyJitter, LinkConfig};
 use shoggoth_telemetry::HistogramSummary;
-use shoggoth_video::{presets, StreamConfig};
+use shoggoth_video::{presets, BBox, Frame, StreamConfig};
 
 /// Frames per Table I run: enough for Shoggoth and AMS to train.
 const TABLE_FRAMES: u64 = 900;
@@ -37,6 +41,8 @@ const STORM_FRAMES: u64 = 2_700;
 const CHAOS_FRAMES: u64 = 1_800;
 /// Frames per device of the storm fleet.
 const FLEET_FRAMES: u64 = 600;
+/// Frames of each pinned stream.
+const STREAM_FRAMES: u64 = 3_000;
 
 /// A 64-bit FNV-1a hasher over little-endian words.
 struct Fnv(u64);
@@ -65,10 +71,54 @@ impl Fnv {
         self.bytes(value.as_bytes());
     }
 
+    fn f32(&mut self, value: f32) {
+        self.bytes(&value.to_bits().to_le_bytes());
+    }
+
+    fn bbox(&mut self, b: &BBox) {
+        for v in [b.x, b.y, b.w, b.h] {
+            self.f32(v);
+        }
+    }
+
+    fn option(&mut self, value: Option<u64>) {
+        match value {
+            Some(v) => {
+                self.u64(1);
+                self.u64(v);
+            }
+            None => self.u64(0),
+        }
+    }
+
+    /// Every field of a frame, its proposals' features bit by bit.
+    fn frame(&mut self, f: &Frame) {
+        self.u64(f.index);
+        self.f64(f.timestamp);
+        self.u64(f.scene_index as u64);
+        self.str(&f.domain_name);
+        self.u64(f.ground_truth.len() as u64);
+        for o in &f.ground_truth {
+            self.u64(o.track_id);
+            self.u64(o.class as u64);
+            self.bbox(&o.bbox);
+        }
+        self.u64(f.proposals.len() as u64);
+        for p in &f.proposals {
+            self.bbox(&p.bbox);
+            self.u64(p.features.len() as u64);
+            self.weights(&p.features);
+            self.option(p.true_class.map(|c| c as u64));
+            self.option(p.track_id);
+        }
+        self.u64(f.raw_bytes);
+        self.f32(f.motion_magnitude);
+    }
+
     /// The little-endian bytes of each weight's bit pattern, no length.
     fn weights(&mut self, weights: &[f32]) {
-        for w in weights {
-            self.bytes(&w.to_bits().to_le_bytes());
+        for &w in weights {
+            self.f32(w);
         }
     }
 
@@ -548,5 +598,30 @@ fn storm_fleet_report_matches_the_pin() {
         map_digest(report.per_device.iter().map(|r| r.per_frame_map.as_slice())),
         0xb42d_cbee_b5fd_1f47,
     );
+    pins.finish();
+}
+
+/// Every frame of the three presets at seed 3: boxes, feature bits, ground
+/// truth, motion and domain names. The features are Gaussian noise around
+/// the domain-transformed prototypes, so this pins the stream's noise and
+/// the domain library's draws bit for bit.
+#[test]
+fn streams_match_the_pins() {
+    let streams = [
+        ("detrac", presets::detrac(3), 0xa709_522e_e089_9951),
+        ("kitti", presets::kitti(3), 0x88a2_64cf_29cb_60a8),
+        ("waymo", presets::waymo(3), 0xd933_9cca_22e5_e54b),
+    ];
+    let mut pins = Pins::default();
+    for (name, stream, pinned) in streams {
+        let mut h = Fnv::new();
+        let mut frames = 0;
+        for frame in stream.with_total_frames(STREAM_FRAMES).build() {
+            h.frame(&frame);
+            frames += 1;
+        }
+        assert_eq!(frames, STREAM_FRAMES, "{name}: every frame is generated");
+        pins.check(&format!("{name} stream"), h.0, pinned);
+    }
     pins.finish();
 }

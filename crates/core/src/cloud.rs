@@ -3,8 +3,7 @@
 use crate::controller::{phi_score, ControllerConfig, RateDecision, SamplingRateController};
 use crate::error::InvalidConfig;
 use shoggoth_models::{
-    detections_from, features_matrix, pseudo_label_from, Detection, Detector, LabeledSample,
-    TeacherDetector,
+    detections_from, pseudo_label_from, Detection, Detector, LabeledSample, TeacherDetector,
 };
 use shoggoth_util::Rng;
 use shoggoth_video::Frame;
@@ -197,7 +196,7 @@ impl CloudServer {
         for frame in frames {
             // One classification per frame serves both φ (detections) and
             // the Eq. (1) pseudo-labels.
-            let predictions = self.teacher.classify(&features_matrix(&frame.proposals));
+            let predictions = self.teacher.classify_frame(frame);
             let detections =
                 detections_from(&predictions, frame, self.teacher.config().num_classes);
             if let Some(prev) = &self.prev_labels {

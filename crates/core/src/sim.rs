@@ -486,7 +486,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
             alpha_hits: 0,
             alpha_total: 0,
             eval: Evaluation::new(num_classes),
-            per_frame_map: Vec::new(),
+            // One value per frame: sized once instead of regrown as the
+            // run plays.
+            per_frame_map: Vec::with_capacity(config.stream.total_frames() as usize),
             fps: FpsTracker::new(),
             rate_sum: 0.0,
             config,

@@ -1,6 +1,6 @@
 //! Average Precision and mAP@0.5.
 
-use crate::matching::match_detections;
+use crate::matching::{match_into, MatchScratch};
 use shoggoth_models::Detection;
 use shoggoth_video::GroundTruthObject;
 
@@ -26,13 +26,15 @@ impl ClassScores {
     /// Average Precision with VOC-2010-style all-point interpolation:
     /// rank by confidence (a stable sort, so ties keep their order), walk
     /// cumulative precision/recall, take the running max of precision
-    /// from the right and sum it over each recall increment.
-    fn ap(&self) -> f64 {
-        let mut ranked = self.scored.clone();
+    /// from the right and sum it over each recall increment. `ranked` and
+    /// `curve` are scratch.
+    fn ap(&self, ranked: &mut Vec<(f32, bool)>, curve: &mut Vec<(f64, f64)>) -> f64 {
+        ranked.clear();
+        ranked.extend_from_slice(&self.scored);
         ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
         let (mut tp, mut fp) = (0usize, 0usize);
-        let mut curve: Vec<(f64, f64)> = Vec::with_capacity(ranked.len());
-        for &(_, is_tp) in &ranked {
+        curve.clear();
+        for &(_, is_tp) in ranked.iter() {
             if is_tp {
                 tp += 1;
             } else {
@@ -49,11 +51,56 @@ impl ClassScores {
             *p = max_from_right;
         }
         let (mut ap, mut prev_recall) = (0.0, 0.0);
-        for (r, p) in curve {
+        for &(r, p) in curve.iter() {
             ap += (r - prev_recall) * p;
             prev_recall = r;
         }
         ap
+    }
+}
+
+/// The mean AP of the classes with ground truth, `0.0` if none has any.
+fn mean_ap(
+    classes: &[ClassScores],
+    ranked: &mut Vec<(f32, bool)>,
+    curve: &mut Vec<(f64, f64)>,
+) -> f64 {
+    let (ap_sum, counted) = classes
+        .iter()
+        .filter(|class| class.ground_truth > 0)
+        .fold((0.0, 0usize), |(sum, n), class| {
+            (sum + class.ap(ranked, curve), n + 1)
+        });
+    if counted == 0 {
+        0.0
+    } else {
+        ap_sum / counted as f64
+    }
+}
+
+/// The buffers one [`Evaluation::add`] works in, kept from frame to
+/// frame so that scoring a frame allocates nothing once they have grown.
+/// They hold no result: a clone starts empty and every two compare equal.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The frame's own class lists.
+    frame: Vec<ClassScores>,
+    matcher: MatchScratch,
+    /// A class list ranked by confidence.
+    ranked: Vec<(f32, bool)>,
+    /// Its interpolated precision-recall curve.
+    curve: Vec<(f64, f64)>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for Scratch {
+    fn eq(&self, _other: &Self) -> bool {
+        true
     }
 }
 
@@ -65,6 +112,10 @@ impl ClassScores {
 /// all-class match assigns each detection exactly as a per-class match
 /// would. Each class list grows in frame order and is stable-sorted when
 /// scored, which ranks ties as pooling every frame and sorting would.
+/// The per-frame lists, the matcher's buffers and the AP ranking live in
+/// scratch the evaluation owns, so [`Evaluation::add`] allocates nothing
+/// once they have grown (the run's own lists still grow with the run);
+/// `==` and `Clone` ignore that scratch.
 ///
 /// # Examples
 ///
@@ -86,6 +137,7 @@ pub struct Evaluation {
     classes: Vec<ClassScores>,
     iou_sum: f64,
     total_gt: usize,
+    scratch: Scratch,
 }
 
 impl Evaluation {
@@ -97,16 +149,27 @@ impl Evaluation {
             classes: vec![ClassScores::default(); num_classes],
             iou_sum: 0.0,
             total_gt: 0,
+            scratch: Scratch::default(),
         }
     }
 
     /// Scores one frame and folds it into the run; returns the frame's
     /// own mAP@0.5 (the paper's Fig. 5 per-frame value).
     pub fn add(&mut self, detections: &[Detection], ground_truth: &[GroundTruthObject]) -> f64 {
-        let mut frame = Self::new(self.classes.len());
-        let result = match_detections(detections, ground_truth, 0.5);
-        for (det, assignment) in detections.iter().zip(&result.assignments) {
-            if let Some(class) = frame.classes.get_mut(det.class) {
+        let Scratch {
+            frame,
+            matcher,
+            ranked,
+            curve,
+        } = &mut self.scratch;
+        frame.resize_with(self.classes.len(), ClassScores::default);
+        for class in frame.iter_mut() {
+            class.scored.clear();
+            class.ground_truth = 0;
+        }
+        match_into(detections, ground_truth, 0.5, matcher);
+        for (det, assignment) in detections.iter().zip(&matcher.assignments) {
+            if let Some(class) = frame.get_mut(det.class) {
                 class.scored.push((det.confidence, assignment.is_some()));
             }
             if let Some((_, iou)) = assignment {
@@ -114,14 +177,14 @@ impl Evaluation {
             }
         }
         for gt in ground_truth {
-            if let Some(class) = frame.classes.get_mut(gt.class) {
+            if let Some(class) = frame.get_mut(gt.class) {
                 class.ground_truth += 1;
             }
         }
         self.total_gt += ground_truth.len();
-        let frame_map = frame.map50();
-        for (run, class) in self.classes.iter_mut().zip(frame.classes) {
-            run.scored.extend(class.scored);
+        let frame_map = mean_ap(frame, ranked, curve);
+        for (run, class) in self.classes.iter_mut().zip(frame.iter()) {
+            run.scored.extend_from_slice(&class.scored);
             run.ground_truth += class.ground_truth;
         }
         frame_map
@@ -134,16 +197,7 @@ impl Evaluation {
     /// (VOC-2010 all-point). Classes with no ground truth are skipped,
     /// not counted as zero. `0.0` if no class has any ground truth.
     pub fn map50(&self) -> f64 {
-        let (ap_sum, counted) = self
-            .classes
-            .iter()
-            .filter(|class| class.ground_truth > 0)
-            .fold((0.0, 0usize), |(sum, n), class| (sum + class.ap(), n + 1));
-        if counted == 0 {
-            0.0
-        } else {
-            ap_sum / counted as f64
-        }
+        mean_ap(&self.classes, &mut Vec::new(), &mut Vec::new())
     }
 
     /// Mean IoU of matched true-positive detections, Table III's "Average

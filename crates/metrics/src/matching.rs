@@ -49,20 +49,58 @@ pub fn match_detections(
     ground_truth: &[GroundTruthObject],
     iou_threshold: f32,
 ) -> MatchResult {
-    let mut order: Vec<usize> = (0..detections.len()).collect();
+    let mut scratch = MatchScratch::default();
+    let tp = match_into(detections, ground_truth, iou_threshold, &mut scratch);
+    MatchResult {
+        assignments: scratch.assignments,
+        true_positives: tp,
+        false_positives: detections.len() - tp,
+        false_negatives: ground_truth.len() - tp,
+    }
+}
+
+/// The matcher's buffers, reused from frame to frame by a caller that
+/// matches many frames.
+#[derive(Debug, Default)]
+pub(crate) struct MatchScratch {
+    /// Detection indices in descending confidence.
+    order: Vec<usize>,
+    /// Whether each ground-truth object has been claimed.
+    taken: Vec<bool>,
+    /// [`MatchResult::assignments`] of the last match.
+    pub(crate) assignments: Vec<Option<(usize, f32)>>,
+}
+
+/// [`match_detections`] into `scratch`: leaves the assignments in
+/// `scratch.assignments` and returns the true-positive count.
+pub(crate) fn match_into(
+    detections: &[Detection],
+    ground_truth: &[GroundTruthObject],
+    iou_threshold: f32,
+    scratch: &mut MatchScratch,
+) -> usize {
+    let MatchScratch {
+        order,
+        taken,
+        assignments,
+    } = scratch;
+    order.clear();
+    order.extend(0..detections.len());
     order.sort_by(|&a, &b| {
         detections[b]
             .confidence
             .total_cmp(&detections[a].confidence)
     });
-    let mut gt_taken = vec![false; ground_truth.len()];
-    let mut assignments = vec![None; detections.len()];
+    taken.clear();
+    taken.resize(ground_truth.len(), false);
+    assignments.clear();
+    assignments.resize(detections.len(), None);
     let mut tp = 0;
-    for &det_idx in &order {
+    for &det_idx in order.iter() {
         let det = &detections[det_idx];
         let mut best: Option<(usize, f32)> = None;
         for (gt_idx, gt) in ground_truth.iter().enumerate() {
-            if gt_taken[gt_idx] || gt.class != det.class {
+            if taken[gt_idx] || gt.class != det.class {
                 continue;
             }
             let iou = det.bbox.iou(&gt.bbox);
@@ -71,19 +109,12 @@ pub fn match_detections(
             }
         }
         if let Some((gt_idx, iou)) = best {
-            gt_taken[gt_idx] = true;
+            taken[gt_idx] = true;
             assignments[det_idx] = Some((gt_idx, iou));
             tp += 1;
         }
     }
-    let fp = detections.len() - tp;
-    let fne = ground_truth.len() - tp;
-    MatchResult {
-        assignments,
-        true_positives: tp,
-        false_positives: fp,
-        false_negatives: fne,
-    }
+    tp
 }
 
 #[cfg(test)]

@@ -191,11 +191,12 @@ pub fn pseudo_label<D: Detector + ?Sized>(
     num_classes: usize,
     threshold: f32,
 ) -> Vec<LabeledSample> {
-    let features = crate::detector::features_matrix(&frame.proposals);
-    if features.rows() == 0 {
-        return Vec::new();
-    }
-    pseudo_label_from(&detector.classify(&features), frame, num_classes, threshold)
+    pseudo_label_from(
+        &detector.classify_frame(frame),
+        frame,
+        num_classes,
+        threshold,
+    )
 }
 
 /// [`pseudo_label`] from predictions already made on `frame`'s proposals
@@ -209,12 +210,12 @@ pub fn pseudo_label_from(
     threshold: f32,
 ) -> Vec<LabeledSample> {
     let bg = background_class(num_classes);
-    frame
-        .proposals
+    predictions
         .iter()
-        .zip(predictions.iter().copied())
-        .map(|(p, (class, confidence))| LabeledSample {
-            features: p.features.clone(),
+        .take(frame.proposals.len())
+        .enumerate()
+        .map(|(i, &(class, confidence))| LabeledSample {
+            features: frame.proposal_features(i).to_vec(),
             label: if class < bg && confidence >= threshold {
                 class
             } else {
@@ -332,17 +333,17 @@ mod tests {
             proposals: vec![
                 shoggoth_video::Proposal {
                     bbox: shoggoth_video::BBox::new(0.0, 0.0, 0.1, 0.1),
-                    features: vec![1.0, 2.0],
                     true_class: Some(1),
                     track_id: Some(0),
                 },
                 shoggoth_video::Proposal {
                     bbox: shoggoth_video::BBox::new(0.2, 0.2, 0.1, 0.1),
-                    features: vec![3.0, 4.0],
                     true_class: None,
                     track_id: None,
                 },
             ],
+            features: vec![1.0, 2.0, 3.0, 4.0],
+            feature_dim: 2,
             raw_bytes: 100,
             motion_magnitude: 0.0,
         }
@@ -354,6 +355,7 @@ mod tests {
         let labels = pseudo_label(&mut det, &tiny_frame(), 3, 0.5);
         assert_eq!(labels.len(), 2);
         assert!(labels.iter().all(|s| s.label == 0));
+        assert_eq!(labels[1].features, vec![3.0, 4.0], "row 1 of the block");
     }
 
     #[test]
@@ -368,6 +370,7 @@ mod tests {
         let mut det = Fixed { confidence: 0.9 };
         let mut frame = tiny_frame();
         frame.proposals.clear();
+        frame.features.clear();
         assert!(pseudo_label(&mut det, &frame, 3, 0.5).is_empty());
     }
 }

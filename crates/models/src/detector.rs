@@ -31,19 +31,26 @@ pub trait Detector {
     /// Classifies a raw feature batch, returning `(class, confidence)` per
     /// row. The class may be the background index.
     fn classify(&mut self, features: &Matrix) -> Vec<(ClassId, f32)>;
+
+    /// [`Detector::classify`] over a frame's proposals, one prediction per
+    /// proposal in order. The default classifies [`features_matrix`];
+    /// network-backed detectors copy the frame's feature block straight
+    /// into a workspace batch instead.
+    fn classify_frame(&mut self, frame: &Frame) -> Vec<(ClassId, f32)> {
+        self.classify(&features_matrix(frame))
+    }
 }
 
-/// Stacks proposal feature vectors into a batch matrix (one row per
-/// proposal).
+/// The frame's feature block as a batch matrix: one row per proposal, the
+/// frame's feature width wide (`0 × feature_dim` for a frame without
+/// proposals).
 ///
-/// Returns a `0 × dim` matrix when `proposals` is empty (`dim` falls back
-/// to 1 so downstream shape checks fail loudly rather than silently).
-pub fn features_matrix(proposals: &[shoggoth_video::Proposal]) -> Matrix {
-    let dim = proposals.first().map_or(1, |p| p.features.len());
-    let mut m = Matrix::zeros(proposals.len(), dim);
-    for (r, p) in proposals.iter().enumerate() {
-        m.row_mut(r).copy_from_slice(&p.features);
-    }
+/// # Panics
+///
+/// Panics if the block does not hold one row per proposal.
+pub fn features_matrix(frame: &Frame) -> Matrix {
+    let mut m = Matrix::zeros(frame.proposals.len(), frame.feature_dim);
+    m.as_mut_slice().copy_from_slice(&frame.features);
     m
 }
 
@@ -56,17 +63,22 @@ pub fn detections_from(
     num_classes: usize,
 ) -> Vec<Detection> {
     let bg = background_class(num_classes);
-    frame
-        .proposals
-        .iter()
-        .zip(predictions.iter().copied())
-        .filter(|(_, (class, _))| *class < bg)
-        .map(|(p, (class, confidence))| Detection {
-            bbox: p.bbox,
-            class,
-            confidence,
-        })
-        .collect()
+    // Sized for every proposal, so the list is one allocation instead of
+    // a growth sequence.
+    let mut detections = Vec::with_capacity(frame.proposals.len().min(predictions.len()));
+    detections.extend(
+        frame
+            .proposals
+            .iter()
+            .zip(predictions.iter().copied())
+            .filter(|(_, (class, _))| *class < bg)
+            .map(|(p, (class, confidence))| Detection {
+                bbox: p.bbox,
+                class,
+                confidence,
+            }),
+    );
+    detections
 }
 
 /// [`Detector::detect`] for a network-backed detector: classify every
@@ -76,26 +88,38 @@ pub(crate) fn detect_with<D: Detector + ?Sized>(
     frame: &Frame,
     num_classes: usize,
 ) -> Vec<Detection> {
-    if frame.proposals.is_empty() {
-        return Vec::new();
-    }
-    let predictions = detector.classify(&features_matrix(&frame.proposals));
+    let predictions = detector.classify_frame(frame);
     detections_from(&predictions, frame, num_classes)
 }
 
+/// [`Detector::classify_frame`] for a network-backed detector: the
+/// frame's feature block is copied into a workspace batch, classified
+/// and handed back, so no call after the first allocates a tensor
+/// buffer.
+pub(crate) fn classify_frame_with(net: &mut Mlp, frame: &Frame) -> Vec<(ClassId, f32)> {
+    if frame.proposals.is_empty() {
+        return Vec::new();
+    }
+    let x = net
+        .batch_from(frame.proposals.len(), frame.feature_dim, &frame.features)
+        .expect("a frame's feature block holds one row per proposal");
+    let predictions = classify_with(net, &x);
+    net.recycle(x);
+    predictions
+}
+
 /// [`Detector::classify`] for a network-backed detector: an eval-mode
-/// forward pass, then the arg-max class and its softmax probability per
-/// row.
+/// forward pass, the softmax written over the logits, then the arg-max
+/// class and its probability per row.
 pub(crate) fn classify_with(net: &mut Mlp, features: &Matrix) -> Vec<(ClassId, f32)> {
     if features.rows() == 0 {
         return Vec::new();
     }
-    let logits = net
+    let mut probs = net
         .forward(features, Mode::Eval)
         .expect("feature width matches network input");
-    let probs = losses::softmax(&logits);
-    net.recycle(logits);
-    (0..probs.rows())
+    losses::softmax_in_place(&mut probs);
+    let predictions = (0..probs.rows())
         .map(|r| {
             let row = probs.row(r);
             let (class, &p) = row
@@ -105,7 +129,9 @@ pub(crate) fn classify_with(net: &mut Mlp, features: &Matrix) -> Vec<(ClassId, f
                 .expect("non-empty row");
             (class, p)
         })
-        .collect()
+        .collect();
+    net.recycle(probs);
+    predictions
 }
 
 #[cfg(test)]
@@ -116,35 +142,9 @@ mod tests {
     use shoggoth_util::Rng;
     use shoggoth_video::Proposal;
 
-    #[test]
-    fn features_matrix_stacks_rows() {
-        let proposals = vec![
-            Proposal {
-                bbox: BBox::new(0.0, 0.0, 0.1, 0.1),
-                features: vec![1.0, 2.0],
-                true_class: None,
-                track_id: None,
-            },
-            Proposal {
-                bbox: BBox::new(0.5, 0.5, 0.1, 0.1),
-                features: vec![3.0, 4.0],
-                true_class: Some(0),
-                track_id: Some(1),
-            },
-        ];
-        let m = features_matrix(&proposals);
-        assert_eq!((m.rows(), m.cols()), (2, 2));
-        assert_eq!(m.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn empty_proposals_yield_empty_matrix() {
-        let m = features_matrix(&[]);
-        assert_eq!(m.rows(), 0);
-    }
-
+    /// A frame of `count` background proposals with Gaussian features.
     fn frame_with_proposals(dim: usize, count: usize) -> Frame {
-        let mut rng = Rng::seed_from(3);
+        let mut rng = Rng::seed_from(3 + count as u64);
         Frame {
             index: 0,
             timestamp: 0.0,
@@ -154,21 +154,57 @@ mod tests {
             proposals: (0..count)
                 .map(|i| Proposal {
                     bbox: BBox::new(0.05 * i as f32, 0.1, 0.05, 0.05),
-                    features: (0..dim).map(|_| rng.next_gaussian_f32(0.0, 1.0)).collect(),
                     true_class: None,
                     track_id: None,
                 })
                 .collect(),
+            features: (0..count * dim)
+                .map(|_| rng.next_gaussian_f32(0.0, 1.0))
+                .collect(),
+            feature_dim: dim,
             raw_bytes: 0,
             motion_magnitude: 0.0,
         }
     }
 
     #[test]
-    fn repeated_detection_reuses_the_workspace() {
-        // Inference hands its logits back to the network, so after the
-        // first call no `detect` allocates a fresh tensor buffer.
+    fn features_matrix_is_the_feature_block() {
+        let frame = frame_with_proposals(2, 3);
+        let m = features_matrix(&frame);
+        assert_eq!((m.rows(), m.cols()), (3, 2));
+        for r in 0..3 {
+            assert_eq!(m.row(r), frame.proposal_features(r));
+        }
+    }
+
+    #[test]
+    fn empty_proposals_yield_an_empty_matrix_of_the_frame_width() {
+        let m = features_matrix(&frame_with_proposals(16, 0));
+        assert_eq!((m.rows(), m.cols()), (0, 16));
+    }
+
+    #[test]
+    fn classify_frame_matches_classify_on_the_feature_matrix() {
         let frame = frame_with_proposals(16, 12);
+        let mut student = StudentDetector::new(StudentConfig::new(16, 3, 1).quick());
+        let mut teacher = TeacherDetector::new(TeacherConfig::new(16, 3, 1).quick());
+        let features = features_matrix(&frame);
+        assert_eq!(student.classify_frame(&frame), student.classify(&features));
+        assert_eq!(teacher.classify_frame(&frame), teacher.classify(&features));
+        let empty = frame_with_proposals(16, 0);
+        assert!(student.classify_frame(&empty).is_empty());
+        assert!(student.detect(&empty).is_empty());
+    }
+
+    #[test]
+    fn repeated_detection_reuses_the_workspace() {
+        // Inference hands its input batch and logits back to the network,
+        // so once it has seen the largest frame no `detect` allocates a
+        // fresh tensor buffer, whatever the proposal counts that follow.
+        let frames: Vec<Frame> = [15, 12, 3, 0, 9, 1, 15, 7]
+            .iter()
+            .map(|&count| frame_with_proposals(16, count))
+            .collect();
         let mut student = StudentDetector::new(StudentConfig::new(16, 3, 1).quick());
         let mut teacher = TeacherDetector::new(TeacherConfig::new(16, 3, 1).quick());
         let allocations = |s: &StudentDetector, t: &TeacherDetector| {
@@ -177,12 +213,14 @@ mod tests {
                 t.net().workspace_allocations(),
             )
         };
-        student.detect(&frame);
-        teacher.detect(&frame);
+        student.detect(&frames[0]);
+        teacher.detect(&frames[0]);
         let warm = allocations(&student, &teacher);
-        for _ in 0..50 {
-            student.detect(&frame);
-            teacher.detect(&frame);
+        for _ in 0..10 {
+            for frame in &frames {
+                student.detect(frame);
+                teacher.detect(frame);
+            }
         }
         assert_eq!(allocations(&student, &teacher), warm);
     }

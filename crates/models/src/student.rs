@@ -1,7 +1,7 @@
 //! The lightweight edge detector (YOLOv4-ResNet18 stand-in).
 
 use crate::data::{fit, Corpus, LabeledSample};
-use crate::detector::{classify_with, detect_with, Detection, Detector};
+use crate::detector::{classify_frame_with, classify_with, detect_with, Detection, Detector};
 use shoggoth_tensor::{losses, BatchRenorm, Dense, Matrix, Mlp, Mode, Relu};
 use shoggoth_util::Rng;
 use shoggoth_video::{ClassId, DomainLibrary, Frame};
@@ -348,6 +348,10 @@ impl Detector for StudentDetector {
     fn classify(&mut self, features: &Matrix) -> Vec<(ClassId, f32)> {
         classify_with(&mut self.net, features)
     }
+
+    fn classify_frame(&mut self, frame: &Frame) -> Vec<(ClassId, f32)> {
+        classify_frame_with(&mut self.net, frame)
+    }
 }
 
 #[cfg(test)]
@@ -479,8 +483,8 @@ mod tests {
         let mut student = StudentDetector::pretrained_with(quick_config(), &lib, 0);
         let mut rng = Rng::seed_from(13);
         // A frame of pure background proposals should yield few detections.
-        let bg_features: Vec<Vec<f32>> = (0..20)
-            .map(|_| lib.domain(0).background_appearance(&mut rng))
+        let features: Vec<f32> = (0..20)
+            .flat_map(|_| lib.domain(0).background_appearance(&mut rng))
             .collect();
         let frame = Frame {
             index: 0,
@@ -488,15 +492,16 @@ mod tests {
             scene_index: 0,
             domain_name: "day".into(),
             ground_truth: Vec::new(),
-            proposals: bg_features
-                .into_iter()
-                .map(|features| shoggoth_video::Proposal {
+            proposals: vec![
+                shoggoth_video::Proposal {
                     bbox: shoggoth_video::BBox::new(0.1, 0.1, 0.1, 0.1),
-                    features,
                     true_class: None,
                     track_id: None,
-                })
-                .collect(),
+                };
+                20
+            ],
+            features,
+            feature_dim: 16,
             raw_bytes: 0,
             motion_magnitude: 0.0,
         };

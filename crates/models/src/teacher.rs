@@ -1,7 +1,7 @@
 //! The cloud "golden" teacher (Mask-R-CNN ResNeXt-101 stand-in).
 
 use crate::data::{fit, Corpus, LabeledSample};
-use crate::detector::{classify_with, detect_with, Detection, Detector};
+use crate::detector::{classify_frame_with, classify_with, detect_with, Detection, Detector};
 use shoggoth_tensor::{losses, Dense, Matrix, Mlp, Mode, Relu};
 use shoggoth_util::Rng;
 use shoggoth_video::{ClassId, DomainLibrary, Frame};
@@ -215,6 +215,10 @@ impl Detector for TeacherDetector {
 
     fn classify(&mut self, features: &Matrix) -> Vec<(ClassId, f32)> {
         classify_with(&mut self.net, features)
+    }
+
+    fn classify_frame(&mut self, frame: &Frame) -> Vec<(ClassId, f32)> {
+        classify_frame_with(&mut self.net, frame)
     }
 }
 

@@ -95,6 +95,18 @@ pub trait Layer: std::fmt::Debug + Send {
         ws: &mut Workspace,
     ) -> Result<Matrix, TensorError>;
 
+    /// The [`Mode::Eval`] forward written over its own input: `x` becomes
+    /// the layer output, with exactly the arithmetic of
+    /// [`forward`](Layer::forward) in eval mode. Returns whether the layer
+    /// did so; the default does nothing and returns `false`, and a layer
+    /// also returns `false` for an input of the wrong width, so that the
+    /// caller's [`forward`](Layer::forward) reports the error. The owning
+    /// network uses it for every eval-mode layer after the first.
+    fn forward_eval_in_place(&mut self, x: &mut Matrix) -> bool {
+        let _ = x;
+        false
+    }
+
     /// Propagates `grad_output` (∂loss/∂output) to ∂loss/∂input, recording
     /// parameter gradients internally. The returned gradient matrix is
     /// taken from `ws`.
@@ -394,21 +406,34 @@ impl Layer for Relu {
         "relu"
     }
 
+    /// Train mode records the input for `backward`; eval mode is a copy
+    /// of the input rectified in place
+    /// ([`forward_eval_in_place`](Layer::forward_eval_in_place)).
     fn forward(
         &mut self,
         input: &Matrix,
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<Matrix, TensorError> {
-        if mode == Mode::Train {
-            self.cached_input.copy_from(input);
-            self.cache_valid = true;
+        if mode == Mode::Eval {
+            let mut out = ws.take_copy(input.rows(), input.cols(), input.as_slice());
+            self.forward_eval_in_place(&mut out);
+            return Ok(out);
         }
+        self.cached_input.copy_from(input);
+        self.cache_valid = true;
         let mut out = ws.take(input.rows(), input.cols());
         for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
             *o = v.max(0.0);
         }
         Ok(out)
+    }
+
+    fn forward_eval_in_place(&mut self, x: &mut Matrix) -> bool {
+        for v in x.as_mut_slice() {
+            *v = v.max(0.0);
+        }
+        true
     }
 
     fn backward(

@@ -21,23 +21,32 @@ use crate::{Matrix, TensorError};
 /// # Ok::<(), shoggoth_tensor::TensorError>(())
 /// ```
 pub fn softmax(logits: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r);
+    let mut out = logits.clone();
+    softmax_in_place(&mut out);
+    out
+}
+
+/// [`softmax`] written over the logits: each row becomes its
+/// distribution, with the same arithmetic (the row max, `exp(v − max)`
+/// summed in column order, then one multiply by the sum's reciprocal).
+pub fn softmax_in_place(logits: &mut Matrix) {
+    let cols = logits.cols();
+    if cols == 0 {
+        return;
+    }
+    for row in logits.as_mut_slice().chunks_exact_mut(cols) {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
-        let out_row = out.row_mut(r);
-        for (o, &v) in out_row.iter_mut().zip(row) {
-            let e = (v - max).exp();
-            *o = e;
+        for v in row.iter_mut() {
+            let e = (*v - max).exp();
+            *v = e;
             sum += e;
         }
         let inv = 1.0 / sum;
-        for o in out_row.iter_mut() {
-            *o *= inv;
+        for v in row.iter_mut() {
+            *v *= inv;
         }
     }
-    out
 }
 
 /// Mean softmax cross-entropy over a batch, with gradient w.r.t. logits.
@@ -87,24 +96,10 @@ pub fn softmax_cross_entropy_into(
             actual: (1, bad + 1),
         });
     }
-    // Softmax computed directly into `grad` (same per-row recipe as
-    // `softmax`), then turned into the gradient in place.
-    grad.resize_zeroed(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        let out_row = grad.row_mut(r);
-        for (o, &v) in out_row.iter_mut().zip(row) {
-            let e = (v - max).exp();
-            *o = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for o in out_row.iter_mut() {
-            *o *= inv;
-        }
-    }
+    // The softmax of the logits in `grad`, turned into the gradient in
+    // place.
+    grad.copy_from(logits);
+    softmax_in_place(grad);
     let n = logits.rows() as f32;
     let mut loss = 0.0;
     for (r, &label) in labels.iter().enumerate() {

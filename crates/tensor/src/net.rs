@@ -71,6 +71,31 @@ impl Mlp {
         self.ws.give(m);
     }
 
+    /// A `rows × cols` batch holding a copy of the row-major `data`, in a
+    /// workspace buffer: one copy, and no allocation once the workspace
+    /// has a large enough free buffer. Hand it back with
+    /// [`Mlp::recycle`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `data.len()` is not
+    /// `rows * cols`.
+    pub fn batch_from(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        data: &[f32],
+    ) -> Result<Matrix, TensorError> {
+        if data.len() != rows * cols {
+            return Err(TensorError::ShapeMismatch {
+                context: "Mlp::batch_from",
+                expected: (rows, cols),
+                actual: (data.len(), 1),
+            });
+        }
+        Ok(self.ws.take_copy(rows, cols, data))
+    }
+
     /// Fresh heap allocations the internal workspace has performed. Flat
     /// across training iterations ⇔ the hot loop is allocation-free (what
     /// the workspace-reuse tests assert).
@@ -126,6 +151,13 @@ impl Mlp {
         #[cfg(feature = "finite-check")]
         current.ensure_finite(slice[0].name())?;
         for layer in &mut slice[1..] {
+            // The intermediate is the network's own: an eval-mode layer
+            // that can overwrite it does, and takes no buffer.
+            if mode == Mode::Eval && layer.forward_eval_in_place(&mut current) {
+                #[cfg(feature = "finite-check")]
+                current.ensure_finite(layer.name())?;
+                continue;
+            }
             let next = layer.forward(&current, mode, ws)?;
             #[cfg(feature = "finite-check")]
             next.ensure_finite(layer.name())?;

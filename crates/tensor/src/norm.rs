@@ -61,13 +61,13 @@ pub struct BatchRenorm {
     cached_scale: Vec<f32>,
     /// Whether the caches hold a live train-mode forward pass.
     cache_valid: bool,
-    /// Scratch: per-feature batch mean (or running mean in eval).
+    /// Scratch: per-feature batch mean.
     stat_mean: Vec<f32>,
     /// Scratch: per-feature biased batch variance.
     stat_var: Vec<f32>,
-    /// Scratch: per-feature normalization scale.
+    /// Scratch: per-feature train-mode normalization scale `r/σ_B`.
     stat_scale: Vec<f32>,
-    /// Scratch: per-feature normalization shift (`d`; zero in eval).
+    /// Scratch: per-feature train-mode normalization shift `d`.
     stat_shift: Vec<f32>,
     /// Scratch: per-feature σ_B recomputed during backward.
     stat_sigma: Vec<f32>,
@@ -75,6 +75,10 @@ pub struct BatchRenorm {
     mean_g: Vec<f32>,
     /// Scratch: per-feature batch mean of `ĝ ⊙ x̂_c` during backward.
     mean_gx: Vec<f32>,
+    /// Eval-mode scale `1/√(σ² + ε)` of the running variance, one per
+    /// feature; empty while stale. The running moments change only in a
+    /// train-mode forward and an import, which clear it.
+    eval_scale: Vec<f32>,
 }
 
 impl BatchRenorm {
@@ -109,6 +113,7 @@ impl BatchRenorm {
             stat_sigma: Vec::new(),
             mean_g: Vec::new(),
             mean_gx: Vec::new(),
+            eval_scale: Vec::new(),
         }
     }
 
@@ -161,18 +166,18 @@ impl BatchRenorm {
         }
     }
 
-    /// Loads eval-mode statistics (running moments) into the scratch stats.
+    /// Fills the eval-mode scale from the running variance, unless it is
+    /// still current.
     fn load_eval_stats(&mut self) {
-        self.stat_mean.clear();
-        self.stat_mean.extend_from_slice(&self.running_mean);
-        self.stat_scale.clear();
-        self.stat_scale
-            .extend(self.running_var.iter().map(|&v| 1.0 / (v + EPS).sqrt()));
-        self.stat_shift.clear();
-        self.stat_shift.resize(self.dim, 0.0);
+        if self.eval_scale.len() != self.dim {
+            self.eval_scale.clear();
+            self.eval_scale
+                .extend(self.running_var.iter().map(|&v| 1.0 / (v + EPS).sqrt()));
+        }
     }
 
     fn update_running(&mut self) {
+        self.eval_scale.clear();
         let m = self.stat_momentum;
         for i in 0..self.dim {
             self.running_mean[i] = (1.0 - m) * self.running_mean[i] + m * self.stat_mean[i];
@@ -180,10 +185,10 @@ impl BatchRenorm {
         }
     }
 
-    /// Normalizes with the scratch per-feature stats:
-    /// `x̂ = (x − μ) * scale + shift`, then `y = γ·x̂ + β`, in one pass over
-    /// the rows. Caches everything `backward` needs when `cache` is set.
-    fn normalize_from_stats(&mut self, input: &Matrix, cache: bool, ws: &mut Workspace) -> Matrix {
+    /// Normalizes with the train-mode per-feature stats:
+    /// `x̂ = (x − μ_B) * scale + shift`, then `y = γ·x̂ + β`, in one pass
+    /// over the rows, caching everything `backward` needs.
+    fn normalize_from_stats(&mut self, input: &Matrix, ws: &mut Workspace) -> Matrix {
         let (rows, dim) = (input.rows(), self.dim);
         let mut out = ws.take(rows, dim);
         let mean = &self.stat_mean[..dim];
@@ -193,15 +198,6 @@ impl BatchRenorm {
         let beta = &self.beta.as_slice()[..dim];
         let rows_in = input.as_slice().chunks_exact(dim);
         let rows_out = out.as_mut_slice().chunks_exact_mut(dim);
-        if !cache {
-            for (x, y) in rows_in.zip(rows_out) {
-                for c in 0..dim {
-                    let xh = (x[c] - mean[c]) * scale[c] + shift[c];
-                    y[c] = gamma[c] * xh + beta[c];
-                }
-            }
-            return out;
-        }
         self.cached_centered.resize_zeroed(rows, dim);
         self.cached_xhat.resize_zeroed(rows, dim);
         self.cached_scale.clear();
@@ -253,15 +249,38 @@ impl Layer for BatchRenorm {
             Mode::Train => {
                 self.batch_moments(input);
                 self.load_train_stats();
-                let out = self.normalize_from_stats(input, true, ws);
+                let out = self.normalize_from_stats(input, ws);
                 self.update_running();
                 out
             }
             Mode::Eval => {
-                self.load_eval_stats();
-                self.normalize_from_stats(input, false, ws)
+                let mut out = ws.take_copy(input.rows(), input.cols(), input.as_slice());
+                self.forward_eval_in_place(&mut out);
+                out
             }
         })
+    }
+
+    /// `y = γ·((x − μ)·s + d) + β` over the running moments, with
+    /// `s = 1/√(σ² + ε)` and no shift correction (`d = 0`, kept as an
+    /// addition so a `-0.0` comes out as the train-mode formula gives it).
+    fn forward_eval_in_place(&mut self, x: &mut Matrix) -> bool {
+        if x.cols() != self.dim {
+            return false;
+        }
+        self.load_eval_stats();
+        let dim = self.dim;
+        let mean = &self.running_mean[..dim];
+        let scale = &self.eval_scale[..dim];
+        let gamma = &self.gamma.as_slice()[..dim];
+        let beta = &self.beta.as_slice()[..dim];
+        for row in x.as_mut_slice().chunks_exact_mut(dim) {
+            for c in 0..dim {
+                let xh = (row[c] - mean[c]) * scale[c] + 0.0;
+                row[c] = gamma[c] * xh + beta[c];
+            }
+        }
+        true
     }
 
     /// With stop-gradient on the correction factors (per Ioffe 2017), the
@@ -400,6 +419,7 @@ impl Layer for BatchRenorm {
         self.beta = Matrix::from_vec(1, self.dim, b)?;
         self.running_mean = cursor.take(self.dim)?.to_vec();
         self.running_var = cursor.take(self.dim)?.to_vec();
+        self.eval_scale.clear();
         Ok(())
     }
 }
@@ -616,7 +636,13 @@ mod tests {
                     out
                 }
                 Mode::Eval => {
-                    self.load_eval_stats();
+                    self.stat_mean.clear();
+                    self.stat_mean.extend_from_slice(&self.running_mean);
+                    self.stat_scale.clear();
+                    self.stat_scale
+                        .extend(self.running_var.iter().map(|&v| 1.0 / (v + EPS).sqrt()));
+                    self.stat_shift.clear();
+                    self.stat_shift.resize(self.dim, 0.0);
                     self.reference_normalize(input, false)
                 }
             }

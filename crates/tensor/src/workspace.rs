@@ -45,24 +45,26 @@ impl Workspace {
         Self::default()
     }
 
-    /// Takes a `rows × cols` zero-filled matrix, reusing the largest free
-    /// buffer when one exists. Counts toward [`Workspace::allocations`]
-    /// only when fresh heap memory is needed (no free buffer, or the
-    /// largest free buffer is too small).
+    /// Takes a `rows × cols` zero-filled matrix in a reused buffer: the
+    /// smallest free one that fits, else the largest, grown. Counts toward
+    /// [`Workspace::allocations`] only when fresh heap memory is needed
+    /// (no free buffer, or none large enough).
     pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
-        let len = rows * cols;
-        let mut buf = match self.pop_largest() {
-            Some(buf) => buf,
-            None => {
-                self.allocations += 1;
-                Vec::with_capacity(len)
-            }
-        };
-        if buf.capacity() < len {
-            self.allocations += 1;
-        }
+        let mut buf = self.pop_fitting(rows * cols);
         buf.clear();
-        buf.resize(len, 0.0);
+        buf.resize(rows * cols, 0.0);
+        Matrix::from_parts(rows, cols, buf)
+    }
+
+    /// Takes a `rows × cols` matrix holding a copy of the row-major `data`
+    /// (one copy, no zero fill) in a reused buffer, as
+    /// [`Workspace::take`] does. Callers guarantee
+    /// `data.len() == rows * cols`.
+    pub(crate) fn take_copy(&mut self, rows: usize, cols: usize, data: &[f32]) -> Matrix {
+        debug_assert_eq!(data.len(), rows * cols, "copied data must fill the matrix");
+        let mut buf = self.pop_fitting(data.len());
+        buf.clear();
+        buf.extend_from_slice(data);
         Matrix::from_parts(rows, cols, buf)
     }
 
@@ -92,15 +94,31 @@ impl Workspace {
         self.free.len()
     }
 
-    /// Removes and returns the free buffer with the largest capacity.
-    fn pop_largest(&mut self) -> Option<Vec<f32>> {
-        let best = self
-            .free
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, b)| b.capacity())
-            .map(|(i, _)| i)?;
-        Some(self.free.swap_remove(best))
+    /// Removes and returns a free buffer for `len` values: the smallest
+    /// one that holds them, else the largest (which then grows), else a
+    /// new one. Best fit keeps the large buffers for the large requests,
+    /// so once a pass has run at its largest shapes, passes at the same or
+    /// smaller shapes find room for every take. Growth and new buffers
+    /// count toward [`Workspace::allocations`].
+    fn pop_fitting(&mut self, len: usize) -> Vec<f32> {
+        let capacities = || self.free.iter().map(Vec::capacity).enumerate();
+        let fitting = capacities()
+            .filter(|&(_, capacity)| capacity >= len)
+            .min_by_key(|&(_, capacity)| capacity);
+        let chosen = fitting.or_else(|| capacities().max_by_key(|&(_, capacity)| capacity));
+        match chosen {
+            Some((i, _)) => {
+                let buf = self.free.swap_remove(i);
+                if buf.capacity() < len {
+                    self.allocations += 1;
+                }
+                buf
+            }
+            None => {
+                self.allocations += 1;
+                Vec::with_capacity(len)
+            }
+        }
     }
 }
 
@@ -154,17 +172,39 @@ mod tests {
     }
 
     #[test]
-    fn largest_buffer_is_preferred() {
+    fn take_copy_copies_and_reuses_the_buffer() {
+        let mut ws = Workspace::new();
+        let m = ws.take(3, 3);
+        ws.give(m);
+        let m = ws.take_copy(2, 2, &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(ws.allocations(), 1, "a large enough free buffer is reused");
+        assert_eq!((m.rows(), m.cols()), (2, 2));
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        ws.give(m);
+        let _grown = ws.take_copy(1, 16, &[0.5; 16]);
+        assert_eq!(ws.allocations(), 2, "capacity growth is an allocation");
+    }
+
+    #[test]
+    fn smallest_fitting_buffer_is_preferred() {
         let mut ws = Workspace::new();
         let small = ws.take(1, 2);
         let large = ws.take(10, 10);
+        let mid = ws.take(5, 6);
         ws.give(small);
         ws.give(large);
-        // A mid-size request must grab the 100-capacity buffer, not grow
-        // the 2-capacity one.
+        ws.give(mid);
+        // A 25-value request takes the 30-capacity buffer, leaving the
+        // 100-capacity one for a larger request.
         let m = ws.take(5, 5);
-        assert_eq!(ws.allocations(), 2);
-        ws.give(m);
-        assert_eq!(ws.free_buffers(), 2);
+        let big = ws.take(9, 9);
+        assert_eq!(ws.allocations(), 3);
+        assert!(m.into_vec().capacity() < 100);
+        ws.give(big);
+        // With nothing large enough, the largest free buffer grows
+        // rather than the smallest.
+        let _huge = ws.take(20, 20);
+        assert_eq!(ws.allocations(), 4);
+        assert_eq!(ws.free_buffers(), 1);
     }
 }

@@ -704,6 +704,23 @@ mod tests {
     }
 
     #[test]
+    fn shuffling_indices_then_gathering_equals_shuffling_the_items() {
+        // The draws depend only on the length, so a stream can shuffle an
+        // index list and gather several parallel arrays through it.
+        for len in [0, 1, 2, 7, 64] {
+            let items: Vec<u64> = (0..len).map(|i| i * 1_000 + 7).collect();
+            let (mut a, mut b) = (Rng::seed_from(len), Rng::seed_from(len));
+            let mut shuffled = items.clone();
+            a.shuffle(&mut shuffled);
+            let mut order: Vec<usize> = (0..items.len()).collect();
+            b.shuffle(&mut order);
+            let gathered: Vec<u64> = order.iter().map(|&k| items[k]).collect();
+            assert_eq!(gathered, shuffled, "length {len}");
+            assert_eq!(a, b, "length {len}: same draws");
+        }
+    }
+
+    #[test]
     fn bernoulli_extremes() {
         let mut rng = Rng::seed_from(12);
         assert!((0..100).all(|_| rng.bernoulli(1.0)));

@@ -123,31 +123,59 @@ impl Domain {
         class: ClassId,
         jitter: &[f32],
     ) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.dim];
+        self.object_appearance_into(world, class, jitter, &mut out);
+        out
+    }
+
+    /// [`Self::object_appearance`] written into `out`, one feature row of
+    /// the feature dimension's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `jitter.len()` differs from the feature dimension or
+    /// `class` is out of range.
+    pub fn object_appearance_into(
+        &self,
+        world: &FeatureWorld,
+        class: ClassId,
+        jitter: &[f32],
+        out: &mut [f32],
+    ) {
         assert_eq!(jitter.len(), self.dim, "jitter dimension mismatch");
+        debug_assert_eq!(out.len(), self.dim, "appearance dimension mismatch");
         let proto = world.prototype(class);
-        let base: Vec<f32> = proto.iter().zip(jitter).map(|(p, j)| p + j).collect();
         let contrast = self.illumination.contrast();
         let class_shift = &self.class_shift[class];
-        let mut out = vec![0.0f32; self.dim];
         for (r, o) in out.iter_mut().enumerate() {
             let row = &self.mix[r * self.dim..(r + 1) * self.dim];
-            let dot: f32 = row.iter().zip(&base).map(|(m, b)| m * b).sum();
+            let dot: f32 = row
+                .iter()
+                .zip(proto.iter().zip(jitter))
+                .map(|(m, (p, j))| m * (p + j))
+                .sum();
             *o = contrast * (dot + self.shift[r] + class_shift[r]);
         }
-        out
     }
 
     /// The appearance of a background (non-object) region in this domain:
     /// a low-magnitude vector around the domain shift, confusable with
     /// low-contrast objects.
     pub fn background_appearance(&self, rng: &mut Rng) -> Vec<f32> {
-        let contrast = self.illumination.contrast();
         let mut out = vec![0.0; self.dim];
-        rng.fill_gaussian_f32(0.6, &mut out);
+        self.background_appearance_into(rng, &mut out);
+        out
+    }
+
+    /// [`Self::background_appearance`] written into `out`, one feature
+    /// row of the feature dimension's length, with the same draws.
+    pub fn background_appearance_into(&self, rng: &mut Rng, out: &mut [f32]) {
+        debug_assert_eq!(out.len(), self.dim, "appearance dimension mismatch");
+        let contrast = self.illumination.contrast();
+        rng.fill_gaussian_f32(0.6, out);
         for (o, &shift) in out.iter_mut().zip(&self.shift) {
             *o = contrast * (0.4 * shift + *o);
         }
-        out
     }
 
     /// Linear interpolation of two domains' transforms (used for gradual

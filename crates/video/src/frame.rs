@@ -15,14 +15,14 @@ pub struct GroundTruthObject {
 
 /// A region proposal a detector classifies.
 ///
+/// Its latent appearance features live in the frame's feature block
+/// ([`Frame::proposal_features`]), so a proposal is a plain `Copy` value.
 /// Detectors never see `true_class`; it exists so the evaluation can score
 /// detections and so the replay buffer can be audited in tests.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Proposal {
     /// Proposed bounding box (jittered off the true box for objects).
     pub bbox: BBox,
-    /// Latent appearance features the detector observes.
-    pub features: Vec<f32>,
     /// Ground truth: `Some(class)` for a true-object proposal, `None` for a
     /// background distractor. Hidden from detectors.
     pub true_class: Option<ClassId>,
@@ -45,6 +45,11 @@ pub struct Frame {
     pub ground_truth: Vec<GroundTruthObject>,
     /// Region proposals (objects + background distractors), shuffled.
     pub proposals: Vec<Proposal>,
+    /// The proposals' latent appearance features, one row-major block:
+    /// row `i` (`feature_dim` values) belongs to `proposals[i]`.
+    pub features: Vec<f32>,
+    /// Width of a feature row (the world's feature dimension).
+    pub feature_dim: usize,
     /// Uncompressed frame size in bytes (resolution-dependent); the codec
     /// model in `shoggoth-net` compresses from this base.
     pub raw_bytes: u64,
@@ -54,6 +59,16 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// The latent appearance features of proposal `i`: row `i` of the
+    /// feature block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if row `i` lies outside the feature block.
+    pub fn proposal_features(&self, i: usize) -> &[f32] {
+        &self.features[i * self.feature_dim..(i + 1) * self.feature_dim]
+    }
+
     /// Ground-truth class ids in this frame (one per object).
     pub fn ground_truth_classes(&self) -> Vec<ClassId> {
         self.ground_truth.iter().map(|o| o.class).collect()
@@ -97,11 +112,12 @@ mod tests {
                 .iter()
                 .map(|&c| Proposal {
                     bbox: BBox::new(0.0, 0.0, 0.1, 0.1),
-                    features: vec![0.0; 4],
                     true_class: c,
                     track_id: None,
                 })
                 .collect(),
+            features: (0..classes.len() * 4).map(|v| v as f32).collect(),
+            feature_dim: 4,
             raw_bytes: 1000,
             motion_magnitude: 0.0,
         }
@@ -113,5 +129,12 @@ mod tests {
         assert_eq!(f.object_proposal_count(), 2);
         assert_eq!(f.background_proposal_count(), 3);
         assert_eq!(f.ground_truth_classes(), vec![0, 1]);
+    }
+
+    #[test]
+    fn proposal_features_are_rows_of_the_block() {
+        let f = frame_with(&[Some(0), None, Some(1)]);
+        assert_eq!(f.proposal_features(0), &[0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(f.proposal_features(2), &[8.0, 9.0, 10.0, 11.0]);
     }
 }

@@ -255,6 +255,26 @@ mod tests {
     }
 
     #[test]
+    fn every_frame_carries_one_feature_row_per_proposal() {
+        for config in all(3) {
+            let dim = config.library.world().feature_dim();
+            for frame in config.build() {
+                assert_eq!(frame.feature_dim, dim, "{}", config.name);
+                assert_eq!(
+                    frame.features.len(),
+                    frame.proposals.len() * dim,
+                    "{} frame {}",
+                    config.name,
+                    frame.index
+                );
+                for (i, row) in frame.features.chunks_exact(dim).enumerate() {
+                    assert_eq!(frame.proposal_features(i), row);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn source_domain_is_severity_zero() {
         for config in all(4) {
             assert_eq!(

@@ -176,6 +176,20 @@ pub struct VideoStream {
     /// Domain in effect this frame; last frame's until `next` moves it
     /// (for cache invalidation).
     current_domain: Effective,
+    /// Per-frame proposal buffers, reused from frame to frame.
+    scratch: ProposalScratch,
+}
+
+/// A frame's proposals before the shuffle, reused across frames.
+#[derive(Debug, Clone, Default)]
+struct ProposalScratch {
+    /// Proposals in draw order.
+    drafts: Vec<Proposal>,
+    /// Their feature rows, row-major in draw order.
+    rows: Vec<f32>,
+    /// The shuffled draw-order indices: frame proposal `i` is
+    /// `drafts[order[i]]`.
+    order: Vec<usize>,
 }
 
 impl VideoStream {
@@ -190,6 +204,7 @@ impl VideoStream {
             objects: Vec::new(),
             next_track_id: 0,
             current_domain,
+            scratch: ProposalScratch::default(),
             config,
         };
         // Pre-populate the first scene so frame 0 is not empty.
@@ -291,16 +306,33 @@ impl VideoStream {
         let library = &self.config.library;
         let domain = self.current_domain.domain(library);
         for obj in &mut self.objects {
-            obj.base_appearance = domain.object_appearance(library.world(), obj.class, &obj.jitter);
+            domain.object_appearance_into(
+                library.world(),
+                obj.class,
+                &obj.jitter,
+                &mut obj.base_appearance,
+            );
         }
     }
 
-    fn make_proposals(&mut self) -> Vec<Proposal> {
+    /// Draws the frame's proposals, objects first and then background, each
+    /// with its feature row, into the stream's scratch; then shuffles the
+    /// proposals and their rows together into the frame's
+    /// `(proposals, features)`. The shuffle permutes an index list of the
+    /// proposal count, which takes the draws shuffling the proposals
+    /// themselves would.
+    fn make_proposals(&mut self) -> (Vec<Proposal>, Vec<f32>) {
         let domain = self.current_domain.domain(&self.config.library);
+        let dim = domain.feature_dim();
         let rng = &mut self.rng;
+        let ProposalScratch {
+            drafts,
+            rows,
+            order,
+        } = &mut self.scratch;
+        drafts.clear();
+        rows.clear();
         let noise = domain.noise_std();
-        let mut proposals =
-            Vec::with_capacity(self.objects.len() + self.config.background_proposals);
         let jitter_frac = self.config.bbox_jitter;
         let miss_rate = self.config.proposal_miss_rate;
         // Object proposals.
@@ -314,14 +346,13 @@ impl VideoStream {
             let sw = (1.0 + rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
             let sh = (1.0 + rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
             let proposal_box = BBox::new(bbox.x + dx, bbox.y + dy, bbox.w * sw, bbox.h * sh);
-            let mut features = vec![0.0; o.base_appearance.len()];
-            rng.fill_gaussian_f32(noise, &mut features);
-            for (f, &v) in features.iter_mut().zip(&o.base_appearance) {
+            let row = next_row(rows, dim);
+            rng.fill_gaussian_f32(noise, row);
+            for (f, &v) in row.iter_mut().zip(&o.base_appearance) {
                 *f += v;
             }
-            proposals.push(Proposal {
+            drafts.push(Proposal {
                 bbox: proposal_box,
-                features,
                 true_class: Some(o.class),
                 track_id: Some(o.track_id),
             });
@@ -335,16 +366,30 @@ impl VideoStream {
                 size,
                 size,
             );
-            proposals.push(Proposal {
+            domain.background_appearance_into(rng, next_row(rows, dim));
+            drafts.push(Proposal {
                 bbox,
-                features: domain.background_appearance(rng),
                 true_class: None,
                 track_id: None,
             });
         }
-        rng.shuffle(&mut proposals);
-        proposals
+        order.clear();
+        order.extend(0..drafts.len());
+        rng.shuffle(order);
+        let proposals = order.iter().map(|&k| drafts[k]).collect();
+        let mut features = Vec::with_capacity(rows.len());
+        for &k in order.iter() {
+            features.extend_from_slice(&rows[k * dim..(k + 1) * dim]);
+        }
+        (proposals, features)
     }
+}
+
+/// Appends one zeroed feature row to `rows` and returns it.
+fn next_row(rows: &mut Vec<f32>, dim: usize) -> &mut [f32] {
+    let start = rows.len();
+    rows.resize(start + dim, 0.0);
+    &mut rows[start..]
 }
 
 impl Iterator for VideoStream {
@@ -390,7 +435,7 @@ impl Iterator for VideoStream {
                 bbox: o.bbox,
             })
             .collect();
-        let proposals = self.make_proposals();
+        let (proposals, features) = self.make_proposals();
 
         let (w, h) = self.config.resolution;
         let frame = Frame {
@@ -404,6 +449,8 @@ impl Iterator for VideoStream {
                 .clone(),
             ground_truth,
             proposals,
+            features,
+            feature_dim: self.config.library.world().feature_dim(),
             raw_bytes: w as u64 * h as u64 * 3,
             motion_magnitude: motion,
         };

@@ -29,11 +29,12 @@ SHOGGOTH_THREADS=1 cargo test -q --test pins
 echo "==> cargo test -p shoggoth-tensor --features finite-check"
 cargo test -q -p shoggoth-tensor --features finite-check
 
-# The kernel proptests again at opt level 3: the dev profile builds at opt
-# level 1, but perfbench and the experiment binaries run the release build,
-# whose vectorized tiles must give the same bits.
-echo "==> cargo test --release -p shoggoth-tensor --test kernels_prop"
-cargo test -q --release -p shoggoth-tensor --test kernels_prop
+# The kernel proptests and the in-place eval layers again at opt level 3:
+# the dev profile builds at opt level 1, but perfbench and the experiment
+# binaries run the release build, whose vectorized tiles and loops must
+# give the same bits.
+echo "==> cargo test --release -p shoggoth-tensor --test kernels_prop --test eval_in_place"
+cargo test -q --release -p shoggoth-tensor --test kernels_prop --test eval_in_place
 
 # The fast Gaussian transform's margin test: 10^8 Box-Muller pairs against
 # libm at opt level 3, too slow for the dev profile, so it is #[ignore]d

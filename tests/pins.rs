@@ -104,10 +104,11 @@ impl Fnv {
             self.bbox(&o.bbox);
         }
         self.u64(f.proposals.len() as u64);
-        for p in &f.proposals {
+        for (i, p) in f.proposals.iter().enumerate() {
+            let features = f.proposal_features(i);
             self.bbox(&p.bbox);
-            self.u64(p.features.len() as u64);
-            self.weights(&p.features);
+            self.u64(features.len() as u64);
+            self.weights(features);
             self.option(p.true_class.map(|c| c as u64));
             self.option(p.track_id);
         }

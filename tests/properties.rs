@@ -40,9 +40,24 @@ const EVAL_CLASSES: usize = 4;
 /// A frame of up to 5 objects and 9 detections, possibly empty, possibly
 /// multi-class, with tied confidences and overlapping same-class boxes.
 fn arb_frame() -> impl Strategy<Value = FrameEval> {
+    arb_frame_with(0..6, 0..10)
+}
+
+/// A frame with many detections (20 to 40) over a few ground-truth
+/// objects, whose per-class lists outgrow those of [`arb_frame`].
+fn arb_large_frame() -> impl Strategy<Value = FrameEval> {
+    arb_frame_with(1..6, 20..40)
+}
+
+/// Frames of `objects` ground-truth objects and `detections` detections
+/// on the grid.
+fn arb_frame_with(
+    objects: std::ops::Range<usize>,
+    detections: std::ops::Range<usize>,
+) -> impl Strategy<Value = FrameEval> {
     (
-        prop::collection::vec((0usize..6, 0usize..EVAL_CLASSES), 0..6),
-        prop::collection::vec((0usize..6, 0usize..3, 0usize..4, 0.0f32..0.03), 0..10),
+        prop::collection::vec((0usize..6, 0usize..EVAL_CLASSES), objects),
+        prop::collection::vec((0usize..6, 0usize..3, 0usize..4, 0.0f32..0.03), detections),
     )
         .prop_map(|(objects, dets)| FrameEval {
             ground_truth: objects
@@ -382,17 +397,37 @@ proptest! {
         prop_assert!((0.0..=1.0 + 1e-6).contains(&iou));
     }
 
+    /// One evaluation scores a large frame first, then the rest (small and
+    /// empty frames in random order, with one more empty frame at a random
+    /// place), in the buffers the large frame grew: a stale entry in its
+    /// scratch would change a later frame's mAP. A clone taken after the
+    /// large frame starts with empty scratch and must stay equal.
     #[test]
     fn evaluation_matches_the_per_class_definition(
-        frames in prop::collection::vec(arb_frame(), 0..12),
+        large in arb_large_frame(),
+        rest in prop::collection::vec(arb_frame(), 0..12),
+        empty_at in 0usize..13,
     ) {
+        let mut frames = rest;
+        let empty = FrameEval { detections: Vec::new(), ground_truth: Vec::new() };
+        frames.insert(empty_at.min(frames.len()), empty);
+        frames.insert(0, large);
         let mut eval = Evaluation::new(EVAL_CLASSES);
+        let mut fresh: Option<Evaluation> = None;
         for (i, frame) in frames.iter().enumerate() {
             let frame_map = eval.add(&frame.detections, &frame.ground_truth);
             let expected = reference_map(std::slice::from_ref(frame));
             prop_assert!(frame_map.to_bits() == expected.to_bits(), "frame {i}: mAP {frame_map} vs {expected}");
             prop_assert_eq!(frame_map_at_05(frame, EVAL_CLASSES).to_bits(), expected.to_bits());
+            if let Some(clone) = &mut fresh {
+                let clone_map = clone.add(&frame.detections, &frame.ground_truth);
+                prop_assert_eq!(clone_map.to_bits(), expected.to_bits());
+                prop_assert!(*clone == eval, "frame {i}: clone differs");
+            } else {
+                fresh = Some(eval.clone());
+            }
         }
+        prop_assert!(fresh.as_ref() == Some(&eval));
         let map = reference_map(&frames);
         prop_assert!(eval.map50().to_bits() == map.to_bits(), "pooled mAP {} vs {map}", eval.map50());
         prop_assert_eq!(map_at_05(&frames, EVAL_CLASSES).to_bits(), map.to_bits());

@@ -38,7 +38,8 @@ fn bench_replay_memory(c: &mut Criterion) {
         for _ in 0..6 {
             memory.integrate(batch.clone(), &mut rng);
         }
-        b.iter(|| black_box(memory.sample(48, &mut rng)));
+        let mut scratch = Vec::new();
+        b.iter(|| black_box(memory.sample(48, &mut rng, &mut scratch).len()));
     });
 }
 

@@ -54,7 +54,7 @@ pub fn run() -> Fig1cResult {
     let mut per_domain: std::collections::BTreeMap<String, Vec<usize>> =
         std::collections::BTreeMap::new();
     for frame in stream.build() {
-        let entry = per_domain.entry(frame.domain_name.clone()).or_default();
+        let entry = per_domain.entry(frame.domain_name.to_string()).or_default();
         entry.extend(frame.ground_truth_classes());
     }
 

@@ -223,6 +223,11 @@ impl CloudServer {
         self.teacher.detect(frame)
     }
 
+    /// The golden model.
+    pub(crate) fn teacher(&self) -> &TeacherDetector {
+        &self.teacher
+    }
+
     /// Updates the sampling rate from the edge's reported estimated
     /// accuracy α and resource usage λ (Eqs. 2–3), returning the fully
     /// attributed [`RateDecision`] for the telemetry trace.

@@ -155,12 +155,17 @@ impl ReplayMemory {
     }
 
     /// Samples `k` items uniformly (without replacement) for a mini-batch.
-    /// Returns fewer than `k` when the memory holds fewer.
-    pub fn sample(&self, k: usize, rng: &mut Rng) -> Vec<&ReplayItem> {
-        rng.sample_indices(self.items.len(), k)
-            .into_iter()
-            .map(|i| &self.items[i])
-            .collect()
+    /// Yields fewer than `k` when the memory holds fewer. The drawn
+    /// indices go into `scratch` (its contents are replaced), so a caller
+    /// that keeps it across mini-batches samples without allocating.
+    pub fn sample<'a>(
+        &'a self,
+        k: usize,
+        rng: &mut Rng,
+        scratch: &'a mut Vec<usize>,
+    ) -> impl ExactSizeIterator<Item = &'a ReplayItem> + 'a {
+        rng.sample_indices_into(self.items.len(), k, scratch);
+        scratch.iter().map(|&i| &self.items[i])
     }
 
     /// Clears the memory and the run counter.
@@ -263,10 +268,18 @@ mod tests {
         let mut m = ReplayMemory::new(20);
         let mut rng = Rng::seed_from(7);
         m.integrate(batch(20, 0), &mut rng);
-        let s = m.sample(8, &mut rng);
+        let mut scratch = Vec::new();
+        let s: Vec<&ReplayItem> = m.sample(8, &mut rng, &mut scratch).collect();
         assert_eq!(s.len(), 8);
-        let s = m.sample(100, &mut rng);
-        assert_eq!(s.len(), 20, "cannot sample more than stored");
+        let mut values: Vec<f32> = s.iter().map(|item| item.activation[0]).collect();
+        values.sort_by(f32::total_cmp);
+        values.dedup();
+        assert_eq!(values.len(), 8, "distinct items");
+        assert_eq!(
+            m.sample(100, &mut rng, &mut scratch).len(),
+            20,
+            "cannot sample more than stored"
+        );
     }
 
     #[test]

@@ -15,7 +15,8 @@ use crate::trainer::{AdaptiveTrainer, TrainerConfig};
 use shoggoth_compute::{JETSON_TX2, V100};
 use shoggoth_metrics::{kbps, Evaluation, FpsTracker};
 use shoggoth_models::{
-    Detector, LabeledSample, StudentConfig, StudentDetector, TeacherConfig, TeacherDetector,
+    Detection, Detector, LabeledSample, StudentConfig, StudentDetector, TeacherConfig,
+    TeacherDetector,
 };
 use shoggoth_net::{Codec, FrameGroupStats, Link, LinkConfig, Message, SendOutcome};
 use shoggoth_telemetry::{
@@ -25,6 +26,7 @@ use shoggoth_util::json::{self, Obj};
 use shoggoth_util::pool::pipeline;
 use shoggoth_util::Rng;
 use shoggoth_video::{Frame, StreamConfig};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,8 +314,10 @@ impl Simulation {
     ///
     /// Called outside a worker pool with more than one thread available,
     /// the run generates its video stream on a second thread
-    /// ([`shoggoth_util::pool::pipeline`]); the engine and `recorder` stay
-    /// on the calling thread, and the report is the same either way.
+    /// ([`shoggoth_util::pool::pipeline`]), which also runs a copy of the
+    /// serving model on queued frames while it waits; the engine and
+    /// `recorder` stay on the calling thread, and the report is the same
+    /// either way.
     ///
     /// # Errors
     ///
@@ -325,7 +329,9 @@ impl Simulation {
         teacher: TeacherDetector,
         recorder: &mut R,
     ) -> Result<SimReport, SimError> {
-        Engine::new(config, student, teacher, recorder)?.run()
+        let mut engine = Engine::new(config, student, teacher, recorder)?;
+        engine.play()?;
+        Ok(engine.finish())
     }
 }
 
@@ -386,6 +392,87 @@ const AMS_UPDATE_BYTES: u64 = 1_200_000;
 /// costs little per frame and the three blocks in flight stay small.
 const FRAME_BLOCK: usize = 32;
 
+/// A frame's detections made ahead on the stream's producer thread, by
+/// the serving model at `version` (see [`LookAhead`]).
+struct Precomputed {
+    version: u64,
+    detections: Vec<Detection>,
+}
+
+/// The newest serving student's weights, published by the engine for the
+/// look-ahead. Latest wins: a publication replaces the one before, so the
+/// slot holds one weight vector however often the student changes.
+struct Published {
+    version: u64,
+    weights: Vec<f32>,
+}
+
+/// Locks the weights slot. Neither side can leave it half written (a
+/// publication swaps two fields, an import only reads), so a panic on the
+/// other thread does not make its contents unusable.
+fn lock(slot: &Mutex<Published>) -> std::sync::MutexGuard<'_, Published> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The model that detects on played frames: the student, or the cloud's
+/// teacher when every frame goes up (`Uplink::EveryFrame`).
+enum ServingModel {
+    Student(StudentDetector),
+    Teacher(TeacherDetector),
+}
+
+/// A copy of the serving model on the stream's producer thread, which
+/// detects on queued frames while the engine plays earlier ones. Before
+/// each detection it imports the newest published student, so a result
+/// is tagged with the version of the weights that made it. The engine
+/// uses a result only when that version is still its own, so a played
+/// frame's detections are the serving model's whichever thread ran it.
+struct LookAhead {
+    model: ServingModel,
+    version: u64,
+    slot: Arc<Mutex<Published>>,
+}
+
+impl LookAhead {
+    fn detect(&mut self, frame: &Frame) -> Precomputed {
+        self.catch_up();
+        let detections = match &mut self.model {
+            ServingModel::Student(student) => student.detect(frame),
+            ServingModel::Teacher(teacher) => teacher.detect(frame),
+        };
+        Precomputed {
+            version: self.version,
+            detections,
+        }
+    }
+
+    /// Imports the published student when it is newer than the copy. The
+    /// version moves only with a successful import, so a copy that cannot
+    /// take the weights tags its results stale rather than wrong.
+    fn catch_up(&mut self) {
+        let published = lock(&self.slot);
+        if published.version == self.version {
+            return;
+        }
+        if let ServingModel::Student(student) = &mut self.model {
+            if student.net_mut().import_weights(&published.weights).is_ok() {
+                self.version = published.version;
+            }
+        }
+    }
+}
+
+/// How a run's played frames got their detections; read by the tests.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+struct LookAheadUse {
+    /// Frames whose precomputed detections the engine used.
+    used: u64,
+    /// Frames whose precomputed detections were made by an older model,
+    /// so the engine detected again.
+    stale: u64,
+}
+
 /// Mutable state of one run, generic over its telemetry sink so the
 /// no-op recorder compiles away entirely.
 struct Engine<'a, R: Recorder> {
@@ -427,6 +514,14 @@ struct Engine<'a, R: Recorder> {
     per_frame_map: Vec<f64>,
     fps: FpsTracker,
     rate_sum: f64,
+
+    /// Bumped whenever the serving student changes: a precomputed result
+    /// of an older version is stale.
+    serving_version: u64,
+    /// The look-ahead's weights slot, once a producer thread runs one.
+    published: Option<Arc<Mutex<Published>>>,
+    #[cfg(test)]
+    look_ahead_use: LookAheadUse,
 }
 
 impl<'a, R: Recorder> Engine<'a, R> {
@@ -491,6 +586,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
             per_frame_map: Vec::with_capacity(config.stream.total_frames() as usize),
             fps: FpsTracker::new(),
             rate_sum: 0.0,
+            serving_version: 0,
+            published: None,
+            #[cfg(test)]
+            look_ahead_use: LookAheadUse::default(),
             config,
             uplink,
             adapter,
@@ -527,17 +626,60 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// Plays the whole stream. The frames are generated a block ahead on
     /// a second thread when one is free (`pool::pipeline`); the stream's
     /// RNG never reads engine state, so this plays exactly the frames of
-    /// the serial loop.
-    fn run(mut self) -> Result<SimReport, SimError> {
-        pipeline(self.config.stream.build(), FRAME_BLOCK, |frame| {
-            self.step(frame)
-        })?;
-        Ok(self.finish())
+    /// the serial loop. That thread also detects on queued frames with a
+    /// [`LookAhead`] copy of the serving model.
+    fn play(&mut self) -> Result<(), SimError> {
+        let stream = self.config.stream.build();
+        pipeline(
+            stream,
+            FRAME_BLOCK,
+            self,
+            |engine| {
+                let mut look_ahead = engine.look_ahead();
+                move |frame: &Frame| look_ahead.detect(frame)
+            },
+            |engine, frame, ahead| engine.step(frame, ahead),
+        )
+    }
+
+    /// The serving model's copy for the producer thread, and the slot
+    /// through which the engine hands it every later student.
+    fn look_ahead(&mut self) -> LookAhead {
+        let slot = Arc::new(Mutex::new(Published {
+            version: self.serving_version,
+            weights: Vec::new(),
+        }));
+        self.published = Some(Arc::clone(&slot));
+        let model = match self.uplink {
+            Uplink::EveryFrame => ServingModel::Teacher(self.cloud.teacher().clone()),
+            Uplink::Off | Uplink::Sampled(_) => ServingModel::Student(self.student.clone()),
+        };
+        LookAhead {
+            model,
+            version: self.serving_version,
+            slot,
+        }
+    }
+
+    /// The serving student's weights changed (a training session, an AMS
+    /// update; only sampled uplinks adapt, so the student is the serving
+    /// model). Its version moves on, and a running look-ahead gets the new
+    /// weights.
+    fn student_changed(&mut self) {
+        self.serving_version += 1;
+        if let Some(slot) = &self.published {
+            let weights = self.student.net().export_weights();
+            let mut published = lock(slot);
+            published.version = self.serving_version;
+            published.weights = weights;
+        }
     }
 
     /// Plays one frame: inference, the uplink and adaptation the plan
-    /// calls for, then evaluation.
-    fn step(&mut self, frame: &Frame) -> Result<(), SimError> {
+    /// calls for, then evaluation. `ahead` holds the frame's detections
+    /// when the look-ahead made them; they stand in for the serving
+    /// model's only when the model has not changed since.
+    fn step(&mut self, frame: &Frame, ahead: Option<&Precomputed>) -> Result<(), SimError> {
         let t = frame.timestamp;
         self.frames_played += 1;
         self.now_secs = t;
@@ -553,13 +695,33 @@ impl<'a, R: Recorder> Engine<'a, R> {
         self.rate_sum += self.effective_rate();
 
         // System inference output for this frame.
-        let detections = match self.uplink {
-            Uplink::EveryFrame => self.cloud_infer(frame),
-            Uplink::Off | Uplink::Sampled(_) => self.student.detect(frame),
+        let fresh;
+        let detections: &[Detection] = match ahead {
+            Some(ahead) if ahead.version == self.serving_version => {
+                #[cfg(test)]
+                {
+                    self.look_ahead_use.used += 1;
+                }
+                &ahead.detections
+            }
+            _ => {
+                #[cfg(test)]
+                if ahead.is_some() {
+                    self.look_ahead_use.stale += 1;
+                }
+                fresh = match self.uplink {
+                    Uplink::EveryFrame => self.cloud.infer(frame),
+                    Uplink::Off | Uplink::Sampled(_) => self.student.detect(frame),
+                };
+                &fresh
+            }
         };
+        if self.uplink == Uplink::EveryFrame {
+            self.ship_every_frame(frame, detections.len());
+        }
 
         // Estimated-accuracy bookkeeping (the α metric).
-        for d in &detections {
+        for d in detections {
             self.alpha_total += 1;
             if d.confidence >= ALPHA_THETA {
                 self.alpha_hits += 1;
@@ -581,7 +743,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
 
         // Evaluation: one match, folded into the run's scores.
-        let frame_map = self.eval.add(&detections, &frame.ground_truth);
+        let frame_map = self.eval.add(detections, &frame.ground_truth);
         self.per_frame_map.push(frame_map);
 
         // The per-frame status sample: the telemetry timeline's
@@ -644,11 +806,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
     }
 
-    /// The every-frame uplink: upload the live frame, infer with the
-    /// golden model, ship mask-bearing results back. Neither send's
-    /// outcome is consulted, so the detections arrive even through an
-    /// outage.
-    fn cloud_infer(&mut self, frame: &Frame) -> Vec<shoggoth_models::Detection> {
+    /// The every-frame uplink's traffic: the live frame goes up, and the
+    /// golden model's `count` mask-bearing results come back. Neither
+    /// send's outcome is consulted, so the detections arrive even through
+    /// an outage; the cloud's inference draws nothing from the run's RNG,
+    /// so it may run before the sends.
+    fn ship_every_frame(&mut self, frame: &Frame, count: usize) {
         let encoded = self.config.codec.encode_frame(
             frame.index,
             frame.raw_bytes,
@@ -663,16 +826,14 @@ impl<'a, R: Recorder> Engine<'a, R> {
             },
             &mut self.rng,
         );
-        let detections = self.cloud.infer(frame);
         self.link.send_downlink(
             frame.timestamp,
             Message::MaskResults {
-                count: detections.len(),
+                count,
                 frame_encoded_bytes: encoded,
             },
             &mut self.rng,
         );
-        detections
     }
 
     /// Resilience maintenance: matured label deliveries, upload timeouts,
@@ -823,9 +984,13 @@ impl<'a, R: Recorder> Engine<'a, R> {
                         &mut self.rng,
                     );
                     if let Some(down) = down.transfer() {
+                        // Moved, not cloned: each sample keeps its feature
+                        // buffer.
+                        let mut samples = Vec::with_capacity(labels.total_samples);
+                        samples.extend(labels.per_frame.into_iter().flatten());
                         pending = Some((
                             t + up.latency_secs + extra_latency_secs + down.latency_secs,
-                            labels.per_frame.concat(),
+                            samples,
                             frames.len(),
                         ));
                     }
@@ -911,7 +1076,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
     fn adapt(&mut self, t: f64) -> Result<(), SimError> {
         let fresh = std::mem::take(&mut self.pool);
         self.pool_frames = 0;
-        let (report, session_secs, cloud_side) = match &mut self.adapter {
+        let (report, session_secs, cloud_side, student_changed) = match &mut self.adapter {
             Adapter::None => return Ok(()),
             Adapter::Edge {
                 trainer,
@@ -920,7 +1085,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 let report = trainer.train_session(&mut self.student, &fresh, &mut self.rng)?;
                 self.training_until = t + *session_secs;
                 self.busy_secs_window += *session_secs;
-                (report, *session_secs, false)
+                (report, *session_secs, false, true)
             }
             Adapter::CloudShadow {
                 student,
@@ -932,11 +1097,11 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 let update = Message::ModelWeights {
                     bytes: AMS_UPDATE_BYTES,
                 };
-                if self
+                let delivered = self
                     .link
                     .send_downlink(t, update, &mut self.rng)
-                    .delivered()
-                {
+                    .delivered();
+                if delivered {
                     self.student
                         .net_mut()
                         .import_weights(&weights)
@@ -945,9 +1110,12 @@ impl<'a, R: Recorder> Engine<'a, R> {
                             source,
                         })?;
                 }
-                (report, *session_secs, true)
+                (report, *session_secs, true, delivered)
             }
         };
+        if student_changed {
+            self.student_changed();
+        }
         self.rec(Event::AdaptationStep {
             fresh_samples: report.fresh_samples as u32,
             replay_samples: report.replay_samples_used as u32,
@@ -1073,6 +1241,79 @@ mod tests {
         let report = run_ok(&quick_config(Strategy::EdgeOnly, 150));
         assert_eq!(report.per_frame_map.len(), 150);
         assert!(report.per_frame_map.iter().all(|m| (0.0..=1.0).contains(m)));
+    }
+
+    /// A recorder that keeps every record and does a fixed amount of
+    /// arithmetic per event, so the engine's thread plays frames slower
+    /// than the stream's producer makes them: the producer's queue stays
+    /// full and it detects ahead on most frames.
+    #[derive(Default)]
+    struct BusyRecorder {
+        records: Vec<Record>,
+        churn: u64,
+    }
+
+    impl Recorder for BusyRecorder {
+        fn record(&mut self, record: Record) {
+            let mut x = self.churn ^ record.stamp.frame;
+            for _ in 0..40_000 {
+                x = std::hint::black_box(x.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1));
+            }
+            self.churn = x;
+            self.records.push(record);
+        }
+    }
+
+    /// One traced run with a busy recorder: its report, its trace and how
+    /// its frames got their detections.
+    fn busy_run(
+        config: &SimConfig,
+        (student, teacher): (StudentDetector, TeacherDetector),
+    ) -> (SimReport, Vec<Record>, LookAheadUse) {
+        let mut recorder = BusyRecorder::default();
+        let mut engine =
+            Engine::new(config, student, teacher, &mut recorder).expect("valid quick config");
+        engine.play().expect("quick config runs cleanly");
+        let used = engine.look_ahead_use;
+        let report = engine.finish();
+        (report, recorder.records, used)
+    }
+
+    #[test]
+    fn look_ahead_detections_leave_reports_and_traces_bit_identical() {
+        use shoggoth_util::pool::{available_threads, join};
+        let models = Simulation::build_models(&quick_config(Strategy::EdgeOnly, 900));
+        let mut total = LookAheadUse::default();
+        for strategy in [
+            Strategy::EdgeOnly,
+            Strategy::CloudOnly,
+            Strategy::Shoggoth,
+            Strategy::Ams,
+        ] {
+            let config = quick_config(strategy, 900);
+            let (report, records, used) = busy_run(&config, models.clone());
+            // The same run on a pool thread: inline, no look-ahead.
+            let copy = models.clone();
+            let ((inline_report, inline_records, inline_used), ()) =
+                join(|| busy_run(&config, copy), || ());
+            assert_eq!(inline_report, report, "{strategy:?}: reports must match");
+            assert!(inline_records == records, "{strategy:?}: traces must match");
+            assert_eq!((inline_used.used, inline_used.stale), (0, 0));
+            if strategy == Strategy::Shoggoth || strategy == Strategy::Ams {
+                assert!(report.training_sessions >= 1, "{strategy:?} must adapt");
+            }
+            total.used += used.used;
+            total.stale += used.stale;
+        }
+        if available_threads() > 1 {
+            // Both paths ran: frames played with the producer's detections,
+            // and frames it detected with a student the engine had already
+            // replaced.
+            assert!(total.used > 0, "{total:?}");
+            assert!(total.stale > 0, "{total:?}");
+        } else {
+            assert_eq!((total.used, total.stale), (0, 0));
+        }
     }
 
     #[test]

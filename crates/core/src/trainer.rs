@@ -204,6 +204,9 @@ pub struct AdaptiveTrainer {
     config: TrainerConfig,
     memory: ReplayMemory,
     sessions: usize,
+    /// The replay indices of the current mini-batch, reused across
+    /// mini-batches and sessions.
+    replay_scratch: Vec<usize>,
 }
 
 impl AdaptiveTrainer {
@@ -214,6 +217,7 @@ impl AdaptiveTrainer {
             config,
             memory,
             sessions: 0,
+            replay_scratch: Vec::new(),
         }
     }
 
@@ -357,17 +361,18 @@ impl AdaptiveTrainer {
 
                 // Replay part: fresh rows first, then sampled replay
                 // activations, in one contiguous batch at the replay layer.
-                let replay_items = self.memory.sample(k_replay, rng);
-                replay_used += replay_items.len();
-                let acts: &Matrix = if replay_items.is_empty() {
+                let replay_items = self.memory.sample(k_replay, rng, &mut self.replay_scratch);
+                let replay_n = replay_items.len();
+                replay_used += replay_n;
+                let acts: &Matrix = if replay_n == 0 {
                     &fresh_acts
                 } else {
                     let fresh_n = fresh_acts.rows();
                     let width = fresh_acts.cols();
-                    acts_buf.resize_zeroed(fresh_n + replay_items.len(), width);
+                    acts_buf.resize_zeroed(fresh_n + replay_n, width);
                     acts_buf.as_mut_slice()[..fresh_n * width]
                         .copy_from_slice(fresh_acts.as_slice());
-                    for (r, item) in replay_items.iter().enumerate() {
+                    for (r, item) in replay_items.enumerate() {
                         acts_buf
                             .row_mut(fresh_n + r)
                             .copy_from_slice(&item.activation);

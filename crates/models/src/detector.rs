@@ -149,7 +149,7 @@ mod tests {
             index: 0,
             timestamp: 0.0,
             scene_index: 0,
-            domain_name: "day".to_owned(),
+            domain_name: "day".into(),
             ground_truth: Vec::new(),
             proposals: (0..count)
                 .map(|i| Proposal {

@@ -514,6 +514,27 @@ mod tests {
     }
 
     #[test]
+    fn imported_weights_classify_like_the_exporter() {
+        // The weights cover every eval input: Dense weights and biases, and
+        // BatchRenorm's γ, β and running moments. A copy that imports them
+        // classifies bit for bit like the exporter, also after the exporter
+        // fine-tunes (which moves every one of them).
+        let lib = library();
+        let mut student = StudentDetector::pretrained_with(quick_config(), &lib, 0);
+        let mut copy = StudentDetector::new(StudentConfig::new(16, 3, 99).quick());
+        let mut rng = Rng::seed_from(14);
+        let night = sample_domain_batch(lib.world(), lib.domain(1), 60, 30, &mut rng);
+        let (x, _) = LabeledSample::to_batch(&night);
+        for round in 0..2 {
+            copy.net_mut()
+                .import_weights(&student.net().export_weights())
+                .expect("same shape");
+            assert_eq!(copy.classify(&x), student.classify(&x), "round {round}");
+            student.fit(&night, 1, 16, 0.05, &mut rng);
+        }
+    }
+
+    #[test]
     fn classify_on_empty_batch_is_empty() {
         let mut student = StudentDetector::new(quick_config());
         assert!(student.classify(&Matrix::zeros(0, 16)).is_empty());

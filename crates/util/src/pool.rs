@@ -17,7 +17,9 @@
 //! independent computations (the student and teacher pre-training) at
 //! once. [`pipeline`] overlaps a producer with its consumer: it pulls an
 //! iterator (a simulation's video stream) on a second thread while the
-//! calling thread consumes the items in order.
+//! calling thread consumes the items in order, and while its queue is
+//! full the producer works ahead on the next items with a closure of the
+//! caller's (the serving model's inference).
 //!
 //! Parallelism stays one level deep: a thread the pool spawned runs any
 //! nested [`pipeline`] inline, so a pool of simulations never spawns a
@@ -173,8 +175,25 @@ where
 /// blocks exist at once.
 const QUEUED_BLOCKS: usize = 1;
 
-/// Calls `consume(&item)` for every item of `source`, in order, on the
-/// calling thread, and stops at the first error, which it returns.
+/// One hand-off of [`pipeline`]: items in source order, and beside each
+/// the look-ahead result the producer had time to make for it.
+struct Block<T, A> {
+    items: Vec<T>,
+    ahead: Vec<Option<A>>,
+}
+
+impl<T, A> Block<T, A> {
+    fn new() -> Self {
+        Self {
+            items: Vec::new(),
+            ahead: Vec::new(),
+        }
+    }
+}
+
+/// Calls `consume(state, &item, ahead)` for every item of `source`, in
+/// order, on the calling thread, and stops at the first error, which it
+/// returns.
 ///
 /// When [`available_threads`] resolves to more than one and the calling
 /// thread is not one the pool spawned, `source` is pulled on a scoped
@@ -183,12 +202,27 @@ const QUEUED_BLOCKS: usize = 1;
 /// blocks go back to the producer, which clears and refills them: every
 /// item is dropped on the thread that made it, so the memory a producer
 /// allocates stays in its own allocator arena and is reused there.
+///
+/// The producer also works ahead. `make_ahead(state)` is called once, on
+/// the calling thread, just before the producer is spawned, and the
+/// closure it returns moves to the producer. While the queue is full the
+/// producer calls it on the items of the block it holds, in order, and
+/// the consumer gets each result as `Some(&result)` beside its item; an
+/// item the producer had no time for comes with `None`. Once every item
+/// of its block has a result, the producer waits on the queue, so a
+/// queued block is always ready and the consumer never waits on the
+/// look-ahead. Results travel and are dropped with their block, on the
+/// producer.
+///
 /// Otherwise, on one thread or inside a [`parallel_map`] or [`join`]
-/// worker, it is a plain loop and spawns nothing.
+/// worker, it is a plain loop: it spawns nothing, never calls
+/// `make_ahead`, and passes `None` for every item.
 ///
 /// The consumer sees the same items in the same order either way, so when
 /// `source` owns its seeded state the result does not depend on the
-/// thread count.
+/// thread count. Which items come with a result depends on timing: a
+/// consumer that must not depend on it treats a result as a shortcut to
+/// what it would compute itself.
 ///
 /// # Errors
 ///
@@ -196,50 +230,65 @@ const QUEUED_BLOCKS: usize = 1;
 ///
 /// # Panics
 ///
-/// Propagates a panic from `source` or `consume` once the producer has
-/// finished.
-pub fn pipeline<I, E, F>(source: I, block: usize, consume: F) -> Result<(), E>
+/// Propagates a panic from `source`, the look-ahead or `consume` once the
+/// producer has finished.
+pub fn pipeline<I, S, M, G, A, E, F>(
+    source: I,
+    block: usize,
+    state: &mut S,
+    make_ahead: M,
+    consume: F,
+) -> Result<(), E>
 where
     I: Iterator + Send,
     I::Item: Send,
-    F: FnMut(&I::Item) -> Result<(), E>,
+    M: FnOnce(&mut S) -> G,
+    G: FnMut(&I::Item) -> A + Send,
+    A: Send,
+    F: FnMut(&mut S, &I::Item, Option<&A>) -> Result<(), E>,
 {
-    pipeline_on(0, source, block, consume)
+    pipeline_on(0, source, block, state, make_ahead, consume)
 }
 
 /// [`pipeline`] with an explicit thread count (`0` = auto).
-fn pipeline_on<I, E, F>(
+fn pipeline_on<I, S, M, G, A, E, F>(
     threads: usize,
     mut source: I,
     block: usize,
+    state: &mut S,
+    make_ahead: M,
     mut consume: F,
 ) -> Result<(), E>
 where
     I: Iterator + Send,
     I::Item: Send,
-    F: FnMut(&I::Item) -> Result<(), E>,
+    M: FnOnce(&mut S) -> G,
+    G: FnMut(&I::Item) -> A + Send,
+    A: Send,
+    F: FnMut(&mut S, &I::Item, Option<&A>) -> Result<(), E>,
 {
     if resolve_threads(threads) <= 1 || on_pool_thread() {
-        return source.try_for_each(|item| consume(&item));
+        return source.try_for_each(|item| consume(state, &item, None));
     }
-    let (full_tx, full_rx) = mpsc::sync_channel::<Vec<I::Item>>(QUEUED_BLOCKS);
-    let (empty_tx, empty_rx) = mpsc::channel::<Vec<I::Item>>();
+    let ahead = make_ahead(state);
+    let (full_tx, full_rx) = mpsc::sync_channel::<Block<I::Item, A>>(QUEUED_BLOCKS);
+    let (empty_tx, empty_rx) = mpsc::channel::<Block<I::Item, A>>();
     std::thread::scope(|scope| {
         let producer = scope.spawn(move || {
             mark_pool_thread();
-            produce(source, block.max(1), full_tx, empty_rx);
+            produce(source, block.max(1), ahead, full_tx, empty_rx);
         });
         // The consumer owns `full_rx` and `empty_tx`. However it ends (the
         // queue closed, an error, a panic) dropping them unblocks the
         // producer, so the scope can join it.
         let result = (move || {
-            for items in full_rx {
-                for item in &items {
-                    consume(item)?;
+            for block in full_rx {
+                for (item, ahead) in block.items.iter().zip(&block.ahead) {
+                    consume(state, item, ahead.as_ref())?;
                 }
                 // Fails only when the producer panicked; the block is then
                 // dropped here.
-                let _ = empty_tx.send(items);
+                let _ = empty_tx.send(block);
             }
             Ok(())
         })();
@@ -254,18 +303,21 @@ where
 /// until it runs dry, taking the consumer's emptied blocks back once
 /// `QUEUED_BLOCKS + 2` are out. After the last block it closes the queue
 /// and frees the blocks that still come back.
-fn produce<I: Iterator>(
+fn produce<I: Iterator, A>(
     mut source: I,
     block: usize,
-    full: mpsc::SyncSender<Vec<I::Item>>,
-    empty: mpsc::Receiver<Vec<I::Item>>,
+    mut ahead: impl FnMut(&I::Item) -> A,
+    full: mpsc::SyncSender<Block<I::Item, A>>,
+    empty: mpsc::Receiver<Block<I::Item, A>>,
 ) {
-    let fresh = std::iter::repeat_with(Vec::new).take(QUEUED_BLOCKS + 2);
-    for mut items in fresh.chain(&empty) {
-        items.clear();
-        items.extend(source.by_ref().take(block));
-        let last = items.len() < block;
-        if !items.is_empty() && full.send(items).is_err() {
+    let fresh = std::iter::repeat_with(Block::new).take(QUEUED_BLOCKS + 2);
+    for mut next in fresh.chain(&empty) {
+        next.items.clear();
+        next.ahead.clear();
+        next.items.extend(source.by_ref().take(block));
+        next.ahead.resize_with(next.items.len(), || None);
+        let last = next.items.len() < block;
+        if !next.items.is_empty() && queue_working_ahead(&full, next, &mut ahead).is_err() {
             return;
         }
         if last {
@@ -274,6 +326,29 @@ fn produce<I: Iterator>(
     }
     drop(full);
     empty.iter().for_each(drop);
+}
+
+/// Queues `block`. While the queue is full, fills in the look-ahead
+/// results of its items one at a time, retrying after each; once every
+/// item has one, waits for room. Fails when the consumer has gone.
+fn queue_working_ahead<T, A>(
+    full: &mpsc::SyncSender<Block<T, A>>,
+    mut block: Block<T, A>,
+    ahead: &mut impl FnMut(&T) -> A,
+) -> Result<(), ()> {
+    let mut done = 0;
+    loop {
+        match full.try_send(block) {
+            Ok(()) => return Ok(()),
+            Err(mpsc::TrySendError::Disconnected(_)) => return Err(()),
+            Err(mpsc::TrySendError::Full(back)) => block = back,
+        }
+        if done == block.items.len() {
+            return full.send(block).map_err(drop);
+        }
+        block.ahead[done] = Some(ahead(&block.items[done]));
+        done += 1;
+    }
 }
 
 /// Resolves a requested thread count (`0` = auto) to at least one worker.
@@ -384,10 +459,41 @@ mod tests {
         }
     }
 
+    /// [`pipeline_on`] without a look-ahead: the factory returns a closure
+    /// that yields `()`, and `consume` sees only the item.
+    fn plain<I, E>(
+        threads: usize,
+        source: I,
+        block: usize,
+        mut consume: impl FnMut(&I::Item) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        I: Iterator + Send,
+        I::Item: Send,
+    {
+        pipeline_on(
+            threads,
+            source,
+            block,
+            &mut (),
+            |()| |_: &I::Item| (),
+            |(), item, _| consume(item),
+        )
+    }
+
+    /// Spins, yielding, until `calls` is positive: a consumer that waits
+    /// here on its first item holds one block while the producer queues
+    /// the next and, with the queue full, works ahead on the one after.
+    fn wait_for_look_ahead(calls: &std::sync::atomic::AtomicUsize) {
+        while calls.load(std::sync::atomic::Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+    }
+
     /// The items `pipeline_on(threads, 0..n, block, ..)` consumes.
     fn piped(threads: usize, n: usize, block: usize) -> Vec<usize> {
         let mut seen = Vec::new();
-        let result: Result<(), ()> = pipeline_on(threads, 0..n, block, |&i| {
+        let result: Result<(), ()> = plain(threads, 0..n, block, |&i| {
             seen.push(i);
             Ok(())
         });
@@ -409,6 +515,103 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_hands_each_item_its_own_look_ahead_result_or_none() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (n, block) = (203, 4);
+        for threads in [1, 2] {
+            let calls = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let result: Result<(), ()> = pipeline_on(
+                threads,
+                0..n,
+                block,
+                &mut seen,
+                |_| {
+                    |&i: &usize| {
+                        calls.fetch_add(1, Ordering::SeqCst);
+                        i * 10
+                    }
+                },
+                |seen, &i, ahead| {
+                    if threads > 1 && i == 0 {
+                        wait_for_look_ahead(&calls);
+                    }
+                    seen.push((i, ahead.copied()));
+                    Ok(())
+                },
+            );
+            assert_eq!(result, Ok(()));
+            let items: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
+            assert_eq!(items, (0..n).collect::<Vec<_>>(), "threads {threads}");
+            assert!(seen
+                .iter()
+                .all(|&(i, ahead)| ahead.is_none_or(|a| a == i * 10)));
+            let with_result = seen.iter().filter(|(_, ahead)| ahead.is_some()).count();
+            if threads == 1 {
+                assert_eq!(with_result, 0);
+            } else {
+                assert!(with_result > 0, "the producer worked ahead");
+            }
+            // Every result made reached its item: none is lost or reused.
+            assert_eq!(
+                with_result,
+                calls.load(Ordering::SeqCst),
+                "threads {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn look_ahead_runs_only_on_the_producer_and_never_inline() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::thread::ThreadId;
+        // Runs a pipeline whose look-ahead reports its thread; returns
+        // whether the factory was called and the threads the results were
+        // made on.
+        let run = |threads: usize| {
+            let calls = AtomicUsize::new(0);
+            let mut ran_on: Vec<ThreadId> = Vec::new();
+            let mut built = false;
+            let result: Result<(), ()> = pipeline_on(
+                threads,
+                0..40,
+                4,
+                &mut built,
+                |built| {
+                    *built = true;
+                    |_: &i32| {
+                        calls.fetch_add(1, Ordering::SeqCst);
+                        std::thread::current().id()
+                    }
+                },
+                |_, &i, ahead| {
+                    if i == 0 && threads > 1 && !on_pool_thread() {
+                        wait_for_look_ahead(&calls);
+                    }
+                    ran_on.extend(ahead.copied());
+                    Ok(())
+                },
+            );
+            assert_eq!(result, Ok(()));
+            (built, ran_on)
+        };
+        let caller = std::thread::current().id();
+        assert_eq!(run(1), (false, Vec::new()));
+        let (built, ran_on) = run(2);
+        assert!(built);
+        assert!(!ran_on.is_empty());
+        assert!(ran_on.iter().all(|&id| id != caller));
+        assert!(ran_on.windows(2).all(|w| w[0] == w[1]), "one producer");
+        // Inside a pool worker the pipeline is inline: no factory, no
+        // results.
+        let (joined, ()) = join_on(2, || run(2), || ());
+        let workers = parallel_map(vec![(); 2], 2, |_, ()| run(2));
+        for inline in workers.into_iter().chain([joined]) {
+            assert_eq!(inline, (false, Vec::new()));
+        }
+    }
+
+    #[test]
     fn pipeline_returns_the_first_error_and_stops_the_producer() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let (n, block, k) = (10_000, 8, 20);
@@ -418,13 +621,20 @@ mod tests {
                 pulled.fetch_add(1, Ordering::SeqCst);
             });
             let mut consumed = 0;
-            let result = pipeline_on(threads, source, block, |&i| {
-                if i == k {
-                    return Err(format!("item {i}"));
-                }
-                consumed += 1;
-                Ok(())
-            });
+            let result = pipeline_on(
+                threads,
+                source,
+                block,
+                &mut consumed,
+                |_| |&i: &usize| i,
+                |consumed, &i, _| {
+                    if i == k {
+                        return Err(format!("item {i}"));
+                    }
+                    *consumed += 1;
+                    Ok(())
+                },
+            );
             assert_eq!(result, Err(format!("item {k}")), "threads {threads}");
             assert_eq!(consumed, k, "threads {threads}");
             // The producer stops within the blocks it may hold.
@@ -444,7 +654,7 @@ mod tests {
                     let source = (0..100).inspect(|&i| {
                         assert!(!(producer_panics && i == 50), "producer side");
                     });
-                    pipeline_on(threads, source, 8, |&i| {
+                    plain(threads, source, 8, |&i| {
                         assert!(producer_panics || i != 50, "consumer side");
                         Ok::<(), ()>(())
                     })
@@ -462,11 +672,40 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_propagates_a_panic_from_the_look_ahead() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(|| {
+            pipeline_on(
+                2,
+                0..100,
+                4,
+                &mut (),
+                |()| {
+                    |_: &i32| {
+                        calls.fetch_add(1, Ordering::SeqCst);
+                        panic!("look-ahead side");
+                    }
+                },
+                |(), &i, _: Option<&()>| {
+                    if i == 0 {
+                        wait_for_look_ahead(&calls);
+                    }
+                    Ok::<(), ()>(())
+                },
+            )
+        });
+        let payload = result.expect_err("the panic propagates");
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(message, "look-ahead side");
+    }
+
+    #[test]
     fn pipeline_spawns_a_producer_only_at_the_top_level() {
         let made_on = |threads: usize| {
             let mut ids = Vec::new();
             let source = (0..20).map(|_| std::thread::current().id());
-            let result: Result<(), ()> = pipeline_on(threads, source, 4, |&id| {
+            let result: Result<(), ()> = plain(threads, source, 4, |&id| {
                 ids.push(id);
                 Ok(())
             });
@@ -490,11 +729,20 @@ mod tests {
 
     #[test]
     fn pipeline_drops_every_item_on_the_thread_that_made_it() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::thread::ThreadId;
         /// Records the thread it was made on and the thread it dies on.
         struct Item<'a> {
             made_on: ThreadId,
             log: &'a Mutex<Vec<(ThreadId, ThreadId)>>,
+        }
+        impl<'a> Item<'a> {
+            fn new(log: &'a Mutex<Vec<(ThreadId, ThreadId)>>) -> Self {
+                Item {
+                    made_on: std::thread::current().id(),
+                    log,
+                }
+            }
         }
         impl Drop for Item<'_> {
             fn drop(&mut self) {
@@ -504,19 +752,34 @@ mod tests {
                 }
             }
         }
-        let log = Mutex::new(Vec::new());
-        let source = (0..50).map(|_| Item {
-            made_on: std::thread::current().id(),
-            log: &log,
-        });
-        let result: Result<(), ()> = pipeline_on(2, source, 4, |_| Ok(()));
+        let (items, results) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
+        let calls = AtomicUsize::new(0);
+        let source = (0..50).map(|_| Item::new(&items));
+        let result: Result<(), ()> = pipeline_on(
+            2,
+            source,
+            4,
+            &mut (),
+            |()| {
+                |_: &Item<'_>| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    Item::new(&results)
+                }
+            },
+            |(), _, _| {
+                wait_for_look_ahead(&calls);
+                Ok(())
+            },
+        );
         assert_eq!(result, Ok(()));
-        let log = log.into_inner().expect("no thread panicked");
-        assert_eq!(log.len(), 50);
         let caller = std::thread::current().id();
-        assert!(log
-            .iter()
-            .all(|&(made, dropped)| made == dropped && made != caller));
+        for (log, made) in [(items, 50), (results, calls.load(Ordering::SeqCst))] {
+            let log = log.into_inner().expect("no thread panicked");
+            assert_eq!(log.len(), made);
+            assert!(log
+                .iter()
+                .all(|&(made, dropped)| made == dropped && made != caller));
+        }
     }
 
     #[test]

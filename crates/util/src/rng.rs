@@ -171,14 +171,17 @@ impl Rng {
         let n = n as u64;
         // Unbiased multiply-shift rejection sampling (Lemire 2019): accept
         // when the low half clears the 2^64 mod n threshold, else retry.
-        let threshold = n.wrapping_neg() % n;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (n as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as usize;
+        // The threshold is below n, so a low half of at least n clears it
+        // without the division, which runs only for the rare low half
+        // under n.
+        let mut m = (self.next_u64() as u128) * (n as u128);
+        if (m as u64) < n {
+            let threshold = n.wrapping_neg() % n;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128) * (n as u128);
             }
         }
+        (m >> 64) as usize
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
@@ -294,10 +297,18 @@ impl Rng {
     /// Implements Algorithm 1's "random sampling of h images" primitive.
     /// If `k >= n`, all indices `0..n` are returned (shuffled).
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut indices: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut indices);
-        indices.truncate(k.min(n));
+        let mut indices = Vec::with_capacity(n);
+        self.sample_indices_into(n, k, &mut indices);
         indices
+    }
+
+    /// [`Rng::sample_indices`] into `out`, whose contents it replaces:
+    /// the same draws and the same indices, in storage the caller reuses.
+    pub fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(0..n);
+        self.shuffle(out);
+        out.truncate(k.min(n));
     }
 }
 
@@ -673,6 +684,49 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 7);
         assert!(sample.iter().all(|&i| i < 20));
+    }
+
+    /// The division-first form `below` had before it skipped the
+    /// division: the threshold computed on every call.
+    fn below_dividing_first(rng: &mut Rng, n: usize) -> usize {
+        let n = n as u64;
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let m = (rng.next_u64() as u128) * (n as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as usize;
+            }
+        }
+    }
+
+    #[test]
+    fn below_equals_the_division_first_form_in_value_and_state() {
+        let mut bounds = vec![1, 2, 3, 5, 7, 10, 1000, 3000, usize::MAX, usize::MAX - 1];
+        bounds.extend((0..64).map(|shift| 1usize << shift));
+        bounds.extend([(1usize << 63) - 1, (1usize << 63) + 1, (1usize << 62) + 1]);
+        let mut pick = Rng::seed_from(12);
+        bounds.extend((0..200).map(|_| pick.next_u64() as usize >> pick.below(64)));
+        for (i, &n) in bounds.iter().enumerate() {
+            let n = n.max(1);
+            let mut fast = Rng::seed_from(100 + i as u64);
+            let mut slow = fast.clone();
+            for _ in 0..500 {
+                assert_eq!(fast.below(n), below_dividing_first(&mut slow, n), "n = {n}");
+                assert_eq!(fast, slow, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn sample_indices_into_reuses_storage_and_matches_sample_indices() {
+        let mut a = Rng::seed_from(13);
+        let mut b = a.clone();
+        let mut out = vec![99; 5];
+        for (n, k) in [(3000, 49), (400, 22), (5, 50), (0, 3), (10, 0)] {
+            b.sample_indices_into(n, k, &mut out);
+            assert_eq!(a.sample_indices(n, k), out);
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

@@ -251,7 +251,7 @@ mod tests {
         assert_eq!(config.total_frames(), 100);
         let frames: Vec<_> = config.build().collect();
         assert_eq!(frames.len(), 100);
-        assert_eq!(frames[0].domain_name, "a");
+        assert_eq!(&*frames[0].domain_name, "a");
     }
 
     #[test]

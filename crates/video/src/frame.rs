@@ -1,6 +1,7 @@
 //! Frames, ground-truth objects, and region proposals.
 
 use crate::{BBox, ClassId};
+use std::sync::Arc;
 
 /// A ground-truth object present in a frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +40,9 @@ pub struct Frame {
     pub timestamp: f64,
     /// Index of the scene this frame belongs to.
     pub scene_index: usize,
-    /// Name of the active domain (for diagnostics).
-    pub domain_name: String,
+    /// Name of the active domain (for diagnostics). Shared: the stream
+    /// hands every frame of a domain the same name.
+    pub domain_name: Arc<str>,
     /// Ground-truth objects visible in the frame.
     pub ground_truth: Vec<GroundTruthObject>,
     /// Region proposals (objects + background distractors), shuffled.

@@ -11,6 +11,7 @@ use crate::domain::{Domain, DomainLibrary};
 use crate::frame::{Frame, GroundTruthObject, Proposal};
 use crate::BBox;
 use shoggoth_util::Rng;
+use std::sync::Arc;
 
 /// One scene: a contiguous run of frames under a single domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +177,9 @@ pub struct VideoStream {
     /// Domain in effect this frame; last frame's until `next` moves it
     /// (for cache invalidation).
     current_domain: Effective,
+    /// The name of `current_domain`, shared by the frames made under it;
+    /// made anew only when the domain changes, as appearances are.
+    domain_name: Arc<str>,
     /// Per-frame proposal buffers, reused from frame to frame.
     scratch: ProposalScratch,
 }
@@ -196,6 +200,7 @@ impl VideoStream {
     fn new(config: StreamConfig) -> Self {
         let mut rng = Rng::seed_from(config.seed ^ 0x5354_5245_414d); // "STREAM"
         let current_domain = Effective::Library(config.scenes[0].domain_index);
+        let domain_name = Arc::from(current_domain.domain(&config.library).name.as_str());
         let mut stream = Self {
             rng: rng.fork(),
             frame_index: 0,
@@ -204,6 +209,7 @@ impl VideoStream {
             objects: Vec::new(),
             next_track_id: 0,
             current_domain,
+            domain_name,
             scratch: ProposalScratch::default(),
             config,
         };
@@ -420,6 +426,7 @@ impl Iterator for VideoStream {
             || matches!(self.current_domain, Effective::Blend(_));
         self.current_domain = domain;
         if domain_changed {
+            self.domain_name = Arc::from(self.current_domain.domain(library).name.as_str());
             self.refresh_appearances();
         }
 
@@ -442,11 +449,7 @@ impl Iterator for VideoStream {
             index: self.frame_index,
             timestamp: self.frame_index as f64 / self.config.fps as f64,
             scene_index: self.scene_index,
-            domain_name: self
-                .current_domain
-                .domain(&self.config.library)
-                .name
-                .clone(),
+            domain_name: Arc::clone(&self.domain_name),
             ground_truth,
             proposals,
             features,
@@ -516,8 +519,8 @@ mod tests {
     fn scene_switch_changes_domain_name() {
         let config = two_scene_config(0);
         let frames: Vec<Frame> = config.build().collect();
-        assert_eq!(frames[50].domain_name, "day");
-        assert_eq!(frames[150].domain_name, "night");
+        assert_eq!(&*frames[50].domain_name, "day");
+        assert_eq!(&*frames[150].domain_name, "night");
         assert_eq!(frames[99].scene_index, 0);
         assert_eq!(frames[100].scene_index, 1);
     }
@@ -531,7 +534,7 @@ mod tests {
             "{}",
             frames[105].domain_name
         );
-        assert_eq!(frames[150].domain_name, "night");
+        assert_eq!(&*frames[150].domain_name, "night");
     }
 
     #[test]

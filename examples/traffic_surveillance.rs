@@ -35,7 +35,7 @@ fn main() {
     let mut shoggoth_maps: Vec<Vec<f64>> = Vec::new();
     for frame in stream.build() {
         if frame.scene_index >= scene_names.len() {
-            scene_names.push(frame.domain_name.clone());
+            scene_names.push(frame.domain_name.to_string());
             edge_evals.push(Vec::new());
             shoggoth_maps.push(Vec::new());
         }

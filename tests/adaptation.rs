@@ -58,7 +58,7 @@ fn distillation_from_teacher_labels_recovers_drift() {
     let classes = stream.library.world().num_classes();
     let night_frames: Vec<_> = stream
         .build()
-        .filter(|f| f.domain_name == "night")
+        .filter(|f| &*f.domain_name == "night")
         .take(120)
         .collect();
     assert!(!night_frames.is_empty(), "stream visits night");

@@ -14,7 +14,7 @@ use shoggoth_compute::{
     training_time, yolov4_resnet18, Boundary, DeviceProfile, TrainingPlan, TrainingTime,
 };
 use shoggoth_models::{LabeledSample, StudentDetector};
-use shoggoth_tensor::{losses, Matrix, Mode, SgdConfig};
+use shoggoth_tensor::{losses, Matrix, Mode};
 use shoggoth_util::Rng;
 
 /// Where the replay memory attaches to the student network.
@@ -312,11 +312,8 @@ impl AdaptiveTrainer {
             )
         };
 
-        let sgd = SgdConfig::new(self.config.learning_rate)
-            .with_momentum(0.9)
-            .with_weight_decay(1e-4);
+        let sgd = shoggoth_models::sgd(self.config.learning_rate);
         let layer_count = student.layer_count();
-        let mut scales = vec![1.0f32; layer_count];
 
         let mut order: Vec<usize> = (0..n).collect();
         let mut loss_sum = 0.0f64;
@@ -324,7 +321,6 @@ impl AdaptiveTrainer {
         let mut last_batch_loss = 0.0f64;
         let mut mini_batches = 0usize;
         let mut replay_used = 0usize;
-        let mut first_mini_batch = true;
 
         // Persistent scratch for the mini-batch loop: storage is reused
         // across iterations and epochs so the steady-state step allocates
@@ -336,6 +332,7 @@ impl AdaptiveTrainer {
         let mut grad = Matrix::zeros(0, 0);
         let mut grad_fresh = Matrix::zeros(0, 0);
 
+        let net = student.net_mut();
         for _ in 0..self.config.epochs {
             rng.shuffle(&mut order);
             for chunk in order.chunks(k_fresh) {
@@ -348,15 +345,12 @@ impl AdaptiveTrainer {
                     cached.select_rows_into(chunk, &mut fresh_acts);
                 } else {
                     x_fresh.select_rows_into(chunk, &mut x_rows);
-                    let out = student
-                        .net_mut()
+                    let out = net
                         .forward_range(0..replay_layer, &x_rows, Mode::Train)
                         .map_err(TrainError::tensor("front forward pass"))?;
                     // Hand last iteration's buffer back to the workspace the
                     // new activations came from.
-                    student
-                        .net_mut()
-                        .recycle(std::mem::replace(&mut fresh_acts, out));
+                    net.recycle(std::mem::replace(&mut fresh_acts, out));
                 }
 
                 // Replay part: fresh rows first, then sampled replay
@@ -381,76 +375,56 @@ impl AdaptiveTrainer {
                     &acts_buf
                 };
 
-                // Forward through the tail, loss, backward to the replay
-                // layer.
-                let logits = student
-                    .net_mut()
-                    .forward_range(replay_layer..layer_count, acts, Mode::Train)
-                    .map_err(TrainError::tensor("tail forward pass"))?;
-                let loss = losses::softmax_cross_entropy_into(&logits, &labels, &mut grad)
-                    .map_err(TrainError::tensor("loss evaluation"))?;
-                loss_sum += loss as f64;
-                if mini_batches == 0 {
-                    first_batch_loss = loss as f64;
-                }
-                last_batch_loss = loss as f64;
-                student.net_mut().recycle(logits);
-                // Backward through the tail; continue into the front for
-                // the fresh rows only when the front is trainable (or
-                // during the warm-up mini-batch). The `_discard` variants
-                // skip the bottom layer's unused input-gradient matmul.
-                let train_front_now = front_trains || (warm_up_front && first_mini_batch);
-                if train_front_now && replay_layer > 0 {
-                    let grad_at_replay = student
-                        .net_mut()
+                // Train the tail; when the front trains too (always, or
+                // for the warm-up mini-batch), backpropagate on into the
+                // front for the fresh rows only and update every layer.
+                let loss = if front_trains || (warm_up_front && mini_batches == 0) {
+                    let logits = net
+                        .forward_range(replay_layer..layer_count, acts, Mode::Train)
+                        .map_err(TrainError::tensor("tail forward pass"))?;
+                    let loss = losses::softmax_cross_entropy_into(&logits, &labels, &mut grad)
+                        .map_err(TrainError::tensor("loss evaluation"))?;
+                    net.recycle(logits);
+                    let grad_at_replay = net
                         .backward_range(replay_layer..layer_count, &grad)
                         .map_err(TrainError::tensor("tail backward pass"))?;
                     if cached_fresh_acts.is_some() {
                         // Warm-up with a frozen-front cache: run a fresh
                         // train-mode front pass so caches exist.
                         x_fresh.select_rows_into(chunk, &mut x_rows);
-                        let warm = student
-                            .net_mut()
+                        let warm = net
                             .forward_range(0..replay_layer, &x_rows, Mode::Train)
                             .map_err(TrainError::tensor("warm-up front forward pass"))?;
-                        student.net_mut().recycle(warm);
+                        net.recycle(warm);
                     }
                     grad_at_replay.rows_range_into(0..chunk.len(), &mut grad_fresh);
-                    student
-                        .net_mut()
-                        .backward_range_discard(0..replay_layer, &grad_fresh)
+                    net.backward_range_discard(0..replay_layer, &grad_fresh)
                         .map_err(TrainError::tensor("front backward pass"))?;
-                    student.net_mut().recycle(grad_at_replay);
+                    net.recycle(grad_at_replay);
+                    net.step(&sgd)
+                        .map_err(TrainError::tensor("SGD parameter step"))?;
+                    loss
                 } else {
-                    student
-                        .net_mut()
-                        .backward_range_discard(replay_layer..layer_count, &grad)
-                        .map_err(TrainError::tensor("tail backward pass"))?;
+                    net.train_step(replay_layer, acts, &labels, &sgd, &mut grad)
+                        .map_err(TrainError::tensor("tail training step"))?
+                };
+                loss_sum += loss as f64;
+                if mini_batches == 0 {
+                    first_batch_loss = loss as f64;
                 }
-
-                // Per-layer learning-rate scales.
-                let front_scale = if train_front_now { 1.0 } else { 0.0 };
-                for (i, s) in scales.iter_mut().enumerate() {
-                    *s = if i < replay_layer { front_scale } else { 1.0 };
-                }
-                student
-                    .net_mut()
-                    .step_scaled(&sgd, &scales)
-                    .map_err(TrainError::tensor("SGD parameter step"))?;
-                first_mini_batch = false;
+                last_batch_loss = loss as f64;
                 mini_batches += 1;
             }
         }
         if let Some(cached) = cached_fresh_acts {
-            student.net_mut().recycle(cached);
+            net.recycle(cached);
         }
 
         // Store this batch's activations in replay memory (Algorithm 1),
         // captured with the post-session front layers. The per-item row
         // copies are the items' own storage, moved into the memory below.
-        let final_acts = student
-            .net_mut()
-            .activation_at(replay_layer, &x_fresh)
+        let final_acts = net
+            .forward_range(0..replay_layer, &x_fresh, Mode::Eval)
             .map_err(TrainError::tensor("replay activation capture"))?;
         let items: Vec<ReplayItem> = (0..n)
             .map(|r| ReplayItem {
@@ -459,7 +433,7 @@ impl AdaptiveTrainer {
                 stored_at_run: 0,
             })
             .collect();
-        student.net_mut().recycle(final_acts);
+        net.recycle(final_acts);
         self.memory.integrate(items, rng);
         self.sessions += 1;
 

@@ -93,6 +93,7 @@ impl Corpus {
     }
 
     /// A corpus holding `samples` in order.
+    #[cfg(test)]
     pub(crate) fn from_samples(samples: &[LabeledSample]) -> Self {
         let (features, labels) = LabeledSample::to_batch(samples);
         Self { features, labels }
@@ -123,12 +124,21 @@ impl Corpus {
     }
 }
 
+/// The optimizer of every training loop in the simulator, pre-training
+/// and adaptive sessions alike: momentum SGD at `learning_rate`, with
+/// momentum 0.9 and weight decay 1e-4.
+pub fn sgd(learning_rate: f32) -> SgdConfig {
+    SgdConfig::new(learning_rate)
+        .with_momentum(0.9)
+        .with_weight_decay(1e-4)
+}
+
 /// The pre-training loop of the student and the teacher: `epochs` passes of
-/// momentum SGD over shuffled mini-batches of `corpus`, training layers
-/// `trainable_from..` only. Backpropagation stops at `trainable_from`; the
-/// frozen front still runs forward in [`Mode::Train`], so its
-/// normalization statistics keep updating. Buffers persist across steps and
-/// the logits are recycled, so after the first epoch nothing is allocated.
+/// [`sgd`] over shuffled mini-batches of `corpus`, training layers
+/// `trainable_from..` only ([`Mlp::train_step`]). The frozen front still
+/// runs forward in [`Mode::Train`], so its normalization statistics keep
+/// updating. Buffers persist across steps, so after the first epoch
+/// nothing is allocated.
 ///
 /// # Panics
 ///
@@ -146,13 +156,7 @@ pub(crate) fn fit(
     if corpus.labels.is_empty() {
         return;
     }
-    let sgd = SgdConfig::new(lr)
-        .with_momentum(0.9)
-        .with_weight_decay(1e-4);
-    let layers = net.len();
-    let scales: Vec<f32> = (0..layers)
-        .map(|i| if i < trainable_from { 0.0 } else { 1.0 })
-        .collect();
+    let sgd = sgd(lr);
     let mut order: Vec<usize> = (0..corpus.labels.len()).collect();
     let mut x = Matrix::zeros(0, 0);
     let mut labels = Vec::with_capacity(batch);
@@ -163,18 +167,38 @@ pub(crate) fn fit(
             corpus.features.select_rows_into(chunk, &mut x);
             labels.clear();
             labels.extend(chunk.iter().map(|&i| corpus.labels[i]));
-            let logits = net
-                .forward(&x, Mode::Train)
-                .expect("corpus width matches the network");
-            losses::softmax_cross_entropy_into(&logits, &labels, &mut grad)
-                .expect("label shapes match");
-            net.recycle(logits);
-            net.backward_range_discard(trainable_from..layers, &grad)
-                .expect("forward cached");
-            net.step_scaled(&sgd, &scales)
-                .expect("scales match layer count");
+            let front = (trainable_from > 0).then(|| {
+                net.forward_range(0..trainable_from, &x, Mode::Train)
+                    .expect("corpus width matches the network")
+            });
+            net.train_step(
+                trainable_from,
+                front.as_ref().unwrap_or(&x),
+                &labels,
+                &sgd,
+                &mut grad,
+            )
+            .expect("corpus shapes match the network");
+            if let Some(front) = front {
+                net.recycle(front);
+            }
         }
     }
+}
+
+/// Classification accuracy of `net` over labeled samples (eval mode); 0 for
+/// none.
+///
+/// # Panics
+///
+/// Panics if the sample feature width disagrees with the network input.
+pub(crate) fn accuracy(net: &mut Mlp, samples: &[LabeledSample]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let (x, labels) = LabeledSample::to_batch(samples);
+    let logits = net.forward(&x, Mode::Eval).expect("batch shape valid");
+    losses::accuracy(&logits, &labels)
 }
 
 /// Labels a frame's proposals with a detector, per the paper's Eq. (1):

@@ -1,8 +1,8 @@
 //! The lightweight edge detector (YOLOv4-ResNet18 stand-in).
 
-use crate::data::{fit, Corpus, LabeledSample};
+use crate::data::{accuracy, fit, Corpus, LabeledSample};
 use crate::detector::{classify_frame_with, classify_with, detect_with, Detection, Detector};
-use shoggoth_tensor::{losses, BatchRenorm, Dense, Matrix, Mlp, Mode, Relu};
+use shoggoth_tensor::{BatchRenorm, Dense, Matrix, Mlp, Relu};
 use shoggoth_util::Rng;
 use shoggoth_video::{ClassId, DomainLibrary, Frame};
 
@@ -267,26 +267,6 @@ impl StudentDetector {
         );
     }
 
-    /// Plain supervised fitting of every layer over labeled samples (used
-    /// for fine-tuning; *adaptive* training with replay lives in the core
-    /// crate's trainer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sample feature width disagrees with the network
-    /// input — a shape pinned by the constructor.
-    pub fn fit(
-        &mut self,
-        samples: &[LabeledSample],
-        epochs: usize,
-        batch: usize,
-        lr: f32,
-        rng: &mut Rng,
-    ) {
-        let corpus = Corpus::from_samples(samples);
-        fit(&mut self.net, &corpus, epochs, batch, lr, 0, rng);
-    }
-
     /// Classification accuracy over labeled samples (eval mode).
     ///
     /// # Panics
@@ -294,12 +274,7 @@ impl StudentDetector {
     /// Panics if the sample feature width disagrees with the network
     /// input — a shape pinned by the constructor.
     pub fn evaluate(&mut self, samples: &[LabeledSample]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let (x, labels) = LabeledSample::to_batch(samples);
-        let logits = self.net.forward(&x, Mode::Eval).expect("batch shape valid");
-        losses::accuracy(&logits, &labels)
+        accuracy(&mut self.net, samples)
     }
 
     /// The layer index at which latent replay injects by default (the
@@ -420,7 +395,8 @@ mod tests {
         let train = sample_domain_batch(lib.world(), lib.domain(1), 300, 150, &mut rng);
         let eval = sample_domain_batch(lib.world(), lib.domain(1), 300, 150, &mut rng);
         let before = student.evaluate(&eval);
-        student.fit(&train, 10, 64, 0.03, &mut rng);
+        let train = Corpus::from_samples(&train);
+        fit(student.net_mut(), &train, 10, 64, 0.03, 0, &mut rng);
         let after = student.evaluate(&eval);
         assert!(
             after > before + 0.04,
@@ -525,12 +501,13 @@ mod tests {
         let mut rng = Rng::seed_from(14);
         let night = sample_domain_batch(lib.world(), lib.domain(1), 60, 30, &mut rng);
         let (x, _) = LabeledSample::to_batch(&night);
+        let night = Corpus::from_samples(&night);
         for round in 0..2 {
             copy.net_mut()
                 .import_weights(&student.net().export_weights())
                 .expect("same shape");
             assert_eq!(copy.classify(&x), student.classify(&x), "round {round}");
-            student.fit(&night, 1, 16, 0.05, &mut rng);
+            fit(student.net_mut(), &night, 1, 16, 0.05, 0, &mut rng);
         }
     }
 

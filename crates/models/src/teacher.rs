@@ -1,8 +1,8 @@
 //! The cloud "golden" teacher (Mask-R-CNN ResNeXt-101 stand-in).
 
-use crate::data::{fit, Corpus, LabeledSample};
+use crate::data::{accuracy, fit, Corpus, LabeledSample};
 use crate::detector::{classify_frame_with, classify_with, detect_with, Detection, Detector};
-use shoggoth_tensor::{losses, Dense, Matrix, Mlp, Mode, Relu};
+use shoggoth_tensor::{Dense, Matrix, Mlp, Relu};
 use shoggoth_util::Rng;
 use shoggoth_video::{ClassId, DomainLibrary, Frame};
 
@@ -179,12 +179,7 @@ impl TeacherDetector {
     /// Panics if the sample feature width disagrees with the network
     /// input — a shape pinned by the constructor.
     pub fn evaluate(&mut self, samples: &[LabeledSample]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let (x, labels) = LabeledSample::to_batch(samples);
-        let logits = self.net.forward(&x, Mode::Eval).expect("batch shape valid");
-        losses::accuracy(&logits, &labels)
+        accuracy(&mut self.net, samples)
     }
 
     /// The configuration the teacher was built with.

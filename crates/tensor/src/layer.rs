@@ -3,8 +3,8 @@
 //! A [`Layer`] maps a mini-batch matrix to a mini-batch matrix, caches what
 //! it needs during `forward`, and propagates gradients in `backward`.
 //! Parameter updates are decoupled from backpropagation so the owning
-//! network can apply the paper's per-layer learning-rate scaling (front
-//! layers frozen, head fully trained).
+//! network can update only the layers that train: the paper's frozen front
+//! layers are simply not updated ([`crate::Mlp::train_step`]).
 //!
 //! Layers draw their output matrices from a caller-provided
 //! [`Workspace`] and keep persistent caches that are overwritten in place
@@ -139,9 +139,10 @@ pub trait Layer: std::fmt::Debug + Send {
         Ok(())
     }
 
-    /// Applies accumulated gradients with `cfg`, scaling the learning rate
-    /// by `lr_scale` (the paper freezes front layers with `lr_scale = 0`).
-    fn apply_update(&mut self, cfg: &SgdConfig, lr_scale: f32);
+    /// Applies accumulated gradients with `cfg`; a learning rate of zero
+    /// leaves the layer untouched. A frozen layer is one its network does
+    /// not update.
+    fn apply_update(&mut self, cfg: &SgdConfig);
 
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {
@@ -333,8 +334,8 @@ impl Layer for Dense {
         Ok(())
     }
 
-    fn apply_update(&mut self, cfg: &SgdConfig, lr_scale: f32) {
-        let lr = cfg.learning_rate * lr_scale;
+    fn apply_update(&mut self, cfg: &SgdConfig) {
+        let lr = cfg.learning_rate;
         if shoggoth_util::float::is_exact_zero(lr) {
             return;
         }
@@ -366,10 +367,10 @@ impl Layer for Dense {
     }
 
     fn import_params(&mut self, cursor: &mut ParamCursor<'_>) -> Result<(), TensorError> {
-        let w = cursor.take(self.in_dim * self.out_dim)?.to_vec();
-        self.weights = Matrix::from_vec(self.in_dim, self.out_dim, w)?;
-        let b = cursor.take(self.out_dim)?.to_vec();
-        self.bias = Matrix::from_vec(1, self.out_dim, b)?;
+        let w = cursor.take(self.in_dim * self.out_dim)?;
+        let b = cursor.take(self.out_dim)?;
+        self.weights.as_mut_slice().copy_from_slice(w);
+        self.bias.as_mut_slice().copy_from_slice(b);
         Ok(())
     }
 }
@@ -468,7 +469,7 @@ impl Layer for Relu {
         Ok(grad_in)
     }
 
-    fn apply_update(&mut self, _cfg: &SgdConfig, _lr_scale: f32) {}
+    fn apply_update(&mut self, _cfg: &SgdConfig) {}
 }
 
 #[cfg(test)]
@@ -523,6 +524,25 @@ mod tests {
         let mut cursor = ParamCursor::new(&buf);
         copy.import_params(&mut cursor).expect("params fit");
         assert_eq!(copy.weights(), layer.weights());
+    }
+
+    #[test]
+    fn dense_import_writes_into_its_own_buffers() {
+        let mut rng = Rng::seed_from(2);
+        let mut ws = Workspace::new();
+        let mut exporter = Dense::new(3, 4, &mut rng);
+        let mut buf = Vec::new();
+        exporter.export_params(&mut buf);
+        let mut copy = Dense::new(3, 4, &mut rng);
+        let buffers = |l: &Dense| [l.weights.as_slice().as_ptr(), l.bias.as_slice().as_ptr()];
+        let before = buffers(&copy);
+        copy.import_params(&mut ParamCursor::new(&buf))
+            .expect("params fit");
+        assert_eq!(buffers(&copy), before, "an import reallocated a parameter");
+        let x = Matrix::from_fn(5, 3, |_, _| rng.next_gaussian_f32(0.0, 1.0));
+        let a = exporter.forward(&x, Mode::Eval, &mut ws).expect("shapes");
+        let b = copy.forward(&x, Mode::Eval, &mut ws).expect("shapes");
+        assert_eq!(a, b);
     }
 
     #[test]

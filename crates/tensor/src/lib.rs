@@ -9,12 +9,11 @@
 //! * [`Dense`] and [`Relu`] — layers with full backpropagation.
 //! * [`BatchRenorm`] — the paper replaces BN with Batch Renormalization
 //!   (Ioffe 2017) for robust small-batch training.
-//! * [`SgdConfig`] — mini-batch SGD with momentum, weight decay, and
-//!   *per-layer learning-rate scaling* (the paper's freeze policy sets the
-//!   front layers' rate to zero while BRN statistics keep adapting).
+//! * [`SgdConfig`] — mini-batch SGD with momentum and weight decay.
 //! * [`Mlp`] — a sequential network supporting `forward_range` (inject
-//!   replay activations at an interior layer) and `backward_range` (stop
-//!   backpropagation at the replay layer when the front is frozen).
+//!   replay activations at an interior layer) and `train_step` (train the
+//!   layers from an index on; the paper's frozen front is not updated,
+//!   while its BRN statistics keep adapting in train-mode forward passes).
 //!
 //! Every layer's gradients are verified against finite differences in the
 //! test suite.

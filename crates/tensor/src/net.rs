@@ -3,16 +3,19 @@
 //! [`Mlp`] chains layers and exposes the partial-execution hooks the paper's
 //! adaptive training needs:
 //!
-//! * [`Mlp::activation_at`] — run only the front layers to produce the
-//!   activation volume stored in replay memory;
-//! * [`Mlp::forward_range`] — inject a (fresh ⊕ replay) activation batch
-//!   at the replay layer and run the remaining layers;
-//! * [`Mlp::backward_range`] — stop backpropagation at the replay layer when
-//!   the front is frozen, or continue through the front for fresh rows.
+//! * [`Mlp::forward_range`] — run only the front layers to produce the
+//!   activation volume stored in replay memory, or inject a
+//!   (fresh ⊕ replay) activation batch at the replay layer and run the
+//!   remaining layers;
+//! * [`Mlp::train_step`] — one SGD step of the layers from a given index
+//!   on: backpropagation stops there and the layers before it are not
+//!   updated (the paper's frozen front);
+//! * [`Mlp::backward_range`] — continue through the front for fresh rows
+//!   when the front does train.
 
 use crate::layer::{Layer, Mode, ParamCursor};
 use crate::workspace::Workspace;
-use crate::{Matrix, SgdConfig, TensorError};
+use crate::{losses, Matrix, SgdConfig, TensorError};
 
 /// A sequential feed-forward network.
 ///
@@ -168,16 +171,6 @@ impl Mlp {
         Ok(current)
     }
 
-    /// Runs layers `0..upto` in eval mode to produce the activation volume
-    /// stored in replay memory (no caches recorded, running stats used).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any layer shape error.
-    pub fn activation_at(&mut self, upto: usize, input: &Matrix) -> Result<Matrix, TensorError> {
-        self.forward_range(0..upto, input, Mode::Eval)
-    }
-
     /// Full backward pass; returns the gradient w.r.t. the network input.
     ///
     /// # Errors
@@ -217,33 +210,19 @@ impl Mlp {
     ) -> Result<(), TensorError> {
         assert!(range.end <= self.layers.len(), "layer range out of bounds");
         let Self { layers, ws } = self;
-        let slice = &mut layers[range];
-        let Some((bottom, rest)) = slice.split_first_mut() else {
+        let Some((bottom, above)) = layers[range].split_first_mut() else {
             return Ok(());
         };
-        if rest.is_empty() {
-            return bottom.backward_params_only(grad_output, ws);
+        let grad = backward_layers(above, ws, grad_output)?;
+        bottom.backward_params_only(grad.as_ref().unwrap_or(grad_output), ws)?;
+        if let Some(grad) = grad {
+            ws.give(grad);
         }
-        let last = rest.len() - 1;
-        let mut current = rest[last].backward(grad_output, ws)?;
-        #[cfg(feature = "finite-check")]
-        current.ensure_finite(rest[last].name())?;
-        for layer in rest[..last].iter_mut().rev() {
-            let next = layer.backward(&current, ws)?;
-            #[cfg(feature = "finite-check")]
-            next.ensure_finite(layer.name())?;
-            ws.give(std::mem::replace(&mut current, next));
-        }
-        bottom.backward_params_only(&current, ws)?;
-        ws.give(current);
         Ok(())
     }
 
     /// Backward pass through layers `range` (processed back to front);
     /// returns the gradient w.r.t. the input of layer `range.start`.
-    ///
-    /// Used to stop at the replay layer: `backward_range(replay..len, g)`
-    /// trains only the layers after the replay point.
     ///
     /// # Errors
     ///
@@ -259,23 +238,51 @@ impl Mlp {
     ) -> Result<Matrix, TensorError> {
         assert!(range.end <= self.layers.len(), "layer range out of bounds");
         let Self { layers, ws } = self;
-        let slice = &mut layers[range];
-        if slice.is_empty() {
-            let mut out = ws.take(grad_output.rows(), grad_output.cols());
-            out.copy_from(grad_output);
-            return Ok(out);
-        }
-        let last = slice.len() - 1;
-        let mut current = slice[last].backward(grad_output, ws)?;
-        #[cfg(feature = "finite-check")]
-        current.ensure_finite(slice[last].name())?;
-        for layer in slice[..last].iter_mut().rev() {
-            let next = layer.backward(&current, ws)?;
-            #[cfg(feature = "finite-check")]
-            next.ensure_finite(layer.name())?;
-            ws.give(std::mem::replace(&mut current, next));
-        }
-        Ok(current)
+        let grad = backward_layers(&mut layers[range], ws, grad_output)?;
+        // An empty range is an identity map; the copy still comes from the
+        // workspace so the caller can recycle it uniformly.
+        Ok(grad.unwrap_or_else(|| {
+            ws.take_copy(
+                grad_output.rows(),
+                grad_output.cols(),
+                grad_output.as_slice(),
+            )
+        }))
+    }
+
+    /// One SGD step of layers `from..`, on `x`, the activations at the
+    /// input of layer `from`: a [`Mode::Train`] forward to the logits,
+    /// softmax cross-entropy against `labels` (its logit gradient is
+    /// written to `grad`), a backward pass that stops at layer `from`
+    /// without computing that layer's input gradient, and an update of
+    /// those layers. The layers before `from` are not updated: that is
+    /// how the paper's frozen front is kept. Returns the mini-batch loss.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer shape errors and [`losses`] label errors; with the
+    /// `finite-check` feature, also [`TensorError::NonFinite`] from any
+    /// pass or from the updated parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` exceeds the layer count.
+    pub fn train_step(
+        &mut self,
+        from: usize,
+        x: &Matrix,
+        labels: &[usize],
+        cfg: &SgdConfig,
+        grad: &mut Matrix,
+    ) -> Result<f32, TensorError> {
+        let range = from..self.layers.len();
+        let logits = self.forward_range(range.clone(), x, Mode::Train)?;
+        let loss = losses::softmax_cross_entropy_into(&logits, labels, grad);
+        self.recycle(logits);
+        let loss = loss?;
+        self.backward_range_discard(range, grad)?;
+        self.update_from(from, cfg)?;
+        Ok(loss)
     }
 
     /// Applies accumulated gradients to every layer with a uniform learning
@@ -288,29 +295,13 @@ impl Mlp {
     /// the update (e.g. a NaN gradient poisoned the weights); infallible
     /// otherwise.
     pub fn step(&mut self, cfg: &SgdConfig) -> Result<(), TensorError> {
-        for layer in &mut self.layers {
-            layer.apply_update(cfg, 1.0);
-        }
-        self.ensure_params_finite()
+        self.update_from(0, cfg)
     }
 
-    /// Applies accumulated gradients with a per-layer learning-rate scale
-    /// (the paper's freeze policy: `0.0` for frozen front layers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `scales.len()` differs from
-    /// the layer count.
-    pub fn step_scaled(&mut self, cfg: &SgdConfig, scales: &[f32]) -> Result<(), TensorError> {
-        if scales.len() != self.layers.len() {
-            return Err(TensorError::ShapeMismatch {
-                context: "Mlp::step_scaled",
-                expected: (self.layers.len(), 1),
-                actual: (scales.len(), 1),
-            });
-        }
-        for (layer, &scale) in self.layers.iter_mut().zip(scales) {
-            layer.apply_update(cfg, scale);
+    /// Applies accumulated gradients to layers `from..`; see [`Mlp::step`].
+    fn update_from(&mut self, from: usize, cfg: &SgdConfig) -> Result<(), TensorError> {
+        for layer in &mut self.layers[from..] {
+            layer.apply_update(cfg);
         }
         self.ensure_params_finite()
     }
@@ -385,6 +376,28 @@ impl Mlp {
     }
 }
 
+/// Runs `layers` back to front through [`Layer::backward`], the shared loop
+/// of [`Mlp::backward_range`] and [`Mlp::backward_range_discard`]; returns
+/// the gradient w.r.t. the input of the first layer, or `None` for no
+/// layers (the gradient is then `grad_output` itself).
+fn backward_layers(
+    layers: &mut [Box<dyn Layer>],
+    ws: &mut Workspace,
+    grad_output: &Matrix,
+) -> Result<Option<Matrix>, TensorError> {
+    let mut current: Option<Matrix> = None;
+    for layer in layers.iter_mut().rev() {
+        let next = layer.backward(current.as_ref().unwrap_or(grad_output), ws)?;
+        #[cfg(feature = "finite-check")]
+        next.ensure_finite(layer.name())?;
+        // The consumed intermediate goes straight back to the pool.
+        if let Some(done) = current.replace(next) {
+            ws.give(done);
+        }
+    }
+    Ok(current)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +431,7 @@ mod tests {
         let mut net = small_net(&mut rng);
         let x = Matrix::from_fn(3, 4, |_, _| rng.next_gaussian_f32(0.0, 1.0));
         let full = net.forward(&x, Mode::Eval).expect("shapes");
-        let mid = net.activation_at(2, &x).expect("shapes");
+        let mid = net.forward_range(0..2, &x, Mode::Eval).expect("shapes");
         let resumed = net
             .forward_range(2..net.len(), &mid, Mode::Eval)
             .expect("shapes");
@@ -489,24 +502,92 @@ mod tests {
     fn frozen_layers_do_not_move() {
         let mut rng = Rng::seed_from(3);
         let mut net = small_net(&mut rng);
-        let before = net.export_weights();
         let x = Matrix::from_fn(8, 4, |_, _| rng.next_gaussian_f32(0.0, 1.0));
         let labels = vec![0usize; 8];
-        let sgd = SgdConfig::new(0.1);
-        let logits = net.forward(&x, Mode::Train).expect("shapes");
-        let (_, grad) = losses::softmax_cross_entropy(&logits, &labels).expect("shapes");
-        net.backward(&grad).expect("cached");
-        // Freeze everything: weights must be bit-identical afterwards.
-        net.step_scaled(&sgd, &[0.0; 5]).expect("scales match");
-        assert_eq!(net.export_weights(), before);
+        let sgd = SgdConfig::new(0.1).with_momentum(0.9);
+        // A full step first, so the front Dense holds gradients and
+        // momentum that an update would apply.
+        let mut grad = Matrix::zeros(0, 0);
+        net.train_step(0, &x, &labels, &sgd, &mut grad)
+            .expect("finite params");
+        let before = net.export_weights();
+        // Train from layer 2 on: the front Dense (4·16 + 16 parameters)
+        // must be bit-identical afterwards, the rest must have moved.
+        let front = net.forward_range(0..2, &x, Mode::Train).expect("shapes");
+        net.train_step(2, &front, &labels, &sgd, &mut grad)
+            .expect("finite params");
+        let after = net.export_weights();
+        assert_eq!(after[..80], before[..80]);
+        assert_ne!(after[80..], before[80..]);
+    }
+
+    /// Every layer's full state (parameters, gradients, momentum buffers,
+    /// caches and running moments): derived `Debug` prints each `f32` in
+    /// its shortest round-tripping form, so equal strings are equal bits.
+    fn layer_states(net: &Mlp) -> Vec<String> {
+        net.layers.iter().map(|l| format!("{l:?}")).collect()
     }
 
     #[test]
-    fn step_scaled_validates_length() {
-        let mut rng = Rng::seed_from(4);
-        let mut net = small_net(&mut rng);
-        let sgd = SgdConfig::new(0.1);
-        assert!(net.step_scaled(&sgd, &[1.0; 3]).is_err());
+    fn train_step_matches_the_hand_written_step() {
+        let mut rng = Rng::seed_from(13);
+        let mut net = Mlp::new(vec![
+            Box::new(Dense::new(4, 16, &mut rng)),
+            Box::new(BatchRenorm::new(16)),
+            Box::new(Relu::new()),
+            Box::new(Dense::new(16, 8, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Dense::new(8, 3, &mut rng)),
+        ]);
+        let mut reference = net.clone();
+        let sgd = SgdConfig::new(0.05)
+            .with_momentum(0.9)
+            .with_weight_decay(1e-4);
+        let labels: Vec<usize> = (0..6).map(|i| i % 3).collect();
+        for k in [3, 3, 0, 5] {
+            let front_before: Vec<Vec<f32>> = net.layers[..k]
+                .iter()
+                .map(|l| {
+                    let mut params = Vec::new();
+                    l.export_params(&mut params);
+                    params
+                })
+                .collect();
+            let x = Matrix::from_fn(6, 4, |_, _| rng.next_gaussian_f32(0.0, 1.0));
+
+            let front = net.forward_range(0..k, &x, Mode::Train).expect("shapes");
+            let mut grad = Matrix::zeros(0, 0);
+            let loss = net
+                .train_step(k, &front, &labels, &sgd, &mut grad)
+                .expect("finite params");
+
+            let logits = reference.forward(&x, Mode::Train).expect("shapes");
+            let (ref_loss, ref_grad) =
+                losses::softmax_cross_entropy(&logits, &labels).expect("shapes");
+            let len = reference.len();
+            reference
+                .backward_range_discard(k..len, &ref_grad)
+                .expect("cached");
+            for layer in &mut reference.layers[k..] {
+                layer.apply_update(&sgd);
+            }
+
+            assert_eq!(loss.to_bits(), ref_loss.to_bits(), "from {k}");
+            assert_eq!(grad, ref_grad, "from {k}");
+            assert_eq!(layer_states(&net), layer_states(&reference), "from {k}");
+            for (layer, before) in net.layers[..k].iter().zip(&front_before) {
+                let mut params = Vec::new();
+                layer.export_params(&mut params);
+                // BatchRenorm's running moments follow the train-mode
+                // forward; its γ and β (the first half) must not move.
+                let trained = if layer.name() == "dense" {
+                    params.len()
+                } else {
+                    params.len() / 2
+                };
+                assert_eq!(params[..trained], before[..trained], "from {k}");
+            }
+        }
     }
 
     #[test]

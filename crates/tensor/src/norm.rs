@@ -376,8 +376,8 @@ impl Layer for BatchRenorm {
         Ok(grad_in)
     }
 
-    fn apply_update(&mut self, cfg: &SgdConfig, lr_scale: f32) {
-        let lr = cfg.learning_rate * lr_scale;
+    fn apply_update(&mut self, cfg: &SgdConfig) {
+        let lr = cfg.learning_rate;
         if shoggoth_util::float::is_exact_zero(lr) {
             return;
         }
@@ -413,12 +413,12 @@ impl Layer for BatchRenorm {
     }
 
     fn import_params(&mut self, cursor: &mut ParamCursor<'_>) -> Result<(), TensorError> {
-        let g = cursor.take(self.dim)?.to_vec();
-        self.gamma = Matrix::from_vec(1, self.dim, g)?;
-        let b = cursor.take(self.dim)?.to_vec();
-        self.beta = Matrix::from_vec(1, self.dim, b)?;
-        self.running_mean = cursor.take(self.dim)?.to_vec();
-        self.running_var = cursor.take(self.dim)?.to_vec();
+        let (g, b) = (cursor.take(self.dim)?, cursor.take(self.dim)?);
+        let (mean, var) = (cursor.take(self.dim)?, cursor.take(self.dim)?);
+        self.gamma.as_mut_slice().copy_from_slice(g);
+        self.beta.as_mut_slice().copy_from_slice(b);
+        self.running_mean.copy_from_slice(mean);
+        self.running_var.copy_from_slice(var);
         self.eval_scale.clear();
         Ok(())
     }
@@ -588,6 +588,44 @@ mod tests {
         copy.import_params(&mut cursor).expect("params fit");
         assert_eq!(copy.running_mean, brn.running_mean);
         assert_eq!(copy.running_var, brn.running_var);
+    }
+
+    #[test]
+    fn norm_import_writes_into_its_own_buffers() {
+        let mut rng = Rng::seed_from(7);
+        let mut ws = Workspace::new();
+        let mut exporter = BatchRenorm::new(3);
+        let x = gaussian_batch(&mut rng, 16, 3, 2.0, 1.0);
+        let out = exporter.forward(&x, Mode::Train, &mut ws).expect("shapes");
+        let g = gaussian_batch(&mut rng, 16, 3, 0.0, 1.0);
+        let grad_in = exporter.backward(&g, &mut ws).expect("cached");
+        exporter.apply_update(&SgdConfig::new(0.1));
+        ws.give(out);
+        ws.give(grad_in);
+        let mut buf = Vec::new();
+        exporter.export_params(&mut buf);
+        let mut copy = BatchRenorm::new(3);
+        let eval = gaussian_batch(&mut rng, 4, 3, 2.0, 1.0);
+        // Warm the eval scale, which an import must invalidate.
+        let stale = copy.forward(&eval, Mode::Eval, &mut ws).expect("shapes");
+        ws.give(stale);
+        let buffers = |l: &BatchRenorm| {
+            [
+                l.gamma.as_slice().as_ptr(),
+                l.beta.as_slice().as_ptr(),
+                l.running_mean.as_ptr(),
+                l.running_var.as_ptr(),
+            ]
+        };
+        let before = buffers(&copy);
+        copy.import_params(&mut ParamCursor::new(&buf))
+            .expect("params fit");
+        assert_eq!(buffers(&copy), before, "an import reallocated a parameter");
+        let a = exporter
+            .forward(&eval, Mode::Eval, &mut ws)
+            .expect("shapes");
+        let b = copy.forward(&eval, Mode::Eval, &mut ws).expect("shapes");
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -768,8 +806,8 @@ mod tests {
                     bits(gi_ref.as_slice()),
                     "{context}: grad_in"
                 );
-                live.apply_update(&sgd, 1.0);
-                reference.apply_update(&sgd, 1.0);
+                live.apply_update(&sgd);
+                reference.apply_update(&sgd);
                 assert_eq!(
                     state_bits(&live),
                     state_bits(&reference),

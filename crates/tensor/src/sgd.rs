@@ -4,8 +4,9 @@
 ///
 /// The paper's adaptive training "decreases the learning rate of all layers
 /// before the replay layer and allows full learning of all layers after" —
-/// that per-layer scaling is applied at [`crate::Mlp::step_scaled`], not
-/// here; this struct carries the global rate.
+/// here to zero, by not updating those layers at all
+/// ([`crate::Mlp::train_step`]); this struct carries the one rate of the
+/// layers that do train.
 ///
 /// # Examples
 ///

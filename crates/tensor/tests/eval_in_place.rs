@@ -98,7 +98,7 @@ fn trained_brn(dim: usize, rng: &mut Rng) -> BatchRenorm {
         let y = layer.forward(&x, Mode::Train, &mut ws).expect("shapes");
         let g = Matrix::from_fn(16, dim, |_, _| rng.next_gaussian_f32(0.0, 4.0));
         let gi = layer.backward(&g, &mut ws).expect("cached");
-        layer.apply_update(&sgd, 1.0);
+        layer.apply_update(&sgd);
         ws.give(y);
         ws.give(gi);
     }
@@ -184,7 +184,7 @@ fn eval_stats_cache_never_goes_stale() {
     // A step moves γ and β.
     let g = Matrix::from_fn(32, dim, |_, _| rng.next_gaussian_f32(0.0, 1.0));
     layer.backward(&g, &mut ws).expect("cached");
-    layer.apply_update(&SgdConfig::new(0.3), 1.0);
+    layer.apply_update(&SgdConfig::new(0.3));
     assert_cache_current(&mut layer, &x, "after apply_update");
     ws.give(y);
 

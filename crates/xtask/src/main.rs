@@ -2,11 +2,18 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint [--root <dir>]
+//! cargo run -p xtask -- loc <path>...
 //! ```
 //!
-//! Runs the five domain lints (see [`lints`]) over every `crates/*/src`
-//! tree and prints `path:line:col: [lint] message` diagnostics. Exit
-//! status: `0` clean, `1` violations, `2` usage or I/O failure.
+//! `lint` runs the five domain lints (see [`lints`]) over every
+//! `crates/*/src` tree and prints `path:line:col: [lint] message`
+//! diagnostics. Exit status: `0` clean, `1` violations, `2` usage or I/O
+//! failure.
+//!
+//! `loc` prints the code-line count ([`SourceFile::code_lines`]: not in a
+//! `#[cfg(test)]` module, not comment, not blank) of every `.rs` file
+//! under the given files and directories, then their total. Exit status
+//! `2` on a missing path or a read failure.
 //!
 //! The checks encode invariants `cargo clippy` cannot see because they are
 //! properties of *this* codebase, not of Rust: bit-reproducible simulation
@@ -34,6 +41,9 @@ const ALLOWLIST: &str = "crates/xtask/panic-allowlist.txt";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "loc") {
+        return loc(&args[1..]);
+    }
     let mut cmd = None;
     let mut root = None;
     let mut it = args.iter();
@@ -49,7 +59,7 @@ fn main() -> ExitCode {
         }
     }
     let Some("lint") = cmd else {
-        eprintln!("usage: cargo run -p xtask -- lint [--root <dir>]");
+        eprintln!("usage: cargo run -p xtask -- lint [--root <dir>] | loc <path>...");
         return ExitCode::from(2);
     };
     let root = match root.map_or_else(find_root, Ok) {
@@ -76,6 +86,41 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// `xtask loc`: prints each `.rs` file's code-line count under `paths`
+/// (files, or directories walked in filename order) and their total.
+fn loc(paths: &[String]) -> ExitCode {
+    if paths.is_empty() {
+        eprintln!("usage: cargo run -p xtask -- loc <path>...");
+        return ExitCode::from(2);
+    }
+    let mut files = Vec::new();
+    for path in paths.iter().map(PathBuf::from) {
+        if !path.is_dir() {
+            // A missing path fails its read below.
+            files.push(path);
+        } else if let Err(e) = collect_rs(&path, &mut files) {
+            eprintln!("xtask: {}: {e}", path.display());
+            return ExitCode::from(2);
+        }
+    }
+    let mut total = 0;
+    for path in files {
+        match fs::read_to_string(&path) {
+            Ok(content) => {
+                let lines = SourceFile::parse(path.clone(), &content).code_lines();
+                println!("{lines:>7} {}", path.display());
+                total += lines;
+            }
+            Err(e) => {
+                eprintln!("xtask: {}: {e}", path.display());
+                return ExitCode::from(2);
+            }
+        }
+    }
+    println!("{total:>7} total");
+    ExitCode::SUCCESS
 }
 
 /// Walks up from the current directory to the workspace root (the first

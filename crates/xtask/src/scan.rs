@@ -39,6 +39,17 @@ impl SourceFile {
         }
     }
 
+    /// Lines outside `#[cfg(test)]` modules with code left after the
+    /// scrub: the non-test, non-comment, non-blank line count `xtask loc`
+    /// reports. A line wholly inside a string literal does not count.
+    pub fn code_lines(&self) -> usize {
+        self.clean
+            .iter()
+            .zip(&self.in_test)
+            .filter(|(line, &test)| !test && !line.trim().is_empty())
+            .count()
+    }
+
     /// Whether line `i` (0-indexed) carries `lint:allow(<name>)` in a
     /// comment, suppressing the named lint for that line.
     pub fn suppressed(&self, i: usize, lint: &str) -> bool {
@@ -355,6 +366,29 @@ fn also_live() {}
         assert!(f.in_test[3], "mod tests line");
         assert!(f.in_test[5], "test body line");
         assert!(!f.in_test[8], "code after the test mod");
+    }
+
+    #[test]
+    fn code_lines_skip_tests_comments_and_blanks() {
+        let src = "\
+//! Module doc.
+
+/// Item doc.
+fn live() {
+    let s = \"text\"; // trailing comment
+    /* block
+       comment */
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+";
+        let f = SourceFile::parse(PathBuf::from("x.rs"), src);
+        // `fn live() {`, the `let`, and the closing brace.
+        assert_eq!(f.code_lines(), 3);
     }
 
     #[test]

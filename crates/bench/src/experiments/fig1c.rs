@@ -88,13 +88,14 @@ pub fn run() -> Fig1cResult {
     // appearance from the source domain's.
     let source = library.domain(0);
     let zeros = vec![0.0f32; library.world().feature_dim()];
+    let (mut a, mut b) = (zeros.clone(), zeros.clone());
     println!("\nLatent appearance shift from the source domain (mean over classes):");
     let mut appearance_shift = Vec::new();
     for domain in library.domains() {
         let mut total = 0.0f64;
         for class in 0..classes {
-            let a = source.object_appearance(library.world(), class, &zeros);
-            let b = domain.object_appearance(library.world(), class, &zeros);
+            source.object_appearance_into(library.world(), class, &zeros, &mut a);
+            domain.object_appearance_into(library.world(), class, &zeros, &mut b);
             let dist: f32 = a
                 .iter()
                 .zip(&b)

@@ -34,10 +34,8 @@ impl LabeledSample {
 
 /// Synthesizes a labeled batch directly from a domain: `n_objects` object
 /// samples (classes drawn from the domain's mix) plus `n_background`
-/// distractors.
-///
-/// Used to pre-train the student (source domain only) and the teacher (all
-/// domains).
+/// distractors, shuffled: one draw of the pre-training corpus generator,
+/// split into samples.
 pub fn sample_domain_batch(
     world: &FeatureWorld,
     domain: &Domain,
@@ -45,33 +43,18 @@ pub fn sample_domain_batch(
     n_background: usize,
     rng: &mut Rng,
 ) -> Vec<LabeledSample> {
-    let dim = world.feature_dim();
-    let noise = domain.noise_std();
-    let mut samples = Vec::with_capacity(n_objects + n_background);
-    for _ in 0..n_objects {
-        let class = domain.sample_class(rng);
-        let mut jitter = vec![0.0; dim];
-        rng.fill_gaussian_f32(0.45, &mut jitter);
-        let base = domain.object_appearance(world, class, &jitter);
-        let mut features = vec![0.0; dim];
-        rng.fill_gaussian_f32(noise, &mut features);
-        for (f, &v) in features.iter_mut().zip(&base) {
-            *f += v;
-        }
-        samples.push(LabeledSample {
-            features,
-            label: class,
-        });
-    }
-    let bg = background_class(world.num_classes());
-    for _ in 0..n_background {
-        samples.push(LabeledSample {
-            features: domain.background_appearance(rng),
-            label: bg,
-        });
-    }
-    rng.shuffle(&mut samples);
-    samples
+    let mut corpus = Corpus::with_capacity(world.feature_dim(), n_objects + n_background);
+    corpus.draw(world, domain, n_objects, n_background, rng);
+    corpus
+        .features
+        .as_slice()
+        .chunks_exact(corpus.features.cols())
+        .zip(corpus.labels)
+        .map(|(row, label)| LabeledSample {
+            features: row.to_vec(),
+            label,
+        })
+        .collect()
 }
 
 /// A contiguous labeled training set, drawn domain by domain: row `i` of
@@ -80,6 +63,10 @@ pub fn sample_domain_batch(
 pub(crate) struct Corpus {
     features: Matrix,
     labels: Vec<usize>,
+    /// Draw scratch, reused across draws: an object's jitter and its
+    /// noise-free appearance.
+    jitter: Vec<f32>,
+    base: Vec<f32>,
 }
 
 impl Corpus {
@@ -89,18 +76,29 @@ impl Corpus {
         Self {
             features: Matrix::from_vec(0, dim, data).expect("an empty buffer has zero rows"),
             labels: Vec::with_capacity(samples),
+            jitter: vec![0.0; dim],
+            base: vec![0.0; dim],
         }
     }
 
     /// A corpus holding `samples` in order.
     #[cfg(test)]
     pub(crate) fn from_samples(samples: &[LabeledSample]) -> Self {
+        let dim = samples.first().map_or(1, |s| s.features.len());
         let (features, labels) = LabeledSample::to_batch(samples);
-        Self { features, labels }
+        Self {
+            features,
+            labels,
+            ..Self::with_capacity(dim, 0)
+        }
     }
 
-    /// Appends a [`sample_domain_batch`] draw in its order, consuming the
-    /// same RNG stream.
+    /// Appends `n_objects` object samples (classes drawn from the domain's
+    /// mix) and `n_background` distractors, each row written in place: an
+    /// object row is noise plus the appearance of a jittered prototype, a
+    /// background row the domain's background appearance. The appended
+    /// rows are then shuffled in place by [`Rng::shuffle_with`], with the
+    /// draws shuffling the samples would take.
     ///
     /// # Panics
     ///
@@ -113,12 +111,34 @@ impl Corpus {
         n_background: usize,
         rng: &mut Rng,
     ) {
-        let dim = self.features.cols();
+        let dim = world.feature_dim();
+        let first = self.labels.len();
         let mut data = std::mem::replace(&mut self.features, Matrix::zeros(0, dim)).into_vec();
-        for sample in sample_domain_batch(world, domain, n_objects, n_background, rng) {
-            data.extend_from_slice(&sample.features);
-            self.labels.push(sample.label);
+        data.resize((first + n_objects + n_background) * dim, 0.0);
+        let mut rows = data[first * dim..].chunks_exact_mut(dim);
+        for row in rows.by_ref().take(n_objects) {
+            let class = domain.sample_class(rng);
+            rng.fill_gaussian_f32(0.45, &mut self.jitter);
+            domain.object_appearance_into(world, class, &self.jitter, &mut self.base);
+            rng.fill_gaussian_f32(domain.noise_std(), row);
+            for (f, &v) in row.iter_mut().zip(&self.base) {
+                *f += v;
+            }
+            self.labels.push(class);
         }
+        for row in rows {
+            domain.background_appearance_into(rng, row);
+            self.labels.push(background_class(world.num_classes()));
+        }
+        let drawn = &mut data[first * dim..];
+        let labels = &mut self.labels[first..];
+        rng.shuffle_with(labels.len(), |i, j| {
+            if i != j {
+                let (head, tail) = drawn.split_at_mut(i * dim);
+                head[j * dim..(j + 1) * dim].swap_with_slice(&mut tail[..dim]);
+                labels.swap(i, j);
+            }
+        });
         self.features = Matrix::from_vec(self.labels.len(), dim, data)
             .expect("world features match the corpus width");
     }

@@ -459,9 +459,10 @@ mod tests {
         let mut student = StudentDetector::pretrained_with(quick_config(), &lib, 0);
         let mut rng = Rng::seed_from(13);
         // A frame of pure background proposals should yield few detections.
-        let features: Vec<f32> = (0..20)
-            .flat_map(|_| lib.domain(0).background_appearance(&mut rng))
-            .collect();
+        let mut features = vec![0.0; 20 * lib.world().feature_dim()];
+        for row in features.chunks_exact_mut(lib.world().feature_dim()) {
+            lib.domain(0).background_appearance_into(&mut rng, row);
+        }
         let frame = Frame {
             index: 0,
             timestamp: 0.0,

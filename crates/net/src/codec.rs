@@ -51,7 +51,7 @@ pub struct Codec;
 /// Inter-frame similarity in `[0, 1]` for a gap of `gap_secs` seconds and
 /// the given motion level.
 fn similarity(gap_secs: f64, motion: f32) -> f64 {
-    (-(TEMPORAL_DECAY * gap_secs + MOTION_DECAY * motion as f64)).exp()
+    shoggoth_util::fmath::exp(-(TEMPORAL_DECAY * gap_secs + MOTION_DECAY * motion as f64))
 }
 
 /// Compression ratio of a predicted frame `gap_secs` after its predecessor

@@ -7,6 +7,7 @@
 //! notion between consecutive teacher outputs.
 
 use crate::{Matrix, TensorError};
+use shoggoth_util::fmath;
 
 /// Numerically-stable row-wise softmax.
 ///
@@ -27,21 +28,27 @@ pub fn softmax(logits: &Matrix) -> Matrix {
 }
 
 /// [`softmax`] written over the logits: each row becomes its
-/// distribution, with the same arithmetic (the row max, `exp(v − max)`
-/// summed in column order, then one multiply by the sum's reciprocal).
+/// distribution, with the same arithmetic (`exp(v − max)` with the row
+/// max, summed in column order, then one multiply by the sum's
+/// reciprocal). `exp` is [`fmath::exp`] rounded to `f32`, applied to the
+/// whole matrix in one loop so that it vectorizes at any row width.
 pub fn softmax_in_place(logits: &mut Matrix) {
     let cols = logits.cols();
     if cols == 0 {
         return;
     }
-    for row in logits.as_mut_slice().chunks_exact_mut(cols) {
+    let values = logits.as_mut_slice();
+    for row in values.chunks_exact_mut(cols) {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
         for v in row.iter_mut() {
-            let e = (*v - max).exp();
-            *v = e;
-            sum += e;
+            *v -= max;
         }
+    }
+    for v in values.iter_mut() {
+        *v = fmath::exp(f64::from(*v)) as f32;
+    }
+    for row in values.chunks_exact_mut(cols) {
+        let sum = row.iter().fold(0.0, |sum, &e| sum + e);
         let inv = 1.0 / sum;
         for v in row.iter_mut() {
             *v *= inv;
@@ -104,7 +111,7 @@ pub fn softmax_cross_entropy_into(
     let mut loss = 0.0;
     for (r, &label) in labels.iter().enumerate() {
         let p = grad.get(r, label).max(1e-12);
-        loss -= p.ln();
+        loss -= fmath::ln(f64::from(p)) as f32;
         grad.set(r, label, grad.get(r, label) - 1.0);
     }
     let loss = loss / n;

@@ -2,7 +2,9 @@
 //!
 //! Every stochastic component of the simulation draws from the pseudo-random
 //! generators in [`rng`], which are seedable, cross-platform stable, and
-//! tested against published reference vectors. [`stats`] provides the
+//! tested against published reference vectors. [`fmath`] holds the only
+//! `exp`, `ln` and `sincos` the simulator uses, in plain arithmetic that
+//! gives the same bits on every target. [`stats`] provides the
 //! summary statistics used by the evaluation harness (means, percentiles,
 //! empirical CDFs), [`ewma`] the exponentially-weighted averages used by the
 //! sampling-rate controller, [`ring`] a fixed-capacity ring buffer used
@@ -24,6 +26,7 @@
 
 pub mod ewma;
 pub mod float;
+pub mod fmath;
 pub mod json;
 pub mod pool;
 pub mod ring;

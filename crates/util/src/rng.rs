@@ -10,7 +10,11 @@
 //! * [`Xoshiro256StarStar`] — the general-purpose generator behind [`Rng`].
 //!
 //! Both are tested against the reference vectors published with the original
-//! C implementations.
+//! C implementations. Gaussian draws transform the uniforms through
+//! [`fmath`], not the platform libm, so every draw is the same on every
+//! target.
+
+use crate::fmath;
 
 /// SplitMix64 generator (Steele, Lea & Flood 2014; Vigna's variant).
 ///
@@ -213,11 +217,11 @@ impl Rng {
     /// values of `out.len()` calls of `next_gaussian_f32(0.0, std_dev)`,
     /// leaving the generator in the same state.
     ///
-    /// Full blocks of 16 Box–Muller pairs go through a vectorizable
-    /// polynomial `ln`/`sincos` whose error is bounded far below an `f32`
-    /// rounding step. A pair whose rounding the bound cannot settle, a
-    /// cached spare, and the draws after the last full block take the
-    /// scalar libm path, so the fast transform never changes a result.
+    /// Full blocks of 16 Box–Muller pairs draw their uniforms in the
+    /// serial order and then transform them in one loop, which vectorizes.
+    /// A cached spare and the draws after the last full block take the
+    /// scalar path. Both compute the same Box–Muller transform through
+    /// [`fmath`], so the values are the same.
     ///
     /// # Examples
     ///
@@ -238,6 +242,7 @@ impl Rng {
         for o in head {
             *o = self.next_gaussian_f32(0.0, std_dev);
         }
+        let sd = f64::from(std_dev);
         let mut blocks = rest.chunks_exact_mut(2 * BLOCK);
         for block in &mut blocks {
             let mut u1 = [0.0; BLOCK];
@@ -245,7 +250,15 @@ impl Rng {
             for (a, b) in u1.iter_mut().zip(&mut u2) {
                 (*a, *b) = self.box_muller_uniforms();
             }
-            gaussian_block(&u1, &u2, &fast_pairs(&u1, &u2), std_dev as f64, block);
+            for (a, b) in u1.iter_mut().zip(&mut u2) {
+                (*a, *b) = box_muller(*a, *b);
+            }
+            // Interleaved as the serial draws make them. The `0 +` is the
+            // serial path's zero mean, which turns a −0 product into +0.
+            for ((pair, a), b) in block.chunks_exact_mut(2).zip(u1).zip(u2) {
+                pair[0] = (0.0 + sd * a) as f32;
+                pair[1] = (0.0 + sd * b) as f32;
+            }
         }
         for o in blocks.into_remainder() {
             *o = self.next_gaussian_f32(0.0, std_dev);
@@ -286,9 +299,16 @@ impl Rng {
 
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
+        self.shuffle_with(slice.len(), |i, j| slice.swap(i, j));
+    }
+
+    /// Fisher–Yates over `len` items stored elsewhere: calls `swap(i, j)`
+    /// (with `j ≤ i`) for each swap [`Rng::shuffle`] makes on a slice of
+    /// that length, with the same draws.
+    pub fn shuffle_with(&mut self, len: usize, mut swap: impl FnMut(usize, usize)) {
+        for i in (1..len).rev() {
             let j = self.below(i + 1);
-            slice.swap(i, j);
+            swap(i, j);
         }
     }
 
@@ -312,197 +332,18 @@ impl Rng {
     }
 }
 
-/// The Box–Muller pair of `(u1, u2)` through libm: `r·cos θ`, then
-/// `r·sin θ`, with `r = √(−2 ln u1)` and `θ = 2π·u2`.
+/// The Box–Muller pair of `(u1, u2)`: `r·cos θ`, then `r·sin θ`, with
+/// `r = √(−2 ln u1)` and `θ = 2π·u2`, through [`fmath`]. `u1` in
+/// [2⁻⁵³, 1] and `θ` in [0, 2π) are inside the domains `fmath` covers.
+#[inline(always)]
 fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = std::f64::consts::TAU * u2;
-    (r * theta.cos(), r * theta.sin())
+    let r = (-2.0 * fmath::ln(u1)).sqrt();
+    let (sin, cos) = fmath::sincos(std::f64::consts::TAU * u2);
+    (r * cos, r * sin)
 }
 
 /// Box–Muller pairs per block of [`Rng::fill_gaussian_f32`].
 const BLOCK: usize = 16;
-
-/// Half-width of the interval, per unit of `|sd|·(r + 1)`, in which a fast
-/// sample must round to one `f32`: 16 times the transform's error bound.
-const ROUNDING_MARGIN: f64 = 1.0 / (1u64 << 46) as f64;
-
-/// Writes the `f32` samples `0 + sd·z` of a block of pairs into `out`,
-/// interleaved as the serial draws make them (`cos`, then `sin`).
-///
-/// Each sample comes from `pairs`, the [`fast_pairs`] of `(u1, u2)`, when
-/// every value within [`ROUNDING_MARGIN`] of it rounds to the same `f32`:
-/// the libm value lies in that interval, so it rounds to the same bits. A
-/// pair with a sample that fails the test is recomputed by [`libm_pair`].
-fn gaussian_block(
-    u1: &[f64; BLOCK],
-    u2: &[f64; BLOCK],
-    pairs: &FastPairs,
-    sd: f64,
-    out: &mut [f32],
-) {
-    let mut settled = [true; BLOCK];
-    for (i, (pair, ok)) in out.chunks_exact_mut(2).zip(&mut settled).enumerate() {
-        let margin = sd.abs() * (pairs.r[i] + 1.0) * ROUNDING_MARGIN;
-        let (a, a_ok) = rounded(sd, pairs.cos[i], margin);
-        let (b, b_ok) = rounded(sd, pairs.sin[i], margin);
-        pair[0] = a;
-        pair[1] = b;
-        *ok = a_ok & b_ok;
-    }
-    for (i, pair) in out.chunks_exact_mut(2).enumerate() {
-        if !settled[i] {
-            pair.copy_from_slice(&libm_pair(u1[i], u2[i], sd));
-        }
-    }
-}
-
-/// `(0 + sd·z) as f32`, and whether every value within `margin` of the
-/// product rounds to the same `f32` bits (false for NaN). The `0 +` is the
-/// serial path's zero mean, which turns a `−0` product into `+0`.
-#[inline(always)]
-fn rounded(sd: f64, z: f64, margin: f64) -> (f32, bool) {
-    let v = 0.0 + sd * z;
-    let (lo, hi) = ((v - margin) as f32, (v + margin) as f32);
-    (v as f32, lo == hi && lo.to_bits() == hi.to_bits())
-}
-
-/// The serial path's samples of one pair, for a pair the fast transform
-/// cannot settle. Out of line so that its libm calls stay out of the block
-/// loop.
-#[cold]
-#[inline(never)]
-fn libm_pair(u1: f64, u2: f64, sd: f64) -> [f32; 2] {
-    let (a, b) = box_muller(u1, u2);
-    [(0.0 + sd * a) as f32, (0.0 + sd * b) as f32]
-}
-
-/// A block's Box–Muller radii `r` and unscaled samples `r·cos θ`, `r·sin θ`.
-struct FastPairs {
-    r: [f64; BLOCK],
-    cos: [f64; BLOCK],
-    sin: [f64; BLOCK],
-}
-
-/// The Box–Muller pairs of a block without libm: branch-free, so that the
-/// loop vectorizes. Each sample is within `(r + 1)·2⁻⁵⁰` of [`box_muller`]'s
-/// (DESIGN.md §9, "Gaussian draws").
-fn fast_pairs(u1: &[f64; BLOCK], u2: &[f64; BLOCK]) -> FastPairs {
-    let mut pairs = FastPairs {
-        r: [0.0; BLOCK],
-        cos: [0.0; BLOCK],
-        sin: [0.0; BLOCK],
-    };
-    for i in 0..BLOCK {
-        let r = (-2.0 * ln_unit(u1[i])).sqrt();
-        let (sin, cos) = sincos_turn(std::f64::consts::TAU * u2[i]);
-        pairs.r[i] = r;
-        pairs.cos[i] = r * cos;
-        pairs.sin[i] = r * sin;
-    }
-    pairs
-}
-
-/// `ln x` for a normal `x` in (0, 1], within 1 ulp (fdlibm's `log`
-/// without its special cases): `x = 2ᵏ·m` with `m` in [√2/2, √2), then
-/// `ln m = 2 atanh s` with `s = (m − 1)/(m + 1)` as an odd series in `s`.
-#[inline(always)]
-fn ln_unit(x: f64) -> f64 {
-    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
-    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
-    const LG: [f64; 7] = [
-        f64::from_bits(0x3fe5_5555_5555_5593),
-        f64::from_bits(0x3fd9_9999_9997_fa04),
-        f64::from_bits(0x3fd2_4924_9422_9359),
-        f64::from_bits(0x3fcc_71c5_1d8e_78af),
-        f64::from_bits(0x3fc7_4664_96cb_03de),
-        f64::from_bits(0x3fc3_9a09_d078_c69f),
-        f64::from_bits(0x3fc2_f112_df3e_5244),
-    ];
-    // Shift the high word so that the exponent field counts from √2/2.
-    let bits = x.to_bits();
-    let hx = (bits >> 32) + (0x3ff0_0000 - 0x3fe6_a09e);
-    let m = f64::from_bits((((hx & 0x000f_ffff) + 0x3fe6_a09e) << 32) | (bits & 0xffff_ffff));
-    // k = biased exponent − 1023, converted through the 2⁵² magic number.
-    let k = f64::from_bits(0x4330_0000_0000_0000 | (hx >> 20)) - (4_503_599_627_370_496.0 + 1023.0);
-    let f = m - 1.0;
-    let hfsq = 0.5 * f * f;
-    let s = f / (2.0 + f);
-    let z = s * s;
-    let w = z * z;
-    let t1 = w * (LG[1] + w * (LG[3] + w * LG[5]));
-    let t2 = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
-    s * (hfsq + t1 + t2) + k * LN2_LO - hfsq + f + k * LN2_HI
-}
-
-/// `(sin θ, cos θ)` for `θ` in [0, 2π): a Cody–Waite reduction by
-/// `n·π/2` with π/2 in three 33-bit parts (each product `n·part` is
-/// exact), fdlibm's kernels on [−π/4, π/4], and the quadrant `n mod 4`
-/// applied by swapping the kernels and flipping sign bits.
-#[inline(always)]
-fn sincos_turn(theta: f64) -> (f64, f64) {
-    const FRAC_2_PI: f64 = f64::from_bits(0x3fe4_5f30_6dc9_c883);
-    const PIO2: [f64; 3] = [
-        f64::from_bits(0x3ff9_21fb_5440_0000),
-        f64::from_bits(0x3dd0_b461_1a60_0000),
-        f64::from_bits(0x3ba3_198a_2e00_0000),
-    ];
-    // 1.5·2⁵²: adding it rounds to an integer held in the low mantissa bits.
-    const TO_INT: f64 = 6_755_399_441_055_744.0;
-    let t = theta * FRAC_2_PI + TO_INT;
-    let n = t.to_bits();
-    let nf = t - TO_INT;
-    // theta − n·PIO2[0] is exact (Sterbenz); y0 + y1 is the reduced angle.
-    let a = theta - nf * PIO2[0];
-    let b = nf * PIO2[1];
-    let y0 = a - b;
-    let y1 = ((a - y0) - b) - nf * PIO2[2];
-    let (s, c) = (kernel_sin(y0, y1), kernel_cos(y0, y1));
-    // Quadrants 1 and 3 swap sin and cos; sin is negated in 2 and 3, cos
-    // in 1 and 2.
-    let swap = 0u64.wrapping_sub(n & 1);
-    let (sb, cb) = (s.to_bits(), c.to_bits());
-    let sin = ((sb & !swap) | (cb & swap)) ^ ((n & 2) << 62);
-    let cos = ((cb & !swap) | (sb & swap)) ^ ((n.wrapping_add(1) & 2) << 62);
-    (f64::from_bits(sin), f64::from_bits(cos))
-}
-
-/// fdlibm's `__kernel_sin(x, y, 1)`: `sin(x + y)` for `|x + y| ≤ π/4`.
-#[inline(always)]
-fn kernel_sin(x: f64, y: f64) -> f64 {
-    const S: [f64; 6] = [
-        f64::from_bits(0xbfc5_5555_5555_5549),
-        f64::from_bits(0x3f81_1111_1110_f8a6),
-        f64::from_bits(0xbf2a_01a0_19c1_61d5),
-        f64::from_bits(0x3ec7_1de3_57b1_fe7d),
-        f64::from_bits(0xbe5a_e5e6_8a2b_9ceb),
-        f64::from_bits(0x3de5_d93a_5acf_d57c),
-    ];
-    let z = x * x;
-    let w = z * z;
-    let r = S[1] + z * (S[2] + z * S[3]) + z * w * (S[4] + z * S[5]);
-    let v = z * x;
-    x - ((z * (0.5 * y - v * r) - y) - v * S[0])
-}
-
-/// fdlibm's `__kernel_cos(x, y)`: `cos(x + y)` for `|x + y| ≤ π/4`.
-#[inline(always)]
-fn kernel_cos(x: f64, y: f64) -> f64 {
-    const C: [f64; 6] = [
-        f64::from_bits(0x3fa5_5555_5555_554c),
-        f64::from_bits(0xbf56_c16c_16c1_5177),
-        f64::from_bits(0x3efa_01a0_19cb_1590),
-        f64::from_bits(0xbe92_7e4f_809c_52ad),
-        f64::from_bits(0x3e21_ee9e_bdb4_b1c4),
-        f64::from_bits(0xbda8_fae9_be88_38d4),
-    ];
-    let z = x * x;
-    let w = z * z;
-    let r = z * (C[0] + z * (C[1] + z * C[2])) + w * w * (C[3] + z * (C[4] + z * C[5]));
-    let hz = 0.5 * z;
-    let one_minus = 1.0 - hz;
-    one_minus + (((1.0 - one_minus) - hz) + (z * r - x * y))
-}
 
 #[cfg(test)]
 mod tests {
@@ -574,85 +415,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
         assert!((var - 9.0).abs() < 0.25, "var {var}");
-    }
-
-    /// A sample whose `f32` rounding the margin cannot settle takes the
-    /// libm value. Each lane's fast `cos` sample is moved onto the midpoint
-    /// between the libm sample's `f32` and its neighbour away from zero;
-    /// where that midpoint rounds (ties to even) to the neighbour, only the
-    /// fallback gives the libm bits.
-    #[test]
-    fn unsettled_samples_take_the_libm_value() {
-        let mut rng = Rng::seed_from(21);
-        let mut u1 = [0.0; BLOCK];
-        let mut u2 = [0.0; BLOCK];
-        for (a, b) in u1.iter_mut().zip(&mut u2) {
-            (*a, *b) = rng.box_muller_uniforms();
-        }
-        let mut pairs = fast_pairs(&u1, &u2);
-        let mut off_by_rounding = 0;
-        for i in 0..BLOCK {
-            let exact = box_muller(u1[i], u2[i]).0 as f32;
-            let up = f32::from_bits(exact.to_bits() + 1);
-            let midpoint = (f64::from(exact) + f64::from(up)) / 2.0;
-            off_by_rounding += usize::from(midpoint as f32 != exact);
-            pairs.cos[i] = midpoint;
-        }
-        assert!(off_by_rounding > 0, "no lane tests the fallback");
-        let mut out = [0.0f32; 2 * BLOCK];
-        gaussian_block(&u1, &u2, &pairs, 1.0, &mut out);
-        for (i, pair) in out.chunks_exact(2).enumerate() {
-            let exact = libm_pair(u1[i], u2[i], 1.0);
-            assert_eq!(pair[0].to_bits(), exact[0].to_bits(), "lane {i}");
-            assert_eq!(pair[1].to_bits(), exact[1].to_bits(), "lane {i}");
-        }
-    }
-
-    /// The fast transform's error against libm over 10⁸ pairs, and how
-    /// often a pair falls back to libm. Slow unoptimized: run with
-    /// `cargo test --release -p shoggoth-util -- --ignored`.
-    #[test]
-    #[ignore]
-    fn fast_transform_stays_inside_the_rounding_margin() {
-        const BLOCKS: u64 = 6_250_000; // 10⁸ pairs
-        let sds = [1.0, 0.45, 0.6, 1.3, 0.14, 0.3, 3.7e-3, 1e3];
-        let mut rng = Rng::seed_from(20);
-        let mut u1 = [0.0; BLOCK];
-        let mut u2 = [0.0; BLOCK];
-        let mut out = [0.0f32; 2 * BLOCK];
-        let (mut worst, mut fallbacks, mut mismatches) = (0.0f64, 0u64, 0u64);
-        for block in 0..BLOCKS {
-            for (a, b) in u1.iter_mut().zip(&mut u2) {
-                (*a, *b) = rng.box_muller_uniforms();
-            }
-            let sd = sds[block as usize % sds.len()];
-            let pairs = fast_pairs(&u1, &u2);
-            gaussian_block(&u1, &u2, &pairs, sd, &mut out);
-            for i in 0..BLOCK {
-                let (c, s) = box_muller(u1[i], u2[i]);
-                let scale = pairs.r[i] + 1.0;
-                worst = worst.max((pairs.cos[i] - c).abs() / scale);
-                worst = worst.max((pairs.sin[i] - s).abs() / scale);
-                let margin = sd.abs() * scale * ROUNDING_MARGIN;
-                let settled =
-                    rounded(sd, pairs.cos[i], margin).1 && rounded(sd, pairs.sin[i], margin).1;
-                fallbacks += u64::from(!settled);
-                let exact = libm_pair(u1[i], u2[i], sd);
-                mismatches += u64::from(out[2 * i].to_bits() != exact[0].to_bits());
-                mismatches += u64::from(out[2 * i + 1].to_bits() != exact[1].to_bits());
-            }
-        }
-        let pairs = (BLOCKS * BLOCK as u64) as f64;
-        assert_eq!(mismatches, 0, "fill differs from libm");
-        assert!(
-            worst <= ROUNDING_MARGIN / 16.0,
-            "max |z_fast − z_libm|/(r + 1) = {worst:e}"
-        );
-        let rate = fallbacks as f64 / pairs;
-        assert!(rate <= 1e-4, "fallback rate {rate:e}");
-        println!(
-            "max |z_fast − z_libm|/(r + 1) = {worst:e}, fallbacks {fallbacks} of {pairs:e} pairs"
-        );
     }
 
     #[test]

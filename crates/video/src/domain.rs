@@ -107,29 +107,12 @@ impl Domain {
         rng.weighted_index(&self.class_mix)
     }
 
-    /// The deterministic (noise-free) appearance of `class` in this domain:
-    /// `contrast · (M · (prototype + jitter) + shift)`.
+    /// The deterministic (noise-free) appearance of `class` in this domain,
+    /// `contrast · (M · (prototype + jitter) + shift)`, written into `out`,
+    /// one feature row of the feature dimension's length.
     ///
     /// `jitter` is the per-object instance variation (same length as the
     /// prototype); pass zeros for the canonical class appearance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jitter.len()` differs from the feature dimension or
-    /// `class` is out of range.
-    pub fn object_appearance(
-        &self,
-        world: &FeatureWorld,
-        class: ClassId,
-        jitter: &[f32],
-    ) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.dim];
-        self.object_appearance_into(world, class, jitter, &mut out);
-        out
-    }
-
-    /// [`Self::object_appearance`] written into `out`, one feature row of
-    /// the feature dimension's length.
     ///
     /// # Panics
     ///
@@ -158,17 +141,10 @@ impl Domain {
         }
     }
 
-    /// The appearance of a background (non-object) region in this domain:
-    /// a low-magnitude vector around the domain shift, confusable with
-    /// low-contrast objects.
-    pub fn background_appearance(&self, rng: &mut Rng) -> Vec<f32> {
-        let mut out = vec![0.0; self.dim];
-        self.background_appearance_into(rng, &mut out);
-        out
-    }
-
-    /// [`Self::background_appearance`] written into `out`, one feature
-    /// row of the feature dimension's length, with the same draws.
+    /// The appearance of a background (non-object) region in this domain,
+    /// written into `out`, one feature row of the feature dimension's
+    /// length: a low-magnitude vector around the domain shift, confusable
+    /// with low-contrast objects.
     pub fn background_appearance_into(&self, rng: &mut Rng, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.dim, "appearance dimension mismatch");
         let contrast = self.illumination.contrast();
@@ -403,12 +379,18 @@ mod tests {
         DomainLibrary::new(WorldConfig::new(4, 16, 5))
     }
 
+    /// The appearance of `class` in `domain` with zero jitter.
+    fn canonical(domain: &Domain, world: &FeatureWorld, class: ClassId) -> Vec<f32> {
+        let mut out = vec![0.0; world.feature_dim()];
+        domain.object_appearance_into(world, class, &vec![0.0; world.feature_dim()], &mut out);
+        out
+    }
+
     #[test]
     fn source_domain_is_identity_transform() {
         let mut lib = library();
         let day = lib.generate("day", Illumination::Day, Weather::Sunny, 0.0, vec![1.0; 4]);
-        let jitter = vec![0.0f32; 16];
-        let appearance = day.object_appearance(lib.world(), 2, &jitter);
+        let appearance = canonical(&day, lib.world(), 2);
         let proto = lib.world().prototype(2);
         for (a, p) in appearance.iter().zip(proto) {
             assert!(
@@ -429,9 +411,8 @@ mod tests {
             0.8,
             vec![1.0; 4],
         );
-        let jitter = vec![0.0f32; 16];
-        let a = day.object_appearance(lib.world(), 0, &jitter);
-        let b = night.object_appearance(lib.world(), 0, &jitter);
+        let a = canonical(&day, lib.world(), 0);
+        let b = canonical(&night, lib.world(), 0);
         let dist: f32 = a
             .iter()
             .zip(&b)
@@ -454,8 +435,7 @@ mod tests {
             0.0,
             vec![1.0; 4],
         );
-        let jitter = vec![0.0f32; 16];
-        let a = night.object_appearance(lib.world(), 0, &jitter);
+        let a = canonical(&night, lib.world(), 0);
         let proto = lib.world().prototype(0);
         let norm_a: f32 = a.iter().map(|v| v * v).sum::<f32>().sqrt();
         let norm_p: f32 = proto.iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -491,9 +471,8 @@ mod tests {
         let b = lib.generate("b", Illumination::Night, Weather::Rainy, 0.9, vec![2.0; 4]);
         let at_zero = a.lerp(&b, 0.0);
         let at_one = a.lerp(&b, 1.0);
-        let jitter = vec![0.0f32; 16];
-        let x0 = at_zero.object_appearance(lib.world(), 1, &jitter);
-        let xa = a.object_appearance(lib.world(), 1, &jitter);
+        let x0 = canonical(&at_zero, lib.world(), 1);
+        let xa = canonical(&a, lib.world(), 1);
         for (p, q) in x0.iter().zip(&xa) {
             assert!((p - q).abs() < 1e-5);
         }

@@ -249,9 +249,11 @@ impl VideoStream {
         let library = &self.config.library;
         let domain = self.current_domain.domain(library);
         let class = domain.sample_class(&mut self.rng);
-        let mut jitter = vec![0.0; library.world().feature_dim()];
+        let dim = library.world().feature_dim();
+        let mut jitter = vec![0.0; dim];
         self.rng.fill_gaussian_f32(0.45, &mut jitter);
-        let base_appearance = domain.object_appearance(library.world(), class, &jitter);
+        let mut base_appearance = vec![0.0; dim];
+        domain.object_appearance_into(library.world(), class, &jitter, &mut base_appearance);
         let size = self.rng.range_f64(0.05, 0.25) as f32;
         let bbox = BBox::new(
             self.rng.range_f64(0.0, (1.0 - size) as f64) as f32,

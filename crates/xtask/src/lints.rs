@@ -7,7 +7,7 @@
 //!
 //! | lint | name          | what it forbids                                             |
 //! |------|---------------|-------------------------------------------------------------|
-//! | L1   | `determinism` | wall clocks / OS randomness / iteration-order nondeterminism in the simulation crates |
+//! | L1   | `determinism` | wall clocks / OS randomness / iteration-order nondeterminism / platform-libm float functions in the simulation crates |
 //! | L2   | `panic-audit` | panicking constructs outside the checked-in allowlist        |
 //! | L3   | `float-eq`    | bare float `==`/`!=` and `partial_cmp(..).unwrap()`          |
 //! | L4   | `unit-mix`    | `+`/`-` arithmetic across mismatched unit suffixes           |
@@ -78,9 +78,11 @@ fn word_starts(line: &str, token: &str) -> Vec<usize> {
 // L1 — determinism
 // ---------------------------------------------------------------------------
 
-/// Crates whose `src/` must stay bit-reproducible: the simulation core and
-/// everything that feeds it frames or kernels.
-pub const DETERMINISTIC_CRATES: &[&str] = &["core", "compute", "video", "net"];
+/// Crates whose `src/` must stay bit-reproducible: every crate that feeds
+/// a report.
+pub const DETERMINISTIC_CRATES: &[&str] = &[
+    "util", "tensor", "video", "models", "metrics", "net", "compute", "core",
+];
 
 const L1_BANNED: &[(&str, &str)] = &[
     (
@@ -109,24 +111,53 @@ const L1_BANNED: &[(&str, &str)] = &[
     ),
 ];
 
+/// Float methods that call the platform libm, whose results differ between
+/// C libraries and their versions. (`sqrt` is exactly rounded everywhere;
+/// `powi` is repeated multiplication.)
+pub const LIBM_METHODS: &[&str] = &[
+    "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "powf", "sin", "cos", "tan",
+    "sin_cos", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh", "asinh", "acosh", "atanh",
+    "cbrt", "hypot",
+];
+
 /// L1: forbids nondeterministic constructs in the simulation crates. The
 /// paper's results tables are reproduced from fixed seeds; a single wall
-/// clock read or hash-order iteration breaks run-to-run bit equality.
+/// clock read or hash-order iteration breaks run-to-run bit equality, and
+/// a libm call (`.exp()`, `f64::ln(..)`, …) makes the bits depend on the
+/// platform, so those go through `shoggoth_util::fmath`.
 pub fn l1_determinism(file: &SourceFile) -> Vec<Violation> {
+    let libm_calls: Vec<String> = LIBM_METHODS
+        .iter()
+        .flat_map(|m| [format!(".{m}("), format!("f32::{m}("), format!("f64::{m}(")])
+        .collect();
     let mut out = Vec::new();
     for (i, line) in file.clean.iter().enumerate() {
         if file.in_test[i] || file.suppressed(i, "determinism") {
             continue;
         }
+        let mut flag = |col: usize, message: String| {
+            out.push(Violation {
+                path: file.path.clone(),
+                line: i + 1,
+                col: col + 1,
+                lint: "L1/determinism",
+                message,
+            });
+        };
         for &(token, why) in L1_BANNED {
             for col in word_starts(line, token) {
-                out.push(Violation {
-                    path: file.path.clone(),
-                    line: i + 1,
-                    col: col + 1,
-                    lint: "L1/determinism",
-                    message: format!("`{token}` is nondeterministic: {why}"),
-                });
+                flag(col, format!("`{token}` is nondeterministic: {why}"));
+            }
+        }
+        for token in &libm_calls {
+            for col in word_starts(line, token) {
+                flag(
+                    col,
+                    format!(
+                        "`{token}..)` calls the platform libm, whose bits vary by target; \
+                         use shoggoth_util::fmath"
+                    ),
+                );
             }
         }
     }
@@ -702,6 +733,32 @@ let h: HashMap<u8, u8> = HashMap::new(); // lint:allow(determinism) interned, ne
 #[cfg(test)]
 mod tests {
     fn t() { let _ = std::time::Instant::now(); }
+}
+";
+        assert!(l1_determinism(&file(src)).is_empty());
+    }
+
+    #[test]
+    fn l1_flags_each_libm_method_in_both_call_forms() {
+        for method in LIBM_METHODS {
+            for call in [format!("x.{method}()"), format!("f64::{method}(x)")] {
+                let v = l1_determinism(&file(&format!("let y = {call};\n")));
+                assert_eq!(v.len(), 1, "`{call}`");
+                assert!(v[0].message.contains("libm"), "`{call}`: {}", v[0].message);
+            }
+        }
+    }
+
+    #[test]
+    fn l1_allows_libm_in_tests_and_lookalike_names() {
+        let src = "\
+let r = x.sqrt() + x.powi(2) + x.exp_ratio() + explain(x) + x.cosine();
+// x.exp() in a comment
+let s = \"x.ln()\";
+
+#[cfg(test)]
+mod tests {
+    fn t(x: f64) -> f64 { x.exp() + x.ln() + f64::sin(x) }
 }
 ";
         assert!(l1_determinism(&file(src)).is_empty());

@@ -36,11 +36,11 @@ cargo test -q -p shoggoth-tensor --features finite-check
 echo "==> cargo test --release -p shoggoth-tensor --test kernels_prop --test eval_in_place"
 cargo test -q --release -p shoggoth-tensor --test kernels_prop --test eval_in_place
 
-# The fast Gaussian transform's margin test: 10^8 Box-Muller pairs against
-# libm at opt level 3, too slow for the dev profile, so it is #[ignore]d
-# in the workspace run.
-echo "==> cargo test --release -p shoggoth-util -- --ignored"
-cargo test -q --release -p shoggoth-util -- --ignored
+# shoggoth-util again at opt level 3, where the Gaussian block loop and
+# the fmath functions vectorize: the fill must still equal the serial
+# draws (gaussian_fill.rs), and fmath must keep its error bounds.
+echo "==> cargo test --release -p shoggoth-util"
+cargo test -q --release -p shoggoth-util
 
 # The stream pipeline's look-ahead at opt level 3: which frames the
 # producer detects ahead depends on timing, which differs from the dev
@@ -60,7 +60,7 @@ cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
 
 # Gating: paper-scale behaviour pins. Table I on UA-DETRAC at the paper's
 # model widths, the 27 000-frame stream and the storm fleet must reproduce
-# their report digests (x86_64 only).
+# their report digests in pins/pins.txt.
 echo "==> paper-scale pins: table1-detrac, long-stream-quick, fleet-storm, seed 3"
 bash scripts/paper_scale_pin.sh
 

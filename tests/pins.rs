@@ -4,11 +4,9 @@
 //!
 //! Every other golden test compares two runs of the same build (traced vs
 //! untraced, serial vs parallel), so a refactor that moves one weight or
-//! report bit passes them all. The weight digests were computed before
-//! pre-training moved to the shared fit loop and the concurrent
-//! `pretrain_pair`; the report digests before the report's counters moved
-//! onto the event fold. A refactor that keeps them changes no measured
-//! number. Re-pin only for an intended behaviour change, and say why.
+//! report bit passes them all. A refactor that keeps these changes no
+//! measured number. Re-pin only for an intended behaviour change, and say
+//! why.
 //!
 //! Each report scenario pins two digests: one over `f64::to_bits` of every
 //! measured report field, in the order `perfbench/src/digest.rs` hashes
@@ -20,9 +18,11 @@
 //! generate, so stream generation is pinned directly and not only through
 //! the reports it feeds.
 //!
-//! The digests are per target architecture: `exp`/`ln` come from the
-//! platform libm, so they are checked on `x86_64` only. Elsewhere the tests
-//! still run every scenario and its sanity checks.
+//! Every pinned value lives in `pins/pins.txt`, one `name value` line
+//! each, and is the same on every architecture: the simulator takes no
+//! value from the platform libm (`shoggoth_util::fmath`). A test fails on
+//! a moved value, on a check with no entry and on an entry of its section
+//! that no check reads, and prints the whole replacement file.
 
 use shoggoth::fleet::{run_fleet, FleetConfig, FleetReport};
 use shoggoth::sim::{SimConfig, SimReport, Simulation};
@@ -32,6 +32,8 @@ use shoggoth_models::{StudentConfig, StudentDetector, TeacherConfig, TeacherDete
 use shoggoth_net::{FaultProfile, GilbertElliott, LatencyJitter, LinkConfig};
 use shoggoth_telemetry::HistogramSummary;
 use shoggoth_video::{presets, BBox, Frame, StreamConfig};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Mutex, PoisonError};
 
 /// Frames per Table I run: enough for Shoggoth and AMS to train.
 const TABLE_FRAMES: u64 = 900;
@@ -246,82 +248,231 @@ fn storm_config(frames: u64) -> SimConfig {
     config
 }
 
-/// Compares pins, collecting every mismatch so one failing run prints the
-/// whole table of actual values.
-#[derive(Default)]
+/// The checked-in pin file: one `name value` line per pin, `#` comments.
+const PIN_FILE: &str = include_str!("../pins/pins.txt");
+
+/// The pin file's sections: a name's first `.`-separated part. Each test
+/// below checks one section whole; `scripts/paper_scale_pin.sh` checks
+/// `paper_scale`.
+const SECTIONS: [&str; 9] = [
+    "fmath",
+    "weights",
+    "table1",
+    "fixed",
+    "fire_and_forget",
+    "chaos",
+    "fleet",
+    "stream",
+    "paper_scale",
+];
+
+/// The pin file's `(name, value)` entries, in file order.
+fn pin_entries() -> impl Iterator<Item = (&'static str, &'static str)> {
+    PIN_FILE
+        .lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(|line| {
+            line.split_once(' ')
+                .unwrap_or_else(|| panic!("pin line `{line}` is not `name value`"))
+        })
+}
+
+/// The section a pin name belongs to.
+fn section_of(name: &str) -> &str {
+    name.split('.').next().unwrap_or(name)
+}
+
+/// Every value the tests of this process have computed so far, and the
+/// sections whose tests have finished: what the replacement file is made
+/// of.
+static COMPUTED: Mutex<(BTreeMap<String, String>, BTreeSet<&str>)> =
+    Mutex::new((BTreeMap::new(), BTreeSet::new()));
+
+/// The pin file with every value computed so far in place of its pinned
+/// one: entries of finished sections that no check read are dropped, and
+/// checks with no entry are appended.
+fn replacement_file(computed: &BTreeMap<String, String>, finished: &BTreeSet<&str>) -> String {
+    let mut out = String::new();
+    for line in PIN_FILE.lines() {
+        match line.split_once(' ') {
+            Some((name, _)) if !line.starts_with('#') => {
+                if let Some(value) = computed.get(name) {
+                    out.push_str(&format!("{name} {value}\n"));
+                } else if !finished.contains(section_of(name)) {
+                    out.push_str(line);
+                    out.push('\n');
+                }
+            }
+            _ => {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+    let pinned: BTreeSet<&str> = pin_entries().map(|(name, _)| name).collect();
+    for (name, value) in computed {
+        if !pinned.contains(name.as_str()) {
+            out.push_str(&format!("{name} {value}\n"));
+        }
+    }
+    out
+}
+
+/// Checks one section of the pin file, collecting every mismatch so that
+/// one failing run prints a whole replacement file.
 struct Pins {
-    actual: Vec<String>,
+    section: &'static str,
+    computed: Vec<(String, String)>,
     mismatches: Vec<String>,
 }
 
 impl Pins {
-    fn check(&mut self, name: &str, actual: u64, pinned: u64) {
-        self.compare(name, actual, pinned, format!("{actual:#018x}"));
-    }
-
-    fn count(&mut self, name: &str, actual: u64, pinned: u64) {
-        self.compare(name, actual, pinned, actual.to_string());
-    }
-
-    fn compare(&mut self, name: &str, actual: u64, pinned: u64, shown: String) {
-        if actual != pinned {
-            self.mismatches.push(format!("{name}: {shown}"));
+    fn new(section: &'static str) -> Self {
+        assert!(SECTIONS.contains(&section), "unknown pin section {section}");
+        Self {
+            section,
+            computed: Vec::new(),
+            mismatches: Vec::new(),
         }
-        self.actual.push(format!("{name}: {shown}"));
     }
 
-    fn finish(self) {
-        if cfg!(target_arch = "x86_64") && !self.mismatches.is_empty() {
+    /// Checks a digest, written `0x` and 16 hex digits.
+    fn check(&mut self, name: &str, actual: u64) {
+        self.compare(name, format!("{actual:#018x}"));
+    }
+
+    /// Checks a count, written in decimal.
+    fn count(&mut self, name: &str, actual: u64) {
+        self.compare(name, actual.to_string());
+    }
+
+    fn compare(&mut self, name: &str, actual: String) {
+        let name = format!("{}.{name}", self.section);
+        match pin_entries().find(|&(pinned, _)| pinned == name) {
+            Some((_, pinned)) if pinned == actual => {}
+            Some((_, pinned)) => self
+                .mismatches
+                .push(format!("{name}: pinned {pinned}, computed {actual}")),
+            None => self
+                .mismatches
+                .push(format!("{name}: no entry, computed {actual}")),
+        }
+        self.computed.push((name, actual));
+    }
+
+    /// Fails on a mismatch, a check with no entry, or an entry of this
+    /// section that no check read, printing the replacement pin file.
+    fn finish(mut self) {
+        for (name, _) in pin_entries().filter(|&(name, _)| section_of(name) == self.section) {
+            if !self.computed.iter().any(|(checked, _)| checked == name) {
+                self.mismatches.push(format!("{name}: no check reads it"));
+            }
+        }
+        let mut computed = COMPUTED.lock().unwrap_or_else(PoisonError::into_inner);
+        computed.0.extend(self.computed);
+        computed.1.insert(self.section);
+        if !self.mismatches.is_empty() {
             panic!(
-                "reports moved:\n  {}\nactual values:\n  {}",
+                "pins moved:\n  {}\nreplacement pins/pins.txt (every test finished so far; \
+                 the last failure printed holds them all):\n{}",
                 self.mismatches.join("\n  "),
-                self.actual.join("\n  ")
+                replacement_file(&computed.0, &computed.1)
             );
         }
     }
 }
 
+/// Every entry of the pin file names a known section, once, and has a
+/// value in its section's form.
+#[test]
+fn pin_file_entries_belong_to_a_check() {
+    let mut seen = BTreeSet::new();
+    for (name, value) in pin_entries() {
+        assert!(
+            SECTIONS.contains(&section_of(name)),
+            "{name}: no check reads section {}",
+            section_of(name)
+        );
+        assert!(seen.insert(name), "{name} is pinned twice");
+        let digest = value.strip_prefix("0x").is_some_and(|hex| {
+            hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        });
+        assert!(
+            digest || value.parse::<u64>().is_ok(),
+            "{name}: `{value}` is neither a 0x digest nor a count"
+        );
+    }
+}
+
 /// The storm Shoggoth run's telemetry summary: its event count, counters
-/// and histogram digests.
-fn storm_telemetry(pins: &mut Pins, report: &SimReport) {
+/// and histogram digests, under `prefix`.
+fn storm_telemetry(pins: &mut Pins, prefix: &str, report: &SimReport) {
     let summary = &report.telemetry;
     let c = &summary.counters;
     let counts = [
-        ("events_recorded", summary.events_recorded, 2738),
-        ("frames", c.frames, 2700),
-        ("frames_sampled", c.frames_sampled, 12),
-        ("samples_skipped", c.samples_skipped, 1),
-        ("chunks_uploaded", c.chunks_uploaded, 8),
-        ("probe_uploads", c.probe_uploads, 2),
-        ("retransmits", c.retransmits, 3),
-        ("uploads_lost", c.uploads_lost, 4),
-        ("uploads_suppressed", c.uploads_suppressed, 0),
-        ("upload_timeouts", c.upload_timeouts, 4),
-        ("breaker_transitions", c.breaker_transitions, 5),
-        ("label_batches", c.label_batches, 4),
-        ("labeled_samples", c.labeled_samples, 128),
-        ("cloud_label_drops", c.cloud_label_drops, 0),
-        ("slow_label_batches", c.slow_label_batches, 0),
-        ("adaptation_steps", c.adaptation_steps, 1),
-        ("rate_decisions", c.rate_decisions, 3),
+        ("events_recorded", summary.events_recorded),
+        ("frames", c.frames),
+        ("frames_sampled", c.frames_sampled),
+        ("samples_skipped", c.samples_skipped),
+        ("chunks_uploaded", c.chunks_uploaded),
+        ("probe_uploads", c.probe_uploads),
+        ("retransmits", c.retransmits),
+        ("uploads_lost", c.uploads_lost),
+        ("uploads_suppressed", c.uploads_suppressed),
+        ("upload_timeouts", c.upload_timeouts),
+        ("breaker_transitions", c.breaker_transitions),
+        ("label_batches", c.label_batches),
+        ("labeled_samples", c.labeled_samples),
+        ("cloud_label_drops", c.cloud_label_drops),
+        ("slow_label_batches", c.slow_label_batches),
+        ("adaptation_steps", c.adaptation_steps),
+        ("rate_decisions", c.rate_decisions),
     ];
-    for (name, actual, pinned) in counts {
-        pins.count(&format!("storm telemetry {name}"), actual, pinned);
+    for (name, actual) in counts {
+        pins.count(&format!("{prefix}.telemetry.{name}"), actual);
     }
     let histograms = [
-        (
-            "frame_latency_ms",
-            &summary.frame_latency_ms,
-            0xc4a5_c848_3091_0339,
-        ),
-        ("queue_depth", &summary.queue_depth, 0xf7da_97a6_3145_fed9),
-        ("map_delta", &summary.map_delta, 0x0d29_53a2_4408_c9a1),
+        ("frame_latency_ms", &summary.frame_latency_ms),
+        ("queue_depth", &summary.queue_depth),
+        ("map_delta", &summary.map_delta),
     ];
-    for (name, histogram, pinned) in histograms {
+    for (name, histogram) in histograms {
         let mut h = Fnv::new();
         h.histogram(histogram);
-        pins.check(&format!("storm telemetry {name}"), h.0, pinned);
+        pins.check(&format!("{prefix}.telemetry.{name}"), h.0);
     }
+}
+
+/// A fixed table of `shoggoth_util::fmath` outputs: `ln` on (0, 1], `exp`
+/// on [−745, 0] and `sincos` on [0, 2π), 1 024 inputs each, and the
+/// extremes the simulator reaches. Its digest is the same on every
+/// target; a change to the functions moves it.
+#[test]
+fn fmath_outputs_match_the_pin() {
+    use shoggoth_util::fmath;
+    let mut h = Fnv::new();
+    for i in 1..=1024 {
+        h.f64(fmath::ln(f64::from(i) / 1024.0));
+        h.f64(fmath::exp(-745.0 * f64::from(i) / 1024.0));
+        let (sin, cos) = fmath::sincos(std::f64::consts::TAU * f64::from(i - 1) / 1024.0);
+        h.f64(sin);
+        h.f64(cos);
+    }
+    let u1 = 2f64.powi(-53);
+    let (sin, cos) = fmath::sincos(std::f64::consts::TAU * (1.0 - u1));
+    for v in [
+        fmath::ln(u1),
+        fmath::ln(1e-12),
+        fmath::exp(-104.0),
+        sin,
+        cos,
+    ] {
+        h.f64(v);
+    }
+    let mut pins = Pins::new("fmath");
+    pins.check("table", h.0);
+    pins.finish();
 }
 
 /// The quick models `Simulation::build_models` pre-trains for `stream`,
@@ -342,21 +493,9 @@ fn serial_pair(config: &SimConfig) -> (StudentDetector, TeacherDetector) {
 /// which the concurrent `build_models` must also reproduce serially.
 #[test]
 fn quick_pretrained_weights_match_the_pins() {
-    let cases: [(&str, StreamConfig, u64, u64); 2] = [
-        (
-            "detrac",
-            presets::detrac(1),
-            0xe2d8_f1f0_0873_72a9,
-            0x559c_391d_4c48_66ca,
-        ),
-        (
-            "kitti",
-            presets::kitti(1),
-            0x2312_f825_f3e1_30a2,
-            0x54df_cb2c_b903_dc73,
-        ),
-    ];
-    for (name, stream, student_pin, teacher_pin) in cases {
+    let cases = [("detrac", presets::detrac(1)), ("kitti", presets::kitti(1))];
+    let mut pins = Pins::new("weights");
+    for (name, stream) in cases {
         let config = SimConfig::quick(stream);
         let (student, teacher) = Simulation::build_models(&config);
         let (serial_student, serial_teacher) = serial_pair(&config);
@@ -372,22 +511,19 @@ fn quick_pretrained_weights_match_the_pins() {
             serial_teacher.net().export_weights(),
             "{name}: concurrent teacher differs from the serial one"
         );
-        if cfg!(target_arch = "x86_64") {
-            assert_eq!(
-                (
-                    weights_digest(&student_weights),
-                    weights_digest(&teacher_weights)
-                ),
-                (student_pin, teacher_pin),
-                "{name}: pre-trained weights moved (student, teacher digests)"
-            );
-        }
+        pins.check(&format!("{name}.student"), weights_digest(&student_weights));
+        pins.check(&format!("{name}.teacher"), weights_digest(&teacher_weights));
     }
+    pins.finish();
 }
 
-/// `(report digest, per-frame mAP digest)` of each Table I strategy, in
-/// `Strategy::table_one()` order.
-type TablePins = [(u64, u64); 5];
+/// Pins a single run's report digest and per-frame mAP digest.
+fn single_run_pins(section: &'static str, report: &SimReport) {
+    let mut pins = Pins::new(section);
+    pins.check("report", report_digest(report));
+    pins.check("maps", map_digest([report.per_frame_map.as_slice()]));
+    pins.finish();
+}
 
 /// A clean quick-scale Table I run over a stream preset.
 fn table_config(stream: StreamConfig) -> SimConfig {
@@ -399,56 +535,16 @@ fn table_config(stream: StreamConfig) -> SimConfig {
 /// and AMS under the breaker.
 #[test]
 fn table_one_reports_match_the_pins() {
-    let cases: [(&str, SimConfig, TablePins); 4] = [
-        (
-            "detrac",
-            table_config(presets::detrac(1)),
-            [
-                (0xac21_5a2e_897a_1090, 0xe987_494e_f4bb_9891),
-                (0x2c13_97bd_d80e_c66a, 0x003c_c1c2_dc3e_b69d),
-                (0x1832_c358_0989_85bb, 0xcceb_3c89_88a7_682b),
-                (0x9aa1_c498_1565_e367, 0xdb51_2b42_a470_f1c0),
-                (0x37d4_7ae9_dea2_6f26, 0xc69a_cb23_88f4_6d07),
-            ],
-        ),
-        (
-            "kitti",
-            table_config(presets::kitti(1)),
-            [
-                (0xb6ae_c361_7e65_0030, 0xd312_b79d_3b0a_7b3b),
-                (0x4af1_b569_6b72_c16e, 0xc73a_6112_c327_2c3f),
-                (0xaf2b_57f9_db3f_d7cb, 0xe3f1_5ffd_778e_1ae2),
-                (0xa4d0_cd1c_17c6_9049, 0x5206_3b2b_1efb_6bf9),
-                (0xf1f7_d480_17a0_6079, 0x6898_2c49_ed80_da8e),
-            ],
-        ),
-        (
-            "waymo",
-            table_config(presets::waymo(1)),
-            [
-                (0xf244_048c_67f2_d6c1, 0x7660_06ae_60b5_645f),
-                (0x0d51_949b_2c8c_f283, 0xc79a_1395_4cc0_ddb3),
-                (0xa59d_56f0_6129_3b24, 0x972e_96a2_941f_ccf0),
-                (0xbe6d_34c1_e495_b0a8, 0x1ebd_4c92_733a_a92e),
-                (0x94f2_3ce3_9fbe_0d0b, 0xd451_2b6a_dc7f_12eb),
-            ],
-        ),
-        (
-            "storm",
-            storm_config(STORM_FRAMES),
-            [
-                (0x2825_b89c_f07d_d6e1, 0x3a8a_aed8_e07e_ea6d),
-                (0x1f6d_c579_b63b_e601, 0xfb34_9db8_a520_2a51),
-                (0xb08b_285b_5d8c_38b3, 0xfd12_7d90_4f48_aea8),
-                (0x8bb2_f5ac_175d_64db, 0x2bd0_9004_c99f_4fbd),
-                (0x46c9_2f21_0a48_1076, 0xfb2a_7d6e_56a9_1049),
-            ],
-        ),
+    let cases = [
+        ("detrac", table_config(presets::detrac(1))),
+        ("kitti", table_config(presets::kitti(1))),
+        ("waymo", table_config(presets::waymo(1))),
+        ("storm", storm_config(STORM_FRAMES)),
     ];
-    let mut pins = Pins::default();
-    for (preset, base, expected) in cases {
+    let mut pins = Pins::new("table1");
+    for (preset, base) in cases {
         let (student, teacher) = Simulation::build_models(&base);
-        for (strategy, (report_pin, map_pin)) in Strategy::table_one().into_iter().zip(expected) {
+        for strategy in Strategy::table_one() {
             let mut config = base.clone();
             config.strategy = strategy;
             let report = Simulation::run_with_models(&config, student.clone(), teacher.clone())
@@ -468,19 +564,14 @@ fn table_one_reports_match_the_pins() {
                     assert!(r.outage_drops > 0, "storm {strategy}: no outage drop");
                 }
                 if strategy == Strategy::Shoggoth {
-                    storm_telemetry(&mut pins, &report);
+                    storm_telemetry(&mut pins, "storm.Shoggoth", &report);
                 }
             }
-            let name = format!("{preset} {}", strategy.name());
+            let name = format!("{preset}.{}", strategy.name());
+            pins.check(&format!("{name}.report"), report_digest(&report));
             pins.check(
-                &format!("{name} report"),
-                report_digest(&report),
-                report_pin,
-            );
-            pins.check(
-                &format!("{name} maps"),
+                &format!("{name}.maps"),
                 map_digest([report.per_frame_map.as_slice()]),
-                map_pin,
             );
         }
     }
@@ -492,18 +583,7 @@ fn fixed_rate_report_matches_the_pin() {
     let mut config = SimConfig::quick(presets::kitti(1).with_total_frames(TABLE_FRAMES));
     config.strategy = Strategy::FixedRate(0.4);
     let report = Simulation::run(&config).expect("quick fixed-rate run");
-    let mut pins = Pins::default();
-    pins.check(
-        "fixed 0.4 report",
-        report_digest(&report),
-        0xe4f1_03e0_7ab2_2534,
-    );
-    pins.check(
-        "fixed 0.4 maps",
-        map_digest([report.per_frame_map.as_slice()]),
-        0xef80_cddf_c6b6_66d7,
-    );
-    pins.finish();
+    single_run_pins("fixed", &report);
 }
 
 /// The storm with fire-and-forget uploads (`ResilienceConfig::disabled()`):
@@ -522,18 +602,7 @@ fn storm_fire_and_forget_report_matches_the_pin() {
         (0, 0),
         "fire-and-forget neither retransmits nor opens the breaker"
     );
-    let mut pins = Pins::default();
-    pins.check(
-        "storm fire-and-forget report",
-        report_digest(&report),
-        0xc806_1e1a_a938_910d,
-    );
-    pins.check(
-        "storm fire-and-forget maps",
-        map_digest([report.per_frame_map.as_slice()]),
-        0x3a8a_aed8_e07e_ea6d,
-    );
-    pins.finish();
+    single_run_pins("fire_and_forget", &report);
 }
 
 /// Not one of the paper's settings: a fast fixed rate through a harsher
@@ -572,18 +641,7 @@ fn chaos_report_matches_the_pin() {
     ] {
         assert!(count > 0, "the chaos pin must cover {what}");
     }
-    let mut pins = Pins::default();
-    pins.check(
-        "chaos report",
-        report_digest(&report),
-        0xa7d7_073b_87cc_4604,
-    );
-    pins.check(
-        "chaos maps",
-        map_digest([report.per_frame_map.as_slice()]),
-        0xedd0_cfca_132b_523c,
-    );
-    pins.finish();
+    single_run_pins("chaos", &report);
 }
 
 #[test]
@@ -592,12 +650,11 @@ fn storm_fleet_report_matches_the_pin() {
     let report = run_fleet(&fleet).expect("storm fleet run");
     let mut h = Fnv::new();
     h.fleet(&report);
-    let mut pins = Pins::default();
-    pins.check("storm fleet report", h.0, 0x6497_28c2_7457_6b38);
+    let mut pins = Pins::new("fleet");
+    pins.check("report", h.0);
     pins.check(
-        "storm fleet maps",
+        "maps",
         map_digest(report.per_device.iter().map(|r| r.per_frame_map.as_slice())),
-        0xb42d_cbee_b5fd_1f47,
     );
     pins.finish();
 }
@@ -609,12 +666,12 @@ fn storm_fleet_report_matches_the_pin() {
 #[test]
 fn streams_match_the_pins() {
     let streams = [
-        ("detrac", presets::detrac(3), 0xa709_522e_e089_9951),
-        ("kitti", presets::kitti(3), 0x88a2_64cf_29cb_60a8),
-        ("waymo", presets::waymo(3), 0xd933_9cca_22e5_e54b),
+        ("detrac", presets::detrac(3)),
+        ("kitti", presets::kitti(3)),
+        ("waymo", presets::waymo(3)),
     ];
-    let mut pins = Pins::default();
-    for (name, stream, pinned) in streams {
+    let mut pins = Pins::new("stream");
+    for (name, stream) in streams {
         let mut h = Fnv::new();
         let mut frames = 0;
         for frame in stream.with_total_frames(STREAM_FRAMES).build() {
@@ -622,7 +679,7 @@ fn streams_match_the_pins() {
             frames += 1;
         }
         assert_eq!(frames, STREAM_FRAMES, "{name}: every frame is generated");
-        pins.check(&format!("{name} stream"), h.0, pinned);
+        pins.check(name, h.0);
     }
     pins.finish();
 }

@@ -26,6 +26,7 @@ use shoggoth_util::json::{self, Obj};
 use shoggoth_util::pool::pipeline;
 use shoggoth_util::Rng;
 use shoggoth_video::{Frame, StreamConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Full configuration of one simulation run.
@@ -315,7 +316,7 @@ impl Simulation {
     /// Called outside a worker pool with more than one thread available,
     /// the run generates its video stream on a second thread
     /// ([`shoggoth_util::pool::pipeline`]), which also runs a copy of the
-    /// serving model on queued frames while it waits; the engine and
+    /// serving model on the frames ahead of the engine; the engine and
     /// `recorder` stay on the calling thread, and the report is the same
     /// either way.
     ///
@@ -362,6 +363,9 @@ enum Adapter {
         trainer: AdaptiveTrainer,
         /// Modeled wall-clock of one session on the cloud device.
         session_secs: f64,
+        /// The last delivered update, the shadow's weights exported flat;
+        /// reused by every update.
+        update: Vec<f32>,
     },
 }
 
@@ -389,7 +393,7 @@ const AMS_UPDATE_BYTES: u64 = 1_200_000;
 /// Frames the stream generator hands the engine at a time when it runs
 /// ahead on a second thread (`pool::pipeline`). A UA-DETRAC block is
 /// about 0.7 ms of generation and 100 KiB, so one hand-off per block
-/// costs little per frame and the three blocks in flight stay small.
+/// costs little per frame and the eight blocks in flight stay small.
 const FRAME_BLOCK: usize = 32;
 
 /// A frame's detections made ahead on the stream's producer thread, by
@@ -399,18 +403,27 @@ struct Precomputed {
     detections: Vec<Detection>,
 }
 
-/// The newest serving student's weights, published by the engine for the
-/// look-ahead. Latest wins: a publication replaces the one before, so the
-/// slot holds one weight vector however often the student changes.
+/// The newest serving student, published by the engine for the
+/// look-ahead. Latest wins: a publication overwrites the one before in
+/// place, so the slot holds one weight buffer however often the student
+/// changes.
 struct Published {
+    /// The engine's `serving_version`, readable without the lock: a
+    /// precomputed list is current while it carries this version.
+    version: AtomicU64,
+    latest: Mutex<Publication>,
+}
+
+/// The serving student's weights, flat, and their version.
+struct Publication {
     version: u64,
     weights: Vec<f32>,
 }
 
-/// Locks the weights slot. Neither side can leave it half written (a
-/// publication swaps two fields, an import only reads), so a panic on the
-/// other thread does not make its contents unusable.
-fn lock(slot: &Mutex<Published>) -> std::sync::MutexGuard<'_, Published> {
+/// Locks the weights slot. A publication writes a whole weight vector and
+/// an import only reads, so a panic on the other thread cannot leave the
+/// slot half written.
+fn lock(slot: &Mutex<Publication>) -> std::sync::MutexGuard<'_, Publication> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -422,15 +435,16 @@ enum ServingModel {
 }
 
 /// A copy of the serving model on the stream's producer thread, which
-/// detects on queued frames while the engine plays earlier ones. Before
-/// each detection it imports the newest published student, so a result
-/// is tagged with the version of the weights that made it. The engine
-/// uses a result only when that version is still its own, so a played
-/// frame's detections are the serving model's whichever thread ran it.
+/// detects on the frames ahead of the engine while it plays earlier ones.
+/// Before each detection it imports the newest published student, so a
+/// result is tagged with the version of the weights that made it. The
+/// engine uses a result only when that version is still its own, so a
+/// played frame's detections are the serving model's whichever thread ran
+/// it.
 struct LookAhead {
     model: ServingModel,
     version: u64,
-    slot: Arc<Mutex<Published>>,
+    published: Arc<Published>,
 }
 
 impl LookAhead {
@@ -450,13 +464,13 @@ impl LookAhead {
     /// version moves only with a successful import, so a copy that cannot
     /// take the weights tags its results stale rather than wrong.
     fn catch_up(&mut self) {
-        let published = lock(&self.slot);
-        if published.version == self.version {
+        if self.published.version.load(Ordering::Acquire) == self.version {
             return;
         }
+        let latest = lock(&self.published.latest);
         if let ServingModel::Student(student) = &mut self.model {
-            if student.net_mut().import_weights(&published.weights).is_ok() {
-                self.version = published.version;
+            if student.net_mut().import_weights(&latest.weights).is_ok() {
+                self.version = latest.version;
             }
         }
     }
@@ -468,9 +482,14 @@ impl LookAhead {
 struct LookAheadUse {
     /// Frames whose precomputed detections the engine used.
     used: u64,
-    /// Frames whose precomputed detections were made by an older model,
-    /// so the engine detected again.
+    /// Precomputed lists a version bump made stale before the engine got
+    /// to their frame, so it detected itself.
     stale: u64,
+    /// Lists the producer made again after a bump made its first stale.
+    redone: u64,
+    /// Frames at which the engine waited for the list the producer was
+    /// making.
+    waits: u64,
 }
 
 /// Mutable state of one run, generic over its telemetry sink so the
@@ -519,7 +538,7 @@ struct Engine<'a, R: Recorder> {
     /// of an older version is stale.
     serving_version: u64,
     /// The look-ahead's weights slot, once a producer thread runs one.
-    published: Option<Arc<Mutex<Published>>>,
+    published: Option<Arc<Published>>,
     #[cfg(test)]
     look_ahead_use: LookAheadUse,
 }
@@ -562,6 +581,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                         replay_capacity: 1,
                         ..ams
                     }),
+                    update: Vec::new(),
                 }
             }
         };
@@ -623,56 +643,83 @@ impl<'a, R: Recorder> Engine<'a, R> {
         }
     }
 
-    /// Plays the whole stream. The frames are generated a block ahead on
-    /// a second thread when one is free (`pool::pipeline`); the stream's
-    /// RNG never reads engine state, so this plays exactly the frames of
-    /// the serial loop. That thread also detects on queued frames with a
-    /// [`LookAhead`] copy of the serving model.
+    /// Plays the whole stream. The frames are generated ahead on a second
+    /// thread when one is free (`pool::pipeline`); the stream's RNG never
+    /// reads engine state, so this plays exactly the frames of the serial
+    /// loop. That thread also detects on the frames ahead with a
+    /// [`LookAhead`] copy of the serving model, and a list is current
+    /// while it carries the published version.
     fn play(&mut self) -> Result<(), SimError> {
         let stream = self.config.stream.build();
-        pipeline(
+        #[cfg_attr(not(test), allow(unused_variables))]
+        let stats = pipeline(
             stream,
             FRAME_BLOCK,
             self,
             |engine| {
-                let mut look_ahead = engine.look_ahead();
-                move |frame: &Frame| look_ahead.detect(frame)
+                let (mut look_ahead, published) = engine.look_ahead();
+                let current = move |list: &Precomputed| {
+                    list.version == published.version.load(Ordering::Acquire)
+                };
+                (move |frame: &Frame| look_ahead.detect(frame), current)
             },
             |engine, frame, ahead| engine.step(frame, ahead),
-        )
+        )?;
+        #[cfg(test)]
+        {
+            self.look_ahead_use.stale = stats.stale;
+            self.look_ahead_use.redone = stats.redone;
+            self.look_ahead_use.waits = stats.waits;
+        }
+        Ok(())
     }
 
     /// The serving model's copy for the producer thread, and the slot
     /// through which the engine hands it every later student.
-    fn look_ahead(&mut self) -> LookAhead {
-        let slot = Arc::new(Mutex::new(Published {
-            version: self.serving_version,
-            weights: Vec::new(),
-        }));
-        self.published = Some(Arc::clone(&slot));
+    fn look_ahead(&mut self) -> (LookAhead, Arc<Published>) {
+        let published = Arc::new(Published {
+            version: AtomicU64::new(self.serving_version),
+            latest: Mutex::new(Publication {
+                version: self.serving_version,
+                weights: Vec::new(),
+            }),
+        });
+        self.published = Some(Arc::clone(&published));
         let model = match self.uplink {
             Uplink::EveryFrame => ServingModel::Teacher(self.cloud.teacher().clone()),
             Uplink::Off | Uplink::Sampled(_) => ServingModel::Student(self.student.clone()),
         };
-        LookAhead {
+        let look_ahead = LookAhead {
             model,
             version: self.serving_version,
-            slot,
-        }
+            published: Arc::clone(&published),
+        };
+        (look_ahead, published)
     }
 
     /// The serving student's weights changed (a training session, an AMS
     /// update; only sampled uplinks adapt, so the student is the serving
-    /// model). Its version moves on, and a running look-ahead gets the new
-    /// weights.
+    /// model). Its version moves on, which makes every list precomputed
+    /// before stale, and a running look-ahead gets the new weights,
+    /// written over the last ones: an AMS update's, already flat, are
+    /// copied; an edge session's student is exported.
     fn student_changed(&mut self) {
         self.serving_version += 1;
-        if let Some(slot) = &self.published {
-            let weights = self.student.net().export_weights();
-            let mut published = lock(slot);
-            published.version = self.serving_version;
-            published.weights = weights;
+        let Some(published) = &self.published else {
+            return;
+        };
+        let mut latest = lock(&published.latest);
+        match &self.adapter {
+            Adapter::CloudShadow { update, .. } => latest.weights.clone_from(update),
+            Adapter::None | Adapter::Edge { .. } => {
+                self.student.net().export_weights_into(&mut latest.weights);
+            }
         }
+        latest.version = self.serving_version;
+        drop(latest);
+        published
+            .version
+            .store(self.serving_version, Ordering::Release);
     }
 
     /// Plays one frame: inference, the uplink and adaptation the plan
@@ -705,10 +752,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 &ahead.detections
             }
             _ => {
-                #[cfg(test)]
-                if ahead.is_some() {
-                    self.look_ahead_use.stale += 1;
-                }
                 fresh = match self.uplink {
                     Uplink::EveryFrame => self.cloud.infer(frame),
                     Uplink::Off | Uplink::Sampled(_) => self.student.detect(frame),
@@ -1091,20 +1134,21 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 student,
                 trainer,
                 session_secs,
+                update,
             } => {
                 let report = trainer.train_session(student, &fresh, &mut self.rng)?;
-                let weights = student.net().export_weights();
-                let update = Message::ModelWeights {
+                let message = Message::ModelWeights {
                     bytes: AMS_UPDATE_BYTES,
                 };
                 let delivered = self
                     .link
-                    .send_downlink(t, update, &mut self.rng)
+                    .send_downlink(t, message, &mut self.rng)
                     .delivered();
                 if delivered {
+                    student.net().export_weights_into(update);
                     self.student
                         .net_mut()
-                        .import_weights(&weights)
+                        .import_weights(update)
                         .map_err(|source| SimError::Tensor {
                             context: "AMS model update import",
                             source,
@@ -1298,21 +1342,100 @@ mod tests {
                 join(|| busy_run(&config, copy), || ());
             assert_eq!(inline_report, report, "{strategy:?}: reports must match");
             assert!(inline_records == records, "{strategy:?}: traces must match");
-            assert_eq!((inline_used.used, inline_used.stale), (0, 0));
+            let LookAheadUse {
+                used: inline_used,
+                stale,
+                redone,
+                waits,
+            } = inline_used;
+            assert_eq!((inline_used, stale, redone, waits), (0, 0, 0, 0));
             if strategy == Strategy::Shoggoth || strategy == Strategy::Ams {
                 assert!(report.training_sessions >= 1, "{strategy:?} must adapt");
             }
             total.used += used.used;
             total.stale += used.stale;
+            total.redone += used.redone;
+            total.waits += used.waits;
         }
+        // A session-heavy run: Shoggoth on the quick models over a stream
+        // long enough for several sessions.
+        let config = quick_config(Strategy::Shoggoth, 2_700);
+        let (report, records, heavy) = busy_run(&config, models.clone());
+        let ((inline_report, inline_records, _), ()) = join(|| busy_run(&config, models), || ());
+        assert_eq!(inline_report, report, "session-heavy: reports must match");
+        assert!(
+            inline_records == records,
+            "session-heavy: traces must match"
+        );
+        assert!(
+            report.training_sessions >= 3,
+            "{}",
+            report.training_sessions
+        );
         if available_threads() > 1 {
-            // Both paths ran: frames played with the producer's detections,
-            // and frames it detected with a student the engine had already
-            // replaced.
+            // Frames played with the producer's detections, and the producer
+            // made lists again after sessions made the first ones stale.
             assert!(total.used > 0, "{total:?}");
-            assert!(total.stale > 0, "{total:?}");
+            assert!(heavy.used > 0 && heavy.redone > 0, "{heavy:?}");
         } else {
             assert_eq!((total.used, total.stale), (0, 0));
+            assert_eq!((heavy.used, heavy.redone), (0, 0));
+        }
+    }
+
+    #[test]
+    fn publishing_the_student_reuses_the_slot_buffer() {
+        for strategy in [Strategy::Shoggoth, Strategy::Ams] {
+            let config = quick_config(strategy, 2_700);
+            let (student, teacher) = Simulation::build_models(&config);
+            let mut recorder = NoopRecorder;
+            let mut engine =
+                Engine::new(&config, student, teacher, &mut recorder).expect("valid quick config");
+            let (_look_ahead, published) = engine.look_ahead();
+            let slot_buffer = |published: &Published| {
+                let latest = lock(&published.latest);
+                (
+                    latest.weights.as_ptr(),
+                    latest.weights.capacity(),
+                    latest.version,
+                )
+            };
+            let mut first = None;
+            let mut frames = config.stream.build();
+            while engine.serving_version < 2 {
+                let frame = frames.next().expect("the student changes twice");
+                let before = engine.serving_version;
+                engine
+                    .step(&frame, None)
+                    .expect("quick config runs cleanly");
+                if engine.serving_version == before {
+                    continue;
+                }
+                let (ptr, capacity, version) = slot_buffer(&published);
+                assert_eq!(version, engine.serving_version, "{strategy:?}");
+                assert_eq!(
+                    published.version.load(Ordering::SeqCst),
+                    version,
+                    "{strategy:?}"
+                );
+                match first {
+                    None => first = Some((ptr, capacity)),
+                    Some(first) => assert_eq!(first, (ptr, capacity), "{strategy:?}"),
+                }
+                // The published weights classify like the serving student.
+                let mut copy = engine.student.clone();
+                let latest = lock(&published.latest);
+                copy.net_mut()
+                    .import_weights(&latest.weights)
+                    .expect("same architecture");
+                drop(latest);
+                let probe = frames.next().expect("frames left");
+                assert_eq!(
+                    copy.detect(&probe),
+                    engine.student.detect(&probe),
+                    "{strategy:?}"
+                );
+            }
         }
     }
 

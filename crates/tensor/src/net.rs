@@ -347,11 +347,20 @@ impl Mlp {
 
     /// Exports all parameters as a flat buffer (stable layer order).
     pub fn export_weights(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            layer.export_params(&mut out);
-        }
+        let mut out = Vec::new();
+        self.export_weights_into(&mut out);
         out
+    }
+
+    /// [`export_weights`](Mlp::export_weights) into `out`, replacing what
+    /// it held: once `out` has held this network's weights, exporting into
+    /// it again allocates nothing.
+    pub fn export_weights_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.reserve_exact(self.param_count());
+        for layer in &self.layers {
+            layer.export_params(out);
+        }
     }
 
     /// Imports parameters previously produced by
@@ -603,6 +612,24 @@ mod tests {
         let a = net.forward(&x, Mode::Eval).expect("shapes");
         let b = other.forward(&x, Mode::Eval).expect("shapes");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn export_into_reuses_the_buffer_and_matches_export() {
+        let mut rng = Rng::seed_from(8);
+        let mut net = small_net(&mut rng);
+        let mut out = vec![7.0; 3];
+        net.export_weights_into(&mut out);
+        assert_eq!(out, net.export_weights());
+        let (ptr, capacity) = (out.as_ptr(), out.capacity());
+        let x = Matrix::from_fn(8, 4, |_, _| rng.next_gaussian_f32(0.0, 1.0));
+        let logits = net.forward(&x, Mode::Train).expect("shapes");
+        let (_, grad) = losses::softmax_cross_entropy(&logits, &[1; 8]).expect("shapes");
+        net.backward(&grad).expect("cached");
+        net.step(&SgdConfig::new(0.5)).expect("finite params");
+        net.export_weights_into(&mut out);
+        assert_eq!(out, net.export_weights());
+        assert_eq!((out.as_ptr(), out.capacity()), (ptr, capacity));
     }
 
     #[test]

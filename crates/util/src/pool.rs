@@ -17,21 +17,24 @@
 //! independent computations (the student and teacher pre-training) at
 //! once. [`pipeline`] overlaps a producer with its consumer: it pulls an
 //! iterator (a simulation's video stream) on a second thread while the
-//! calling thread consumes the items in order, and while its queue is
-//! full the producer works ahead on the next items with a closure of the
-//! caller's (the serving model's inference).
+//! calling thread consumes the items in order, and the producer also works
+//! ahead on the items just past the consumer with a closure of the
+//! caller's (the serving model's inference), redoing results that went
+//! stale.
 //!
 //! Parallelism stays one level deep: a thread the pool spawned runs any
 //! nested [`pipeline`] inline, so a pool of simulations never spawns a
 //! producer per simulation.
 //!
-//! No external dependencies: the pool is `std::thread::scope` plus a
-//! mutex-guarded queue and mpsc channels, which is plenty for the
-//! coarse-grained work (whole simulations, blocks of frames) it schedules.
+//! No external dependencies: the pool is `std::thread::scope` plus
+//! mutex-guarded queues, mpsc channels and condition variables, which is
+//! plenty for the coarse-grained work (whole simulations, blocks of
+//! frames) it schedules.
 
 use std::cell::Cell;
-use std::sync::mpsc;
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     /// Set on every thread the pool spawns; [`pipeline`] runs inline there.
@@ -170,24 +173,137 @@ where
     })
 }
 
-/// Blocks waiting in [`pipeline`]'s queue. With the block the consumer
-/// holds and the one the producer fills, at most `QUEUED_BLOCKS + 2`
-/// blocks exist at once.
-const QUEUED_BLOCKS: usize = 1;
+/// Blocks of items the producer of [`pipeline`] keeps generated past the
+/// consumer's next item before it makes look-ahead results.
+const LEAD_BLOCKS: usize = 2;
 
-/// One hand-off of [`pipeline`]: items in source order, and beside each
-/// the look-ahead result the producer had time to make for it.
-struct Block<T, A> {
-    items: Vec<T>,
-    ahead: Vec<Option<A>>,
+/// Blocks in flight at most: the one the consumer is on and those after
+/// it. Past [`LEAD_BLOCKS`] the producer generates only when it has no
+/// result to make, so a consumer that stalls (a training session) finds
+/// up to this many blocks made when it comes back.
+const IN_FLIGHT_BLOCKS: usize = 8;
+
+/// The items after the consumer's next one whose results the producer
+/// makes: from `SKIP`, since the consumer reaches the nearer ones before a
+/// result started now could be ready, to `RESULT_SPAN`, since a result
+/// made further ahead is more likely to go stale before its item is
+/// played.
+const SKIP: usize = 2;
+const RESULT_SPAN: usize = 16;
+
+/// Spins the consumer waits for a result the producer is making before it
+/// sleeps: a result is one call of the look-ahead, much shorter than a
+/// sleep and a wake-up.
+const SPIN_LIMIT: u32 = 1 << 12;
+
+/// What [`pipeline`]'s look-ahead did in one run (all zero for a plain
+/// loop).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LookAheadStats {
+    /// Results the producer made again because the one it had made had
+    /// gone stale.
+    pub redone: u64,
+    /// Results that were stale when the consumer reached their item.
+    pub stale: u64,
+    /// Items at which the consumer waited for the result the producer was
+    /// making.
+    pub waits: u64,
 }
 
-impl<T, A> Block<T, A> {
+/// The look-ahead result of one item in flight.
+enum Slot<A> {
+    Empty,
+    /// The producer is making it.
+    Computing,
+    Ready(A),
+}
+
+/// What the producer and the consumer share, under one lock.
+struct State<T, A> {
+    /// Blocks generated and not yet taken by the consumer, in order.
+    queued: VecDeque<Arc<Vec<T>>>,
+    /// The result slots of the items from `next` to the newest generated.
+    slots: VecDeque<Slot<A>>,
+    /// The index of the consumer's next item.
+    next: usize,
+    /// Results the consumer is done with, for the producer to drop.
+    spent: Vec<A>,
+    /// The source has run dry: no block follows those queued.
+    exhausted: bool,
+    producer_gone: bool,
+    consumer_gone: bool,
+    producer_asleep: bool,
+    consumer_asleep: bool,
+    stats: LookAheadStats,
+}
+
+struct Shared<T, A> {
+    state: Mutex<State<T, A>>,
+    producer_wake: Condvar,
+    consumer_wake: Condvar,
+    /// Results stored so far; the consumer spins on it before it sleeps.
+    stored: AtomicUsize,
+}
+
+type Guard<'g, T, A> = MutexGuard<'g, State<T, A>>;
+
+impl<T, A> Shared<T, A> {
     fn new() -> Self {
         Self {
-            items: Vec::new(),
-            ahead: Vec::new(),
+            state: Mutex::new(State {
+                queued: VecDeque::new(),
+                slots: VecDeque::new(),
+                next: 0,
+                spent: Vec::new(),
+                exhausted: false,
+                producer_gone: false,
+                consumer_gone: false,
+                producer_asleep: false,
+                consumer_asleep: false,
+                stats: LookAheadStats::default(),
+            }),
+            producer_wake: Condvar::new(),
+            consumer_wake: Condvar::new(),
+            stored: AtomicUsize::new(0),
         }
+    }
+
+    /// Locks the state. Neither side panics while it holds the lock, so a
+    /// poisoned lock still guards consistent state.
+    fn lock(&self) -> Guard<'_, T, A> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wake_producer(&self, state: &State<T, A>) {
+        if state.producer_asleep {
+            self.producer_wake.notify_one();
+        }
+    }
+
+    fn wake_consumer(&self, state: &State<T, A>) {
+        if state.consumer_asleep {
+            self.consumer_wake.notify_one();
+        }
+    }
+
+    fn sleep_producer<'g>(&self, mut state: Guard<'g, T, A>) -> Guard<'g, T, A> {
+        state.producer_asleep = true;
+        let mut state = self
+            .producer_wake
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.producer_asleep = false;
+        state
+    }
+
+    fn sleep_consumer<'g>(&self, mut state: Guard<'g, T, A>) -> Guard<'g, T, A> {
+        state.consumer_asleep = true;
+        let mut state = self
+            .consumer_wake
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.consumer_asleep = false;
+        state
     }
 }
 
@@ -198,21 +314,35 @@ impl<T, A> Block<T, A> {
 /// When [`available_threads`] resolves to more than one and the calling
 /// thread is not one the pool spawned, `source` is pulled on a scoped
 /// producer thread, `block` items at a time (a `block` of zero counts as
-/// one), so making the next items overlaps consuming these. Consumed
-/// blocks go back to the producer, which clears and refills them: every
-/// item is dropped on the thread that made it, so the memory a producer
-/// allocates stays in its own allocator arena and is reused there.
+/// one), so making the next items overlaps consuming these. At most
+/// `IN_FLIGHT_BLOCKS` (8) blocks are in flight: the consumer's and those
+/// made after it. The producer frees every item and every look-ahead
+/// result, so the memory it allocates stays in its own allocator arena and
+/// is reused there.
 ///
 /// The producer also works ahead. `make_ahead(state)` is called once, on
-/// the calling thread, just before the producer is spawned, and the
-/// closure it returns moves to the producer. While the queue is full the
-/// producer calls it on the items of the block it holds, in order, and
-/// the consumer gets each result as `Some(&result)` beside its item; an
-/// item the producer had no time for comes with `None`. Once every item
-/// of its block has a result, the producer waits on the queue, so a
-/// queued block is always ready and the consumer never waits on the
-/// look-ahead. Results travel and are dropped with their block, on the
-/// producer.
+/// the calling thread, just before the producer is spawned. It returns the
+/// look-ahead, which moves to the producer, and `current`, which both
+/// threads call: `current(&result)` says whether a result is still
+/// current. A result must only go stale by a version change that makes
+/// every older result stale with it. Each item in flight has a result
+/// slot, and the producer, in this order of priority:
+///
+/// 1. generates until it is `LEAD_BLOCKS` (2) blocks past the consumer;
+/// 2. makes a missing or stale result among the items `SKIP` (2) to
+///    `RESULT_SPAN` (16) after the consumer's next one: of those due, not
+///    the first, which the consumer reaches before a result started now
+///    is ready, but the second (so after a version change it redoes the
+///    results made with the old version);
+/// 3. generates up to the in-flight bound, which is what it does while
+///    the consumer stalls;
+/// 4. sleeps until the consumer frees a block or moves on to where a
+///    result is due.
+///
+/// The consumer gets `Some(&result)` for an item whose result is current
+/// when it reaches it and `None` otherwise; when the producer is making
+/// that item's result just then, the consumer waits for it rather than
+/// make it a second time.
 ///
 /// Otherwise, on one thread or inside a [`parallel_map`] or [`join`]
 /// worker, it is a plain loop: it spawns nothing, never calls
@@ -232,18 +362,19 @@ impl<T, A> Block<T, A> {
 ///
 /// Propagates a panic from `source`, the look-ahead or `consume` once the
 /// producer has finished.
-pub fn pipeline<I, S, M, G, A, E, F>(
+pub fn pipeline<I, S, M, G, C, A, E, F>(
     source: I,
     block: usize,
     state: &mut S,
     make_ahead: M,
     consume: F,
-) -> Result<(), E>
+) -> Result<LookAheadStats, E>
 where
     I: Iterator + Send,
-    I::Item: Send,
-    M: FnOnce(&mut S) -> G,
+    I::Item: Send + Sync,
+    M: FnOnce(&mut S) -> (G, C),
     G: FnMut(&I::Item) -> A + Send,
+    C: Fn(&A) -> bool + Sync,
     A: Send,
     F: FnMut(&mut S, &I::Item, Option<&A>) -> Result<(), E>,
 {
@@ -251,103 +382,332 @@ where
 }
 
 /// [`pipeline`] with an explicit thread count (`0` = auto).
-fn pipeline_on<I, S, M, G, A, E, F>(
+fn pipeline_on<I, S, M, G, C, A, E, F>(
     threads: usize,
     mut source: I,
     block: usize,
     state: &mut S,
     make_ahead: M,
     mut consume: F,
-) -> Result<(), E>
+) -> Result<LookAheadStats, E>
 where
     I: Iterator + Send,
-    I::Item: Send,
-    M: FnOnce(&mut S) -> G,
+    I::Item: Send + Sync,
+    M: FnOnce(&mut S) -> (G, C),
     G: FnMut(&I::Item) -> A + Send,
+    C: Fn(&A) -> bool + Sync,
     A: Send,
     F: FnMut(&mut S, &I::Item, Option<&A>) -> Result<(), E>,
 {
     if resolve_threads(threads) <= 1 || on_pool_thread() {
-        return source.try_for_each(|item| consume(state, &item, None));
+        source.try_for_each(|item| consume(state, &item, None))?;
+        return Ok(LookAheadStats::default());
     }
-    let ahead = make_ahead(state);
-    let (full_tx, full_rx) = mpsc::sync_channel::<Block<I::Item, A>>(QUEUED_BLOCKS);
-    let (empty_tx, empty_rx) = mpsc::channel::<Block<I::Item, A>>();
+    let (ahead, current) = make_ahead(state);
+    let shared = Shared::new();
     std::thread::scope(|scope| {
+        let (shared, current) = (&shared, &current);
         let producer = scope.spawn(move || {
             mark_pool_thread();
-            produce(source, block.max(1), ahead, full_tx, empty_rx);
+            Producer::new(shared, current, block.max(1)).run(source, ahead);
         });
-        // The consumer owns `full_rx` and `empty_tx`. However it ends (the
-        // queue closed, an error, a panic) dropping them unblocks the
-        // producer, so the scope can join it.
-        let result = (move || {
-            for block in full_rx {
-                for (item, ahead) in block.items.iter().zip(&block.ahead) {
-                    consume(state, item, ahead.as_ref())?;
-                }
-                // Fails only when the producer panicked; the block is then
-                // dropped here.
-                let _ = empty_tx.send(block);
-            }
-            Ok(())
-        })();
+        // However the consumer ends (done, an error, a panic), dropping it
+        // tells the producer, so the scope can join it.
+        let result = Consumer::new(shared).run(state, current, consume);
         match producer.join() {
-            Ok(()) => result,
+            Ok(()) => result.map(|()| shared.lock().stats),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     })
 }
 
-/// [`pipeline`]'s producer: fills blocks from `source` and queues them
-/// until it runs dry, taking the consumer's emptied blocks back once
-/// `QUEUED_BLOCKS + 2` are out. After the last block it closes the queue
-/// and frees the blocks that still come back.
-fn produce<I: Iterator, A>(
-    mut source: I,
-    block: usize,
-    mut ahead: impl FnMut(&I::Item) -> A,
-    full: mpsc::SyncSender<Block<I::Item, A>>,
-    empty: mpsc::Receiver<Block<I::Item, A>>,
-) {
-    let fresh = std::iter::repeat_with(Block::new).take(QUEUED_BLOCKS + 2);
-    for mut next in fresh.chain(&empty) {
-        next.items.clear();
-        next.ahead.clear();
-        next.items.extend(source.by_ref().take(block));
-        next.ahead.resize_with(next.items.len(), || None);
-        let last = next.items.len() < block;
-        if !next.items.is_empty() && queue_working_ahead(&full, next, &mut ahead).is_err() {
-            return;
-        }
-        if last {
-            break;
-        }
-    }
-    drop(full);
-    empty.iter().for_each(drop);
+/// [`pipeline`]'s consumer: the block it is on and the result it holds.
+/// Dropping it hands the result back to the producer and tells it that
+/// the consumer is gone.
+struct Consumer<'s, T, A> {
+    shared: &'s Shared<T, A>,
+    block: Option<Arc<Vec<T>>>,
+    offset: usize,
+    held: Option<A>,
 }
 
-/// Queues `block`. While the queue is full, fills in the look-ahead
-/// results of its items one at a time, retrying after each; once every
-/// item has one, waits for room. Fails when the consumer has gone.
-fn queue_working_ahead<T, A>(
-    full: &mpsc::SyncSender<Block<T, A>>,
-    mut block: Block<T, A>,
-    ahead: &mut impl FnMut(&T) -> A,
-) -> Result<(), ()> {
-    let mut done = 0;
-    loop {
-        match full.try_send(block) {
-            Ok(()) => return Ok(()),
-            Err(mpsc::TrySendError::Disconnected(_)) => return Err(()),
-            Err(mpsc::TrySendError::Full(back)) => block = back,
+impl<'s, T, A> Consumer<'s, T, A> {
+    fn new(shared: &'s Shared<T, A>) -> Self {
+        Self {
+            shared,
+            block: None,
+            offset: 0,
+            held: None,
         }
-        if done == block.items.len() {
-            return full.send(block).map_err(drop);
+    }
+
+    fn run<S, E>(
+        mut self,
+        state: &mut S,
+        current: impl Fn(&A) -> bool,
+        mut consume: impl FnMut(&mut S, &T, Option<&A>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        loop {
+            let mut st = self.shared.lock();
+            st.spent.extend(self.held.take());
+            if self.block.as_ref().is_none_or(|b| self.offset == b.len()) {
+                // Let go of the block played before taking the next, so the
+                // producer can refill it.
+                self.block = None;
+                loop {
+                    if let Some(block) = st.queued.pop_front() {
+                        self.block = Some(block);
+                        self.offset = 0;
+                        break;
+                    }
+                    if st.exhausted || st.producer_gone {
+                        return Ok(());
+                    }
+                    st = self.shared.sleep_consumer(st);
+                }
+                self.shared.wake_producer(&st);
+            }
+            st = self.await_result(st);
+            let slot = st.slots.pop_front();
+            st.next += 1;
+            if let Some(Slot::Ready(result)) = slot {
+                if current(&result) {
+                    self.held = Some(result);
+                } else {
+                    st.stats.stale += 1;
+                    st.spent.push(result);
+                }
+            }
+            // Moving on, or a version bump in the item played last, can
+            // give a sleeping producer a result to make or redo.
+            if st.producer_asleep && due(&st.slots, &current).is_some() {
+                self.shared.producer_wake.notify_one();
+            }
+            drop(st);
+            let Some(block) = &self.block else {
+                return Ok(());
+            };
+            let item = &block[self.offset];
+            self.offset += 1;
+            consume(state, item, self.held.as_ref())?;
         }
-        block.ahead[done] = Some(ahead(&block.items[done]));
-        done += 1;
+    }
+
+    /// Waits while the producer makes the result of the consumer's next
+    /// item: spinning first, then asleep.
+    fn await_result(&self, mut st: Guard<'s, T, A>) -> Guard<'s, T, A> {
+        let making = |st: &State<T, A>| {
+            matches!(st.slots.front(), Some(Slot::Computing)) && !st.producer_gone
+        };
+        if !making(&st) {
+            return st;
+        }
+        st.stats.waits += 1;
+        // The producer makes one result at a time, so the next one stored
+        // is this one.
+        let stored = self.shared.stored.load(Ordering::Acquire);
+        drop(st);
+        for _ in 0..SPIN_LIMIT {
+            if self.shared.stored.load(Ordering::Acquire) != stored {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        st = self.shared.lock();
+        while making(&st) {
+            st = self.shared.sleep_consumer(st);
+        }
+        st
+    }
+}
+
+impl<T, A> Drop for Consumer<'_, T, A> {
+    fn drop(&mut self) {
+        self.block = None;
+        let held = self.held.take();
+        let mut st = self.shared.lock();
+        st.spent.extend(held);
+        st.consumer_gone = true;
+        self.shared.wake_producer(&st);
+    }
+}
+
+/// The offset from the consumer's next item of the one whose result the
+/// producer makes next: of the items `SKIP` to `RESULT_SPAN` after it whose
+/// result is missing or stale, the second. The consumer reaches the first
+/// before a result started now would be ready and makes it itself, which
+/// gives the producer the time to make the second.
+fn due<A>(slots: &VecDeque<Slot<A>>, current: &impl Fn(&A) -> bool) -> Option<usize> {
+    let to = slots.len().min(RESULT_SPAN);
+    (SKIP..to)
+        .filter(|&k| match &slots[k] {
+            Slot::Empty => true,
+            Slot::Computing => false,
+            Slot::Ready(result) => !current(result),
+        })
+        .nth(1)
+}
+
+/// What the producer does next.
+enum Task {
+    Generate,
+    Compute(usize),
+    Stop,
+}
+
+/// Work the producer finished outside the lock, to hand over under it.
+enum Made<T, A> {
+    Block(Arc<Vec<T>>),
+    Result(usize, A),
+}
+
+/// [`pipeline`]'s producer: every block in flight, oldest first, beside
+/// the index of its first item. Dropping it tells the consumer, and frees
+/// what the consumer left.
+struct Producer<'s, T, A, C> {
+    shared: &'s Shared<T, A>,
+    current: &'s C,
+    block: usize,
+    ring: VecDeque<(usize, Arc<Vec<T>>)>,
+    /// Emptied item buffers, to refill.
+    spare: Vec<Vec<T>>,
+    generated: usize,
+    exhausted: bool,
+}
+
+impl<'s, T, A, C: Fn(&A) -> bool> Producer<'s, T, A, C> {
+    fn new(shared: &'s Shared<T, A>, current: &'s C, block: usize) -> Self {
+        Self {
+            shared,
+            current,
+            block,
+            ring: VecDeque::new(),
+            spare: Vec::new(),
+            generated: 0,
+            exhausted: false,
+        }
+    }
+
+    fn run(mut self, mut source: impl Iterator<Item = T>, mut ahead: impl FnMut(&T) -> A) {
+        let mut made = None;
+        let mut spent = Vec::new();
+        let mut passed = Vec::new();
+        loop {
+            let mut st = self.shared.lock();
+            let handed = made.take().map(|m| self.hand_over(&mut st, m, &mut spent));
+            if handed.is_some() || self.exhausted != st.exhausted {
+                st.exhausted = self.exhausted;
+                self.shared.wake_consumer(&st);
+            }
+            let task = loop {
+                if st.consumer_gone {
+                    break Task::Stop;
+                }
+                self.reclaim(st.next, &mut passed);
+                if let Some(task) = self.choose(&mut st) {
+                    break task;
+                }
+                st = self.shared.sleep_producer(st);
+            };
+            spent.append(&mut st.spent);
+            drop(st);
+            spent.clear();
+            for items in passed.drain(..) {
+                if let Ok(mut items) = Arc::try_unwrap(items) {
+                    items.clear();
+                    self.spare.push(items);
+                }
+            }
+            made = match task {
+                Task::Stop => return,
+                Task::Generate => self.generate(&mut source).map(Made::Block),
+                Task::Compute(i) => Some(Made::Result(i, ahead(self.item(i)))),
+            };
+        }
+    }
+
+    /// Queues a new block with empty result slots, or stores a result
+    /// unless the consumer has passed its item.
+    fn hand_over(&mut self, st: &mut State<T, A>, made: Made<T, A>, spent: &mut Vec<A>) {
+        match made {
+            Made::Block(items) => {
+                let n = items.len();
+                st.slots
+                    .extend(std::iter::repeat_with(|| Slot::Empty).take(n));
+                st.queued.push_back(Arc::clone(&items));
+                self.ring.push_back((self.generated, items));
+                self.generated += n;
+            }
+            Made::Result(i, result) => match i.checked_sub(st.next) {
+                Some(k) => {
+                    st.slots[k] = Slot::Ready(result);
+                    self.shared.stored.fetch_add(1, Ordering::Release);
+                }
+                None => spent.push(result),
+            },
+        }
+    }
+
+    /// Moves the blocks the consumer is done with out of the ring.
+    fn reclaim(&mut self, next: usize, passed: &mut Vec<Arc<Vec<T>>>) {
+        while let Some((first, items)) = self.ring.front() {
+            if first + items.len() > next || Arc::strong_count(items) > 1 {
+                break;
+            }
+            passed.extend(self.ring.pop_front().map(|(_, items)| items));
+        }
+    }
+
+    /// The next task by the priorities [`pipeline`] lists; `None` when
+    /// there is nothing to do.
+    fn choose(&mut self, st: &mut State<T, A>) -> Option<Task> {
+        let lead = LEAD_BLOCKS * self.block;
+        let room = !self.exhausted && self.ring.len() < IN_FLIGHT_BLOCKS;
+        if room && self.generated < st.next + lead {
+            return Some(Task::Generate);
+        }
+        if let Some(i) = due(&st.slots, self.current).map(|k| st.next + k) {
+            let slot = &mut st.slots[i - st.next];
+            if let Slot::Ready(stale) = std::mem::replace(slot, Slot::Computing) {
+                st.stats.redone += 1;
+                st.spent.push(stale);
+            }
+            return Some(Task::Compute(i));
+        }
+        room.then_some(Task::Generate)
+    }
+
+    fn generate(&mut self, source: &mut impl Iterator<Item = T>) -> Option<Arc<Vec<T>>> {
+        let mut items = self.spare.pop().unwrap_or_default();
+        items.extend(source.by_ref().take(self.block));
+        self.exhausted = items.len() < self.block;
+        if items.is_empty() {
+            self.spare.push(items);
+            return None;
+        }
+        Some(Arc::new(items))
+    }
+
+    /// Item `i`, which is in flight. Every block but the last is full.
+    fn item(&self, i: usize) -> &T {
+        let first = self.ring.front().map_or(0, |(first, _)| *first);
+        let (first, items) = &self.ring[(i - first) / self.block];
+        &items[i - first]
+    }
+}
+
+impl<T, A, C> Drop for Producer<'_, T, A, C> {
+    fn drop(&mut self) {
+        let mut st = self.shared.lock();
+        st.producer_gone = true;
+        self.shared.wake_consumer(&st);
+        let left = (
+            std::mem::take(&mut st.queued),
+            std::mem::take(&mut st.slots),
+            std::mem::take(&mut st.spent),
+        );
+        drop(st);
+        drop(left);
     }
 }
 
@@ -460,7 +820,7 @@ mod tests {
     }
 
     /// [`pipeline_on`] without a look-ahead: the factory returns a closure
-    /// that yields `()`, and `consume` sees only the item.
+    /// that yields `()`, always current, and `consume` sees only the item.
     fn plain<I, E>(
         threads: usize,
         source: I,
@@ -469,21 +829,22 @@ mod tests {
     ) -> Result<(), E>
     where
         I: Iterator + Send,
-        I::Item: Send,
+        I::Item: Send + Sync,
     {
         pipeline_on(
             threads,
             source,
             block,
             &mut (),
-            |()| |_: &I::Item| (),
+            |()| (|_: &I::Item| (), |&(): &()| true),
             |(), item, _| consume(item),
         )
+        .map(drop)
     }
 
     /// Spins, yielding, until `calls` is positive: a consumer that waits
-    /// here on its first item holds one block while the producer queues
-    /// the next and, with the queue full, works ahead on the one after.
+    /// here on its first item lets the producer generate its lead and then
+    /// work ahead on the items after the consumer's.
     fn wait_for_look_ahead(calls: &std::sync::atomic::AtomicUsize) {
         while calls.load(std::sync::atomic::Ordering::SeqCst) == 0 {
             std::thread::yield_now();
@@ -521,16 +882,17 @@ mod tests {
         for threads in [1, 2] {
             let calls = AtomicUsize::new(0);
             let mut seen = Vec::new();
-            let result: Result<(), ()> = pipeline_on(
+            let result: Result<LookAheadStats, ()> = pipeline_on(
                 threads,
                 0..n,
                 block,
                 &mut seen,
                 |_| {
-                    |&i: &usize| {
+                    let ahead = |&i: &usize| {
                         calls.fetch_add(1, Ordering::SeqCst);
                         i * 10
-                    }
+                    };
+                    (ahead, |_: &usize| true)
                 },
                 |seen, &i, ahead| {
                     if threads > 1 && i == 0 {
@@ -540,7 +902,7 @@ mod tests {
                     Ok(())
                 },
             );
-            assert_eq!(result, Ok(()));
+            assert!(result.is_ok());
             let items: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
             assert_eq!(items, (0..n).collect::<Vec<_>>(), "threads {threads}");
             assert!(seen
@@ -572,17 +934,18 @@ mod tests {
             let calls = AtomicUsize::new(0);
             let mut ran_on: Vec<ThreadId> = Vec::new();
             let mut built = false;
-            let result: Result<(), ()> = pipeline_on(
+            let result: Result<LookAheadStats, ()> = pipeline_on(
                 threads,
                 0..40,
                 4,
                 &mut built,
                 |built| {
                     *built = true;
-                    |_: &i32| {
+                    let ahead = |_: &i32| {
                         calls.fetch_add(1, Ordering::SeqCst);
                         std::thread::current().id()
-                    }
+                    };
+                    (ahead, |_: &ThreadId| true)
                 },
                 |_, &i, ahead| {
                     if i == 0 && threads > 1 && !on_pool_thread() {
@@ -592,7 +955,7 @@ mod tests {
                     Ok(())
                 },
             );
-            assert_eq!(result, Ok(()));
+            assert!(result.is_ok());
             (built, ran_on)
         };
         let caller = std::thread::current().id();
@@ -626,7 +989,7 @@ mod tests {
                 source,
                 block,
                 &mut consumed,
-                |_| |&i: &usize| i,
+                |_| (|&i: &usize| i, |_: &usize| true),
                 |consumed, &i, _| {
                     if i == k {
                         return Err(format!("item {i}"));
@@ -640,7 +1003,7 @@ mod tests {
             // The producer stops within the blocks it may hold.
             let pulled = pulled.load(Ordering::SeqCst);
             assert!(
-                pulled <= k + 1 + (QUEUED_BLOCKS + 2) * block,
+                pulled <= k + 1 + IN_FLIGHT_BLOCKS * block,
                 "threads {threads}: pulled {pulled}"
             );
         }
@@ -682,10 +1045,11 @@ mod tests {
                 4,
                 &mut (),
                 |()| {
-                    |_: &i32| {
+                    let ahead = |_: &i32| {
                         calls.fetch_add(1, Ordering::SeqCst);
                         panic!("look-ahead side");
-                    }
+                    };
+                    (ahead, |&(): &()| true)
                 },
                 |(), &i, _: Option<&()>| {
                     if i == 0 {
@@ -755,23 +1119,24 @@ mod tests {
         let (items, results) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
         let calls = AtomicUsize::new(0);
         let source = (0..50).map(|_| Item::new(&items));
-        let result: Result<(), ()> = pipeline_on(
+        let result: Result<LookAheadStats, ()> = pipeline_on(
             2,
             source,
             4,
             &mut (),
             |()| {
-                |_: &Item<'_>| {
+                let ahead = |_: &Item<'_>| {
                     calls.fetch_add(1, Ordering::SeqCst);
                     Item::new(&results)
-                }
+                };
+                (ahead, |_: &Item<'_>| true)
             },
             |(), _, _| {
                 wait_for_look_ahead(&calls);
                 Ok(())
             },
         );
-        assert_eq!(result, Ok(()));
+        assert!(result.is_ok());
         let caller = std::thread::current().id();
         for (log, made) in [(items, 50), (results, calls.load(Ordering::SeqCst))] {
             let log = log.into_inner().expect("no thread panicked");
@@ -780,6 +1145,186 @@ mod tests {
                 .iter()
                 .all(|&(made, dropped)| made == dropped && made != caller));
         }
+    }
+
+    /// Spins, yielding, until `done()` holds; panics after ten seconds, so
+    /// a producer that never gets there fails the test instead of hanging it.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !done() {
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(10),
+                "timed out waiting until {what}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn pipeline_never_pulls_past_the_in_flight_bound() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (n, block) = (600, 4);
+        // The item the consumer is on, and the most the source ran ahead
+        // of it.
+        let position = AtomicUsize::new(0);
+        let furthest = AtomicUsize::new(0);
+        let source = (0..n).inspect(|&i| {
+            furthest.fetch_max(i - position.load(Ordering::SeqCst), Ordering::SeqCst);
+        });
+        let result: Result<LookAheadStats, ()> = pipeline_on(
+            2,
+            source,
+            block,
+            &mut (),
+            |()| (|&i: &usize| i, |_: &usize| true),
+            |(), &i, _| {
+                position.store(i, Ordering::SeqCst);
+                // Stall now and then, so the producer fills its blocks.
+                if i % 50 == 0 {
+                    (0..200).for_each(|_| std::thread::yield_now());
+                }
+                Ok(())
+            },
+        );
+        assert!(result.is_ok());
+        let furthest = furthest.load(Ordering::SeqCst);
+        assert!(furthest <= IN_FLIGHT_BLOCKS * block, "ran {furthest} ahead");
+    }
+
+    #[test]
+    fn pipeline_generates_ahead_through_a_stalled_consumer() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (block, k) = (4, 9);
+        let pulled = AtomicUsize::new(0);
+        let source = (0..200).inspect(|_| {
+            pulled.fetch_add(1, Ordering::SeqCst);
+        });
+        let result: Result<LookAheadStats, ()> = pipeline_on(
+            2,
+            source,
+            block,
+            &mut (),
+            |()| (|&i: &usize| i, |_: &usize| true),
+            |(), &i, _| {
+                // Item k + 3 blocks is item number k + 3 * block + 1.
+                if i == k {
+                    wait_until("the source made item k + 3 blocks", || {
+                        pulled.load(Ordering::SeqCst) > k + 3 * block
+                    });
+                }
+                Ok(())
+            },
+        );
+        assert!(result.is_ok());
+    }
+
+    /// A version the consumer moves on, and a look-ahead whose results are
+    /// `(item, the version they were made at)`; it logs every result.
+    #[derive(Default)]
+    struct Versions {
+        version: std::sync::atomic::AtomicU64,
+        made: Mutex<Vec<(usize, u64)>>,
+    }
+
+    impl Versions {
+        fn make(&self, i: usize) -> (usize, u64) {
+            let result = (i, self.now());
+            self.made.lock().expect("no panic").push(result);
+            result
+        }
+
+        fn current(&self, &(_, v): &(usize, u64)) -> bool {
+            v == self.now()
+        }
+
+        fn now(&self) -> u64 {
+            self.version.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        fn bump(&self) {
+            self.version
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+
+        /// Results made for item `i` so far, and how many of them are
+        /// current.
+        fn made_at(&self, i: usize) -> (usize, usize) {
+            let now = self.now();
+            let made = self.made.lock().expect("no panic");
+            let all = made.iter().filter(|&&(j, _)| j == i);
+            (all.clone().count(), all.filter(|&&(_, v)| v == now).count())
+        }
+    }
+
+    #[test]
+    fn pipeline_redoes_results_that_went_stale() {
+        let (n, block) = (300, 4);
+        let versions = Versions::default();
+        let mut seen = Vec::new();
+        let result: Result<LookAheadStats, ()> = pipeline_on(
+            2,
+            0..n,
+            block,
+            &mut seen,
+            |_| (|&i: &usize| versions.make(i), |r: &_| versions.current(r)),
+            |seen, &i, ahead| {
+                seen.push((i, versions.now(), ahead.copied()));
+                // Every 40 items: once the producer has made results where
+                // it works, invalidate them; at the next item, wait until
+                // the producer makes one of them again.
+                let span = i + 1 + SKIP..i + 2 + RESULT_SPAN;
+                if i % 40 == 10 {
+                    wait_until("results past the consumer", || {
+                        span.clone().filter(|&j| versions.made_at(j).1 > 0).count() >= 3
+                    });
+                    versions.bump();
+                }
+                if i % 40 == 11 {
+                    wait_until("a stale result redone", || {
+                        span.clone().any(|j| versions.made_at(j).0 > 1)
+                    });
+                }
+                Ok(())
+            },
+        );
+        let stats = result.expect("no error");
+        assert_eq!(seen.len(), n);
+        for &(i, now, ahead) in &seen {
+            assert!(
+                ahead.is_none_or(|result| result == (i, now)),
+                "item {i} at version {now} got {ahead:?}"
+            );
+        }
+        assert!(stats.redone > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn pipeline_never_makes_a_result_twice_at_one_version() {
+        use std::collections::BTreeSet;
+        let (n, block) = (400, 4);
+        let versions = Versions::default();
+        let result: Result<LookAheadStats, ()> = pipeline_on(
+            2,
+            0..n,
+            block,
+            &mut (),
+            |()| (|&i: &usize| versions.make(i), |r: &_| versions.current(r)),
+            |(), &i, _| {
+                if i % 9 == 0 {
+                    (0..50).for_each(|_| std::thread::yield_now());
+                }
+                if i % 25 == 0 {
+                    versions.bump();
+                }
+                Ok(())
+            },
+        );
+        assert!(result.is_ok());
+        let made = versions.made.into_inner().expect("no panic");
+        let distinct: BTreeSet<(usize, u64)> = made.iter().copied().collect();
+        let duplicates = made.len() - distinct.len();
+        assert_eq!(duplicates, 0, "{} results", made.len());
+        assert!(!made.is_empty());
     }
 
     #[test]

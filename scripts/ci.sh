@@ -26,6 +26,12 @@ cargo test -q --workspace
 echo "==> SHOGGOTH_THREADS=1 cargo test --test pins"
 SHOGGOTH_THREADS=1 cargo test -q --test pins
 
+# And on two threads, so every run pipelines its stream and detects ahead
+# on the producer even where the default resolves to one thread (a 1-vCPU
+# runner).
+echo "==> SHOGGOTH_THREADS=2 cargo test --release --test pins"
+SHOGGOTH_THREADS=2 cargo test -q --release --test pins
+
 echo "==> cargo test -p shoggoth-tensor --features finite-check"
 cargo test -q -p shoggoth-tensor --features finite-check
 

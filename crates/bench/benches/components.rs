@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shoggoth::controller::{ControllerConfig, SamplingRateController};
-use shoggoth::replay::{ReplayItem, ReplayMemory};
+use shoggoth::replay::ReplayMemory;
 use shoggoth::sim::{SimConfig, Simulation};
 use shoggoth::strategy::Strategy;
 use shoggoth::trainer::{AdaptiveTrainer, TrainerConfig};
@@ -20,26 +20,27 @@ use std::hint::black_box;
 
 fn bench_replay_memory(c: &mut Criterion) {
     let mut rng = Rng::seed_from(1);
-    let batch: Vec<ReplayItem> = (0..600)
-        .map(|i| ReplayItem {
-            activation: vec![i as f32; 48],
-            label: i % 5,
-            stored_at_run: 0,
-        })
-        .collect();
+    let batch = Matrix::from_fn(600, 48, |r, _| r as f32);
+    let labels: Vec<usize> = (0..600).map(|i| i % 5).collect();
     c.bench_function("replay_memory_integrate_600_into_3000", |b| {
         let mut memory = ReplayMemory::new(3000);
         b.iter(|| {
-            memory.integrate(black_box(batch.clone()), &mut rng);
+            memory.integrate(black_box(&batch), &labels, &mut rng);
         });
     });
     c.bench_function("replay_memory_sample_48_of_3000", |b| {
         let mut memory = ReplayMemory::new(3000);
         for _ in 0..6 {
-            memory.integrate(batch.clone(), &mut rng);
+            memory.integrate(&batch, &labels, &mut rng);
         }
         let mut scratch = Vec::new();
-        b.iter(|| black_box(memory.sample(48, &mut rng, &mut scratch).len()));
+        let mut rows = Matrix::zeros(0, 0);
+        let mut row_labels = Vec::new();
+        b.iter(|| {
+            rows.resize_zeroed(0, 48);
+            row_labels.clear();
+            black_box(memory.sample_into(48, &mut rng, &mut scratch, &mut rows, &mut row_labels))
+        });
     });
 }
 

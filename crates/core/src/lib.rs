@@ -65,7 +65,7 @@ pub use cloud::{CloudConfig, CloudFaultProfile, CloudServer, LabelFate};
 pub use controller::{phi_score, ControllerConfig, RateDecision, SamplingRateController};
 pub use error::{InvalidConfig, SimError, TrainError};
 pub use fleet::{run_fleet, run_fleet_traced, FleetConfig, FleetReport};
-pub use replay::{ReplayItem, ReplayMemory};
+pub use replay::ReplayMemory;
 pub use resilience::{ResilienceConfig, ResilienceReport};
 pub use sim::{SimConfig, SimReport, Simulation};
 pub use strategy::Strategy;

@@ -23,7 +23,7 @@ use shoggoth_telemetry::{
     BreakerPhase, Event, EventFold, NoopRecorder, Record, Recorder, TelemetrySummary,
 };
 use shoggoth_util::json::{self, Obj};
-use shoggoth_util::pool::pipeline;
+use shoggoth_util::pool::{pipeline, LookAheadStats};
 use shoggoth_util::Rng;
 use shoggoth_video::{Frame, StreamConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -476,22 +476,6 @@ impl LookAhead {
     }
 }
 
-/// How a run's played frames got their detections; read by the tests.
-#[cfg(test)]
-#[derive(Debug, Default, Clone, Copy)]
-struct LookAheadUse {
-    /// Frames whose precomputed detections the engine used.
-    used: u64,
-    /// Precomputed lists a version bump made stale before the engine got
-    /// to their frame, so it detected itself.
-    stale: u64,
-    /// Lists the producer made again after a bump made its first stale.
-    redone: u64,
-    /// Frames at which the engine waited for the list the producer was
-    /// making.
-    waits: u64,
-}
-
 /// Mutable state of one run, generic over its telemetry sink so the
 /// no-op recorder compiles away entirely.
 struct Engine<'a, R: Recorder> {
@@ -539,8 +523,6 @@ struct Engine<'a, R: Recorder> {
     serving_version: u64,
     /// The look-ahead's weights slot, once a producer thread runs one.
     published: Option<Arc<Published>>,
-    #[cfg(test)]
-    look_ahead_use: LookAheadUse,
 }
 
 impl<'a, R: Recorder> Engine<'a, R> {
@@ -608,8 +590,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
             rate_sum: 0.0,
             serving_version: 0,
             published: None,
-            #[cfg(test)]
-            look_ahead_use: LookAheadUse::default(),
             config,
             uplink,
             adapter,
@@ -648,10 +628,10 @@ impl<'a, R: Recorder> Engine<'a, R> {
     /// reads engine state, so this plays exactly the frames of the serial
     /// loop. That thread also detects on the frames ahead with a
     /// [`LookAhead`] copy of the serving model, and a list is current
-    /// while it carries the published version.
-    fn play(&mut self) -> Result<(), SimError> {
+    /// while it carries the published version. Returns what the
+    /// look-ahead did.
+    fn play(&mut self) -> Result<LookAheadStats, SimError> {
         let stream = self.config.stream.build();
-        #[cfg_attr(not(test), allow(unused_variables))]
         let stats = pipeline(
             stream,
             FRAME_BLOCK,
@@ -665,13 +645,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             },
             |engine, frame, ahead| engine.step(frame, ahead),
         )?;
-        #[cfg(test)]
-        {
-            self.look_ahead_use.stale = stats.stale;
-            self.look_ahead_use.redone = stats.redone;
-            self.look_ahead_use.waits = stats.waits;
-        }
-        Ok(())
+        Ok(stats)
     }
 
     /// The serving model's copy for the producer thread, and the slot
@@ -744,13 +718,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         // System inference output for this frame.
         let fresh;
         let detections: &[Detection] = match ahead {
-            Some(ahead) if ahead.version == self.serving_version => {
-                #[cfg(test)]
-                {
-                    self.look_ahead_use.used += 1;
-                }
-                &ahead.detections
-            }
+            Some(ahead) if ahead.version == self.serving_version => &ahead.detections,
             _ => {
                 fresh = match self.uplink {
                     Uplink::EveryFrame => self.cloud.infer(frame),
@@ -1313,21 +1281,20 @@ mod tests {
     fn busy_run(
         config: &SimConfig,
         (student, teacher): (StudentDetector, TeacherDetector),
-    ) -> (SimReport, Vec<Record>, LookAheadUse) {
+    ) -> (SimReport, Vec<Record>, LookAheadStats) {
         let mut recorder = BusyRecorder::default();
         let mut engine =
             Engine::new(config, student, teacher, &mut recorder).expect("valid quick config");
-        engine.play().expect("quick config runs cleanly");
-        let used = engine.look_ahead_use;
+        let stats = engine.play().expect("quick config runs cleanly");
         let report = engine.finish();
-        (report, recorder.records, used)
+        (report, recorder.records, stats)
     }
 
     #[test]
     fn look_ahead_detections_leave_reports_and_traces_bit_identical() {
         use shoggoth_util::pool::{available_threads, join};
         let models = Simulation::build_models(&quick_config(Strategy::EdgeOnly, 900));
-        let mut total = LookAheadUse::default();
+        let mut total = LookAheadStats::default();
         for strategy in [
             Strategy::EdgeOnly,
             Strategy::CloudOnly,
@@ -1342,7 +1309,7 @@ mod tests {
                 join(|| busy_run(&config, copy), || ());
             assert_eq!(inline_report, report, "{strategy:?}: reports must match");
             assert!(inline_records == records, "{strategy:?}: traces must match");
-            let LookAheadUse {
+            let LookAheadStats {
                 used: inline_used,
                 stale,
                 redone,

@@ -9,7 +9,7 @@
 //! exactly as the paper prescribes.
 
 use crate::error::TrainError;
-use crate::replay::{ReplayItem, ReplayMemory};
+use crate::replay::ReplayMemory;
 use shoggoth_compute::{
     training_time, yolov4_resnet18, Boundary, DeviceProfile, TrainingPlan, TrainingTime,
 };
@@ -264,7 +264,7 @@ impl AdaptiveTrainer {
         rng: &mut Rng,
     ) -> Result<SessionReport, TrainError> {
         if fresh.is_empty() {
-            self.memory.integrate(Vec::new(), rng);
+            self.memory.integrate(&Matrix::zeros(0, 0), &[], rng);
             self.sessions += 1;
             return Ok(SessionReport {
                 fresh_samples: 0,
@@ -324,11 +324,12 @@ impl AdaptiveTrainer {
 
         // Persistent scratch for the mini-batch loop: storage is reused
         // across iterations and epochs so the steady-state step allocates
-        // nothing on the tensor path.
+        // nothing on the tensor path. `batch` holds a mini-batch's
+        // activations at the replay layer: its fresh rows, then its replay
+        // rows.
         let mut labels: Vec<usize> = Vec::with_capacity(k);
         let mut x_rows = Matrix::zeros(0, 0);
-        let mut fresh_acts = Matrix::zeros(0, 0);
-        let mut acts_buf = Matrix::zeros(0, 0);
+        let mut batch = Matrix::zeros(0, 0);
         let mut grad = Matrix::zeros(0, 0);
         let mut grad_fresh = Matrix::zeros(0, 0);
 
@@ -336,51 +337,32 @@ impl AdaptiveTrainer {
         for _ in 0..self.config.epochs {
             rng.shuffle(&mut order);
             for chunk in order.chunks(k_fresh) {
-                // Assemble the fresh part of the mini-batch.
                 labels.clear();
                 labels.extend(chunk.iter().map(|&i| labels_fresh[i]));
-
-                // Fresh activations at the replay layer.
                 if let Some(cached) = &cached_fresh_acts {
-                    cached.select_rows_into(chunk, &mut fresh_acts);
+                    cached.select_rows_into(chunk, &mut batch);
                 } else {
                     x_fresh.select_rows_into(chunk, &mut x_rows);
                     let out = net
                         .forward_range(0..replay_layer, &x_rows, Mode::Train)
                         .map_err(TrainError::tensor("front forward pass"))?;
-                    // Hand last iteration's buffer back to the workspace the
-                    // new activations came from.
-                    net.recycle(std::mem::replace(&mut fresh_acts, out));
+                    batch.copy_from(&out);
+                    net.recycle(out);
                 }
-
-                // Replay part: fresh rows first, then sampled replay
-                // activations, in one contiguous batch at the replay layer.
-                let replay_items = self.memory.sample(k_replay, rng, &mut self.replay_scratch);
-                let replay_n = replay_items.len();
-                replay_used += replay_n;
-                let acts: &Matrix = if replay_n == 0 {
-                    &fresh_acts
-                } else {
-                    let fresh_n = fresh_acts.rows();
-                    let width = fresh_acts.cols();
-                    acts_buf.resize_zeroed(fresh_n + replay_n, width);
-                    acts_buf.as_mut_slice()[..fresh_n * width]
-                        .copy_from_slice(fresh_acts.as_slice());
-                    for (r, item) in replay_items.enumerate() {
-                        acts_buf
-                            .row_mut(fresh_n + r)
-                            .copy_from_slice(&item.activation);
-                        labels.push(item.label);
-                    }
-                    &acts_buf
-                };
+                replay_used += self.memory.sample_into(
+                    k_replay,
+                    rng,
+                    &mut self.replay_scratch,
+                    &mut batch,
+                    &mut labels,
+                );
 
                 // Train the tail; when the front trains too (always, or
                 // for the warm-up mini-batch), backpropagate on into the
                 // front for the fresh rows only and update every layer.
                 let loss = if front_trains || (warm_up_front && mini_batches == 0) {
                     let logits = net
-                        .forward_range(replay_layer..layer_count, acts, Mode::Train)
+                        .forward_range(replay_layer..layer_count, &batch, Mode::Train)
                         .map_err(TrainError::tensor("tail forward pass"))?;
                     let loss = losses::softmax_cross_entropy_into(&logits, &labels, &mut grad)
                         .map_err(TrainError::tensor("loss evaluation"))?;
@@ -405,7 +387,7 @@ impl AdaptiveTrainer {
                         .map_err(TrainError::tensor("SGD parameter step"))?;
                     loss
                 } else {
-                    net.train_step(replay_layer, acts, &labels, &sgd, &mut grad)
+                    net.train_step(replay_layer, &batch, &labels, &sgd, &mut grad)
                         .map_err(TrainError::tensor("tail training step"))?
                 };
                 loss_sum += loss as f64;
@@ -421,20 +403,12 @@ impl AdaptiveTrainer {
         }
 
         // Store this batch's activations in replay memory (Algorithm 1),
-        // captured with the post-session front layers. The per-item row
-        // copies are the items' own storage, moved into the memory below.
+        // captured with the post-session front layers.
         let final_acts = net
             .forward_range(0..replay_layer, &x_fresh, Mode::Eval)
             .map_err(TrainError::tensor("replay activation capture"))?;
-        let items: Vec<ReplayItem> = (0..n)
-            .map(|r| ReplayItem {
-                activation: final_acts.row(r).to_vec(),
-                label: labels_fresh[r],
-                stored_at_run: 0,
-            })
-            .collect();
+        self.memory.integrate(&final_acts, &labels_fresh, rng);
         net.recycle(final_acts);
-        self.memory.integrate(items, rng);
         self.sessions += 1;
 
         Ok(SessionReport {
@@ -624,7 +598,7 @@ mod tests {
             .expect("session trains");
         assert!(report.mini_batches > 0);
         // Memory stores raw features at input placement.
-        assert_eq!(trainer.memory().items()[0].activation.len(), 16);
+        assert_eq!(trainer.memory().activations().cols(), 16);
     }
 
     #[test]
@@ -651,7 +625,7 @@ mod tests {
             .train_session(&mut student, &fresh, &mut rng)
             .expect("session trains");
         // quick() student: hidden widths [32, 24] -> penultimate width 24.
-        assert_eq!(trainer.memory().items()[0].activation.len(), 24);
+        assert_eq!(trainer.memory().activations().cols(), 24);
     }
 
     /// The five Table II variants at the paper's 300-frame batch and the

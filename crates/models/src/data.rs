@@ -1,7 +1,6 @@
 //! Training-sample synthesis and the paper's pseudo-labeling rule.
 
 use crate::background_class;
-use crate::detector::Detector;
 use shoggoth_tensor::{losses, Matrix, Mlp, Mode, SgdConfig};
 use shoggoth_util::Rng;
 use shoggoth_video::{ClassId, Domain, FeatureWorld, Frame};
@@ -221,32 +220,20 @@ pub(crate) fn accuracy(net: &mut Mlp, samples: &[LabeledSample]) -> f64 {
     losses::accuracy(&logits, &labels)
 }
 
-/// Labels a frame's proposals with a detector, per the paper's Eq. (1):
-/// a proposal whose predicted confidence clears `threshold` becomes a
-/// positive sample of the predicted class (`y_i = 1` for the detector's
-/// class); everything else becomes a background (negative) sample.
+/// Labels a frame's proposals from a detector's predictions on them (one
+/// `(class, confidence)` per proposal, as [`Detector::classify_frame`]
+/// returns them), per the paper's Eq. (1): a proposal whose predicted
+/// confidence clears `threshold` becomes a positive sample of the
+/// predicted class (`y_i = 1` for the detector's class); everything else
+/// becomes a background (negative) sample.
 ///
 /// This is the cloud's **online labeling** step: the teacher never sees the
 /// ground truth, so the labels inherit the teacher's own errors — exactly
-/// the knowledge-distillation setting the paper studies.
-pub fn pseudo_label<D: Detector + ?Sized>(
-    detector: &mut D,
-    frame: &Frame,
-    num_classes: usize,
-    threshold: f32,
-) -> Vec<LabeledSample> {
-    pseudo_label_from(
-        &detector.classify_frame(frame),
-        frame,
-        num_classes,
-        threshold,
-    )
-}
-
-/// [`pseudo_label`] from predictions already made on `frame`'s proposals
-/// (one `(class, confidence)` per proposal, as [`Detector::classify`]
-/// returns them), so a caller that also needs the detections classifies
-/// each frame once.
+/// the knowledge-distillation setting the paper studies. Taking the
+/// predictions rather than the detector lets a caller that also needs the
+/// detections classify each frame once.
+///
+/// [`Detector::classify_frame`]: crate::Detector::classify_frame
 pub fn pseudo_label_from(
     predictions: &[(ClassId, f32)],
     frame: &Frame,
@@ -272,6 +259,7 @@ pub fn pseudo_label_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Detector;
     use shoggoth_video::{DomainLibrary, Illumination, Weather, WorldConfig};
 
     fn library() -> DomainLibrary {
@@ -356,9 +344,6 @@ mod tests {
     }
 
     impl Detector for Fixed {
-        fn name(&self) -> &str {
-            "fixed"
-        }
         fn detect(&mut self, _frame: &Frame) -> Vec<crate::Detection> {
             Vec::new()
         }
@@ -396,7 +381,7 @@ mod tests {
     #[test]
     fn confident_predictions_become_positive_labels() {
         let mut det = Fixed { confidence: 0.9 };
-        let labels = pseudo_label(&mut det, &tiny_frame(), 3, 0.5);
+        let labels = pseudo_label_from(&det.classify_frame(&tiny_frame()), &tiny_frame(), 3, 0.5);
         assert_eq!(labels.len(), 2);
         assert!(labels.iter().all(|s| s.label == 0));
         assert_eq!(labels[1].features, vec![3.0, 4.0], "row 1 of the block");
@@ -405,7 +390,7 @@ mod tests {
     #[test]
     fn unconfident_predictions_become_background() {
         let mut det = Fixed { confidence: 0.3 };
-        let labels = pseudo_label(&mut det, &tiny_frame(), 3, 0.5);
+        let labels = pseudo_label_from(&det.classify_frame(&tiny_frame()), &tiny_frame(), 3, 0.5);
         assert!(labels.iter().all(|s| s.label == 3));
     }
 
@@ -415,6 +400,6 @@ mod tests {
         let mut frame = tiny_frame();
         frame.proposals.clear();
         frame.features.clear();
-        assert!(pseudo_label(&mut det, &frame, 3, 0.5).is_empty());
+        assert!(pseudo_label_from(&det.classify_frame(&frame), &frame, 3, 0.5).is_empty());
     }
 }

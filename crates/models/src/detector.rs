@@ -22,9 +22,6 @@ pub struct Detection {
 /// proposal predicted as a foreground class (background predictions are
 /// dropped). Detections keep their confidence so evaluation can rank them.
 pub trait Detector {
-    /// Human-readable model name.
-    fn name(&self) -> &str;
-
     /// Detects objects in a frame.
     fn detect(&mut self, frame: &Frame) -> Vec<Detection>;
 

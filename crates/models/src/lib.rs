@@ -38,7 +38,7 @@ pub mod detector;
 pub mod student;
 pub mod teacher;
 
-pub use data::{pseudo_label, pseudo_label_from, sample_domain_batch, sgd, LabeledSample};
+pub use data::{pseudo_label_from, sample_domain_batch, sgd, LabeledSample};
 pub use detector::{detections_from, features_matrix, Detection, Detector};
 pub use student::{StudentConfig, StudentDetector};
 pub use teacher::{TeacherConfig, TeacherDetector};

@@ -311,10 +311,6 @@ impl StudentDetector {
 }
 
 impl Detector for StudentDetector {
-    fn name(&self) -> &str {
-        "student"
-    }
-
     fn detect(&mut self, frame: &Frame) -> Vec<Detection> {
         let num_classes = self.config.num_classes;
         detect_with(self, frame, num_classes)

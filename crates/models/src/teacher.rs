@@ -199,10 +199,6 @@ impl TeacherDetector {
 }
 
 impl Detector for TeacherDetector {
-    fn name(&self) -> &str {
-        "teacher"
-    }
-
     fn detect(&mut self, frame: &Frame) -> Vec<Detection> {
         let num_classes = self.config.num_classes;
         detect_with(self, frame, num_classes)

@@ -96,6 +96,16 @@ impl Matrix {
         })
     }
 
+    /// Creates an empty `0 × cols` matrix whose storage holds `rows` rows,
+    /// so appending up to that many never reallocates.
+    pub fn with_capacity(rows: usize, cols: usize) -> Self {
+        Self {
+            rows: 0,
+            cols,
+            data: Vec::with_capacity(rows * cols),
+        }
+    }
+
     /// Assembles a matrix from pre-validated parts — the allocation-free
     /// construction used by [`crate::Workspace`]. Callers guarantee
     /// `data.len() == rows * cols`.
@@ -172,6 +182,11 @@ impl Matrix {
     /// Mutable underlying storage.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
+    }
+
+    /// Elements the storage holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Consumes the matrix, returning its storage.
@@ -498,13 +513,27 @@ impl Matrix {
     ///
     /// Panics if any index is out of bounds.
     pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
-        out.data.clear();
-        out.data.reserve(indices.len() * self.cols);
+        out.resize_zeroed(0, self.cols);
+        out.append_rows(self, indices);
+    }
+
+    /// Appends the given rows of `src` below the last row (rows may
+    /// repeat).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds, or if rows are appended from
+    /// a matrix of another width.
+    pub fn append_rows(&mut self, src: &Matrix, indices: &[usize]) {
+        assert!(
+            indices.is_empty() || src.cols == self.cols,
+            "appended rows must match the width"
+        );
+        self.data.reserve(indices.len() * self.cols);
         for &i in indices {
-            out.data.extend_from_slice(self.row(i));
+            self.data.extend_from_slice(src.row(i));
         }
-        out.rows = indices.len();
-        out.cols = self.cols;
+        self.rows += indices.len();
     }
 
     /// The Frobenius norm.
@@ -635,6 +664,17 @@ mod tests {
         let mut out = Matrix::zeros(0, 0);
         a.select_rows_into(&[2, 0, 2], &mut out);
         assert_eq!(out, m(&[&[3.0], &[1.0], &[3.0]]));
+    }
+
+    #[test]
+    fn append_rows_extends_below_the_last_row() {
+        let a = m(&[&[1.0], &[2.0], &[3.0]]);
+        let mut out = Matrix::with_capacity(4, 1);
+        a.select_rows_into(&[1], &mut out);
+        out.append_rows(&a, &[2, 0, 2]);
+        assert_eq!(out, m(&[&[2.0], &[3.0], &[1.0], &[3.0]]));
+        out.append_rows(&Matrix::zeros(0, 0), &[]);
+        assert_eq!(out.rows(), 4, "appending no rows of any width is a no-op");
     }
 
     #[test]

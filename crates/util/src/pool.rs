@@ -200,6 +200,8 @@ const SPIN_LIMIT: u32 = 1 << 12;
 /// loop).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LookAheadStats {
+    /// Items the consumer got with a current result.
+    pub used: u64,
     /// Results the producer made again because the one it had made had
     /// gone stale.
     pub redone: u64,
@@ -472,6 +474,7 @@ impl<'s, T, A> Consumer<'s, T, A> {
             st.next += 1;
             if let Some(Slot::Ready(result)) = slot {
                 if current(&result) {
+                    st.stats.used += 1;
                     self.held = Some(result);
                 } else {
                     st.stats.stale += 1;
@@ -902,7 +905,7 @@ mod tests {
                     Ok(())
                 },
             );
-            assert!(result.is_ok());
+            let stats = result.expect("no item fails");
             let items: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
             assert_eq!(items, (0..n).collect::<Vec<_>>(), "threads {threads}");
             assert!(seen
@@ -920,6 +923,7 @@ mod tests {
                 calls.load(Ordering::SeqCst),
                 "threads {threads}"
             );
+            assert_eq!(stats.used, with_result as u64, "threads {threads}");
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! All lints work on [`SourceFile`]s preprocessed by [`crate::scan`]:
 //! token searches only see real code (comments and literals blanked),
-//! `#[cfg(test)]` modules are excluded, and a `// lint:allow(<name>)`
+//! `#[cfg(test)]` items are excluded, and a `// lint:allow(<name>)`
 //! comment suppresses the named lint on that line.
 //!
 //! | lint | name          | what it forbids                                             |
@@ -736,6 +736,25 @@ mod tests {
 }
 ";
         assert!(l1_determinism(&file(src)).is_empty());
+    }
+
+    #[test]
+    fn l1_sees_code_after_a_field_level_test_attribute() {
+        let src = "\
+struct Engine {
+    #[cfg(test)]
+    counts: Counts,
+}
+
+impl Engine {
+    fn student_changed(&mut self) {
+        let t = std::time::Instant::now();
+    }
+}
+";
+        let v = l1_determinism(&file(src));
+        assert_eq!(v.len(), 1, "the wall clock in `impl Engine` is real code");
+        assert_eq!(v[0].line, 8);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! failure.
 //!
 //! `loc` prints the code-line count ([`SourceFile::code_lines`]: not in a
-//! `#[cfg(test)]` module, not comment, not blank) of every `.rs` file
+//! `#[cfg(test)]` item, not comment, not blank) of every `.rs` file
 //! under the given files and directories, then their total. Exit status
 //! `2` on a missing path or a read failure.
 //!

@@ -5,9 +5,9 @@
 //! preserved) so that token searches cannot match inside prose or test
 //! fixtures. Line and column numbers therefore map 1:1 onto the raw file.
 //!
-//! On top of the scrub, [`SourceFile`] marks which lines belong to
-//! `#[cfg(test)]` modules (found by brace matching on the scrubbed text)
-//! and which lines carry an inline `// lint:allow(<name>)` suppression in
+//! On top of the scrub, [`SourceFile`] marks which lines belong to an
+//! item under `#[cfg(test)]` (a module, a block, a field or a statement,
+//! found by bracket matching on the scrubbed text) and which lines carry an inline `// lint:allow(<name>)` suppression in
 //! the raw source.
 
 use std::path::PathBuf;
@@ -20,7 +20,7 @@ pub struct SourceFile {
     pub raw: Vec<String>,
     /// Scrubbed lines, same indexing and char columns as `raw`.
     pub clean: Vec<String>,
-    /// `in_test[i]` — line `i` is inside a `#[cfg(test)]` module.
+    /// `in_test[i]` — line `i` is inside a `#[cfg(test)]` item.
     pub in_test: Vec<bool>,
 }
 
@@ -39,7 +39,7 @@ impl SourceFile {
         }
     }
 
-    /// Lines outside `#[cfg(test)]` modules with code left after the
+    /// Lines outside `#[cfg(test)]` items with code left after the
     /// scrub: the non-test, non-comment, non-blank line count `xtask loc`
     /// reports. A line wholly inside a string literal does not count.
     pub fn code_lines(&self) -> usize {
@@ -249,44 +249,71 @@ fn is_char_literal(chars: &[char], i: usize) -> bool {
     }
 }
 
-/// Marks every line inside a `#[cfg(test)] mod … { … }` block, by brace
-/// matching on scrubbed lines.
+/// Marks every line of an item that carries `#[cfg(test)]`, on scrubbed
+/// lines. The attribute covers only the item it is attached to: a braced
+/// item (`mod tests { … }`, a `fn`, a `{ … }` block) up to its matching
+/// `}`, and a field, statement or `use` up to its `,` or `;`.
 fn mark_test_lines(clean: &[String]) -> Vec<bool> {
+    const ATTR: &str = "#[cfg(test)]";
     let mut in_test = vec![false; clean.len()];
     let mut i = 0;
     while i < clean.len() {
-        if !clean[i].contains("#[cfg(test)]") {
+        let Some(at) = clean[i].find(ATTR) else {
             i += 1;
             continue;
+        };
+        let end = item_end(clean, i, at + ATTR.len());
+        for flag in &mut in_test[i..=end] {
+            *flag = true;
         }
-        // Find the block's opening brace (on this or a following line —
-        // the attribute is usually directly above `mod tests {`).
-        let mut depth = 0usize;
-        let mut opened = false;
-        let mut j = i;
-        'outer: while j < clean.len() {
-            for c in clean[j].chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    '}' => {
-                        depth = depth.saturating_sub(1);
-                        if opened && depth == 0 {
-                            in_test[j] = true;
-                            break 'outer;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            in_test[j] = true;
-            j += 1;
-        }
-        i = j + 1;
+        i = end + 1;
     }
     in_test
+}
+
+/// The line on which the item that starts at byte `col` of line `start`
+/// ends: the `}` that closes its first brace group (unless a `,`, `;`,
+/// `.` or `?` follows, as after a struct literal), or its first `,` or
+/// `;` outside brackets. `,` inside a generic argument list does not
+/// count. An item that never ends runs to the last line.
+fn item_end(clean: &[String], start: usize, col: usize) -> usize {
+    let mut depth = 0usize;
+    let mut angle = 0usize;
+    let mut closed_at = None;
+    let mut prev = ' ';
+    for (j, line) in clean.iter().enumerate().skip(start) {
+        let from = if j == start { col } else { 0 };
+        for c in line[from..].chars() {
+            if let Some(end) = closed_at {
+                if c.is_whitespace() {
+                    continue;
+                }
+                if !matches!(c, ',' | ';' | '.' | '?') {
+                    return end;
+                }
+                closed_at = None;
+            }
+            match c {
+                '{' | '(' | '[' => depth += 1,
+                ')' | ']' => depth = depth.saturating_sub(1),
+                '}' => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        closed_at = Some(j);
+                    }
+                }
+                '<' if depth == 0 => angle += 1,
+                '>' if depth == 0 && !matches!(prev, '-' | '=') => {
+                    angle = angle.saturating_sub(1);
+                }
+                ';' if depth == 0 => return j,
+                ',' if depth == 0 && angle == 0 => return j,
+                _ => {}
+            }
+            prev = c;
+        }
+    }
+    closed_at.unwrap_or(clean.len() - 1)
 }
 
 #[cfg(test)]
@@ -366,6 +393,67 @@ fn also_live() {}
         assert!(f.in_test[3], "mod tests line");
         assert!(f.in_test[5], "test body line");
         assert!(!f.in_test[8], "code after the test mod");
+    }
+
+    /// The lines of `src` the scanner masks as test code.
+    fn masked(src: &str) -> Vec<usize> {
+        let f = SourceFile::parse(PathBuf::from("x.rs"), src);
+        (0..f.in_test.len()).filter(|&i| f.in_test[i]).collect()
+    }
+
+    #[test]
+    fn a_field_attribute_masks_only_its_field() {
+        let src = "\
+struct Engine {
+    #[cfg(test)]
+    counts: BTreeMap<usize, (u8, u8)>,
+    live: u32,
+}
+
+impl Engine {
+    fn step(&mut self) { x.unwrap(); }
+}
+";
+        assert_eq!(masked(src), [1, 2]);
+        let literal = "\
+let e = Engine {
+    #[cfg(test)]
+    counts: Counts { a: 0, b: 1 },
+    live: 0,
+};
+fn after() {}
+";
+        assert_eq!(masked(literal), [1, 2]);
+    }
+
+    #[test]
+    fn a_statement_attribute_masks_only_its_statement() {
+        let src = "\
+fn step(&mut self) {
+    #[cfg(test)]
+    let seen: Vec<(u8, u8)> = Vec::new();
+    self.live += 1;
+}
+
+fn adapt() {}
+";
+        assert_eq!(masked(src), [1, 2]);
+    }
+
+    #[test]
+    fn a_block_attribute_masks_up_to_its_closing_brace() {
+        let src = "\
+fn step(&mut self) {
+    #[cfg(test)]
+    {
+        self.used += 1;
+    }
+    self.live += 1;
+}
+
+fn adapt() -> Result<u8, ()> { Ok(0) }
+";
+        assert_eq!(masked(src), [1, 2, 3, 4]);
     }
 
     #[test]

@@ -48,11 +48,12 @@ cargo test -q --release -p shoggoth-tensor --test kernels_prop --test eval_in_pl
 echo "==> cargo test --release -p shoggoth-util"
 cargo test -q --release -p shoggoth-util
 
-# The stream pipeline's look-ahead at opt level 3: which frames the
-# producer detects ahead depends on timing, which differs from the dev
-# profile, and every mix must leave reports and traces bit-identical.
-echo "==> cargo test --release -p shoggoth-util -p shoggoth --lib -- look_ahead pipeline"
-cargo test -q --release -p shoggoth-util -p shoggoth --lib -- look_ahead pipeline
+# The engine's look-ahead tests at opt level 3: which frames the producer
+# detects ahead depends on timing, which differs from the dev profile, and
+# every mix must leave reports and traces bit-identical. (The pool's own
+# `pipeline` tests ran in release in the shoggoth-util step above.)
+echo "==> cargo test --release -p shoggoth --lib -- look_ahead"
+cargo test -q --release -p shoggoth --lib -- look_ahead
 
 echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
 cargo test -q --release --manifest-path perfbench/Cargo.toml

@@ -3,8 +3,8 @@
 
 use shoggoth::trainer::{AdaptiveTrainer, FreezePolicy, ReplayPlacement, TrainerConfig};
 use shoggoth_models::{
-    pseudo_label, sample_domain_batch, Detector, StudentConfig, StudentDetector, TeacherConfig,
-    TeacherDetector,
+    pseudo_label_from, sample_domain_batch, Detector, StudentConfig, StudentDetector,
+    TeacherConfig, TeacherDetector,
 };
 use shoggoth_util::Rng;
 use shoggoth_video::presets;
@@ -66,7 +66,7 @@ fn distillation_from_teacher_labels_recovers_drift() {
     for chunk in night_frames.chunks(30) {
         let fresh: Vec<_> = chunk
             .iter()
-            .flat_map(|f| pseudo_label(&mut teacher, f, classes, 0.5))
+            .flat_map(|f| pseudo_label_from(&teacher.classify_frame(f), f, classes, 0.5))
             .collect();
         trainer
             .train_session(&mut student, &fresh, &mut rng)

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use shoggoth::controller::{phi_score, ControllerConfig, SamplingRateController};
-use shoggoth::replay::{ReplayItem, ReplayMemory};
+use shoggoth::replay::ReplayMemory;
 use shoggoth_metrics::map::{average_iou, frame_map_at_05, map_at_05, Evaluation, FrameEval};
 use shoggoth_metrics::matching::match_detections;
 use shoggoth_models::Detection;
@@ -169,6 +169,78 @@ fn reference_average_iou(frames: &[FrameEval]) -> f64 {
     iou_sum / total_gt.max(1) as f64
 }
 
+/// One item of [`PerItemMemory`].
+struct PerItem {
+    activation: Vec<f32>,
+    label: usize,
+    stored_at_run: usize,
+}
+
+/// Algorithm 1 with one owned activation buffer per item, as the replay
+/// memory first stored it: the reference `ReplayMemory`'s rows, labels,
+/// draws and samples must match bit for bit.
+struct PerItemMemory {
+    capacity: usize,
+    items: Vec<PerItem>,
+    runs: usize,
+}
+
+impl PerItemMemory {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            items: Vec::new(),
+            runs: 0,
+        }
+    }
+
+    fn integrate(&mut self, mut batch: Vec<PerItem>, rng: &mut Rng) {
+        self.runs += 1;
+        let (n, runs) = (batch.len(), self.runs);
+        if n == 0 {
+            return;
+        }
+        // Moves item `src` out of the batch, leaving an empty placeholder.
+        let mut take = |src: usize| {
+            let mut item = std::mem::replace(
+                &mut batch[src],
+                PerItem {
+                    activation: Vec::new(),
+                    label: 0,
+                    stored_at_run: 0,
+                },
+            );
+            item.stored_at_run = runs;
+            item
+        };
+        if self.items.len() >= self.capacity {
+            let h = (self.capacity / runs).min(n);
+            if h == 0 {
+                return;
+            }
+            let add_idx = rng.sample_indices(n, h);
+            let replace_idx = rng.sample_indices(self.items.len(), h);
+            for (&src, &dst) in add_idx.iter().zip(&replace_idx) {
+                self.items[dst] = take(src);
+            }
+        } else {
+            let space = self.capacity - self.items.len();
+            if n <= space {
+                self.items.extend((0..n).map(take));
+            } else {
+                for src in rng.sample_indices(n, space) {
+                    self.items.push(take(src));
+                }
+            }
+        }
+    }
+
+    fn sample<'a>(&'a self, k: usize, rng: &mut Rng, scratch: &mut Vec<usize>) -> Vec<&'a PerItem> {
+        rng.sample_indices_into(self.items.len(), k, scratch);
+        scratch.iter().map(|&i| &self.items[i]).collect()
+    }
+}
+
 proptest! {
     #[test]
     fn rng_below_always_in_range(seed in any::<u64>(), n in 1usize..10_000) {
@@ -255,13 +327,56 @@ proptest! {
         let mut rng = Rng::seed_from(seed);
         let mut memory = ReplayMemory::new(capacity);
         for (run, &batch_size) in batches.iter().enumerate() {
-            let batch: Vec<ReplayItem> = (0..batch_size)
-                .map(|i| ReplayItem { activation: vec![i as f32], label: run, stored_at_run: 0 })
-                .collect();
-            memory.integrate(batch, &mut rng);
+            let batch = Matrix::from_fn(batch_size, 1, |r, _| r as f32);
+            memory.integrate(&batch, &vec![run; batch_size], &mut rng);
             prop_assert!(memory.len() <= capacity);
         }
         prop_assert_eq!(memory.runs(), batches.len());
+    }
+
+    #[test]
+    fn replay_memory_matches_the_per_item_algorithm(
+        seed in any::<u64>(),
+        capacity in 1usize..200,
+        width in 1usize..6,
+        batches in prop::collection::vec((0usize..120, 0usize..80), 1..12),
+    ) {
+        let mut data = Rng::seed_from(seed ^ 0x5EED);
+        let (mut rng, mut reference_rng) = (Rng::seed_from(seed), Rng::seed_from(seed));
+        let mut memory = ReplayMemory::new(capacity);
+        let mut reference = PerItemMemory::new(capacity);
+        let (mut scratch, mut reference_scratch) = (Vec::new(), Vec::new());
+        for &(batch_size, k) in &batches {
+            let rows = Matrix::from_fn(batch_size, width, |_, _| data.next_f32());
+            let labels: Vec<usize> = (0..batch_size).map(|_| data.below(7)).collect();
+            memory.integrate(&rows, &labels, &mut rng);
+            reference.integrate(
+                (0..batch_size)
+                    .map(|r| PerItem { activation: rows.row(r).to_vec(), label: labels[r], stored_at_run: 0 })
+                    .collect(),
+                &mut reference_rng,
+            );
+            prop_assert_eq!(&rng, &reference_rng);
+            prop_assert_eq!(memory.runs(), reference.runs);
+            prop_assert_eq!(memory.len(), reference.items.len());
+            for (r, item) in reference.items.iter().enumerate() {
+                prop_assert_eq!(memory.activations().row(r), item.activation.as_slice());
+                prop_assert_eq!(memory.labels()[r], item.label);
+                prop_assert_eq!(memory.stored_at_run()[r], item.stored_at_run);
+            }
+
+            let mut sampled = Matrix::zeros(0, width);
+            let mut sampled_labels = Vec::new();
+            let n = memory.sample_into(k, &mut rng, &mut scratch, &mut sampled, &mut sampled_labels);
+            let expected: Vec<&PerItem> = reference.sample(k, &mut reference_rng, &mut reference_scratch);
+            prop_assert_eq!(&rng, &reference_rng);
+            prop_assert_eq!(n, expected.len());
+            prop_assert_eq!(sampled.rows(), n);
+            for (r, item) in expected.iter().enumerate() {
+                prop_assert_eq!(sampled.row(r), item.activation.as_slice());
+                prop_assert_eq!(sampled_labels[r], item.label);
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub enum FreezePolicy {
     /// The paper's baseline: front weights train only on the very first
     /// mini-batch of the very first session, then their learning rate is
     /// set to 0 — while BRN statistics keep adapting (front forward passes
-    /// run in train mode once per session).
+    /// run with batch statistics, [`Mode::Stats`], once per session).
     FreezeAfterFirstBatch,
     /// Front entirely frozen: weights *and* normalization statistics
     /// (front forward passes run in eval mode).
@@ -295,14 +295,15 @@ impl AdaptiveTrainer {
             && replay_layer > 0;
 
         // Frozen-front fast path: compute fresh activations once per
-        // session. Train mode for the paper baseline (BRN statistics keep
-        // adapting), eval mode when completely frozen.
+        // session. Statistics mode for the paper baseline (BRN statistics
+        // keep adapting, and no backward reads a cache of the whole batch),
+        // eval mode when completely frozen.
         let cached_fresh_acts = if front_trains {
             None
         } else {
             let mode = match self.config.freeze {
                 FreezePolicy::CompletelyFrozen => Mode::Eval,
-                _ => Mode::Train,
+                _ => Mode::Stats,
             };
             Some(
                 student

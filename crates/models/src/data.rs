@@ -155,8 +155,8 @@ pub fn sgd(learning_rate: f32) -> SgdConfig {
 /// The pre-training loop of the student and the teacher: `epochs` passes of
 /// [`sgd`] over shuffled mini-batches of `corpus`, training layers
 /// `trainable_from..` only ([`Mlp::train_step`]). The frozen front still
-/// runs forward in [`Mode::Train`], so its normalization statistics keep
-/// updating. Buffers persist across steps, so after the first epoch
+/// runs forward with batch statistics ([`Mode::Stats`]), so its
+/// normalization statistics keep updating, but records no backward cache. Buffers persist across steps, so after the first epoch
 /// nothing is allocated.
 ///
 /// # Panics
@@ -187,7 +187,7 @@ pub(crate) fn fit(
             labels.clear();
             labels.extend(chunk.iter().map(|&i| corpus.labels[i]));
             let front = (trainable_from > 0).then(|| {
-                net.forward_range(0..trainable_from, &x, Mode::Train)
+                net.forward_range(0..trainable_from, &x, Mode::Stats)
                     .expect("corpus width matches the network")
             });
             net.train_step(

@@ -9,7 +9,9 @@
 //! Layers draw their output matrices from a caller-provided
 //! [`Workspace`] and keep persistent caches that are overwritten in place
 //! ([`Matrix::copy_from`]), so a steady-state train step allocates nothing
-//! once the caches have grown to the working batch size.
+//! once the caches have grown to the working batch size. Only a
+//! [`Mode::Train`] forward records a cache (`ForwardCache`); a clone
+//! carries none.
 
 use crate::workspace::Workspace;
 use crate::{kernels, Matrix, SgdConfig, TensorError};
@@ -17,13 +19,66 @@ use crate::{kernels, Matrix, SgdConfig, TensorError};
 /// Whether a forward pass is part of training or evaluation.
 ///
 /// Normalization layers use batch statistics and update running moments in
-/// [`Mode::Train`]; they use running moments in [`Mode::Eval`].
+/// [`Mode::Train`] and [`Mode::Stats`]; they use running moments in
+/// [`Mode::Eval`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Training pass: caches are recorded, batch statistics are used.
     Train,
+    /// Training pass with no backward to follow (a frozen front): the
+    /// output and the running moments are exactly those of [`Mode::Train`],
+    /// but no cache is recorded and any earlier one is invalidated, so a
+    /// backward after it fails with [`TensorError::MissingForwardCache`].
+    Stats,
     /// Inference pass: no caches, running statistics are used.
     Eval,
+}
+
+/// What a [`Mode::Train`] forward records for the backward that reads it.
+///
+/// The storage persists and is overwritten in place, so steady-state
+/// training allocates nothing, but the record is valid only from a
+/// train-mode forward to the backward that consumes it: a [`Mode::Stats`]
+/// forward invalidates it, and a clone starts empty, so a copied layer
+/// carries no batch-sized buffers and rejects a backward before its own
+/// train-mode forward.
+#[derive(Debug, Default)]
+pub(crate) struct ForwardCache<T> {
+    record: T,
+    valid: bool,
+}
+
+impl<T: Default> Clone for ForwardCache<T> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<T> ForwardCache<T> {
+    /// The storage a train-mode forward overwrites, marked valid.
+    pub(crate) fn record(&mut self) -> &mut T {
+        self.valid = true;
+        &mut self.record
+    }
+
+    /// Marks the record stale; the storage stays for the next record.
+    pub(crate) fn invalidate(&mut self) {
+        self.valid = false;
+    }
+
+    /// The record for the backward of `layer`, which consumes it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::MissingForwardCache`] if no train-mode
+    /// forward recorded it since the last backward.
+    pub(crate) fn consume(&mut self, layer: &'static str) -> Result<&mut T, TensorError> {
+        if !self.valid {
+            return Err(TensorError::MissingForwardCache { layer });
+        }
+        self.valid = false;
+        Ok(&mut self.record)
+    }
 }
 
 /// A cursor over a flat parameter buffer used by weight import.
@@ -74,7 +129,8 @@ impl<'a> ParamCursor<'a> {
 /// A differentiable network layer.
 ///
 /// Implementations cache whatever `forward` state `backward` needs; calling
-/// `backward` without a preceding train-mode `forward` is an error. Output
+/// `backward` without a preceding [`Mode::Train`] `forward` is an error,
+/// also after a [`Mode::Stats`] forward and on a fresh clone. Output
 /// matrices come from the supplied [`Workspace`]; the owning network hands
 /// consumed intermediates back to it.
 pub trait Layer: std::fmt::Debug + Send {
@@ -166,7 +222,8 @@ pub trait Layer: std::fmt::Debug + Send {
     }
 
     /// Deep-copies the layer behind a fresh `Box` (enables cloning whole
-    /// networks, e.g. AMS's cloud-side shadow student).
+    /// networks, e.g. AMS's cloud-side shadow student): parameters,
+    /// gradients, momentum and running statistics, but no forward cache.
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
@@ -206,8 +263,8 @@ pub struct Dense {
     grad_bias: Matrix,
     vel_weights: Matrix,
     vel_bias: Matrix,
-    cached_input: Matrix,
-    cache_valid: bool,
+    /// The forward input, for the weight gradient.
+    cache: ForwardCache<Matrix>,
     in_dim: usize,
     out_dim: usize,
 }
@@ -231,8 +288,7 @@ impl Dense {
             vel_weights: Matrix::zeros(in_dim, out_dim),
             vel_bias: Matrix::zeros(1, out_dim),
             bias: Matrix::zeros(1, out_dim),
-            cached_input: Matrix::zeros(0, 0),
-            cache_valid: false,
+            cache: ForwardCache::default(),
             weights,
             in_dim,
             out_dim,
@@ -277,9 +333,10 @@ impl Layer for Dense {
                 actual: (input.rows(), input.cols()),
             });
         }
-        if mode == Mode::Train {
-            self.cached_input.copy_from(input);
-            self.cache_valid = true;
+        match mode {
+            Mode::Train => self.cache.record().copy_from(input),
+            Mode::Stats => self.cache.invalidate(),
+            Mode::Eval => {}
         }
         let mut out = ws.take(input.rows(), self.out_dim);
         input.addmm_into(&self.weights, &self.bias, &mut out, ws)?;
@@ -291,19 +348,15 @@ impl Layer for Dense {
         grad_output: &Matrix,
         ws: &mut Workspace,
     ) -> Result<Matrix, TensorError> {
-        if !self.cache_valid {
-            return Err(TensorError::MissingForwardCache { layer: "dense" });
-        }
-        self.cache_valid = false;
-        if grad_output.cols() != self.out_dim || grad_output.rows() != self.cached_input.rows() {
+        let input = self.cache.consume("dense")?;
+        if grad_output.cols() != self.out_dim || grad_output.rows() != input.rows() {
             return Err(TensorError::ShapeMismatch {
                 context: "Dense::backward",
-                expected: (self.cached_input.rows(), self.out_dim),
+                expected: (input.rows(), self.out_dim),
                 actual: (grad_output.rows(), grad_output.cols()),
             });
         }
-        self.cached_input
-            .matmul_transa_into(grad_output, &mut self.grad_weights, ws)?;
+        input.matmul_transa_into(grad_output, &mut self.grad_weights, ws)?;
         grad_output.col_sum_into(&mut self.grad_bias);
         let mut grad_in = ws.take(grad_output.rows(), self.in_dim);
         grad_output.matmul_transb_into(&self.weights, &mut grad_in, ws)?;
@@ -315,21 +368,17 @@ impl Layer for Dense {
         grad_output: &Matrix,
         ws: &mut Workspace,
     ) -> Result<(), TensorError> {
-        if !self.cache_valid {
-            return Err(TensorError::MissingForwardCache { layer: "dense" });
-        }
-        self.cache_valid = false;
-        if grad_output.cols() != self.out_dim || grad_output.rows() != self.cached_input.rows() {
+        let input = self.cache.consume("dense")?;
+        if grad_output.cols() != self.out_dim || grad_output.rows() != input.rows() {
             return Err(TensorError::ShapeMismatch {
                 context: "Dense::backward_params_only",
-                expected: (self.cached_input.rows(), self.out_dim),
+                expected: (input.rows(), self.out_dim),
                 actual: (grad_output.rows(), grad_output.cols()),
             });
         }
         // Identical parameter gradients to `backward`, minus the
         // `grad · Wᵀ` matmul that a terminal layer's caller discards.
-        self.cached_input
-            .matmul_transa_into(grad_output, &mut self.grad_weights, ws)?;
+        input.matmul_transa_into(grad_output, &mut self.grad_weights, ws)?;
         grad_output.col_sum_into(&mut self.grad_bias);
         Ok(())
     }
@@ -376,25 +425,16 @@ impl Layer for Dense {
 }
 
 /// Rectified linear activation, `max(0, x)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Relu {
-    cached_input: Matrix,
-    cache_valid: bool,
+    /// The forward input, for the gradient mask.
+    cache: ForwardCache<Matrix>,
 }
 
 impl Relu {
     /// Creates the activation.
     pub fn new() -> Self {
-        Self {
-            cached_input: Matrix::zeros(0, 0),
-            cache_valid: false,
-        }
-    }
-}
-
-impl Default for Relu {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -407,8 +447,8 @@ impl Layer for Relu {
         "relu"
     }
 
-    /// Train mode records the input for `backward`; eval mode is a copy
-    /// of the input rectified in place
+    /// Train mode records the input for `backward`; eval and statistics
+    /// modes are a copy of the input rectified in place
     /// ([`forward_eval_in_place`](Layer::forward_eval_in_place)).
     fn forward(
         &mut self,
@@ -416,13 +456,15 @@ impl Layer for Relu {
         mode: Mode,
         ws: &mut Workspace,
     ) -> Result<Matrix, TensorError> {
-        if mode == Mode::Eval {
+        if mode != Mode::Train {
+            if mode == Mode::Stats {
+                self.cache.invalidate();
+            }
             let mut out = ws.take_copy(input.rows(), input.cols(), input.as_slice());
             self.forward_eval_in_place(&mut out);
             return Ok(out);
         }
-        self.cached_input.copy_from(input);
-        self.cache_valid = true;
+        self.cache.record().copy_from(input);
         let mut out = ws.take(input.rows(), input.cols());
         for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
             *o = v.max(0.0);
@@ -442,16 +484,11 @@ impl Layer for Relu {
         grad_output: &Matrix,
         ws: &mut Workspace,
     ) -> Result<Matrix, TensorError> {
-        if !self.cache_valid {
-            return Err(TensorError::MissingForwardCache { layer: "relu" });
-        }
-        self.cache_valid = false;
-        if grad_output.rows() != self.cached_input.rows()
-            || grad_output.cols() != self.cached_input.cols()
-        {
+        let input = self.cache.consume("relu")?;
+        if grad_output.rows() != input.rows() || grad_output.cols() != input.cols() {
             return Err(TensorError::ShapeMismatch {
                 context: "Relu::backward",
-                expected: (self.cached_input.rows(), self.cached_input.cols()),
+                expected: (input.rows(), input.cols()),
                 actual: (grad_output.rows(), grad_output.cols()),
             });
         }
@@ -460,7 +497,7 @@ impl Layer for Relu {
             .as_mut_slice()
             .iter_mut()
             .zip(grad_output.as_slice())
-            .zip(self.cached_input.as_slice())
+            .zip(input.as_slice())
         {
             // `g * mask`, not a select: a negative `g` at a masked input
             // must give `-0.0`, which a select would turn into `0.0`.

@@ -13,7 +13,8 @@
 //! * [`Mlp`] — a sequential network supporting `forward_range` (inject
 //!   replay activations at an interior layer) and `train_step` (train the
 //!   layers from an index on; the paper's frozen front is not updated,
-//!   while its BRN statistics keep adapting in train-mode forward passes).
+//!   while its BRN statistics keep adapting in [`Mode::Stats`] forward
+//!   passes, which record no backward cache).
 //!
 //! Every layer's gradients are verified against finite differences in the
 //! test suite.

@@ -21,7 +21,7 @@ use crate::{kernels, TensorError, Workspace};
 /// assert_eq!(c, a);
 /// # Ok::<(), shoggoth_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

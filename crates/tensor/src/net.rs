@@ -46,6 +46,9 @@ pub struct Mlp {
 }
 
 impl Clone for Mlp {
+    /// Copies every layer's parameters, gradients, momentum and running
+    /// statistics, but no forward cache: a clone must run its own
+    /// [`Mode::Train`] forward before a backward.
     fn clone(&self) -> Self {
         Self {
             layers: self.layers.iter().map(|l| l.clone_box()).collect(),

@@ -11,7 +11,7 @@
 //! lives in persistent vectors overwritten in place, so steady-state
 //! training through this layer performs no heap allocation.
 
-use crate::layer::{Layer, Mode, ParamCursor};
+use crate::layer::{ForwardCache, Layer, Mode, ParamCursor};
 use crate::workspace::Workspace;
 use crate::{kernels, Matrix, SgdConfig, TensorError};
 
@@ -27,7 +27,8 @@ const D_MAX: f32 = 5.0;
 /// moments with clipped factors `r = clip(σ_B/σ, 1/r_max, r_max)` and
 /// `d = clip((μ_B − μ)/σ, −d_max, d_max)` (stop-gradient on both), with
 /// the customary limits `r_max = 3`, `d_max = 5`, and updates the running
-/// moments; eval-mode forward uses the running moments. This makes
+/// moments; a [`Mode::Stats`] forward does the same without recording the
+/// backward cache; eval-mode forward uses the running moments. This makes
 /// small-batch training behave like large-batch training — the property
 /// the paper relies on for fine-grained on-device batches.
 ///
@@ -51,16 +52,8 @@ pub struct BatchRenorm {
     running_var: Vec<f32>,
     /// Momentum of the running-moment EMA update.
     stat_momentum: f32,
-    /// Cache for backward: normalized activations `x̂` (persistent storage,
-    /// overwritten each train-mode forward).
-    cached_xhat: Matrix,
-    /// Cache for backward: centered inputs `x - μ_B`. Backward overwrites
-    /// it in place with `x̂_c = (x - μ_B)/σ_B`.
-    cached_centered: Matrix,
-    /// Cache for backward: per-feature `r / σ_B` effective scale.
-    cached_scale: Vec<f32>,
-    /// Whether the caches hold a live train-mode forward pass.
-    cache_valid: bool,
+    /// What a train-mode forward records for backward.
+    cache: ForwardCache<NormCache>,
     /// Scratch: per-feature batch mean.
     stat_mean: Vec<f32>,
     /// Scratch: per-feature biased batch variance.
@@ -102,10 +95,7 @@ impl BatchRenorm {
             running_mean: vec![0.0; dim],
             running_var: vec![1.0; dim],
             stat_momentum: 0.1,
-            cached_xhat: Matrix::zeros(0, 0),
-            cached_centered: Matrix::zeros(0, 0),
-            cached_scale: Vec::new(),
-            cache_valid: false,
+            cache: ForwardCache::default(),
             stat_mean: Vec::new(),
             stat_var: Vec::new(),
             stat_scale: Vec::new(),
@@ -187,8 +177,10 @@ impl BatchRenorm {
 
     /// Normalizes with the train-mode per-feature stats:
     /// `x̂ = (x − μ_B) * scale + shift`, then `y = γ·x̂ + β`, in one pass
-    /// over the rows, caching everything `backward` needs.
-    fn normalize_from_stats(&mut self, input: &Matrix, ws: &mut Workspace) -> Matrix {
+    /// over the rows. With `record` (a [`Mode::Train`] forward) the pass
+    /// also caches everything `backward` needs; without it (a
+    /// [`Mode::Stats`] forward) the cache is invalidated and left as is.
+    fn normalize_from_stats(&mut self, input: &Matrix, record: bool, ws: &mut Workspace) -> Matrix {
         let (rows, dim) = (input.rows(), self.dim);
         let mut out = ws.take(rows, dim);
         let mean = &self.stat_mean[..dim];
@@ -198,27 +190,49 @@ impl BatchRenorm {
         let beta = &self.beta.as_slice()[..dim];
         let rows_in = input.as_slice().chunks_exact(dim);
         let rows_out = out.as_mut_slice().chunks_exact_mut(dim);
-        self.cached_centered.resize_zeroed(rows, dim);
-        self.cached_xhat.resize_zeroed(rows, dim);
-        self.cached_scale.clear();
-        self.cached_scale.extend_from_slice(scale);
-        self.cache_valid = true;
-        let rows_cached = self
-            .cached_centered
-            .as_mut_slice()
-            .chunks_exact_mut(dim)
-            .zip(self.cached_xhat.as_mut_slice().chunks_exact_mut(dim));
-        for ((x, y), (centered, xhat)) in rows_in.zip(rows_out).zip(rows_cached) {
+        let mut rows_cached = if record {
+            let cache = self.cache.record();
+            cache.centered.resize_zeroed(rows, dim);
+            cache.xhat.resize_zeroed(rows, dim);
+            cache.scale.clear();
+            cache.scale.extend_from_slice(scale);
+            Some(
+                cache
+                    .centered
+                    .as_mut_slice()
+                    .chunks_exact_mut(dim)
+                    .zip(cache.xhat.as_mut_slice().chunks_exact_mut(dim)),
+            )
+        } else {
+            self.cache.invalidate();
+            None
+        };
+        for (x, y) in rows_in.zip(rows_out) {
+            let mut cached = rows_cached.as_mut().and_then(Iterator::next);
             for c in 0..dim {
                 let cen = x[c] - mean[c];
                 let xh = cen * scale[c] + shift[c];
                 y[c] = gamma[c] * xh + beta[c];
-                centered[c] = cen;
-                xhat[c] = xh;
+                if let Some((centered, xhat)) = &mut cached {
+                    centered[c] = cen;
+                    xhat[c] = xh;
+                }
             }
         }
         out
     }
+}
+
+/// What a [`Mode::Train`] forward of [`BatchRenorm`] records for backward.
+#[derive(Debug, Default)]
+struct NormCache {
+    /// Normalized activations `x̂`.
+    xhat: Matrix,
+    /// Centered inputs `x - μ_B`. Backward overwrites them in place with
+    /// `x̂_c = (x - μ_B)/σ_B`.
+    centered: Matrix,
+    /// Per-feature `r / σ_B` effective scale.
+    scale: Vec<f32>,
 }
 
 impl Layer for BatchRenorm {
@@ -230,8 +244,10 @@ impl Layer for BatchRenorm {
         "batch-renorm"
     }
 
-    /// Train mode normalizes with the corrected batch statistics and
-    /// updates the running moments; eval mode uses the running moments.
+    /// Train and statistics modes normalize with the corrected batch
+    /// statistics and update the running moments, through one loop that
+    /// records the backward cache in train mode only; eval mode uses the
+    /// running moments.
     fn forward(
         &mut self,
         input: &Matrix,
@@ -246,10 +262,10 @@ impl Layer for BatchRenorm {
             });
         }
         Ok(match mode {
-            Mode::Train => {
+            Mode::Train | Mode::Stats => {
                 self.batch_moments(input);
                 self.load_train_stats();
-                let out = self.normalize_from_stats(input, ws);
+                let out = self.normalize_from_stats(input, mode == Mode::Train, ws);
                 self.update_running();
                 out
             }
@@ -302,23 +318,18 @@ impl Layer for BatchRenorm {
         grad_output: &Matrix,
         ws: &mut Workspace,
     ) -> Result<Matrix, TensorError> {
-        if !self.cache_valid {
-            return Err(TensorError::MissingForwardCache {
-                layer: "batch-renorm",
-            });
-        }
-        self.cache_valid = false;
-        if grad_output.rows() != self.cached_xhat.rows() || grad_output.cols() != self.dim {
+        let cache = self.cache.consume("batch-renorm")?;
+        if grad_output.rows() != cache.xhat.rows() || grad_output.cols() != self.dim {
             return Err(TensorError::ShapeMismatch {
                 context: "BatchRenorm::backward",
-                expected: (self.cached_xhat.rows(), self.dim),
+                expected: (cache.xhat.rows(), self.dim),
                 actual: (grad_output.rows(), grad_output.cols()),
             });
         }
-        let (rows, dim) = (self.cached_xhat.rows(), self.dim);
+        let (rows, dim) = (cache.xhat.rows(), self.dim);
         let n = rows as f32;
         let gamma = &self.gamma.as_slice()[..dim];
-        let scale = &self.cached_scale[..dim];
+        let scale = &cache.scale[..dim];
         let grad_rows = || grad_output.as_slice().chunks_exact(dim);
 
         let grad_gamma = &mut self.grad_gamma.as_mut_slice()[..dim];
@@ -328,11 +339,11 @@ impl Layer for BatchRenorm {
         self.stat_sigma.clear();
         self.stat_sigma.resize(dim, 0.0);
         let sigma = &mut self.stat_sigma[..dim];
-        let cached = self
-            .cached_xhat
+        let cached = cache
+            .xhat
             .as_slice()
             .chunks_exact(dim)
-            .zip(self.cached_centered.as_slice().chunks_exact(dim));
+            .zip(cache.centered.as_slice().chunks_exact(dim));
         for (g, (xhat, centered)) in grad_rows().zip(cached) {
             for c in 0..dim {
                 grad_gamma[c] += g[c] * xhat[c];
@@ -350,7 +361,7 @@ impl Layer for BatchRenorm {
         self.mean_gx.resize(dim, 0.0);
         let mean_g = &mut self.mean_g[..dim];
         let mean_gx = &mut self.mean_gx[..dim];
-        let xc_rows = self.cached_centered.as_mut_slice().chunks_exact_mut(dim);
+        let xc_rows = cache.centered.as_mut_slice().chunks_exact_mut(dim);
         for (g, xc) in grad_rows().zip(xc_rows) {
             for c in 0..dim {
                 let ghat = gamma[c] * g[c];
@@ -365,7 +376,7 @@ impl Layer for BatchRenorm {
         }
 
         let mut grad_in = ws.take(rows, dim);
-        let xc_rows = self.cached_centered.as_slice().chunks_exact(dim);
+        let xc_rows = cache.centered.as_slice().chunks_exact(dim);
         let in_rows = grad_in.as_mut_slice().chunks_exact_mut(dim);
         for ((g, xc), gi) in grad_rows().zip(xc_rows).zip(in_rows) {
             for c in 0..dim {
@@ -666,10 +677,10 @@ mod tests {
     impl BatchRenorm {
         fn reference_forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
             match mode {
-                Mode::Train => {
+                Mode::Train | Mode::Stats => {
                     self.batch_moments(input);
                     self.load_train_stats();
-                    let out = self.reference_normalize(input, true);
+                    let out = self.reference_normalize(input, mode == Mode::Train);
                     self.update_running();
                     out
                 }
@@ -691,11 +702,13 @@ mod tests {
             let dim = self.dim;
             let mut out = Matrix::zeros(rows, dim);
             if cache {
-                self.cached_centered.resize_zeroed(rows, dim);
-                self.cached_xhat.resize_zeroed(rows, dim);
-                self.cached_scale.clear();
-                self.cached_scale.extend_from_slice(&self.stat_scale);
-                self.cache_valid = true;
+                let record = self.cache.record();
+                record.centered.resize_zeroed(rows, dim);
+                record.xhat.resize_zeroed(rows, dim);
+                record.scale.clear();
+                record.scale.extend_from_slice(&self.stat_scale);
+            } else {
+                self.cache.invalidate();
             }
             for r in 0..rows {
                 for c in 0..dim {
@@ -703,8 +716,9 @@ mod tests {
                     let xh = cen * self.stat_scale[c] + self.stat_shift[c];
                     out.set(r, c, self.gamma.get(0, c) * xh + self.beta.get(0, c));
                     if cache {
-                        self.cached_centered.set(r, c, cen);
-                        self.cached_xhat.set(r, c, xh);
+                        let record = self.cache.record();
+                        record.centered.set(r, c, cen);
+                        record.xhat.set(r, c, xh);
                     }
                 }
             }
@@ -712,15 +726,17 @@ mod tests {
         }
 
         fn reference_backward(&mut self, grad_output: &Matrix) -> Matrix {
-            assert!(self.cache_valid, "reference backward needs a forward");
-            self.cache_valid = false;
-            let rows = self.cached_xhat.rows();
+            let cache = self
+                .cache
+                .consume("reference")
+                .expect("reference backward needs a forward");
+            let rows = cache.xhat.rows();
             let n = rows as f32;
             for c in 0..self.dim {
                 let mut gg = 0.0;
                 let mut gb = 0.0;
                 for r in 0..rows {
-                    gg += grad_output.get(r, c) * self.cached_xhat.get(r, c);
+                    gg += grad_output.get(r, c) * cache.xhat.get(r, c);
                     gb += grad_output.get(r, c);
                 }
                 self.grad_gamma.set(0, c, gg);
@@ -730,7 +746,7 @@ mod tests {
             for (c, s) in sigma.iter_mut().enumerate() {
                 let mut v = 0.0;
                 for r in 0..rows {
-                    let d = self.cached_centered.get(r, c);
+                    let d = cache.centered.get(r, c);
                     v += d * d;
                 }
                 *s = (v / n + EPS).sqrt();
@@ -742,7 +758,7 @@ mod tests {
                 let mut mean_gx = 0.0;
                 for r in 0..rows {
                     let ghat = gamma * grad_output.get(r, c);
-                    let xc = self.cached_centered.get(r, c) / sigma;
+                    let xc = cache.centered.get(r, c) / sigma;
                     mean_g += ghat;
                     mean_gx += ghat * xc;
                 }
@@ -750,8 +766,8 @@ mod tests {
                 mean_gx /= n;
                 for r in 0..rows {
                     let ghat = gamma * grad_output.get(r, c);
-                    let xc = self.cached_centered.get(r, c) / sigma;
-                    grad_in.set(r, c, self.cached_scale[c] * (ghat - mean_g - xc * mean_gx));
+                    let xc = cache.centered.get(r, c) / sigma;
+                    grad_in.set(r, c, cache.scale[c] * (ghat - mean_g - xc * mean_gx));
                 }
             }
             grad_in

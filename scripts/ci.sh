@@ -35,12 +35,12 @@ SHOGGOTH_THREADS=2 cargo test -q --release --test pins
 echo "==> cargo test -p shoggoth-tensor --features finite-check"
 cargo test -q -p shoggoth-tensor --features finite-check
 
-# The kernel proptests and the in-place eval layers again at opt level 3:
-# the dev profile builds at opt level 1, but perfbench and the experiment
-# binaries run the release build, whose vectorized tiles and loops must
-# give the same bits.
-echo "==> cargo test --release -p shoggoth-tensor --test kernels_prop --test eval_in_place"
-cargo test -q --release -p shoggoth-tensor --test kernels_prop --test eval_in_place
+# The kernel proptests, the in-place eval layers and the statistics pass
+# again at opt level 3: the dev profile builds at opt level 1, but
+# perfbench and the experiment binaries run the release build, whose
+# vectorized tiles and loops must give the same bits.
+echo "==> cargo test --release -p shoggoth-tensor --test kernels_prop --test eval_in_place --test stats_pass"
+cargo test -q --release -p shoggoth-tensor --test kernels_prop --test eval_in_place --test stats_pass
 
 # shoggoth-util again at opt level 3, where the Gaussian block loop and
 # the fmath functions vectorize: the fill must still equal the serial
